@@ -232,31 +232,17 @@ def _cmd_shrink(args, parser) -> int:
     else:
         inst, model = _build_model_from_args(args, file_cfg, parser)
         graph = qubo_to_maxcut(model)
-        aware = _resolve(args, file_cfg, "constraint_aware", True)
+        aware = _resolve(args, file_cfg, "constraint_aware", PipelineConfig.constraint_aware)
         if aware:
             node_tags = {node: model.semantics[var] for node, var in graph.var_map.items()}
             penalty = make_penalty(inst, node_tags)
 
     if args.k is not None and args.alpha is not None:
         parser.error("--k and --alpha are mutually exclusive")
-    stop_mode = "k" if args.k is not None else "spectral"
-    config = ShrinkConfig(
-        stop_mode=stop_mode,
-        k=args.k,
-        alpha=_resolve(args, file_cfg, "alpha", 0.9),
-        energy_order=_resolve(args, file_cfg, "energy_order", "ascending"),
-        weight_mode=_resolve(args, file_cfg, "weight_mode", "absolute"),
-        lam=_resolve(args, file_cfg, "lam", 1.5),
-        recalc=_resolve(args, file_cfg, "recalc", "fixed"),
-        r=_resolve(args, file_cfg, "r", 10),
-        delta=_resolve(args, file_cfg, "delta", 0.1),
-        tau=_resolve(args, file_cfg, "tau", 0.5),
-        seed=_resolve(args, file_cfg, "seed", 0),
-        reference_protected=_resolve(args, file_cfg, "reference_protected", True),
-        sdp_rank=_resolve(args, file_cfg, "sdp_rank", None),
-        sdp_tol=_resolve(args, file_cfg, "sdp_tol", 1e-6),
-        sdp_max_sweeps=_resolve(args, file_cfg, "sdp_max_sweeps", 1000),
-    )
+    values = {f.name: _resolve(args, file_cfg, f.name, f.default) for f in fields(ShrinkConfig)}
+    if args.k is not None:
+        values["stop_mode"] = "k"
+    config = ShrinkConfig(**values)
     result = run_shrink(graph, config, penalty=penalty)
     if args.steps_out:
         Path(args.steps_out).write_text(merge_steps_to_jsonl(result.steps))

@@ -15,16 +15,20 @@ coefficients yields the weights used here:
 
 with the QUBO offset carried over unchanged. Zero-weight edges are dropped.
 The identity is enforced by exhaustive enumeration in the test suite.
+
+``MaxCutGraph.edges`` is the stored format; the kernels read the dense
+symmetric :meth:`MaxCutGraph.weight_matrix` instead.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qubo import QuboModel, VarTag
+from .qubo import QuboModel, VarTag, pair_matrix
 
 
 @dataclass(frozen=True)
@@ -45,32 +49,27 @@ class MaxCutGraph:
         if 0 in self.var_map:
             raise ValueError("reference node 0 must not map to a variable")
 
+    @cached_property
+    def _weight_matrix(self) -> np.ndarray:
+        return pair_matrix(self.edges, self.n_nodes, symmetric=True)
+
+    def weight_matrix(self) -> np.ndarray:
+        """Dense symmetric edge weights, 0 off the edge set (built once, read-only)."""
+        return self._weight_matrix
+
     def weighted_degrees(self, absolute: bool = False) -> np.ndarray:
         """Sum of incident edge weights per node (absolute values on request)."""
-        deg = np.zeros(self.n_nodes)
-        for (i, j), w in self.edges.items():
-            v = abs(w) if absolute else w
-            deg[i] += v
-            deg[j] += v
-        return deg
-
-
-def _edge_key(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+        W = self.weight_matrix()
+        return (np.abs(W) if absolute else W).sum(axis=1)
 
 
 def qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
     """Reduce a QUBO to its equivalent weighted Max-Cut graph (see module docs)."""
-    edges: dict[tuple[int, int], float] = {}
-    quad_row_sum = np.zeros(model.n_vars)
-    for (i, j), w in model.quad.items():
-        quad_row_sum[i] += w
-        quad_row_sum[j] += w
-        edges[(i + 1, j + 1)] = w / 2.0
+    Q = model.quad_matrix()
+    quad_row_sum = (Q + Q.T).sum(axis=1)
+    edges = {(i + 1, j + 1): w / 2.0 for (i, j), w in model.quad.items()}
     for v in range(model.n_vars):
-        w0 = -model.lin[v] - 0.5 * quad_row_sum[v]
-        if w0 != 0.0:
-            edges[(0, v + 1)] = w0
+        edges[(0, v + 1)] = -model.lin[v] - 0.5 * quad_row_sum[v]
     edges = {k: w for k, w in edges.items() if w != 0.0}
     return MaxCutGraph(
         n_nodes=model.n_vars + 1,
@@ -87,20 +86,12 @@ def graph_to_qubo(graph: MaxCutGraph, semantics: tuple[VarTag, ...] | None = Non
     callers that need a different association). ``semantics`` defaults to
     generic ("spin", node) tags.
     """
-    n_vars = graph.n_nodes - 1
-    quad: dict[tuple[int, int], float] = {}
-    lin = np.zeros(n_vars)
-    for (i, j), w in graph.edges.items():
-        if i >= 1:
-            quad[(i - 1, j - 1)] = 2.0 * w
-        lin[j - 1] -= w
-        if i >= 1:
-            lin[i - 1] -= w
-    quad = {k: w for k, w in quad.items() if w != 0.0}
+    quad = {(i - 1, j - 1): 2.0 * w for (i, j), w in graph.edges.items() if i >= 1}
+    lin = np.zeros(graph.n_nodes - 1) - graph.weight_matrix()[1:].sum(axis=1)
     if semantics is None:
         semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
     return QuboModel(
-        n_vars=n_vars,
+        n_vars=graph.n_nodes - 1,
         quad=quad,
         lin=tuple(float(v) for v in lin),
         offset=graph.offset,
@@ -115,10 +106,9 @@ def cut_value(graph: MaxCutGraph, spins) -> float:
         raise ValueError(f"spins have shape {spins.shape}, expected ({graph.n_nodes},)")
     if not np.all(np.abs(spins) == 1):
         raise ValueError("spins must be +1 or -1")
-    total = 0.0
-    for (i, j), w in graph.edges.items():
-        total += 0.5 * w * (1.0 - float(spins[i]) * float(spins[j]))
-    return total
+    z = spins.astype(float)
+    W = graph.weight_matrix()
+    return 0.25 * (float(W.sum()) - float(z @ W @ z))
 
 
 def spins_to_binary(graph: MaxCutGraph, spins) -> np.ndarray:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,20 +84,21 @@ class PipelineConfig:
     penalty_multiplier: float | None = None
     use_slack: bool = False
     constraint_aware: bool = True
-    stop_mode: str = "spectral"
-    k: int | None = None
-    alpha: float = 0.9
-    energy_order: str = "ascending"
-    weight_mode: str = "absolute"
-    lam: float = 1.5
-    recalc: str = "fixed"
-    r: int = 10
-    delta: float = 0.1
-    tau: float = 0.5
-    reference_protected: bool = True
-    sdp_rank: int | None = None
-    sdp_tol: float = 1e-6
-    sdp_max_sweeps: int = 1000
+    # shrink knobs, defaulting to ShrinkConfig's (its seed is derived from ``seed``)
+    stop_mode: str = ShrinkConfig.stop_mode
+    k: int | None = ShrinkConfig.k
+    alpha: float = ShrinkConfig.alpha
+    energy_order: str = ShrinkConfig.energy_order
+    weight_mode: str = ShrinkConfig.weight_mode
+    lam: float = ShrinkConfig.lam
+    recalc: str = ShrinkConfig.recalc
+    r: int = ShrinkConfig.r
+    delta: float = ShrinkConfig.delta
+    tau: float = ShrinkConfig.tau
+    reference_protected: bool = ShrinkConfig.reference_protected
+    sdp_rank: int | None = ShrinkConfig.sdp_rank
+    sdp_tol: float = ShrinkConfig.sdp_tol
+    sdp_max_sweeps: int = ShrinkConfig.sdp_max_sweeps
     backend: str = "exact"
     sa_sweeps: int | None = None
     vqe_layers: int = 1
@@ -296,8 +297,7 @@ def build_model(inst, config: PipelineConfig):
     multiplier = config.penalty_multiplier
     if multiplier is None:
         multiplier = DEFAULT_MULTIPLIER[config.kind]
-    policy = PenaltyPolicy(multiplier=multiplier, use_slack=config.use_slack)
-    P = recommend_penalty(inst, policy)
+    P = recommend_penalty(inst, PenaltyPolicy(multiplier=multiplier))
     if isinstance(inst, MdkpInstance):
         return build_mdkp_qubo(inst, P, use_slack=config.use_slack)
     if isinstance(inst, MisInstance):
@@ -308,23 +308,8 @@ def build_model(inst, config: PipelineConfig):
 
 
 def _shrink_config(config: PipelineConfig, seed: int) -> ShrinkConfig:
-    return ShrinkConfig(
-        stop_mode=config.stop_mode,
-        k=config.k,
-        alpha=config.alpha,
-        energy_order=config.energy_order,
-        weight_mode=config.weight_mode,
-        lam=config.lam,
-        recalc=config.recalc,
-        r=config.r,
-        delta=config.delta,
-        tau=config.tau,
-        seed=seed,
-        reference_protected=config.reference_protected,
-        sdp_rank=config.sdp_rank,
-        sdp_tol=config.sdp_tol,
-        sdp_max_sweeps=config.sdp_max_sweeps,
-    )
+    shared = {f.name: getattr(config, f.name) for f in fields(ShrinkConfig) if f.name != "seed"}
+    return ShrinkConfig(**shared, seed=seed)
 
 
 def _solver_options(config: PipelineConfig) -> dict:
@@ -515,6 +500,13 @@ def run_bench(
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    zero = _csv_number(0.0, 6)
+
+    def fail(name: str, strategy: str, exc: Exception) -> None:
+        failures.append(f"{name}/{strategy}: {exc}")
+        row = [name, strategy, str(base.constraint_aware), "", "", "", "False", zero, "", ""]
+        writer.writerow(row + [zero] * len(PHASES))
+
     for kind, path in instances:
         name = Path(path).stem
         try:
@@ -523,8 +515,7 @@ def run_bench(
         except Exception as exc:
             for strategy in strategies:
                 seed_seq.spawn(1)  # keep per-row seeds aligned across reruns
-                failures.append(f"{name}/{strategy}: {exc}")
-                writer.writerow([name, strategy, str(base.constraint_aware), "", "", "", "False", _csv_number(0.0, 6), "", "", *[_csv_number(0.0, 6)] * 5])
+                fail(name, strategy, exc)
             continue
         for strategy in strategies:
             row_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])
@@ -537,8 +528,7 @@ def run_bench(
             try:
                 report = run_pipeline(config, inst=inst)
             except PipelineError as exc:
-                failures.append(f"{name}/{strategy}: {exc}")
-                writer.writerow([name, strategy, str(base.constraint_aware), "", "", "", "False", _csv_number(0.0, 6), "", "", *[_csv_number(0.0, 6)] * 5])
+                fail(name, strategy, exc)
                 continue
             writer.writerow(
                 [

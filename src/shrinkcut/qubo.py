@@ -12,6 +12,9 @@ constraint penalties of strength P. Every variable carries a semantics tag:
     ("vertex", v)     MIS decision variable for vertex v
     ("assign", i, j)  QAP flattened variable x_{ij} (facility i at location j)
     ("spin", node)    generic variable re-derived from a Max-Cut node
+
+The ``quad`` dict is the stored format; energies and solvers read its
+upper-triangular array view :meth:`QuboModel.quad_matrix`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +55,34 @@ class QuboModel:
             if w == 0:
                 raise ValueError(f"quad key ({i}, {j}) stores a zero coefficient")
 
+    @cached_property
+    def _quad_matrix(self) -> np.ndarray:
+        return pair_matrix(self.quad, self.n_vars)
+
+    def quad_matrix(self) -> np.ndarray:
+        """``quad`` as an upper-triangular n_vars x n_vars array (built once, read-only)."""
+        return self._quad_matrix
+
+
+def pair_matrix(
+    pairs: dict[tuple[int, int], float], n: int, symmetric: bool = False
+) -> np.ndarray:
+    """Read-only n x n array with pairs[(i, j)] at [i, j] (and at [j, i] if symmetric)."""
+    ij = np.array(list(pairs), dtype=int).reshape(-1, 2)
+    values = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
+    matrix = np.zeros((n, n))
+    matrix[ij[:, 0], ij[:, 1]] = values
+    if symmetric:
+        matrix[ij[:, 1], ij[:, 0]] = values
+    matrix.flags.writeable = False
+    return matrix
+
 
 @dataclass(frozen=True)
 class PenaltyPolicy:
     """Penalty strength policy: P is lambda_pen times a problem-derived scale."""
 
     multiplier: float = 10.0
-    use_slack: bool = False
 
     def __post_init__(self) -> None:
         if self.multiplier <= 0:
@@ -229,10 +254,7 @@ def evaluate_qubo(model: QuboModel, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_vars,):
         raise ValueError(f"assignment has shape {x.shape}, expected ({model.n_vars},)")
-    energy = model.offset + float(np.dot(model.lin, x))
-    for (i, j), w in model.quad.items():
-        energy += w * x[i] * x[j]
-    return energy
+    return model.offset + float(np.dot(model.lin, x)) + float(x @ model.quad_matrix() @ x)
 
 
 def coefficient_scale(model: QuboModel) -> float:

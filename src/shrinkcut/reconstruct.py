@@ -57,8 +57,8 @@ def lift_solution(
 
     Reduced bits become reduced-node spins, ``node_order`` places them on the
     surviving original nodes, the merge log fills in the absorbed nodes, and
-    both global spin gauges are evaluated (they cut the same weight; ties
-    keep the reference node on the +1 side).
+    the global spin gauge is fixed so the reference node sits on the +1 side
+    (a global flip cuts the same weight).
     """
     reduced_spins = binary_to_spins(result.graph, reduced_bits)
     spin_map = {
@@ -71,20 +71,10 @@ def lift_solution(
         raise ValueError(f"lifted spins do not cover all original nodes; missing {missing}")
     spins = np.array([full[v] for v in range(n)], dtype=int)
 
-    cut_plus = cut_value(original_graph, spins)
-    cut_minus = cut_value(original_graph, -spins)
-    if cut_minus > cut_plus:
+    if spins[0] == -1:
         spins = -spins
-        cut = cut_minus
-    elif cut_plus > cut_minus:
-        cut = cut_plus
-    else:
-        if spins[0] == -1:
-            spins = -spins
-        cut = cut_plus
-
     bits = spins_to_binary(original_graph, spins)
-    energy = original_graph.offset - cut
+    energy = original_graph.offset - cut_value(original_graph, spins)
     return LiftedSolution(bits=bits, spins=spins, energy=energy)
 
 

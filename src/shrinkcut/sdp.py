@@ -9,7 +9,8 @@ optimal v_i given all others is -g / ||g||. Each update is an exact argmax,
 so the objective is non-decreasing sweep over sweep. At rank
 ceil(sqrt(2n)) + 1 the low-rank formulation attains the SDP optimum.
 The Gram matrix X_ij = v_i . v_j is the correlation output consumed by the
-shrinking stage.
+shrinking stage. The per-sweep objective history is ``sdp_objective`` of the
+Gram matrix against the graph's cached dense weight matrix.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def solve_maxcut_sdp(
             if move > max_move:
                 max_move = move
             vectors[i] = new_v
-        history.append(_embedding_objective(graph, vectors))
+        history.append(sdp_objective(graph, vectors @ vectors.T))
         if max_move < tol:
             break
     return EmbeddingVectors(
@@ -124,13 +125,6 @@ def solve_maxcut_sdp(
         objective_history=tuple(history),
         sweeps_used=sweeps,
     )
-
-
-def _embedding_objective(graph: MaxCutGraph, vectors: np.ndarray) -> float:
-    total = 0.0
-    for (i, j), w in graph.edges.items():
-        total += 0.5 * w * (1.0 - float(vectors[i] @ vectors[j]))
-    return total
 
 
 def extract_correlations(vecs: EmbeddingVectors) -> CorrelationMatrix:
@@ -148,7 +142,4 @@ def sdp_objective(graph: MaxCutGraph, X: CorrelationMatrix | np.ndarray) -> floa
         raise ValueError(
             f"correlation matrix shape {entries.shape} != graph size {graph.n_nodes}"
         )
-    total = 0.0
-    for (i, j), w in graph.edges.items():
-        total += 0.5 * w * (1.0 - float(entries[i, j]))
-    return total
+    return 0.5 * float(np.sum(np.triu(graph.weight_matrix()) * (1.0 - entries)))

@@ -4,7 +4,8 @@ All backends minimize the QUBO energy and return a :class:`Solution`. The
 exact backend is the ground truth for small problems (up to 24 variables);
 simulated annealing scales to the reduced problems the pipeline produces;
 the VQE backend is a deliberately small statevector simulation for
-experimentation, not performance.
+experimentation, not performance. Exact enumeration and VQE share one
+chunked pass over all 2^n energies.
 """
 
 from __future__ import annotations
@@ -33,34 +34,21 @@ class Solution:
         object.__setattr__(self, "bits", bits)
 
 
-def _quad_matrices(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
-    """(upper-triangular, symmetric) coefficient matrices of the quadratic part."""
+def _bits(counter: int, n: int) -> np.ndarray:
+    """Variable i of the assignment numbered ``counter`` is bit i."""
+    return ((counter >> np.arange(n)) & 1).astype(int)
+
+
+def _energy_chunks(model: QuboModel, chunk: int = 1 << 18):
+    """Yield (first counter, energies) for all 2^n assignments, ``chunk`` at a time."""
     n = model.n_vars
-    upper = np.zeros((n, n))
-    for (i, j), w in model.quad.items():
-        upper[i, j] = w
-    return upper, upper + upper.T
-
-
-def _bit_rows(counters: np.ndarray, n: int) -> np.ndarray:
-    """Row s holds the bits of counters[s], variable i = bit i."""
-    return ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
-def _all_energies(model: QuboModel, chunk: int = 1 << 18) -> np.ndarray:
-    """Energies of all 2^n assignments, indexed by the bit counter."""
-    n = model.n_vars
-    upper, _ = _quad_matrices(model)
+    upper = model.quad_matrix()
     lin = np.asarray(model.lin)
     total = 1 << n
-    energies = np.empty(total)
     for start in range(0, total, chunk):
         counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = _bit_rows(counters, n)
-        energies[start : start + len(counters)] = (
-            ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
-        )
-    return energies
+        B = ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+        yield start, ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
 
 
 def solve_exact(model: QuboModel, chunk: int = 1 << 18) -> Solution:
@@ -72,21 +60,14 @@ def solve_exact(model: QuboModel, chunk: int = 1 << 18) -> Solution:
         )
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
-    upper, _ = _quad_matrices(model)
-    lin = np.asarray(model.lin)
     best_energy = np.inf
     best_counter = 0
-    total = 1 << n
-    for start in range(0, total, chunk):
-        counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = _bit_rows(counters, n)
-        energies = ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
+    for start, energies in _energy_chunks(model, chunk):
         idx = int(np.argmin(energies))
         if energies[idx] < best_energy:
             best_energy = float(energies[idx])
-            best_counter = int(counters[idx])
-    bits = ((best_counter >> np.arange(n)) & 1).astype(int)
-    return Solution(bits=bits, energy=best_energy)
+            best_counter = start + idx
+    return Solution(bits=_bits(best_counter, n), energy=best_energy)
 
 
 def solve_sa(
@@ -119,7 +100,8 @@ def solve_sa(
         raise ValueError(f"need 0 < t_end <= t_start, got {t_end} and {t_start}")
 
     rng = np.random.default_rng(seed)
-    _, sym = _quad_matrices(model)
+    upper = model.quad_matrix()
+    sym = upper + upper.T
     lin = np.asarray(model.lin)
 
     x = rng.integers(0, 2, size=n)
@@ -200,7 +182,7 @@ def solve_vqe_sim(
     if layers < 0 or restarts < 1 or passes < 1 or grid < 2 or shots < 1:
         raise ValueError("invalid VQE parameters")
 
-    energies = _all_energies(model)
+    energies = np.concatenate([chunk for _, chunk in _energy_chunks(model)])
     cz_mask = _cz_ring_mask(n)
     n_angles = n * (layers + 1)
     grid_angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -249,8 +231,7 @@ def solve_vqe_sim(
     top_sorted = np.sort(top)
     state_energies = energies[top_sorted]
     pick = int(top_sorted[int(np.argmin(state_energies))])
-    bits = ((pick >> np.arange(n)) & 1).astype(int)
-    return Solution(bits=bits, energy=float(energies[pick]))
+    return Solution(bits=_bits(pick, n), energy=float(energies[pick]))
 
 
 def solve_qubo(model: QuboModel, backend: str = "exact", seed: int = 0, **options) -> Solution:

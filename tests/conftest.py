@@ -57,6 +57,35 @@ def naive_cut_value(graph: MaxCutGraph, spins) -> float:
     return total
 
 
+def naive_weighted_degrees(graph: MaxCutGraph, absolute: bool = False) -> list[float]:
+    degrees = [0.0] * graph.n_nodes
+    for (i, j), w in graph.edges.items():
+        value = abs(w) if absolute else w
+        degrees[i] += value
+        degrees[j] += value
+    return degrees
+
+
+def naive_laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> list[list[float]]:
+    """Textbook L = D - A, one edge at a time."""
+    n = graph.n_nodes
+    L = [[0.0] * n for _ in range(n)]
+    for (i, j), w in graph.edges.items():
+        value = abs(w) if weight_mode == "absolute" else w
+        L[i][j] -= value
+        L[j][i] -= value
+        L[i][i] += value
+        L[j][j] += value
+    return L
+
+
+def naive_sdp_objective(graph: MaxCutGraph, X) -> float:
+    total = 0.0
+    for (i, j), w in graph.edges.items():
+        total += 0.5 * w * (1.0 - X[i][j])
+    return total
+
+
 def brute_maxcut_value(graph: MaxCutGraph) -> float:
     """Maximum cut weight by enumerating spin assignments (reference fixed +1)."""
     best = -np.inf

@@ -117,6 +117,18 @@ def test_shrink_accepts_a_graph_file(tmp_path, triangle_file):
     assert graph_from_json(out.read_text()).n_nodes == 3
 
 
+def test_shrink_reads_stop_mode_and_k_from_the_config_file(data_dir, tmp_path):
+    config = tmp_path / "shrink.cfg"
+    config.write_text("stop_mode = k\nk = 4\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    out = tmp_path / "reduced.json"
+    assert main(["shrink", *instance, "--config", str(config), "--out", str(out)]) == 0
+    assert graph_from_json(out.read_text()).n_nodes == 4
+    report = tmp_path / "report.json"
+    assert main(["pipeline", *instance, "--config", str(config), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["final_size"] == 3  # decision nodes: 4 minus the reference
+
+
 def test_shrink_rejects_both_k_and_alpha(triangle_file):
     with pytest.raises(SystemExit) as excinfo:
         main(
