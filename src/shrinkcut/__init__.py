@@ -56,13 +56,13 @@ from .shrink import (
     ShrinkStats,
     SuperNode,
     WorkingGraph,
-    effective_correlation,
     local_correlation_update,
     merge_score,
     merge_steps_from_jsonl,
     merge_steps_to_jsonl,
     run_shrink,
     select_merge,
+    supernode_correlations,
 )
 from .feasibility import (
     RepairReport,

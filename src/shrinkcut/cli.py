@@ -253,7 +253,7 @@ def _cmd_shrink(args, parser) -> int:
 def _cmd_solve(args, parser) -> int:
     file_cfg = _file_cfg(args)
     model = model_from_json(Path(args.model).read_text())
-    backend = _resolve(args, file_cfg, "backend", "exact")
+    backend = _resolve(args, file_cfg, "backend", PipelineConfig.backend)
     options = {}
     if backend == "sa":
         if args.sweeps is not None:
@@ -264,7 +264,7 @@ def _cmd_solve(args, parser) -> int:
             options["t_end"] = args.t_end
     elif backend == "vqe" and args.layers is not None:
         options["layers"] = args.layers
-    seed = _resolve(args, file_cfg, "seed", 0)
+    seed = _resolve(args, file_cfg, "seed", PipelineConfig.seed)
     solution = solve_qubo(model, backend=backend, seed=seed, **options)
     doc = {
         "instance": args.name,

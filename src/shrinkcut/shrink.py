@@ -10,6 +10,10 @@ energies equal the original energies of the lifted assignments exactly.
 Correlations go stale as the graph changes; ``recalc`` picks one of four
 refresh policies (fixed period, edge-count drift, correlation-strength
 threshold, or cheap local rescaling with no re-solves).
+
+Supernodes are read through one signed membership matrix M (a row of relative
+member signs per supernode): pair correlations are M X M^T, and a reduced
+correlation matrix R lifts back to the original nodes as M^T R M.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,19 +223,27 @@ class WorkingGraph:
         return graph, node_order
 
 
-def effective_correlation(a: SuperNode, b: SuperNode, correlations: np.ndarray) -> float:
-    """Mean sign-adjusted correlation over all member pairs of two supernodes."""
-    ua = np.fromiter(a.members.keys(), dtype=int, count=len(a.members))
-    sa = np.fromiter(a.members.values(), dtype=float, count=len(a.members))
-    ub = np.fromiter(b.members.keys(), dtype=int, count=len(b.members))
-    sb = np.fromiter(b.members.values(), dtype=float, count=len(b.members))
-    block = correlations[np.ix_(ua, ub)]
-    return float(np.mean(sa[:, None] * sb[None, :] * block))
+def membership_matrix(ids: Sequence[int], supernodes: dict[int, SuperNode], n: int) -> np.ndarray:
+    """Signed S x n membership: row r holds supernode ids[r]'s relative member signs."""
+    M = np.zeros((len(ids), n))
+    for r, sid in enumerate(ids):
+        members = supernodes[sid].members
+        M[r, list(members)] = list(members.values())
+    return M
 
 
-def merge_score(correlation: float, penalty: float, lam: float) -> float:
-    """Strong correlations are good merge candidates, constraint mixing is not."""
-    return abs(correlation) - lam * penalty
+def supernode_correlations(
+    ids: Sequence[int], supernodes: dict[int, SuperNode], correlations: np.ndarray
+) -> np.ndarray:
+    """Mean sign-adjusted member correlation of each pair ids[r], ids[c]: M X M^T / (|a| |b|)."""
+    M = membership_matrix(ids, supernodes, correlations.shape[0])
+    sizes = np.array([len(supernodes[sid].members) for sid in ids], dtype=float)
+    return (M @ correlations @ M.T) / np.outer(sizes, sizes)
+
+
+def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, lam: float):
+    """Strong correlations are good merge candidates, constraint mixing is not (elementwise)."""
+    return np.abs(correlation) - lam * penalty
 
 
 def select_merge(
@@ -246,32 +258,24 @@ def select_merge(
 
     Returns (absorbed, survivor, sigma): the smaller id is absorbed into the
     larger, except that a protected node (the reference) always survives.
-    Score ties are broken uniformly at random with ``rng``.
+    Score ties (exact float equality) are broken uniformly at random with
+    ``rng`` among the tied pairs in ascending (a, b) order.
     """
     ids = sorted(supernodes)
     if len(ids) < 2:
         raise ValueError(f"need at least two supernodes to merge, got {len(ids)}")
-    best_score = -np.inf
-    ties: list[tuple[int, int, float]] = []
-    for ai in range(len(ids) - 1):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            corr = effective_correlation(supernodes[a], supernodes[b], correlations)
-            pi = penalty(supernodes[a], supernodes[b]) if penalty is not None else 0.0
-            score = merge_score(corr, pi, lam)
-            if score > best_score:
-                best_score = score
-                ties = [(a, b, corr)]
-            elif score == best_score:
-                ties.append((a, b, corr))
-    pick = 0 if rng is None or len(ties) == 1 else int(rng.integers(len(ties)))
-    a, b, corr = ties[pick]
-    sigma = -1 if corr < 0 else 1
-    if a in protected:
-        absorbed, survivor = b, a
-    else:
-        absorbed, survivor = a, b
-    return absorbed, survivor, sigma
+    rows, cols = np.triu_indices(len(ids), 1)
+    corr = supernode_correlations(ids, supernodes, correlations)[rows, cols]
+    pi = 0.0
+    if penalty is not None:
+        sns = [supernodes[sid] for sid in ids]
+        pi = np.array([penalty(sns[r], sns[c]) for r, c in zip(rows, cols)], dtype=float)
+    score = merge_score(corr, pi, lam)
+    ties = np.flatnonzero(score == score.max())
+    pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+    a, b = ids[rows[pick]], ids[cols[pick]]
+    sigma = -1 if corr[pick] < 0 else 1
+    return (b, a, sigma) if a in protected else (a, b, sigma)
 
 
 def local_correlation_update(
@@ -315,23 +319,12 @@ def _expand_correlations(
     supernodes: dict[int, SuperNode],
     n_original: int,
 ) -> np.ndarray:
-    """Lift a reduced-graph correlation matrix back to original node indices."""
-    X = np.zeros((n_original, n_original))
-    reps = list(node_order)
-    members = []
-    for rep in reps:
-        sn = supernodes[rep]
-        u = np.fromiter(sn.members.keys(), dtype=int, count=len(sn.members))
-        s = np.fromiter(sn.members.values(), dtype=float, count=len(sn.members))
-        members.append((u, s))
-    for ia in range(len(reps)):
-        ua, sa = members[ia]
-        for ib in range(ia, len(reps)):
-            ub, sb = members[ib]
-            block = reduced_entries[ia, ib] * sa[:, None] * sb[None, :]
-            X[np.ix_(ua, ub)] = block
-            if ib != ia:
-                X[np.ix_(ub, ua)] = block.T
+    """Lift a reduced correlation matrix R to original node indices as M^T R M.
+
+    Each original node lies in exactly one supernode, so every entry is one signed R entry.
+    """
+    M = membership_matrix(node_order, supernodes, n_original)
+    X = M.T @ reduced_entries @ M
     np.fill_diagonal(X, 1.0)
     return X
 
@@ -445,42 +438,22 @@ def run_shrink(
         if working.n_nodes <= target_k:
             break
 
-        if config.recalc == "fixed":
-            if merges_since_solve >= config.r:
-                correlations = solve_correlations()
-                recalcs += 1
-                merges_since_solve = 0
-                edges_at_solve = working.edge_count
-        elif config.recalc == "delta":
-            current_edges = working.edge_count
-            if edges_at_solve == 0:
-                drifted = current_edges != 0
-            else:
-                drifted = abs(current_edges - edges_at_solve) / edges_at_solve > config.delta
-            if drifted:
-                correlations = solve_correlations()
-                recalcs += 1
-                merges_since_solve = 0
-                edges_at_solve = current_edges
-        elif config.recalc == "tau":
-            ids = sorted(supernodes)
-            strongest = 0.0
-            for ai in range(len(ids) - 1):
-                for bi in range(ai + 1, len(ids)):
-                    corr = abs(
-                        effective_correlation(
-                            supernodes[ids[ai]], supernodes[ids[bi]], correlations
-                        )
-                    )
-                    if corr > strongest:
-                        strongest = corr
-            if strongest < config.tau:
-                correlations = solve_correlations()
-                recalcs += 1
-                merges_since_solve = 0
-                edges_at_solve = working.edge_count
-        else:  # local
+        if config.recalc == "local":
             local_correlation_update(correlations, working, supernodes, survivor, affected)
+            continue
+        if config.recalc == "fixed":
+            due = merges_since_solve >= config.r
+        elif config.recalc == "delta":
+            drift = abs(working.edge_count - edges_at_solve)
+            due = drift != 0 if edges_at_solve == 0 else drift / edges_at_solve > config.delta
+        else:  # tau
+            E = supernode_correlations(sorted(supernodes), supernodes, correlations)
+            due = np.abs(E[np.triu_indices(len(E), 1)]).max() < config.tau
+        if due:
+            correlations = solve_correlations()
+            recalcs += 1
+            merges_since_solve = 0
+            edges_at_solve = working.edge_count
 
     return finish()
 

@@ -65,8 +65,9 @@ def select_target_size(spectrum: Spectrum, alpha: float, order: str = "ascending
     ``order`` chooses whether the cumulative sum starts from the smallest
     ("ascending", default) or largest ("descending") eigenvalues. A zero
     (or non-positive) total yields k = n. The threshold alpha * total gets a
-    relative slack of 1e-12, so an exact fraction such as 1/4 on the path
-    graph is not missed by the last bit of a LAPACK eigenvalue.
+    slack of 1e-12 * total, so an exact fraction such as 1/4 on the path
+    graph is not missed by the last bit of a LAPACK eigenvalue, and alpha = 0
+    gives k = 1 even when rounding puts the smallest eigenvalue just below 0.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -78,5 +79,5 @@ def select_target_size(spectrum: Spectrum, alpha: float, order: str = "ascending
     if spectrum.total <= 0.0:
         return n
     values = spectrum.eigenvalues if order == "ascending" else spectrum.eigenvalues[::-1]
-    reached = np.cumsum(values) >= alpha * spectrum.total * (1.0 - 1e-12)
+    reached = np.cumsum(values) >= (alpha - 1e-12) * spectrum.total
     return int(np.argmax(reached)) + 1 if reached.any() else n

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinkcut import MaxCutGraph, MdkpInstance, MisInstance, QapInstance, QuboModel
+from shrinkcut import (
+    MaxCutGraph,
+    MdkpInstance,
+    MisInstance,
+    QapInstance,
+    QuboModel,
+    SuperNode,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -84,6 +91,28 @@ def naive_sdp_objective(graph: MaxCutGraph, X) -> float:
     for (i, j), w in graph.edges.items():
         total += 0.5 * w * (1.0 - X[i][j])
     return total
+
+
+def naive_effective_correlation(a: SuperNode, b: SuperNode, correlations) -> float:
+    """Mean sign-adjusted correlation over all member pairs of two supernodes."""
+    ua = np.fromiter(a.members.keys(), dtype=int, count=len(a.members))
+    sa = np.fromiter(a.members.values(), dtype=float, count=len(a.members))
+    ub = np.fromiter(b.members.keys(), dtype=int, count=len(b.members))
+    sb = np.fromiter(b.members.values(), dtype=float, count=len(b.members))
+    block = correlations[np.ix_(ua, ub)]
+    return float(np.mean(sa[:, None] * sb[None, :] * block))
+
+
+def naive_expand_correlations(reduced_entries, node_order, supernodes, n_original):
+    """Write every reduced entry into its sign-adjusted member pairs, one entry at a time."""
+    X = np.zeros((n_original, n_original))
+    for ia, rep_a in enumerate(node_order):
+        for ib, rep_b in enumerate(node_order):
+            for u, su in supernodes[rep_a].members.items():
+                for v, sv in supernodes[rep_b].members.items():
+                    X[u, v] = reduced_entries[ia, ib] * su * sv
+    np.fill_diagonal(X, 1.0)
+    return X
 
 
 def brute_maxcut_value(graph: MaxCutGraph) -> float:

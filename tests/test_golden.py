@@ -31,6 +31,8 @@ INSTANCES = (
     [
         ("bench_golden.csv", []),
         ("bench_golden_descending_tau.csv", ["--energy-order", "descending", "--recalc", "tau"]),
+        ("bench_golden_delta.csv", ["--recalc", "delta"]),
+        ("bench_golden_local.csv", ["--recalc", "local"]),
     ],
 )
 def test_bench_csv_matches_the_golden_file(data_dir, tmp_path, golden, extra):

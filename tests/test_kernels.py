@@ -3,7 +3,8 @@
 ``evaluate_qubo``, ``cut_value``, ``weighted_degrees``, ``laplacian`` and
 ``sdp_objective`` read the dense views ``QuboModel.quad_matrix()`` and
 ``MaxCutGraph.weight_matrix()``; the oracles in ``tests/conftest.py`` walk
-the stored dicts instead.
+the stored dicts instead. The supernode kernels read a signed membership
+matrix; their oracles walk each supernode's member dict.
 """
 
 import numpy as np
@@ -11,9 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkcut import MaxCutGraph, QuboModel, cut_value, evaluate_qubo, laplacian, sdp_objective
+from shrinkcut import (
+    MaxCutGraph,
+    QuboModel,
+    SuperNode,
+    cut_value,
+    evaluate_qubo,
+    laplacian,
+    sdp_objective,
+    supernode_correlations,
+)
+from shrinkcut.shrink import _expand_correlations
 from tests.conftest import (
     naive_cut_value,
+    naive_effective_correlation,
+    naive_expand_correlations,
     naive_laplacian,
     naive_qubo_energy,
     naive_sdp_objective,
@@ -52,6 +65,36 @@ def float_graphs(draw) -> MaxCutGraph:
         offset=draw(coefficients),
         var_map={v: v - 1 for v in range(1, n)},
     )
+
+
+@st.composite
+def signed_partitions(draw) -> tuple[int, dict[int, SuperNode]]:
+    """Nodes 0..n-1 split into supernodes with random relative signs."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    supernodes = {}
+    for label in sorted(set(labels)):
+        nodes = [v for v in range(n) if labels[v] == label]
+        rep = nodes[0]
+        members = {v: signs[v] * signs[rep] for v in nodes}
+        supernodes[rep] = SuperNode(id=rep, members=members)
+    return n, supernodes
+
+
+def _symmetrize(values, n: int) -> np.ndarray:
+    A = np.reshape(values, (n, n))
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def symmetric_matrices(n: int):
+    """Random symmetric float matrices with entries in [-1, 1]."""
+    entries = st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=n * n,
+        max_size=n * n,
+    )
+    return entries.map(lambda values: _symmetrize(values, n))
 
 
 def _scale(values) -> float:
@@ -123,3 +166,26 @@ def test_dense_views_are_read_only_and_built_once():
     for view in (Q, W):
         with pytest.raises(ValueError, match="read-only"):
             view[0, 0] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_partitions(), st.data())
+def test_supernode_correlations_match_the_pair_oracle(partition, data):
+    n, supernodes = partition
+    X = data.draw(symmetric_matrices(n))
+    ids = data.draw(st.permutations(sorted(supernodes)))
+    E = supernode_correlations(ids, supernodes, X)
+    expected = [
+        [naive_effective_correlation(supernodes[a], supernodes[b], X) for b in ids] for a in ids
+    ]
+    assert np.allclose(E, expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_partitions(), st.data())
+def test_expand_correlations_equals_the_block_oracle(partition, data):
+    n, supernodes = partition
+    node_order = tuple(sorted(supernodes))
+    R = data.draw(symmetric_matrices(len(node_order)))
+    X = _expand_correlations(R, node_order, supernodes, n)
+    assert np.array_equal(X, naive_expand_correlations(R, node_order, supernodes, n))

@@ -9,13 +9,13 @@ from shrinkcut import (
     ShrinkConfig,
     SuperNode,
     WorkingGraph,
-    effective_correlation,
     local_correlation_update,
     merge_score,
     merge_steps_from_jsonl,
     merge_steps_to_jsonl,
     run_shrink,
     select_merge,
+    supernode_correlations,
 )
 from tests.conftest import random_graph
 
@@ -98,9 +98,12 @@ def test_effective_correlation_averages_sign_adjusted_members():
     X = demo_correlations()
     a = SuperNode(id=1, members={1: 1, 0: -1})
     b = SuperNode(id=2, members={2: 1})
+    supernodes = {1: a, 2: b}
     # pairs contribute X[1,2] and -X[0,2]: (0.5 - 0.3) / 2
-    assert effective_correlation(a, b, X) == pytest.approx(0.1)
-    assert effective_correlation(b, a, X) == pytest.approx(0.1)
+    for ids in ([1, 2], [2, 1]):
+        E = supernode_correlations(ids, supernodes, X)
+        assert E[0, 1] == pytest.approx(0.1)
+        assert E[1, 0] == pytest.approx(0.1)
 
 
 def test_merge_score_discounts_penalty_linearly():

@@ -1,16 +1,31 @@
 """Laplacian spectra, the eigenvalue wrapper, and the stopping-size rule."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
 from shrinkcut import (
     MaxCutGraph,
+    PipelineConfig,
     Spectrum,
+    build_model,
     laplacian,
+    load_instance,
+    qubo_to_maxcut,
     select_target_size,
     symmetric_eigenvalues,
 )
-from tests.conftest import random_graph
+from tests.conftest import DATA_DIR, random_graph
+
+
+def tc64():
+    """1tc.64 from scripts/generate_instances.py (64 vertices, not bundled)."""
+    path = DATA_DIR.parent / "scripts" / "generate_instances.py"
+    spec = importlib.util.spec_from_file_location("generate_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.transposition_conflict_graph(6)
 
 
 def path3() -> MaxCutGraph:
@@ -44,6 +59,21 @@ def test_select_target_size_tolerates_the_last_bit_of_a_lapack_eigenvalue():
     eigenvalues = np.linalg.eigvalsh(laplacian(path3()))
     spectrum = Spectrum(eigenvalues=eigenvalues, total=float(np.sum(eigenvalues)))
     assert select_target_size(spectrum, alpha=0.25) == 2
+    # a smallest eigenvalue rounded below 0 still leaves k = 1 at alpha = 0
+    noisy = Spectrum(eigenvalues=np.array([-1e-14, 1.0, 3.0]), total=4.0 - 1e-14)
+    assert select_target_size(noisy, alpha=0.0) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, load",
+    [("mis", tc64), ("mdkp", lambda: load_instance("mdkp", DATA_DIR / "mdkp/synth24x4.txt"))],
+    ids=["1tc.64", "synth24x4"],
+)
+def test_alpha_zero_keeps_one_node_despite_a_slightly_negative_smallest_eigenvalue(kind, load):
+    # LAPACK puts lambda_1 of these Laplacians just below 0 (about -1e-14, -9e-11)
+    graph = qubo_to_maxcut(build_model(load(), PipelineConfig(kind=kind, use_slack=True)))
+    spectrum = symmetric_eigenvalues(laplacian(graph))
+    assert select_target_size(spectrum, alpha=0.0) == 1
 
 
 def test_eigenvalues_satisfy_the_trace_and_frobenius_identities():
