@@ -54,6 +54,12 @@ class QuboModel:
                 raise ValueError(f"quad key ({i}, {j}) is not an ordered pair within range")
             if w == 0:
                 raise ValueError(f"quad key ({i}, {j}) stores a zero coefficient")
+            if not math.isfinite(w):
+                raise ValueError(f"quad key ({i}, {j}) stores a non-finite coefficient {w}")
+        if not all(map(math.isfinite, self.lin)):
+            raise ValueError("lin holds a non-finite coefficient")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
 
     @cached_property
     def _quad_matrix(self) -> np.ndarray:

@@ -10,6 +10,7 @@ chunked pass over all 2^n energies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,14 @@ def solve_sa(
 
     Each sweep visits every variable once in index order; the temperature
     ramps from the largest coefficient magnitude down to a 1e-3 fraction of
-    it. Local fields are maintained incrementally, and the best-seen state's
-    energy is recomputed from scratch before returning.
+    it. The state and local fields are plain Python lists, and a flip
+    updates only the fields of the flipped variable's nonzero couplings, so
+    a sweep costs O(n + flips x degree) on sparse couplings. An uphill move
+    is accepted when ``u < math.exp(-delta / T)``. ``math.exp`` and
+    ``np.exp`` can round to neighbouring floats, so a decision can differ
+    from one made with ``np.exp``; the draws u are multiples of 2^-53, so
+    that happens with probability at most about 2^-53 per uphill attempt.
+    The best-seen state's energy is recomputed from scratch before returning.
     """
     n = model.n_vars
     if n == 0:
@@ -96,17 +103,24 @@ def solve_sa(
         t_start = scale
     if t_end is None:
         t_end = 1e-3 * scale
-    if not (0 < t_end <= t_start):
-        raise ValueError(f"need 0 < t_end <= t_start, got {t_end} and {t_start}")
+    if not (0 < t_end <= t_start < math.inf):
+        raise ValueError(f"need 0 < t_end <= t_start < inf, got {t_end} and {t_start}")
 
     rng = np.random.default_rng(seed)
     upper = model.quad_matrix()
     sym = upper + upper.T
-    lin = np.asarray(model.lin)
+    # (j, sym[j, i]) for the nonzero couplings of each variable i; skipping the
+    # zeros changes at most the sign of a zero field, which no decision reads
+    couplings = []
+    for column in sym.T:
+        nonzero = np.flatnonzero(column)
+        couplings.append(list(zip(nonzero.tolist(), column[nonzero].tolist())))
+    lin = np.asarray(model.lin, dtype=float).tolist()
 
-    x = rng.integers(0, 2, size=n)
-    fields = sym @ x
-    energy = evaluate_qubo(model, x)
+    initial = rng.integers(0, 2, size=n)
+    fields = (sym @ initial).tolist()
+    energy = evaluate_qubo(model, initial)
+    x = initial.tolist()
     best_bits = x.copy()
     best_energy = energy
 
@@ -115,14 +129,22 @@ def solve_sa(
     else:
         temperatures = t_start * (t_end / t_start) ** (np.arange(sweeps) / (sweeps - 1))
 
-    for temperature in temperatures:
-        accept_draws = rng.random(n)
+    for temperature in map(float, temperatures):
+        accept_draws = rng.random(n).tolist()
         for i in range(n):
-            delta = (1 - 2 * x[i]) * (lin[i] + fields[i])
-            if delta <= 0 or accept_draws[i] < np.exp(-delta / temperature):
-                step = 1 - 2 * x[i]
-                x[i] += step
-                fields += sym[:, i] * step
+            bit = x[i]
+            delta = lin[i] + fields[i]
+            if bit:
+                delta = -delta
+            if delta <= 0 or accept_draws[i] < math.exp(-delta / temperature):
+                if bit:
+                    x[i] = 0
+                    for j, w in couplings[i]:
+                        fields[j] -= w
+                else:
+                    x[i] = 1
+                    for j, w in couplings[i]:
+                        fields[j] += w
                 energy += delta
                 if energy < best_energy:
                     best_energy = energy

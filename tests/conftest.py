@@ -7,6 +7,7 @@ two different computational paths.
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,22 @@ from shrinkcut import (
     MisInstance,
     QapInstance,
     QuboModel,
+    Solution,
     SuperNode,
+    coefficient_scale,
+    evaluate_qubo,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def tc64() -> MisInstance:
+    """1tc.64 from scripts/generate_instances.py (64 vertices, not bundled)."""
+    path = DATA_DIR.parent / "scripts" / "generate_instances.py"
+    spec = importlib.util.spec_from_file_location("generate_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.transposition_conflict_graph(6)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +126,62 @@ def naive_expand_correlations(reduced_entries, node_order, supernodes, n_origina
                     X[u, v] = reduced_entries[ia, ib] * su * sv
     np.fill_diagonal(X, 1.0)
     return X
+
+
+def naive_solve_sa(
+    model: QuboModel,
+    seed: int = 0,
+    sweeps: int | None = None,
+    t_start: float | None = None,
+    t_end: float | None = None,
+) -> Solution:
+    """Metropolis annealing on numpy scalars: dense field updates and ``np.exp``.
+
+    The same schedule, draws and best-state tracking as ``solve_sa``, written
+    as the direct per-variable loop; ``solve_sa`` must return the same bits
+    and energy.
+    """
+    n = model.n_vars
+    if n == 0:
+        return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
+    if sweeps is None:
+        sweeps = 200 * n
+    scale = coefficient_scale(model)
+    if t_start is None:
+        t_start = scale
+    if t_end is None:
+        t_end = 1e-3 * scale
+
+    rng = np.random.default_rng(seed)
+    upper = model.quad_matrix()
+    sym = upper + upper.T
+    lin = np.asarray(model.lin)
+
+    x = rng.integers(0, 2, size=n)
+    fields = sym @ x
+    energy = evaluate_qubo(model, x)
+    best_bits = x.copy()
+    best_energy = energy
+
+    if sweeps == 1:
+        temperatures = np.array([t_start])
+    else:
+        temperatures = t_start * (t_end / t_start) ** (np.arange(sweeps) / (sweeps - 1))
+
+    for temperature in temperatures:
+        accept_draws = rng.random(n)
+        for i in range(n):
+            delta = (1 - 2 * x[i]) * (lin[i] + fields[i])
+            if delta <= 0 or accept_draws[i] < np.exp(-delta / temperature):
+                step = 1 - 2 * x[i]
+                x[i] += step
+                fields += sym[:, i] * step
+                energy += delta
+                if energy < best_energy:
+                    best_energy = energy
+                    best_bits = x.copy()
+
+    return Solution(bits=best_bits, energy=evaluate_qubo(model, best_bits))
 
 
 def brute_maxcut_value(graph: MaxCutGraph) -> float:

@@ -159,6 +159,19 @@ def test_solve_exact_reports_the_known_optimum(mdkp_file, tmp_path):
     assert doc == {"instance": "knap", "bits": [1, 1, 0], "energy": -12.0}
 
 
+def test_solve_rejects_a_model_with_a_nan_coefficient(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(
+        '{"n_vars": 2, "linear": [0.0, 0.0], "quadratic": [[0, 1, NaN]], "offset": 0.0, '
+        '"semantics": [["spin", 0], ["spin", 1]]}'
+    )
+    code = main(["solve", "--model", str(model_path), "--backend", "exact"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shrinkcut:" in captured.err and "non-finite" in captured.err
+
+
 def test_solve_sa_is_deterministic_across_invocations(mdkp_file, tmp_path):
     model_path = tmp_path / "model.json"
     main(["build-qubo", "--kind", "mdkp", "--instance", str(mdkp_file), "--out", str(model_path)])

@@ -195,6 +195,18 @@ def test_qubo_model_validates_lengths_and_quad_keys():
             offset=0.0,
             semantics=(("spin", 0), ("spin", 1)),
         )
+    nan, inf = float("nan"), float("inf")
+    for quad, lin, offset in (
+        ({(0, 1): nan}, (0.0, 0.0), 0.0),
+        ({(0, 1): -inf}, (0.0, 0.0), 0.0),
+        ({(0, 1): 1.0}, (0.0, inf), 0.0),
+        ({(0, 1): 1.0}, (nan, 0.0), 0.0),
+        ({(0, 1): 1.0}, (0.0, 0.0), nan),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            QuboModel(
+                n_vars=2, quad=quad, lin=lin, offset=offset, semantics=(("spin", 0), ("spin", 1))
+            )
 
 
 def test_evaluate_qubo_rejects_wrong_length(mis_triangle):

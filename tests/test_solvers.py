@@ -114,6 +114,9 @@ def test_solve_sa_validates_schedule_parameters():
         solve_sa(model, t_start=1.0, t_end=2.0)
     with pytest.raises(ValueError, match="t_end"):
         solve_sa(model, t_end=0.0)
+    for t_start, t_end in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="t_start"):
+            solve_sa(model, t_start=t_start, t_end=t_end)
     # a single sweep is legal and still returns a coherent solution
     solution = solve_sa(model, sweeps=1, seed=1)
     assert evaluate_qubo(model, solution.bits) == pytest.approx(solution.energy)

@@ -1,7 +1,5 @@
 """Laplacian spectra, the eigenvalue wrapper, and the stopping-size rule."""
 
-import importlib.util
-
 import numpy as np
 import pytest
 
@@ -16,16 +14,7 @@ from shrinkcut import (
     select_target_size,
     symmetric_eigenvalues,
 )
-from tests.conftest import DATA_DIR, random_graph
-
-
-def tc64():
-    """1tc.64 from scripts/generate_instances.py (64 vertices, not bundled)."""
-    path = DATA_DIR.parent / "scripts" / "generate_instances.py"
-    spec = importlib.util.spec_from_file_location("generate_instances", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.transposition_conflict_graph(6)
+from tests.conftest import DATA_DIR, random_graph, tc64
 
 
 def path3() -> MaxCutGraph:
