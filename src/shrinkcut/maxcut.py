@@ -23,6 +23,7 @@ symmetric :meth:`MaxCutGraph.weight_matrix` instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,10 @@ class MaxCutGraph:
                 raise ValueError(f"edge key ({i}, {j}) is not an ordered pair within range")
             if w == 0:
                 raise ValueError(f"edge ({i}, {j}) stores a zero weight")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({i}, {j}) stores a non-finite weight {w}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         if 0 in self.var_map:
             raise ValueError("reference node 0 must not map to a variable")
 

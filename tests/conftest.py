@@ -19,10 +19,13 @@ from shrinkcut import (
     MisInstance,
     QapInstance,
     QuboModel,
+    EmbeddingVectors,
     Solution,
     SuperNode,
     coefficient_scale,
+    default_rank,
     evaluate_qubo,
+    sdp_objective,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -182,6 +185,63 @@ def naive_solve_sa(
                     best_bits = x.copy()
 
     return Solution(bits=best_bits, energy=evaluate_qubo(model, best_bits))
+
+
+def naive_solve_maxcut_sdp(
+    graph: MaxCutGraph,
+    rank: int | None = None,
+    tol: float = 1e-6,
+    max_sweeps: int = 1000,
+    seed: int = 0,
+) -> EmbeddingVectors:
+    """Mixing-method coordinate ascent with per-node bookkeeping.
+
+    The same initialization, neighbour order and updates as
+    ``solve_maxcut_sdp``, written as the direct loop: each node takes
+    ``np.linalg.norm`` of its gradient and of its own move, and every sweep
+    calls ``sdp_objective``. ``solve_maxcut_sdp`` must return the same
+    vectors, history and sweep count.
+    """
+    n = graph.n_nodes
+    if rank is None:
+        rank = default_rank(n)
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, rank))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[float]] = [[] for _ in range(n)]
+    for (i, j), w in graph.edges.items():
+        neighbors[i].append(j)
+        weights[i].append(w)
+        neighbors[j].append(i)
+        weights[j].append(w)
+    nbr_idx = [np.array(nb, dtype=int) for nb in neighbors]
+    nbr_w = [np.array(ws) for ws in weights]
+
+    history: list[float] = []
+    sweeps = 0
+    for sweep in range(max_sweeps):
+        sweeps = sweep + 1
+        max_move = 0.0
+        for i in range(n):
+            if nbr_idx[i].size == 0:
+                continue
+            g = nbr_w[i] @ vectors[nbr_idx[i]]
+            norm = np.linalg.norm(g)
+            if norm < 1e-12:
+                continue
+            new_v = -g / norm
+            move = np.linalg.norm(new_v - vectors[i])
+            if move > max_move:
+                max_move = move
+            vectors[i] = new_v
+        history.append(sdp_objective(graph, vectors @ vectors.T))
+        if max_move < tol:
+            break
+    return EmbeddingVectors(
+        vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=sweeps
+    )
 
 
 def brute_maxcut_value(graph: MaxCutGraph) -> float:

@@ -117,6 +117,26 @@ def test_shrink_accepts_a_graph_file(tmp_path, triangle_file):
     assert graph_from_json(out.read_text()).n_nodes == 3
 
 
+@pytest.mark.parametrize(
+    "edges, offset",
+    [
+        ("[[0, 1, 1.0], [1, 2, NaN]]", "0.0"),
+        ("[[0, 1, Infinity]]", "0.0"),
+        ("[[0, 1, 1.0]]", "Infinity"),
+    ],
+    ids=["nan-weight", "inf-weight", "inf-offset"],
+)
+def test_shrink_rejects_a_graph_with_a_non_finite_value(tmp_path, capsys, edges, offset):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(
+        f'{{"n_nodes": 3, "edges": {edges}, "offset": {offset}, "var_map": [0, 1]}}'
+    )
+    assert main(["shrink", "--graph", str(graph_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shrinkcut:" in captured.err and "finite" in captured.err
+
+
 def test_shrink_reads_stop_mode_and_k_from_the_config_file(data_dir, tmp_path):
     config = tmp_path / "shrink.cfg"
     config.write_text("stop_mode = k\nk = 4\n")

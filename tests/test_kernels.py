@@ -6,7 +6,9 @@
 the stored dicts instead. The supernode kernels read a signed membership
 matrix; their oracles walk each supernode's member dict. ``solve_sa`` runs on
 Python scalars with sparse field updates; its oracle is the dense numpy loop,
-and the two must agree bit for bit.
+and the two must agree bit for bit. ``solve_maxcut_sdp`` takes its stopping
+displacement once per sweep; its oracle takes it node by node, and the two
+must return the same embedding bit for bit.
 """
 
 import numpy as np
@@ -26,17 +28,21 @@ from shrinkcut import (
     laplacian,
     qubo_to_maxcut,
     sdp_objective,
+    solve_maxcut_sdp,
     solve_sa,
     supernode_correlations,
 )
+from shrinkcut.pipeline import load_instance
 from shrinkcut.shrink import _expand_correlations
 from tests.conftest import (
+    DATA_DIR,
     naive_cut_value,
     naive_effective_correlation,
     naive_expand_correlations,
     naive_laplacian,
     naive_qubo_energy,
     naive_sdp_objective,
+    naive_solve_maxcut_sdp,
     naive_solve_sa,
     naive_weighted_degrees,
     tc64,
@@ -260,3 +266,53 @@ def test_solve_sa_equals_the_oracle_on_the_1tc64_mis_model():
     seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
     assert_same_annealing_result(model, seed=seed, sweeps=2000)
 
+
+@st.composite
+def sdp_graphs(draw) -> MaxCutGraph:
+    """Random graphs on 1-12 nodes; some nodes are stripped of every edge."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 3)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not {i, j} & isolated]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return MaxCutGraph(
+        n_nodes=n,
+        edges={key: draw(annealing_coefficients) for key in keys},
+        offset=0.0,
+        var_map={v: v - 1 for v in range(1, n)},
+    )
+
+
+def assert_same_embedding(graph, **options):
+    got = solve_maxcut_sdp(graph, **options)
+    want = naive_solve_maxcut_sdp(graph, **options)
+    assert np.array_equal(got.vectors, want.vectors)
+    assert got.objective_history == want.objective_history
+    assert got.sweeps_used == want.sweeps_used
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sdp_graphs(),
+    st.one_of(st.none(), st.integers(min_value=2, max_value=8)),
+    st.integers(min_value=1, max_value=60),
+    # 1e-12 runs every graph to the cap; 0.1 stops most after a few sweeps
+    st.sampled_from([1e-12, 1e-6, 1e-3, 0.1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_solve_maxcut_sdp_equals_the_per_node_loop_oracle_bit_for_bit(
+    graph, rank, max_sweeps, tol, seed
+):
+    assert_same_embedding(graph, rank=rank, max_sweeps=max_sweeps, tol=tol, seed=seed)
+
+
+def test_solve_maxcut_sdp_equals_the_oracle_on_the_synth24x4_slack_graph():
+    synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    graph = qubo_to_maxcut(build_model(synth, PipelineConfig(kind="mdkp", use_slack=True)))
+    # penalty-weighted: the solve runs to the 1000-sweep cap
+    assert assert_same_embedding(graph, seed=5).sweeps_used == 1000
+
+
+def test_solve_maxcut_sdp_equals_the_oracle_on_the_1tc64_mis_graph():
+    graph = qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis")))
+    assert_same_embedding(graph, seed=11)

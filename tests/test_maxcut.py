@@ -119,6 +119,13 @@ def test_graph_validation_rejects_bad_edges_and_var_map():
         MaxCutGraph(n_nodes=2, edges={(0, 1): 0.0}, offset=0.0, var_map={})
     with pytest.raises(ValueError, match="reference node"):
         MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=0.0, var_map={0: 0})
+    nan, inf = float("nan"), float("inf")
+    for weight in (nan, inf, -inf):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) stores a non-finite weight"):
+            MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (0, 2): weight}, offset=0.0, var_map={})
+    for offset in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=offset, var_map={})
 
 
 def test_weighted_degrees_plain_and_absolute():

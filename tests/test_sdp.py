@@ -118,3 +118,16 @@ def test_solver_validates_parameters():
         solve_maxcut_sdp(graph, tol=0.0)
     with pytest.raises(ValueError, match="max_sweeps"):
         solve_maxcut_sdp(graph, max_sweeps=0)
+
+
+@pytest.mark.parametrize("n_nodes", [0, 1, 3])
+def test_a_graph_without_edges_stops_after_one_sweep_with_the_initial_vectors(n_nodes):
+    graph = MaxCutGraph(
+        n_nodes=n_nodes, edges={}, offset=0.0, var_map={v: v - 1 for v in range(1, n_nodes)}
+    )
+    vecs = solve_maxcut_sdp(graph, seed=4)
+    initial = np.random.default_rng(4).standard_normal((n_nodes, default_rank(n_nodes)))
+    initial /= np.linalg.norm(initial, axis=1, keepdims=True)
+    assert vecs.sweeps_used == 1
+    assert vecs.objective_history == (0.0,)
+    assert np.array_equal(vecs.vectors, initial)
