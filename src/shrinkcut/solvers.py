@@ -5,7 +5,11 @@ exact backend is the ground truth for small problems (up to 24 variables);
 simulated annealing scales to the reduced problems the pipeline produces;
 the VQE backend is a deliberately small statevector simulation for
 experimentation, not performance. Exact enumeration and VQE share one
-chunked pass over all 2^n energies.
+chunked pass over all 2^n energies: the variables split into a low half L
+(the counter's low bits) and a high half H, and each block of high patterns
+takes one matrix product against all 2^len(L) low patterns, flattened in
+counter order. A block holds max(chunk, 2^(n // 2)) energies at most, and
+exact enumeration breaks ties toward the lowest counter.
 """
 
 from __future__ import annotations
@@ -40,25 +44,54 @@ def _bits(counter: int, n: int) -> np.ndarray:
     return ((counter >> np.arange(n)) & 1).astype(int)
 
 
+def _patterns(n: int) -> np.ndarray:
+    """All 2^n assignments of n variables as float rows, in counter order."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+
+
 def _energy_chunks(model: QuboModel, chunk: int = 1 << 18):
-    """Yield (first counter, energies) for all 2^n assignments, ``chunk`` at a time."""
+    """Yield (first counter, energies) for all 2^n assignments in counter order.
+
+    The low n // 2 variables L (the counter's low bits) and the rest H split
+    every energy into E[h, l] = E_H[h] + E_L[l] + (X_H @ U_LH.T) @ X_L.T,
+    where X_L and X_H hold each half's bit patterns, U_LH couples L to H and
+    E_H carries the offset. Each block is one matrix product over about
+    ``chunk >> len(L)`` high patterns (at least one), flattened row-major, so
+    it holds max(chunk, 2^len(L)) energies at most.
+    """
     n = model.n_vars
+    low = n // 2
     upper = model.quad_matrix()
     lin = np.asarray(model.lin)
-    total = 1 << n
-    for start in range(0, total, chunk):
-        counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        yield start, ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
+    X_L = _patterns(low)
+    X_H = _patterns(n - low)
+    E_L = ((X_L @ upper[:low, :low]) * X_L).sum(axis=1) + X_L @ lin[:low]
+    E_H = ((X_H @ upper[low:, low:]) * X_H).sum(axis=1) + X_H @ lin[low:] + model.offset
+    cross = X_H @ upper[:low, low:].T
+    rows = max(1, chunk >> low)
+    for h in range(0, len(X_H), rows):
+        block = cross[h : h + rows] @ X_L.T
+        block += E_H[h : h + rows, None]
+        block += E_L
+        yield h << low, block.ravel()
 
 
 def solve_exact(model: QuboModel, chunk: int = 1 << 18) -> Solution:
-    """Global minimum by full enumeration (ties -> lowest bit counter)."""
+    """Global minimum by full enumeration of all 2^n assignments.
+
+    Energies come from ``_energy_chunks`` one block at a time, in counter
+    order; a block holds max(chunk, 2^(n // 2)) energies at most. Ties go to
+    the lowest counter (bit i of the counter is variable i). The returned
+    energy is ``evaluate_qubo`` of the chosen bits, so it does not depend on
+    the enumeration's arithmetic or on ``chunk``.
+    """
     n = model.n_vars
     if n > EXACT_MAX_VARS:
         raise ValueError(
             f"exact enumeration is capped at {EXACT_MAX_VARS} variables, got {n}"
         )
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
     best_energy = np.inf
@@ -68,7 +101,8 @@ def solve_exact(model: QuboModel, chunk: int = 1 << 18) -> Solution:
         if energies[idx] < best_energy:
             best_energy = float(energies[idx])
             best_counter = start + idx
-    return Solution(bits=_bits(best_counter, n), energy=best_energy)
+    bits = _bits(best_counter, n)
+    return Solution(bits=bits, energy=evaluate_qubo(model, bits))
 
 
 def solve_sa(

@@ -73,6 +73,23 @@ def brute_qubo_minimum(model: QuboModel) -> tuple[tuple[int, ...], float]:
     return best_x, best_e
 
 
+def naive_energy_chunks(model: QuboModel, chunk: int = 1 << 18):
+    """Yield (first counter, energies) for all 2^n assignments, one row each.
+
+    The direct form ``((B @ U) * B).sum(1) + B @ lin + offset`` over the
+    bit-pattern rows B of ``chunk`` consecutive counters; ``_energy_chunks``
+    must give the same energies in the same counter order.
+    """
+    n = model.n_vars
+    upper = model.quad_matrix()
+    lin = np.asarray(model.lin)
+    total = 1 << n
+    for start in range(0, total, chunk):
+        counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        B = ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+        yield start, ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
+
+
 def naive_cut_value(graph: MaxCutGraph, spins) -> float:
     total = 0.0
     for (i, j), w in graph.edges.items():

@@ -8,7 +8,11 @@ matrix; their oracles walk each supernode's member dict. ``solve_sa`` runs on
 Python scalars with sparse field updates; its oracle is the dense numpy loop,
 and the two must agree bit for bit. ``solve_maxcut_sdp`` takes its stopping
 displacement once per sweep; its oracle takes it node by node, and the two
-must return the same embedding bit for bit.
+must return the same embedding bit for bit. ``_energy_chunks`` splits the
+variables into a low and a high half and takes one matrix product per block;
+its oracle sums ``((B @ U) * B)`` row by row, and the two must give the same
+energies in the same counter order (equal on integer data, within rounding on
+float data).
 """
 
 import numpy as np
@@ -29,14 +33,18 @@ from shrinkcut import (
     qubo_to_maxcut,
     sdp_objective,
     solve_maxcut_sdp,
+    solve_exact,
     solve_sa,
     supernode_correlations,
 )
-from shrinkcut.pipeline import load_instance
+from shrinkcut import solvers
+from shrinkcut.pipeline import load_instance, run_pipeline
 from shrinkcut.shrink import _expand_correlations
+from shrinkcut.solvers import _energy_chunks
 from tests.conftest import (
     DATA_DIR,
     naive_cut_value,
+    naive_energy_chunks,
     naive_effective_correlation,
     naive_expand_correlations,
     naive_laplacian,
@@ -206,16 +214,15 @@ def test_expand_correlations_equals_the_block_oracle(partition, data):
     assert np.array_equal(X, naive_expand_correlations(R, node_order, supernodes, n))
 
 
-# integers give ties and exactly-zero fields; the rest spread over six decades
-annealing_coefficients = st.one_of(
-    st.integers(-9, 9).filter(bool).map(float),
-    st.builds(
-        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(min_value=1.0, max_value=10.0),
-        st.integers(min_value=-3, max_value=3),
-    ),
+integer_coefficients = st.integers(-9, 9).filter(bool).map(float)
+six_decade_coefficients = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=-3, max_value=3),
 )
+# integers give ties and exactly-zero fields; the rest spread over six decades
+annealing_coefficients = st.one_of(integer_coefficients, six_decade_coefficients)
 temperatures = st.floats(min_value=1e-3, max_value=1e3)
 
 
@@ -316,3 +323,113 @@ def test_solve_maxcut_sdp_equals_the_oracle_on_the_synth24x4_slack_graph():
 def test_solve_maxcut_sdp_equals_the_oracle_on_the_1tc64_mis_graph():
     graph = qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis")))
     assert_same_embedding(graph, seed=11)
+
+
+@st.composite
+def enumeration_cases(draw) -> tuple[QuboModel, int, bool]:
+    """A 1-16 variable model, a chunk, and whether every coefficient is an integer."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    integral = draw(st.booleans())
+    coefficient = integer_coefficients if integral else six_decade_coefficients
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    linear = st.one_of(st.just(0.0), coefficient)
+    model = QuboModel(
+        n_vars=n,
+        quad={key: draw(coefficient) for key in keys},
+        lin=tuple(draw(st.lists(linear, min_size=n, max_size=n))),
+        offset=draw(coefficient),
+        semantics=tuple(("spin", i) for i in range(n)),
+    )
+    return model, draw(st.integers(min_value=1, max_value=(1 << n) + 1)), integral
+
+
+def enumerate_energies(chunks) -> np.ndarray:
+    """Concatenate (first counter, energies) blocks, checking they follow on."""
+    blocks = []
+    expected_start = 0
+    for start, energies in chunks:
+        assert start == expected_start
+        expected_start += energies.size
+        blocks.append(energies)
+    return np.concatenate(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_cases())
+def test_energy_chunks_equal_the_row_by_row_oracle(case):
+    model, chunk, integral = case
+    got = enumerate_energies(_energy_chunks(model, chunk))
+    want = enumerate_energies(naive_energy_chunks(model))
+    assert got.shape == (1 << model.n_vars,)
+    if integral:
+        assert np.array_equal(got, want)
+        solution = solve_exact(model, chunk=chunk)
+        assert int(solution.bits @ (1 << np.arange(model.n_vars))) == int(np.argmin(want))
+        assert solution.energy == evaluate_qubo(model, solution.bits)
+    else:
+        scale = _scale([*model.quad.values(), *model.lin, model.offset])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_solve_exact_breaks_ties_across_blocks_toward_the_lowest_counter():
+    # chunk=1 gives one block per high pattern, so tied states sit in different blocks
+    flat = QuboModel(
+        n_vars=5,
+        quad={},
+        lin=(0.0,) * 5,
+        offset=2.0,
+        semantics=tuple(("spin", i) for i in range(5)),
+    )
+    assert solve_exact(flat, chunk=1).bits.tolist() == [0] * 5
+    # energies 0, -1, -1, -1 over counters 0-3; counters 2 and 3 form the second block
+    tied = QuboModel(
+        n_vars=2,
+        quad={(0, 1): 1.0},
+        lin=(-1.0, -1.0),
+        offset=0.0,
+        semantics=(("spin", 0), ("spin", 1)),
+    )
+    solution = solve_exact(tied, chunk=1)
+    assert solution.bits.tolist() == [1, 0]
+    assert solution.energy == -1.0
+
+
+def test_solve_exact_equals_the_oracle_on_the_20_variable_mdkp_reduced_model(monkeypatch):
+    captured = []
+    original = solvers.solve_exact
+
+    def capture(model, **options):
+        captured.append(model)
+        return original(model, **options)
+
+    monkeypatch.setattr(solvers, "solve_exact", capture)
+    synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    # the pipeline seed of perfbench's mdkp-sdp op 0 under --seed 1
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    config = PipelineConfig(
+        kind="mdkp", use_slack=True, stop_mode="k", k=21, recalc="local", backend="exact", seed=seed
+    )
+    run_pipeline(config, inst=synth)
+    (model,) = captured
+    assert model.n_vars == 20
+    got = enumerate_energies(_energy_chunks(model))
+    want = enumerate_energies(naive_energy_chunks(model, 1 << 16))
+    assert np.array_equal(got, want)
+    solution = original(model)
+    assert int(solution.bits @ (1 << np.arange(20))) == int(np.argmin(want))
+    assert solution.energy == evaluate_qubo(model, solution.bits)
+
+
+def test_solve_exact_finds_the_closed_form_optimum_of_a_24_variable_separable_model():
+    lin = np.random.default_rng(53).integers(1, 10, size=24) * np.resize([1.0, -1.0, -1.0], 24)
+    model = QuboModel(
+        n_vars=24,
+        quad={},
+        lin=tuple(lin),
+        offset=4.0,
+        semantics=tuple(("spin", i) for i in range(24)),
+    )
+    solution = solve_exact(model)
+    assert solution.bits.tolist() == (lin < 0).astype(int).tolist()
+    assert solution.energy == 4.0 + lin[lin < 0].sum()

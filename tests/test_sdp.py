@@ -131,3 +131,15 @@ def test_a_graph_without_edges_stops_after_one_sweep_with_the_initial_vectors(n_
     assert vecs.sweeps_used == 1
     assert vecs.objective_history == (0.0,)
     assert np.array_equal(vecs.vectors, initial)
+
+
+def test_a_node_whose_neighbour_sum_vanishes_keeps_its_initial_vector():
+    # node 2's gradient is 1e-20 * v1, below the 1e-12 floor: it must not move
+    graph = MaxCutGraph(
+        n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1e-20}, offset=0.0, var_map={1: 0, 2: 1}
+    )
+    vecs = solve_maxcut_sdp(graph, seed=0)
+    initial = np.random.default_rng(0).standard_normal((3, default_rank(3)))
+    initial /= np.linalg.norm(initial, axis=1, keepdims=True)
+    assert np.array_equal(vecs.vectors[2], initial[2])
+    assert not np.array_equal(vecs.vectors[0], initial[0])

@@ -61,6 +61,13 @@ def test_solve_exact_chunking_does_not_change_the_answer():
     assert solve_exact(model, chunk=3).bits.tolist() == solve_exact(model).bits.tolist()
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_solve_exact_rejects_a_chunk_below_one(chunk):
+    model = random_qubo(np.random.default_rng(43), 4)
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        solve_exact(model, chunk=chunk)
+
+
 def test_solve_exact_enforces_the_variable_cap():
     big = QuboModel(
         n_vars=25,
