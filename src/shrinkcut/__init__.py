@@ -62,7 +62,6 @@ from .shrink import (
     merge_steps_to_jsonl,
     run_shrink,
     select_merge,
-    supernode_correlations,
 )
 from .feasibility import (
     RepairReport,

@@ -96,10 +96,10 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--layers", type=int, default=None, help="variational circuit layers")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(raw: str):
     value = raw.strip()
     low = value.lower()
     if low in ("none", "null", ""):
@@ -130,9 +130,9 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        settings[key] = _coerce(key, raw)
+        settings[key] = _coerce(raw)
     return settings
 
 
@@ -291,6 +291,8 @@ def _cmd_pipeline(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
+    if args.k is not None:
+        parser.error("--k is not a bench option: each strategy sets its own target size")
     file_cfg = _file_cfg(args)
     instances = []
     for spec in args.instances:

@@ -11,9 +11,12 @@ Correlations go stale as the graph changes; ``recalc`` picks one of four
 refresh policies (fixed period, edge-count drift, correlation-strength
 threshold, or cheap local rescaling with no re-solves).
 
-Supernodes are read through one signed membership matrix M (a row of relative
-member signs per supernode): pair correlations are M X M^T, and a reduced
-correlation matrix R lifts back to the original nodes as M^T R M.
+The only correlation state is one S x S matrix E over the surviving
+supernodes, rows and columns in ascending supernode id. A re-solve replaces E
+with the reduced graph's SDP correlations (whose node order is those same
+ids). Absorbing a into b with sign sigma makes b's row the size-weighted mean
+of the two sign-adjusted rows and drops a's row and column, so E[a, b] stays
+the mean sign-adjusted correlation over all member pairs of a and b.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -223,24 +226,6 @@ class WorkingGraph:
         return graph, node_order
 
 
-def membership_matrix(ids: Sequence[int], supernodes: dict[int, SuperNode], n: int) -> np.ndarray:
-    """Signed S x n membership: row r holds supernode ids[r]'s relative member signs."""
-    M = np.zeros((len(ids), n))
-    for r, sid in enumerate(ids):
-        members = supernodes[sid].members
-        M[r, list(members)] = list(members.values())
-    return M
-
-
-def supernode_correlations(
-    ids: Sequence[int], supernodes: dict[int, SuperNode], correlations: np.ndarray
-) -> np.ndarray:
-    """Mean sign-adjusted member correlation of each pair ids[r], ids[c]: M X M^T / (|a| |b|)."""
-    M = membership_matrix(ids, supernodes, correlations.shape[0])
-    sizes = np.array([len(supernodes[sid].members) for sid in ids], dtype=float)
-    return (M @ correlations @ M.T) / np.outer(sizes, sizes)
-
-
 def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, lam: float):
     """Strong correlations are good merge candidates, constraint mixing is not (elementwise)."""
     return np.abs(correlation) - lam * penalty
@@ -256,6 +241,8 @@ def select_merge(
 ) -> tuple[int, int, int]:
     """Pick the best-scoring supernode pair to contract next.
 
+    ``correlations`` is the S x S supernode correlation matrix, rows and
+    columns in ascending supernode id; only its upper triangle is read.
     Returns (absorbed, survivor, sigma): the smaller id is absorbed into the
     larger, except that a protected node (the reference) always survives.
     Score ties (exact float equality) are broken uniformly at random with
@@ -264,8 +251,10 @@ def select_merge(
     ids = sorted(supernodes)
     if len(ids) < 2:
         raise ValueError(f"need at least two supernodes to merge, got {len(ids)}")
+    if correlations.shape != (len(ids), len(ids)):
+        raise ValueError(f"need one correlation row per supernode, got shape {correlations.shape}")
     rows, cols = np.triu_indices(len(ids), 1)
-    corr = supernode_correlations(ids, supernodes, correlations)[rows, cols]
+    corr = correlations[rows, cols]
     pi = 0.0
     if penalty is not None:
         sns = [supernodes[sid] for sid in ids]
@@ -287,16 +276,14 @@ def local_correlation_update(
 ) -> None:
     """Rescale correlations around a fresh merge without re-solving the SDP.
 
-    For each affected neighbor supernode k, the survivor/neighbor correlation
-    becomes w(survivor, k) / sqrt(d_survivor * d_k) with absolute weighted
-    degrees after the merge (0 when a degree vanishes), written into the
-    original-node-indexed matrix as sign-adjusted member blocks. Entries not
-    touching the survivor are left exactly as they were.
+    For each affected neighbor supernode k, the S x S entries E[survivor, k]
+    and E[k, survivor] become w(survivor, k) / sqrt(d_survivor * d_k) with
+    absolute weighted degrees after the merge (0 when a degree vanishes).
+    Entries not touching the survivor are left exactly as they were.
     """
+    index = {sid: t for t, sid in enumerate(sorted(supernodes))}
+    s = index[survivor]
     d_s = working.absolute_degree(survivor)
-    sn_s = supernodes[survivor]
-    us = np.fromiter(sn_s.members.keys(), dtype=int, count=len(sn_s.members))
-    ss = np.fromiter(sn_s.members.values(), dtype=float, count=len(sn_s.members))
     for k in sorted(affected):
         if k == survivor or k not in supernodes:
             continue
@@ -305,28 +292,29 @@ def local_correlation_update(
             value = 0.0
         else:
             value = working.weight(survivor, k) / np.sqrt(d_s * d_k)
-        sn_k = supernodes[k]
-        uk = np.fromiter(sn_k.members.keys(), dtype=int, count=len(sn_k.members))
-        sk = np.fromiter(sn_k.members.values(), dtype=float, count=len(sn_k.members))
-        block = value * ss[:, None] * sk[None, :]
-        correlations[np.ix_(us, uk)] = block
-        correlations[np.ix_(uk, us)] = block.T
+        correlations[s, index[k]] = correlations[index[k], s] = value
 
 
-def _expand_correlations(
-    reduced_entries: np.ndarray,
-    node_order: tuple[int, ...],
+def _fold_correlations(
+    correlations: np.ndarray,
     supernodes: dict[int, SuperNode],
-    n_original: int,
+    absorbed: int,
+    survivor: int,
+    sigma: int,
 ) -> np.ndarray:
-    """Lift a reduced correlation matrix R to original node indices as M^T R M.
+    """The S x S correlations after absorbing ``absorbed`` into ``survivor`` with sign ``sigma``.
 
-    Each original node lies in exactly one supernode, so every entry is one signed R entry.
+    ``supernodes`` is read before the merge. The survivor's row and column
+    become the size-weighted mean of both sign-adjusted rows; the absorbed row
+    and column are dropped. The diagonal is never read.
     """
-    M = membership_matrix(node_order, supernodes, n_original)
-    X = M.T @ reduced_entries @ M
-    np.fill_diagonal(X, 1.0)
-    return X
+    ids = sorted(supernodes)
+    a, b = ids.index(absorbed), ids.index(survivor)
+    n_a, n_b = len(supernodes[absorbed].members), len(supernodes[survivor].members)
+    row = (n_b * correlations[b] + sigma * n_a * correlations[a]) / (n_a + n_b)
+    correlations[b] = correlations[:, b] = row
+    keep = np.arange(len(ids)) != a
+    return correlations[np.ix_(keep, keep)]
 
 
 def run_shrink(
@@ -339,7 +327,8 @@ def run_shrink(
 
     ``penalty`` (if given) scores how badly two supernodes mix constraint
     structure; ``initial_correlations`` overrides the first SDP solve with a
-    caller-supplied original-indexed correlation matrix.
+    caller-supplied n x n correlation matrix (at the start every node is its
+    own supernode).
     """
     if config is None:
         config = ShrinkConfig()
@@ -387,7 +376,7 @@ def run_shrink(
 
     def solve_correlations() -> np.ndarray:
         nonlocal sdp_seconds
-        reduced, node_order = working.to_graph()
+        reduced, _ = working.to_graph()  # node order: the ascending supernode ids
         sdp_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])
         t0 = time.perf_counter()
         embedding = solve_maxcut_sdp(
@@ -399,7 +388,7 @@ def run_shrink(
         )
         reduced_entries = extract_correlations(embedding).entries
         sdp_seconds += time.perf_counter() - t0
-        return _expand_correlations(reduced_entries, node_order, supernodes, n)
+        return reduced_entries
 
     if initial_correlations is not None:
         correlations = np.array(initial_correlations, dtype=float)
@@ -428,6 +417,7 @@ def run_shrink(
             set(working.neighbors(absorbed)) | set(working.neighbors(survivor))
         ) - {absorbed, survivor}
         working.contract(absorbed, survivor, sigma)
+        correlations = _fold_correlations(correlations, supernodes, absorbed, survivor, sigma)
         absorbed_sn = supernodes.pop(absorbed)
         survivor_sn = supernodes[survivor]
         for node, rel in absorbed_sn.members.items():
@@ -447,8 +437,7 @@ def run_shrink(
             drift = abs(working.edge_count - edges_at_solve)
             due = drift != 0 if edges_at_solve == 0 else drift / edges_at_solve > config.delta
         else:  # tau
-            E = supernode_correlations(sorted(supernodes), supernodes, correlations)
-            due = np.abs(E[np.triu_indices(len(E), 1)]).max() < config.tau
+            due = np.abs(correlations[np.triu_indices(len(correlations), 1)]).max() < config.tau
         if due:
             correlations = solve_correlations()
             recalcs += 1

@@ -228,7 +228,8 @@ def solve_vqe_sim(
     ring plus another RY layer. Angles are tuned by seeded random-restart
     coordinate search over a fixed angle grid against the exact expected
     energy; the returned solution is the best of the ``shots``
-    highest-probability basis states.
+    highest-probability basis states, and its energy is ``evaluate_qubo`` of
+    those bits.
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
@@ -287,7 +288,8 @@ def solve_vqe_sim(
     top_sorted = np.sort(top)
     state_energies = energies[top_sorted]
     pick = int(top_sorted[int(np.argmin(state_energies))])
-    return Solution(bits=_bits(pick, n), energy=float(energies[pick]))
+    bits = _bits(pick, n)
+    return Solution(bits=bits, energy=evaluate_qubo(model, bits))
 
 
 def solve_qubo(model: QuboModel, backend: str = "exact", seed: int = 0, **options) -> Solution:

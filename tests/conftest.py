@@ -136,18 +136,6 @@ def naive_effective_correlation(a: SuperNode, b: SuperNode, correlations) -> flo
     return float(np.mean(sa[:, None] * sb[None, :] * block))
 
 
-def naive_expand_correlations(reduced_entries, node_order, supernodes, n_original):
-    """Write every reduced entry into its sign-adjusted member pairs, one entry at a time."""
-    X = np.zeros((n_original, n_original))
-    for ia, rep_a in enumerate(node_order):
-        for ib, rep_b in enumerate(node_order):
-            for u, su in supernodes[rep_a].members.items():
-                for v, sv in supernodes[rep_b].members.items():
-                    X[u, v] = reduced_entries[ia, ib] * su * sv
-    np.fill_diagonal(X, 1.0)
-    return X
-
-
 def naive_solve_sa(
     model: QuboModel,
     seed: int = 0,

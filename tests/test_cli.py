@@ -375,6 +375,15 @@ def test_bench_rejects_malformed_instance_specs(mdkp_file):
     assert excinfo.value.code == 2
 
 
+def test_bench_rejects_k_because_each_strategy_sets_the_size(triangle_file, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--instances", f"mis:{triangle_file}", "--k", "3", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "--k is not a bench option" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_accepts_and_rejects_solutions(triangle_file, tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"instance": "triangle", "bits": [1, 0, 0]}))

@@ -3,17 +3,20 @@
 ``evaluate_qubo``, ``cut_value``, ``weighted_degrees``, ``laplacian`` and
 ``sdp_objective`` read the dense views ``QuboModel.quad_matrix()`` and
 ``MaxCutGraph.weight_matrix()``; the oracles in ``tests/conftest.py`` walk
-the stored dicts instead. The supernode kernels read a signed membership
-matrix; their oracles walk each supernode's member dict. ``solve_sa`` runs on
-Python scalars with sparse field updates; its oracle is the dense numpy loop,
-and the two must agree bit for bit. ``solve_maxcut_sdp`` takes its stopping
-displacement once per sweep; its oracle takes it node by node, and the two
-must return the same embedding bit for bit. ``_energy_chunks`` splits the
-variables into a low and a high half and takes one matrix product per block;
-its oracle sums ``((B @ U) * B)`` row by row, and the two must give the same
-energies in the same counter order (equal on integer data, within rounding on
-float data).
+the stored dicts instead. The shrinker keeps one S x S supernode correlation
+matrix and folds rows on every merge; its oracle averages the sign-adjusted
+member pairs of an n x n matrix over each supernode's member dict.
+``solve_sa`` runs on Python scalars with sparse field updates; its oracle is
+the dense numpy loop, and the two must agree bit for bit.
+``solve_maxcut_sdp`` takes its stopping displacement once per sweep; its
+oracle takes it node by node, and the two must return the same embedding bit
+for bit. ``_energy_chunks`` splits the variables into a low and a high half
+and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
+by row, and the two must give the same energies in the same counter order
+(equal on integer data, within rounding on float data).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -25,28 +28,28 @@ from shrinkcut import (
     PipelineConfig,
     QuboModel,
     SuperNode,
+    WorkingGraph,
     build_model,
     cut_value,
     evaluate_qubo,
     graph_to_qubo,
     laplacian,
+    local_correlation_update,
     qubo_to_maxcut,
     sdp_objective,
     solve_maxcut_sdp,
     solve_exact,
     solve_sa,
-    supernode_correlations,
 )
 from shrinkcut import solvers
 from shrinkcut.pipeline import load_instance, run_pipeline
-from shrinkcut.shrink import _expand_correlations
+from shrinkcut.shrink import _fold_correlations
 from shrinkcut.solvers import _energy_chunks
 from tests.conftest import (
     DATA_DIR,
     naive_cut_value,
     naive_energy_chunks,
     naive_effective_correlation,
-    naive_expand_correlations,
     naive_laplacian,
     naive_qubo_energy,
     naive_sdp_objective,
@@ -88,21 +91,6 @@ def float_graphs(draw) -> MaxCutGraph:
         offset=draw(coefficients),
         var_map={v: v - 1 for v in range(1, n)},
     )
-
-
-@st.composite
-def signed_partitions(draw) -> tuple[int, dict[int, SuperNode]]:
-    """Nodes 0..n-1 split into supernodes with random relative signs."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    supernodes = {}
-    for label in sorted(set(labels)):
-        nodes = [v for v in range(n) if labels[v] == label]
-        rep = nodes[0]
-        members = {v: signs[v] * signs[rep] for v in nodes}
-        supernodes[rep] = SuperNode(id=rep, members=members)
-    return n, supernodes
 
 
 def _symmetrize(values, n: int) -> np.ndarray:
@@ -191,27 +179,48 @@ def test_dense_views_are_read_only_and_built_once():
             view[0, 0] = 1.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(signed_partitions(), st.data())
-def test_supernode_correlations_match_the_pair_oracle(partition, data):
-    n, supernodes = partition
+def _block_write(X, supernodes, s, k, value) -> None:
+    """What a local update means for the n x n matrix: every sign-adjusted member pair of s and k."""
+    for u, su in supernodes[s].members.items():
+        for v, sv in supernodes[k].members.items():
+            X[u, v] = X[v, u] = value * su * sv
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_folded_correlations_track_the_member_pair_oracle(n, data):
     X = data.draw(symmetric_matrices(n))
-    ids = data.draw(st.permutations(sorted(supernodes)))
-    E = supernode_correlations(ids, supernodes, X)
-    expected = [
-        [naive_effective_correlation(supernodes[a], supernodes[b], X) for b in ids] for a in ids
-    ]
-    assert np.allclose(E, expected, rtol=0.0, atol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(signed_partitions(), st.data())
-def test_expand_correlations_equals_the_block_oracle(partition, data):
-    n, supernodes = partition
-    node_order = tuple(sorted(supernodes))
-    R = data.draw(symmetric_matrices(len(node_order)))
-    X = _expand_correlations(R, node_order, supernodes, n)
-    assert np.array_equal(X, naive_expand_correlations(R, node_order, supernodes, n))
+    E = X.copy()  # every node starts as its own supernode
+    supernodes = {v: SuperNode(id=v) for v in range(n)}
+    while len(supernodes) > 1:
+        ids = sorted(supernodes)
+        absorbed, survivor = data.draw(st.permutations(ids))[:2]
+        sigma = data.draw(st.sampled_from([-1, 1]))
+        E = _fold_correlations(E, supernodes, absorbed, survivor, sigma)
+        for node, rel in supernodes.pop(absorbed).members.items():
+            supernodes[survivor].members[node] = sigma * rel
+        ids = sorted(supernodes)
+        if len(ids) > 1 and data.draw(st.booleans()):
+            # a local update on a random graph over the surviving supernodes
+            adj = {i: {} for i in ids}
+            for i, j in itertools.combinations(ids, 2):
+                w = data.draw(st.sampled_from([0.0, -2.0, 0.5, 3.0]))
+                if w != 0.0:
+                    adj[i][j] = adj[j][i] = w
+            working = WorkingGraph(adj, offset=0.0)
+            affected = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
+            local_correlation_update(E, working, supernodes, survivor, affected)
+            d_s = working.absolute_degree(survivor)
+            for k in affected - {survivor}:
+                d_k = working.absolute_degree(k)
+                value = 0.0 if d_s * d_k == 0.0 else working.weight(survivor, k) / np.sqrt(d_s * d_k)
+                _block_write(X, supernodes, survivor, k, value)
+        assert E.shape == (len(ids), len(ids))
+        for r, a in enumerate(ids):
+            for c, b in enumerate(ids):
+                if r != c:
+                    expected = naive_effective_correlation(supernodes[a], supernodes[b], X)
+                    assert abs(E[r, c] - expected) <= 1e-12
 
 
 integer_coefficients = st.integers(-9, 9).filter(bool).map(float)

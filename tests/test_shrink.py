@@ -15,8 +15,8 @@ from shrinkcut import (
     merge_steps_to_jsonl,
     run_shrink,
     select_merge,
-    supernode_correlations,
 )
+from shrinkcut.shrink import _fold_correlations
 from tests.conftest import random_graph
 
 
@@ -95,15 +95,14 @@ def test_to_graph_compacts_surviving_ids_in_ascending_order():
 
 
 def test_effective_correlation_averages_sign_adjusted_members():
-    X = demo_correlations()
-    a = SuperNode(id=1, members={1: 1, 0: -1})
-    b = SuperNode(id=2, members={2: 1})
-    supernodes = {1: a, 2: b}
-    # pairs contribute X[1,2] and -X[0,2]: (0.5 - 0.3) / 2
-    for ids in ([1, 2], [2, 1]):
-        E = supernode_correlations(ids, supernodes, X)
-        assert E[0, 1] == pytest.approx(0.1)
-        assert E[1, 0] == pytest.approx(0.1)
+    supernodes = {v: SuperNode(id=v) for v in range(4)}
+    E = _fold_correlations(demo_correlations(), supernodes, absorbed=0, survivor=1, sigma=-1)
+    # supernode 1 = {1: +1, 0: -1}; its pairs with 2 contribute X[1,2] and -X[0,2]: (0.5 - 0.3) / 2
+    assert E.shape == (3, 3)
+    assert E[0, 1] == pytest.approx(0.1)
+    assert E[1, 0] == pytest.approx(0.1)
+    assert E[0, 2] == E[2, 0] == pytest.approx(-0.3)  # (X[1,3] - X[0,3]) / 2
+    assert E[1, 2] == E[2, 1] == 0.7  # pairs without the survivor are untouched
 
 
 def test_merge_score_discounts_penalty_linearly():
@@ -175,6 +174,12 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
 def test_select_merge_needs_two_supernodes():
     with pytest.raises(ValueError, match="at least two"):
         select_merge({0: SuperNode(id=0)}, np.eye(1))
+
+
+def test_select_merge_needs_one_correlation_row_per_supernode():
+    supernodes = {0: SuperNode(id=0, members={0: 1, 3: -1}), 1: SuperNode(id=1), 2: SuperNode(id=2)}
+    with pytest.raises(ValueError, match="one correlation row per supernode"):
+        select_merge(supernodes, demo_correlations())  # 4 x 4: one row per original node
 
 
 def test_run_shrink_worked_example_first_merge():
@@ -287,29 +292,27 @@ def test_local_correlation_update_rescales_only_the_affected_blocks():
         2: SuperNode(id=2),
         3: SuperNode(id=3),
     }
-    X = np.full((4, 4), 0.5)
-    np.fill_diagonal(X, 1.0)
-    local_correlation_update(X, working, supernodes, survivor=1, affected={2, 3})
-    v12 = 3.0 / np.sqrt(7.0 * 3.0)
-    v13 = -4.0 / np.sqrt(7.0 * 4.0)
-    assert X[1, 2] == pytest.approx(v12)
-    assert X[0, 2] == pytest.approx(-v12)  # member 0 carries relative sign -1
-    assert X[1, 3] == pytest.approx(v13)
-    assert X[0, 3] == pytest.approx(-v13)
-    assert np.array_equal(X, X.T)
+    E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
+    np.fill_diagonal(E, 1.0)
+    local_correlation_update(E, working, supernodes, survivor=1, affected={2, 3})
+    # the survivor's members (1: +1, 0: -1) do not enter the supernode entry
+    assert E[0, 1] == pytest.approx(3.0 / np.sqrt(7.0 * 3.0))
+    assert E[0, 2] == pytest.approx(-4.0 / np.sqrt(7.0 * 4.0))
+    assert np.array_equal(E, E.T)
     # untouched entries keep their old values bit for bit
-    assert X[0, 1] == 0.5
-    assert X[2, 3] == 0.5
+    assert E[1, 2] == 0.5
+    assert np.diag(E).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_local_correlation_update_zeroes_isolated_neighbors():
     adj = {1: {2: 3.0}, 2: {1: 3.0}, 3: {}}
     working = WorkingGraph(adj, offset=0.0)
     supernodes = {1: SuperNode(id=1), 2: SuperNode(id=2), 3: SuperNode(id=3)}
-    X = np.full((4, 4), 0.5)
-    np.fill_diagonal(X, 1.0)
-    local_correlation_update(X, working, supernodes, survivor=1, affected={3})
-    assert X[1, 3] == 0.0
+    E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
+    np.fill_diagonal(E, 1.0)
+    local_correlation_update(E, working, supernodes, survivor=1, affected={3})
+    assert E[0, 2] == E[2, 0] == 0.0
+    assert E[0, 1] == 0.5  # supernode 2 was not affected
 
 
 def test_run_shrink_rejects_bad_initial_correlations():

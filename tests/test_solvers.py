@@ -139,6 +139,27 @@ def test_solve_vqe_sim_reaches_the_optimum_on_tiny_models():
         assert evaluate_qubo(model, solution.bits) == pytest.approx(solution.energy)
 
 
+def test_solve_vqe_sim_reports_the_energy_of_its_bits():
+    """Its energy is ``evaluate_qubo`` of the returned bits, bit for bit, as for the other backends."""
+    rng = np.random.default_rng(83)
+
+    def six_decades() -> float:
+        return float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-3, 4))
+
+    for seed in range(30):
+        n = int(rng.integers(2, 9))
+        quad = {(i, j): six_decades() for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+        model = QuboModel(
+            n_vars=n,
+            quad=quad,
+            lin=tuple(six_decades() for _ in range(n)),
+            offset=six_decades(),
+            semantics=tuple(("spin", i) for i in range(n)),
+        )
+        solution = solve_vqe_sim(model, seed=seed)
+        assert solution.energy == evaluate_qubo(model, solution.bits)
+
+
 def test_solve_vqe_sim_is_deterministic_per_seed():
     model = random_qubo(np.random.default_rng(71), 4)
     a = solve_vqe_sim(model, seed=5)
