@@ -71,7 +71,6 @@ from .feasibility import (
     mdkp_violations,
     mis_violations,
     pi_mdkp,
-    pi_mis,
     pi_qap,
     qap_violations,
     repair,

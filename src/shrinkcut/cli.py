@@ -294,6 +294,11 @@ def _cmd_bench(args, parser) -> int:
     if args.k is not None:
         parser.error("--k is not a bench option: each strategy sets its own target size")
     file_cfg = _file_cfg(args)
+    for key in ("k", "stop_mode"):
+        if key in file_cfg:
+            parser.error(
+                f"{key!r} is not a bench config key: each strategy sets its own target size"
+            )
     instances = []
     for spec in args.instances:
         if ":" not in spec:

@@ -122,19 +122,6 @@ def pi_mdkp(a: SuperNode, b: SuperNode, inst: MdkpInstance, node_tags: dict[int,
     return float(np.mean(used / inst.capacities))
 
 
-def pi_mis(a: SuperNode, b: SuperNode, inst: MisInstance, node_tags: dict[int, tuple]) -> float:
-    """1.0 when a conflict edge runs between the two supernodes, else 0.0."""
-    verts_a = {tag[1] for tag in _decision_tags(a, node_tags) if tag[0] == "vertex"}
-    verts_b = {tag[1] for tag in _decision_tags(b, node_tags) if tag[0] == "vertex"}
-    if not verts_a or not verts_b:
-        return 0.0
-    adjacency = inst.adjacency()
-    for u in verts_a:
-        if adjacency[u] & verts_b:
-            return 1.0
-    return 0.0
-
-
 def pi_qap(a: SuperNode, b: SuperNode, inst: QapInstance, node_tags: dict[int, tuple]) -> float:
     """1.0 when the supernodes share a facility or a location, else 0.0."""
     assigns_a = [tag for tag in _decision_tags(a, node_tags) if tag[0] == "assign"]
@@ -148,17 +135,48 @@ def pi_qap(a: SuperNode, b: SuperNode, inst: QapInstance, node_tags: dict[int, t
     return 0.0
 
 
+def _mis_penalty(inst: MisInstance, node_tags: dict[int, tuple]):
+    """Pi(a, b) for MIS from one vertex mask and one neighbour mask per supernode."""
+    neighbours = [0] * inst.n
+    for u, v in inst.edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    vertex_of = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
+    summaries: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def summary(sn: SuperNode) -> tuple[int, int]:
+        key = (sn.id, len(sn.members))
+        if key not in summaries:
+            verts = nbrs = 0
+            for node in sn.members:
+                if node in vertex_of:
+                    u = vertex_of[node]
+                    verts |= 1 << u
+                    nbrs |= neighbours[u]
+            summaries[key] = (verts, nbrs)
+        return summaries[key]
+
+    def penalty(a: SuperNode, b: SuperNode) -> float:
+        return 1.0 if summary(a)[1] & summary(b)[0] else 0.0
+
+    return penalty
+
+
 def make_penalty(inst, node_tags: dict[int, tuple]):
     """Build a Pi(a, b) scorer for the shrink stage from an instance.
 
     ``node_tags`` maps Max-Cut node ids to variable semantics tags (the
-    reference node 0 has no entry). Results are cached per (supernode id,
-    member count), which is safe because member sets only ever grow.
+    reference node 0 has no entry). MIS scores 1.0 when a conflict edge runs
+    between the two supernodes: each supernode's vertex bitmask and the OR of
+    its vertices' neighbour bitmasks are memoised per (supernode id, member
+    count). MDKP and QAP results are cached per pair of those keys. Both
+    memos are valid for one shrink only, because there member sets only ever
+    grow, so an id and a count name one member set.
     """
+    if isinstance(inst, MisInstance):
+        return _mis_penalty(inst, node_tags)
     if isinstance(inst, MdkpInstance):
         fn = pi_mdkp
-    elif isinstance(inst, MisInstance):
-        fn = pi_mis
     elif isinstance(inst, QapInstance):
         fn = pi_qap
     else:

@@ -258,7 +258,9 @@ def select_merge(
     pi = 0.0
     if penalty is not None:
         sns = [supernodes[sid] for sid in ids]
-        pi = np.array([penalty(sns[r], sns[c]) for r, c in zip(rows, cols)], dtype=float)
+        firsts = [sns[r] for r in rows.tolist()]
+        seconds = [sns[c] for c in cols.tolist()]
+        pi = np.fromiter(map(penalty, firsts, seconds), float, count=len(firsts))
     score = merge_score(corr, pi, lam)
     ties = np.flatnonzero(score == score.max())
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]

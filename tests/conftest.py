@@ -31,13 +31,18 @@ from shrinkcut import (
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
-def tc64() -> MisInstance:
-    """1tc.64 from scripts/generate_instances.py (64 vertices, not bundled)."""
+def transposition_conflict_graph(bits: int) -> MisInstance:
+    """1tc.<2**bits> from scripts/generate_instances.py (not bundled)."""
     path = DATA_DIR.parent / "scripts" / "generate_instances.py"
     spec = importlib.util.spec_from_file_location("generate_instances", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.transposition_conflict_graph(6)
+    return module.transposition_conflict_graph(bits)
+
+
+def tc64() -> MisInstance:
+    """1tc.64 (64 vertices)."""
+    return transposition_conflict_graph(6)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,27 @@ def naive_effective_correlation(a: SuperNode, b: SuperNode, correlations) -> flo
     sb = np.fromiter(b.members.values(), dtype=float, count=len(b.members))
     block = correlations[np.ix_(ua, ub)]
     return float(np.mean(sa[:, None] * sb[None, :] * block))
+
+
+def naive_pi_mis(
+    a: SuperNode, b: SuperNode, inst: MisInstance, node_tags: dict[int, tuple]
+) -> float:
+    """1.0 when a conflict edge runs between the two supernodes, else 0.0.
+
+    Builds both vertex sets and the instance's whole adjacency on every call;
+    the MIS scorer of ``make_penalty`` must give the same value for every pair.
+    """
+    tags_a = [node_tags[v] for v in a.members if v in node_tags]
+    tags_b = [node_tags[v] for v in b.members if v in node_tags]
+    verts_a = {tag[1] for tag in tags_a if tag[0] == "vertex"}
+    verts_b = {tag[1] for tag in tags_b if tag[0] == "vertex"}
+    if not verts_a or not verts_b:
+        return 0.0
+    adjacency = inst.adjacency()
+    for u in verts_a:
+        if adjacency[u] & verts_b:
+            return 1.0
+    return 0.0
 
 
 def naive_solve_sa(

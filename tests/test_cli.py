@@ -384,6 +384,21 @@ def test_bench_rejects_k_because_each_strategy_sets_the_size(triangle_file, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["k = 3", "stop_mode = spectral"], ids=["k", "stop_mode"])
+def test_bench_rejects_size_keys_in_the_config_file(triangle_file, tmp_path, capsys, line):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{line}\n")
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            ["bench", "--instances", f"mis:{triangle_file}", "--config", str(config)]
+            + ["--out", str(out)]
+        )
+    assert excinfo.value.code == 2
+    assert "is not a bench config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_accepts_and_rejects_solutions(triangle_file, tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"instance": "triangle", "bits": [1, 0, 0]}))

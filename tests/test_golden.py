@@ -4,7 +4,9 @@ The golden files were written by an earlier revision of the code, so unlike
 acceptance criterion 9 (two reruns of the same code) this catches any change
 in the pipeline's outputs: target sizes, merges, solver trajectories, repair
 and local search. The merge logs pin every contraction (order, pair and sign)
-and the reduced graph of one ``shrink`` run per recalculation policy.
+and the reduced graph of one ``shrink`` run per recalculation policy, plus
+one MIS run on 1tc.128 (generated by ``scripts/generate_instances.py``, not
+bundled), where the merge penalty dominates the shrink time.
 Regenerate a file only for a deliberate output change:
 
     PYTHONPATH=src python -m shrinkcut.cli bench --instances <the six below> \\
@@ -12,13 +14,18 @@ Regenerate a file only for a deliberate output change:
     PYTHONPATH=src python -m shrinkcut.cli shrink --kind <kind> --instance data/<path> \\
         <flags below> --seed 1 --steps-out tests/data/<stem>.steps.jsonl \\
         --out tests/data/<stem>.graph.json
+
+For 1tc.128, first write ``serialize_mis_edgelist(transposition_conflict_graph(7))``
+to a file and pass it as ``--instance`` with ``--k 65 --recalc fixed``.
 """
 
 from pathlib import Path
 
 import pytest
 
+from shrinkcut import serialize_mis_edgelist
 from shrinkcut.cli import main
+from tests.conftest import transposition_conflict_graph
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 INSTANCES = (
@@ -68,8 +75,19 @@ def test_bench_csv_matches_the_golden_file(data_dir, tmp_path, golden, extra):
     ],
 )
 def test_shrink_merge_log_matches_the_golden_file(data_dir, tmp_path, stem, kind, path, flags):
+    assert_shrink_matches_the_golden_files(tmp_path, stem, kind, data_dir / f"{path}.txt", flags)
+
+
+def test_shrink_merge_log_on_1tc128_matches_the_golden_file(tmp_path):
+    instance = tmp_path / "1tc.128.txt"
+    instance.write_text(serialize_mis_edgelist(transposition_conflict_graph(7)))
+    stem, flags = "shrink_mis_1tc128_fixed", ["--k", "65", "--recalc", "fixed"]
+    assert_shrink_matches_the_golden_files(tmp_path, stem, "mis", instance, flags)
+
+
+def assert_shrink_matches_the_golden_files(tmp_path, stem, kind, instance, flags):
     steps, graph = tmp_path / f"{stem}.steps.jsonl", tmp_path / f"{stem}.graph.json"
-    args = ["shrink", "--kind", kind, "--instance", str(data_dir / f"{path}.txt"), *flags]
+    args = ["shrink", "--kind", kind, "--instance", str(instance), *flags]
     assert main(args + ["--seed", "1", "--steps-out", str(steps), "--out", str(graph)]) == 0
     assert steps.read_bytes() == (GOLDEN_DIR / steps.name).read_bytes()
     assert graph.read_bytes() == (GOLDEN_DIR / graph.name).read_bytes()

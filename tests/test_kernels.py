@@ -14,17 +14,21 @@ for bit. ``_energy_chunks`` splits the variables into a low and a high half
 and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
 by row, and the two must give the same energies in the same counter order
 (equal on integer data, within rounding on float data).
+The MIS merge penalty memoises one vertex bitmask and one neighbour bitmask
+per supernode; its oracle rebuilds both vertex sets and the adjacency on
+every call, and the two must agree on every pair after every merge.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
     MaxCutGraph,
+    MisInstance,
     PipelineConfig,
     QuboModel,
     SuperNode,
@@ -35,6 +39,7 @@ from shrinkcut import (
     graph_to_qubo,
     laplacian,
     local_correlation_update,
+    make_penalty,
     qubo_to_maxcut,
     sdp_objective,
     solve_maxcut_sdp,
@@ -51,11 +56,13 @@ from tests.conftest import (
     naive_energy_chunks,
     naive_effective_correlation,
     naive_laplacian,
+    naive_pi_mis,
     naive_qubo_energy,
     naive_sdp_objective,
     naive_solve_maxcut_sdp,
     naive_solve_sa,
     naive_weighted_degrees,
+    random_mis,
     tc64,
 )
 
@@ -221,6 +228,52 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
                 if r != c:
                     expected = naive_effective_correlation(supernodes[a], supernodes[b], X)
                     assert abs(E[r, c] - expected) <= 1e-12
+
+
+@st.composite
+def mis_merge_cases(draw) -> tuple[MisInstance, dict[int, tuple], list[tuple[int, int, int]]]:
+    """A random conflict graph, its node tags and a random signed merge sequence.
+
+    Max-Cut node 0 is the untagged reference; nodes 1..n carry the vertices
+    in a random order. Each merge is (absorbed, survivor, sigma).
+    """
+    n = draw(st.integers(min_value=1, max_value=20))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    inst = random_mis(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, density)
+    tags = {node: ("vertex", u) for node, u in enumerate(draw(st.permutations(range(n))), 1)}
+    ids = list(range(n + 1))
+    merges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=n))):
+        absorbed, survivor = draw(st.permutations(ids))[:2]
+        ids.remove(absorbed)
+        merges.append((absorbed, survivor, draw(st.sampled_from([-1, 1]))))
+    return inst, tags, merges
+
+
+@settings(max_examples=100, deadline=None)
+@given(mis_merge_cases())
+# vertex 0 joins supernode 2 after (2, 3) was scored: a stale memo still says 0.0
+@example(
+    (
+        MisInstance(n=3, edges=((0, 2),)),
+        {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)},
+        [(1, 2, 1)],
+    )
+)
+def test_mis_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
+    inst, tags, merges = case
+    penalty = make_penalty(inst, tags)
+    supernodes = {v: SuperNode(id=v) for v in range(inst.n + 1)}
+
+    def assert_every_pair_matches():
+        for a, b in itertools.permutations(supernodes.values(), 2):
+            assert penalty(a, b) == naive_pi_mis(a, b, inst, tags)
+
+    assert_every_pair_matches()
+    for absorbed, survivor, sigma in merges:
+        for node, rel in supernodes.pop(absorbed).members.items():
+            supernodes[survivor].members[node] = sigma * rel
+        assert_every_pair_matches()
 
 
 integer_coefficients = st.integers(-9, 9).filter(bool).map(float)
