@@ -161,6 +161,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _stop_mode(args: argparse.Namespace, file_cfg: dict) -> str:
+    """A ``k`` from the flag or the config file selects stop_mode "k"."""
+    if _resolve(args, file_cfg, "k", None) is None:
+        return _resolve(args, file_cfg, "stop_mode", ShrinkConfig.stop_mode)
+    file_mode = file_cfg.get("stop_mode")
+    if file_mode not in (None, "k"):
+        raise ValueError(f"k selects stop_mode 'k', but the config file sets {file_mode!r}")
+    return "k"
+
+
 def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> PipelineConfig:
     values = {}
     for f in fields(PipelineConfig):
@@ -174,8 +184,7 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> P
         values["do_repair"] = False
     if getattr(args, "no_local_search", False):
         values["local_search"] = False
-    if getattr(args, "k", None) is not None:
-        values["stop_mode"] = "k"
+    values["stop_mode"] = _stop_mode(args, file_cfg)
     values.update(overrides)
     return PipelineConfig(**values)
 
@@ -240,8 +249,7 @@ def _cmd_shrink(args, parser) -> int:
     if args.k is not None and args.alpha is not None:
         parser.error("--k and --alpha are mutually exclusive")
     values = {f.name: _resolve(args, file_cfg, f.name, f.default) for f in fields(ShrinkConfig)}
-    if args.k is not None:
-        values["stop_mode"] = "k"
+    values["stop_mode"] = _stop_mode(args, file_cfg)
     config = ShrinkConfig(**values)
     result = run_shrink(graph, config, penalty=penalty)
     if args.steps_out:

@@ -14,9 +14,11 @@ the upper triangle of the graph's dense weight matrix, built once per solve,
 with ``sdp_objective``'s arithmetic.
 
 A node update is one gather-and-multiply over the node's neighbour list, in
-edge-dict order, then a division by -||g|| into the node's row. The stopping
-displacement is taken once per sweep, from the row differences against a
-copy made at the start of the sweep: every node moves at most once per sweep.
+ascending neighbour order, then a division by -||g|| into the node's row, so
+the embedding depends on the weighted edge set and not on the order of
+``graph.edges``. The stopping displacement is taken once per sweep, from the
+row differences against a copy made at the start of the sweep: every node
+moves at most once per sweep.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ def solve_maxcut_sdp(
     displacement falls below ``tol`` or ``max_sweeps`` is reached.
 
     Deterministic for fixed (graph, rank, tol, seed): initialization draws
-    seeded componentwise normals (normalized), and updates visit nodes in
-    ascending order. A node without edges, or whose gradient norm is below
-    1e-12, keeps its vector.
+    seeded componentwise normals (normalized), updates visit nodes in
+    ascending order, and each node reads its neighbours in ascending order.
+    A node without edges, or whose gradient norm is below 1e-12, keeps its
+    vector.
 
     The displacement is the largest row of ``vectors - before``, where
     ``before`` is the embedding at the start of the sweep. The vectors and
@@ -99,21 +102,14 @@ def solve_maxcut_sdp(
     vectors = rng.standard_normal((n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    weights: list[list[float]] = [[] for _ in range(n)]
-    for (i, j), w in graph.edges.items():
-        neighbors[i].append(j)
-        weights[i].append(w)
-        neighbors[j].append(i)
-        weights[j].append(w)
-    # (row view, neighbour indices, weights) for every node with an edge, in
-    # ascending node order; a node without edges never moves
+    W = graph.weight_matrix()
+    # (row view, ascending neighbour indices, their weights) for every node
+    # with an edge, in ascending node order; a node without edges never moves
+    nonzero = [np.flatnonzero(w_row) for w_row in W]
     updates = [
-        (row, np.array(nb, dtype=int), np.array(ws))
-        for row, nb, ws in zip(vectors, neighbors, weights)
-        if nb
+        (row, idx, w_row[idx]) for row, idx, w_row in zip(vectors, nonzero, W) if idx.size
     ]
-    upper = np.triu(graph.weight_matrix())
+    upper = np.triu(W)
 
     history: list[float] = []
     before = np.empty_like(vectors)

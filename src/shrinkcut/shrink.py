@@ -11,12 +11,14 @@ Correlations go stale as the graph changes; ``recalc`` picks one of four
 refresh policies (fixed period, edge-count drift, correlation-strength
 threshold, or cheap local rescaling with no re-solves).
 
-The only correlation state is one S x S matrix E over the surviving
-supernodes, rows and columns in ascending supernode id. A re-solve replaces E
-with the reduced graph's SDP correlations (whose node order is those same
-ids). Absorbing a into b with sign sigma makes b's row the size-weighted mean
-of the two sign-adjusted rows and drops a's row and column, so E[a, b] stays
-the mean sign-adjusted correlation over all member pairs of a and b.
+The state is two aligned S x S matrices over the surviving supernodes, rows
+and columns in ascending supernode id: the edge weights W of the working graph
+and the correlations E. Absorbing a into b with sign sigma sets
+W[b] += sigma * W[a] and makes E[b] the size-weighted mean of the two
+sign-adjusted rows, so E[a, b] stays the mean sign-adjusted correlation over
+all member pairs of a and b; both then drop a's row and column. A re-solve
+replaces E with the SDP correlations of the graph W (whose node order is those
+same ids).
 """
 
 from __future__ import annotations
@@ -142,67 +144,72 @@ class ShrinkResult:
 
 
 class WorkingGraph:
-    """Mutable adjacency view of a Max-Cut graph; nodes keep their original ids."""
+    """Dense S x S edge weights over the surviving nodes, which keep their original ids.
 
-    def __init__(self, adj: dict[int, dict[int, float]], offset: float) -> None:
-        self.adj = adj
+    ``ids`` lists the surviving node ids in ascending order; row and column t
+    of ``weights`` belong to node ``ids[t]``. The diagonal is always 0.
+    """
+
+    def __init__(self, weights: np.ndarray, ids: np.ndarray | list[int], offset: float) -> None:
+        self.weights = weights
+        self.ids = np.asarray(ids)
         self.offset = offset
 
     @classmethod
     def from_graph(cls, graph: MaxCutGraph) -> "WorkingGraph":
-        adj: dict[int, dict[int, float]] = {v: {} for v in range(graph.n_nodes)}
-        for (i, j), w in graph.edges.items():
-            adj[i][j] = w
-            adj[j][i] = w
-        return cls(adj, graph.offset)
+        return cls(np.array(graph.weight_matrix()), np.arange(graph.n_nodes), graph.offset)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.adj)
+        return len(self.ids)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        return np.count_nonzero(self.weights) // 2
 
     def nodes(self) -> list[int]:
-        return sorted(self.adj)
+        return self.ids.tolist()
+
+    def position(self, i: int) -> int:
+        """Row of node ``i`` in ``weights``."""
+        t = int(np.searchsorted(self.ids, i))
+        if t == len(self.ids) or self.ids[t] != i:
+            raise ValueError(f"node {i} not in graph")
+        return t
 
     def neighbors(self, i: int) -> dict[int, float]:
-        return self.adj[i]
+        row = self.weights[self.position(i)]
+        cols = np.flatnonzero(row)
+        return dict(zip(self.ids[cols].tolist(), row[cols].tolist()))
 
     def weight(self, i: int, j: int) -> float:
-        return self.adj[i].get(j, 0.0)
+        return float(self.weights[self.position(i), self.position(j)])
 
     def absolute_degree(self, i: int) -> float:
-        return sum(abs(w) for w in self.adj[i].values())
+        return float(np.abs(self.weights[self.position(i)]).sum())
 
     def contract(self, i: int, j: int, sigma: int) -> float:
         """Absorb node i into node j with spin(i) = sigma * spin(j).
 
-        Edges are folded as w(j,k) += sigma * w(i,k); the constant
-        (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset so
-        original and reduced energies coincide. Returns that constant.
+        Row j becomes W[j] + sigma * W[i] (mirrored into column j, with no
+        self-loop), and row and column i are dropped; an edge that cancels to
+        exactly 0 is gone. The constant (1 - sigma)/2 * sum_k w(i,k) is
+        subtracted from the offset so original and reduced energies coincide.
+        Returns that constant.
         """
-        if i not in self.adj or j not in self.adj:
-            raise ValueError(f"cannot contract ({i}, {j}): node not in graph")
+        a, b = self.position(i), self.position(j)
         if i == j:
             raise ValueError(f"cannot contract node {i} into itself")
         if sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {sigma}")
-        nbrs_i = self.adj.pop(i)
-        constant = (1.0 - sigma) / 2.0 * sum(nbrs_i.values())
+        W = self.weights
+        constant = (1.0 - sigma) / 2.0 * float(W[a].sum())
         self.offset -= constant
-        for k, w in nbrs_i.items():
-            del self.adj[k][i]
-            if k == j:
-                continue
-            merged = self.adj[j].get(k, 0.0) + sigma * w
-            if merged == 0.0:
-                self.adj[j].pop(k, None)
-                self.adj[k].pop(j, None)
-            else:
-                self.adj[j][k] = merged
-                self.adj[k][j] = merged
+        row = W[b] + sigma * W[a]
+        row[b] = 0.0
+        W[b] = W[:, b] = row
+        keep = self.ids != i
+        self.weights, self.ids = W[np.ix_(keep, keep)], self.ids[keep]
         return constant
 
     def to_graph(self) -> tuple[MaxCutGraph, tuple[int, ...]]:
@@ -212,18 +219,10 @@ class WorkingGraph:
         node index to the original id it represents.
         """
         node_order = tuple(self.nodes())
-        index = {orig: t for t, orig in enumerate(node_order)}
-        edges: dict[tuple[int, int], float] = {}
-        for orig_i, nbrs in self.adj.items():
-            for orig_j, w in nbrs.items():
-                a, b = index[orig_i], index[orig_j]
-                if a < b:
-                    edges[(a, b)] = w
+        rows, cols = np.nonzero(np.triu(self.weights, 1))
+        edges = dict(zip(zip(rows.tolist(), cols.tolist()), self.weights[rows, cols].tolist()))
         var_map = {t: t - 1 for t in range(1, len(node_order))}
-        graph = MaxCutGraph(
-            n_nodes=len(node_order), edges=edges, offset=self.offset, var_map=var_map
-        )
-        return graph, node_order
+        return MaxCutGraph(len(node_order), edges, self.offset, var_map), node_order
 
 
 def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, lam: float):
@@ -272,29 +271,25 @@ def select_merge(
 def local_correlation_update(
     correlations: np.ndarray,
     working: WorkingGraph,
-    supernodes: dict[int, SuperNode],
     survivor: int,
     affected: set[int],
 ) -> None:
     """Rescale correlations around a fresh merge without re-solving the SDP.
 
-    For each affected neighbor supernode k, the S x S entries E[survivor, k]
-    and E[k, survivor] become w(survivor, k) / sqrt(d_survivor * d_k) with
-    absolute weighted degrees after the merge (0 when a degree vanishes).
-    Entries not touching the survivor are left exactly as they were.
+    ``correlations`` is aligned with ``working.ids``. For each affected
+    neighbor supernode k, the entries E[survivor, k] and E[k, survivor]
+    become w(survivor, k) / sqrt(d_survivor * d_k) with absolute weighted
+    degrees after the merge (0 when a degree vanishes). Entries not touching
+    the survivor are left exactly as they were.
     """
-    index = {sid: t for t, sid in enumerate(sorted(supernodes))}
-    s = index[survivor]
-    d_s = working.absolute_degree(survivor)
-    for k in sorted(affected):
-        if k == survivor or k not in supernodes:
-            continue
-        d_k = working.absolute_degree(k)
-        if d_s <= 0.0 or d_k <= 0.0:
-            value = 0.0
-        else:
-            value = working.weight(survivor, k) / np.sqrt(d_s * d_k)
-        correlations[s, index[k]] = correlations[index[k], s] = value
+    s = working.position(survivor)
+    ks = np.searchsorted(working.ids, sorted(set(affected) - {survivor}))
+    degrees = np.abs(working.weights).sum(axis=1)
+    scale = np.sqrt(degrees[s] * degrees[ks])
+    nonzero = (degrees[s] > 0.0) & (degrees[ks] > 0.0)
+    values = np.zeros(len(ks))
+    np.divide(working.weights[s, ks], scale, out=values, where=nonzero)
+    correlations[s, ks] = correlations[ks, s] = values
 
 
 def _fold_correlations(
@@ -415,9 +410,8 @@ def run_shrink(
             rng=tie_rng,
             protected=protected,
         )
-        affected = (
-            set(working.neighbors(absorbed)) | set(working.neighbors(survivor))
-        ) - {absorbed, survivor}
+        rows = working.weights[[working.position(absorbed), working.position(survivor)]]
+        affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
         working.contract(absorbed, survivor, sigma)
         correlations = _fold_correlations(correlations, supernodes, absorbed, survivor, sigma)
         absorbed_sn = supernodes.pop(absorbed)
@@ -431,7 +425,7 @@ def run_shrink(
             break
 
         if config.recalc == "local":
-            local_correlation_update(correlations, working, supernodes, survivor, affected)
+            local_correlation_update(correlations, working, survivor, affected)
             continue
         if config.recalc == "fixed":
             due = merges_since_solve >= config.r

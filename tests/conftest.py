@@ -227,7 +227,7 @@ def naive_solve_maxcut_sdp(
 ) -> EmbeddingVectors:
     """Mixing-method coordinate ascent with per-node bookkeeping.
 
-    The same initialization, neighbour order and updates as
+    The same initialization, ascending neighbour order and updates as
     ``solve_maxcut_sdp``, written as the direct loop: each node takes
     ``np.linalg.norm`` of its gradient and of its own move, and every sweep
     calls ``sdp_objective``. ``solve_maxcut_sdp`` must return the same
@@ -242,7 +242,8 @@ def naive_solve_maxcut_sdp(
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[float]] = [[] for _ in range(n)]
-    for (i, j), w in graph.edges.items():
+    # in ascending (i, j) key order every node's list comes out ascending
+    for (i, j), w in sorted(graph.edges.items()):
         neighbors[i].append(j)
         weights[i].append(w)
         neighbors[j].append(i)
@@ -273,6 +274,42 @@ def naive_solve_maxcut_sdp(
     return EmbeddingVectors(
         vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=sweeps
     )
+
+
+class NaiveWorkingGraph:
+    """Dict-of-dicts working graph with one-edge-at-a-time contraction.
+
+    The reference for ``WorkingGraph``: the same ids, edges, weights and
+    offset after every contraction, walking neighbour dicts instead of rows.
+    """
+
+    def __init__(self, graph: MaxCutGraph) -> None:
+        self.adj: dict[int, dict[int, float]] = {v: {} for v in range(graph.n_nodes)}
+        for (i, j), w in graph.edges.items():
+            self.adj[i][j] = w
+            self.adj[j][i] = w
+        self.offset = graph.offset
+
+    def contract(self, i: int, j: int, sigma: int) -> float:
+        nbrs_i = self.adj.pop(i)
+        constant = (1.0 - sigma) / 2.0 * sum(nbrs_i.values())
+        self.offset -= constant
+        for k, w in nbrs_i.items():
+            del self.adj[k][i]
+            if k == j:
+                continue
+            merged = self.adj[j].get(k, 0.0) + sigma * w
+            if merged == 0.0:
+                self.adj[j].pop(k, None)
+                self.adj[k].pop(j, None)
+            else:
+                self.adj[j][k] = merged
+                self.adj[k][j] = merged
+        return constant
+
+    def edges(self) -> dict[tuple[int, int], float]:
+        """Every edge once, keyed by (smaller id, larger id)."""
+        return {(i, j): w for i, nbrs in self.adj.items() for j, w in nbrs.items() if i < j}
 
 
 def brute_maxcut_value(graph: MaxCutGraph) -> float:

@@ -94,7 +94,7 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
             for k in range(n - 1, 1, -1):
                 working = WorkingGraph.from_graph(graph)
                 steps = []
-                while len(working.adj) > k:
+                while working.n_nodes > k:
                     ids = working.nodes()
                     a, b = rng.choice(len(ids), size=2, replace=False)
                     i, j = ids[int(a)], ids[int(b)]

@@ -149,6 +149,32 @@ def test_shrink_reads_stop_mode_and_k_from_the_config_file(data_dir, tmp_path):
     assert json.loads(report.read_text())["final_size"] == 3  # decision nodes: 4 minus the reference
 
 
+def test_a_k_from_the_config_file_selects_stop_mode_k(data_dir, tmp_path):
+    config = tmp_path / "k.cfg"
+    config.write_text("k = 5\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.16.txt")]
+    out = tmp_path / "reduced.json"
+    assert main(["shrink", *instance, "--config", str(config), "--out", str(out)]) == 0
+    assert graph_from_json(out.read_text()).n_nodes == 5
+    report = tmp_path / "report.json"
+    args = [*instance, "--backend", "exact", "--seed", "0", "--config", str(config)]
+    assert main(["pipeline", *args, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["config"]["stop_mode"], doc["config"]["k"]) == ("k", 5)
+    assert doc["final_size"] == 4  # decision nodes: 5 minus the reference
+
+
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+def test_a_k_with_a_spectral_stop_mode_in_the_config_file_exits_two(
+    command, data_dir, tmp_path, capsys
+):
+    config = tmp_path / "clash.cfg"
+    config.write_text("k = 5\nstop_mode = spectral\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.16.txt")]
+    assert main([command, *instance, "--config", str(config)]) == 2
+    assert "the config file sets 'spectral'" in capsys.readouterr().err
+
+
 def test_shrink_rejects_both_k_and_alpha(triangle_file):
     with pytest.raises(SystemExit) as excinfo:
         main(

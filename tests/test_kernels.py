@@ -10,7 +10,11 @@ member pairs of an n x n matrix over each supernode's member dict.
 the dense numpy loop, and the two must agree bit for bit.
 ``solve_maxcut_sdp`` takes its stopping displacement once per sweep; its
 oracle takes it node by node, and the two must return the same embedding bit
-for bit. ``_energy_chunks`` splits the variables into a low and a high half
+for bit, as must the same graph with its ``edges`` dict in another order.
+``WorkingGraph`` contracts one dense row into another; its oracle folds a
+dict-of-dicts graph one edge at a time, and the two must hold the same ids,
+edges and weights after every contraction.
+``_energy_chunks`` splits the variables into a low and a high half
 and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
 by row, and the two must give the same energies in the same counter order
 (equal on integer data, within rounding on float data).
@@ -20,6 +24,7 @@ every call, and the two must agree on every pair after every merge.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +57,7 @@ from shrinkcut.shrink import _fold_correlations
 from shrinkcut.solvers import _energy_chunks
 from tests.conftest import (
     DATA_DIR,
+    NaiveWorkingGraph,
     naive_cut_value,
     naive_energy_chunks,
     naive_effective_correlation,
@@ -186,6 +192,76 @@ def test_dense_views_are_read_only_and_built_once():
             view[0, 0] = 1.0
 
 
+# small pools make folded edges cancel to exactly 0 (0.1 - 0.1 does too)
+integer_weights = st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+float_weights = st.one_of(st.sampled_from([-0.3, -0.1, 0.1, 0.3]), coefficients)
+
+
+@st.composite
+def contraction_cases(draw) -> tuple[MaxCutGraph, list[tuple[int, int, int]], bool]:
+    """A random graph, a random signed contraction sequence over it, and whether it is integral.
+
+    Each contraction is (absorbed, survivor, sigma); the reference node 0
+    may be absorbed like any other.
+    """
+    integral = draw(st.booleans())
+    weights = integer_weights if integral else float_weights
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = MaxCutGraph(
+        n_nodes=n,
+        edges={key: draw(weights) for key in keys},
+        offset=draw(weights),
+        var_map={v: v - 1 for v in range(1, n)},
+    )
+    ids = list(range(n))
+    merges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=n - 1))):
+        absorbed, survivor = draw(st.permutations(ids))[:2]
+        ids.remove(absorbed)
+        merges.append((absorbed, survivor, draw(st.sampled_from([-1, 1]))))
+    return graph, merges, integral
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_cases())
+# the reference is absorbed and w(1, 2) cancels to 0; then w(1, 3) = 1 is folded with sigma -1
+@example(
+    (
+        MaxCutGraph(
+            n_nodes=4,
+            edges={(0, 2): 2.0, (1, 2): -2.0, (0, 3): 1.0},
+            offset=0.0,
+            var_map={1: 0, 2: 1, 3: 2},
+        ),
+        [(0, 1, 1), (1, 3, -1)],
+        True,
+    )
+)
+def test_dense_contraction_matches_the_dict_oracle(case):
+    graph, merges, integral = case
+    working = WorkingGraph.from_graph(graph)
+    oracle = NaiveWorkingGraph(graph)
+    # float sums differ from the oracle's only in order: bound them by the total weight
+    scale = sum(abs(w) for w in graph.edges.values()) + abs(graph.offset)
+    for absorbed, survivor, sigma in merges:
+        constant = working.contract(absorbed, survivor, sigma)
+        expected = oracle.contract(absorbed, survivor, sigma)
+        assert working.nodes() == sorted(oracle.adj)
+        reduced, node_order = working.to_graph()
+        edges = {(node_order[a], node_order[b]): w for (a, b), w in reduced.edges.items()}
+        assert edges == oracle.edges()
+        assert working.edge_count == len(edges)
+        for v in working.nodes():
+            assert working.neighbors(v) == oracle.adj[v]
+        if integral:
+            assert (constant, working.offset) == (expected, oracle.offset)
+        else:
+            assert abs(constant - expected) <= 1e-12 * scale
+            assert abs(working.offset - oracle.offset) <= 1e-12 * scale
+
+
 def _block_write(X, supernodes, s, k, value) -> None:
     """What a local update means for the n x n matrix: every sign-adjusted member pair of s and k."""
     for u, su in supernodes[s].members.items():
@@ -209,14 +285,12 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
         ids = sorted(supernodes)
         if len(ids) > 1 and data.draw(st.booleans()):
             # a local update on a random graph over the surviving supernodes
-            adj = {i: {} for i in ids}
-            for i, j in itertools.combinations(ids, 2):
-                w = data.draw(st.sampled_from([0.0, -2.0, 0.5, 3.0]))
-                if w != 0.0:
-                    adj[i][j] = adj[j][i] = w
-            working = WorkingGraph(adj, offset=0.0)
+            weights = np.zeros((len(ids), len(ids)))
+            for r, c in itertools.combinations(range(len(ids)), 2):
+                weights[r, c] = weights[c, r] = data.draw(st.sampled_from([0.0, -2.0, 0.5, 3.0]))
+            working = WorkingGraph(weights, ids=ids, offset=0.0)
             affected = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
-            local_correlation_update(E, working, supernodes, survivor, affected)
+            local_correlation_update(E, working, survivor, affected)
             d_s = working.absolute_degree(survivor)
             for k in affected - {survivor}:
                 d_k = working.absolute_degree(k)
@@ -368,11 +442,19 @@ def assert_same_embedding(graph, **options):
     # 1e-12 runs every graph to the cap; 0.1 stops most after a few sweeps
     st.sampled_from([1e-12, 1e-6, 1e-3, 0.1]),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
 )
 def test_solve_maxcut_sdp_equals_the_per_node_loop_oracle_bit_for_bit(
-    graph, rank, max_sweeps, tol, seed
+    graph, rank, max_sweeps, tol, seed, data
 ):
-    assert_same_embedding(graph, rank=rank, max_sweeps=max_sweeps, tol=tol, seed=seed)
+    options = dict(rank=rank, max_sweeps=max_sweeps, tol=tol, seed=seed)
+    got = assert_same_embedding(graph, **options)
+    # the same weighted edge set stored in another order gives the same embedding
+    shuffled = replace(graph, edges=dict(data.draw(st.permutations(list(graph.edges.items())))))
+    again = solve_maxcut_sdp(shuffled, **options)
+    assert np.array_equal(again.vectors, got.vectors)
+    assert again.objective_history == got.objective_history
+    assert again.sweeps_used == got.sweeps_used
 
 
 def test_solve_maxcut_sdp_equals_the_oracle_on_the_synth24x4_slack_graph():

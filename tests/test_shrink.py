@@ -48,7 +48,8 @@ def test_contract_folds_edges_onto_the_survivor():
     assert working.offset == 0.0
     assert working.neighbors(1) == {2: 2.0, 3: 3.0}
     assert working.neighbors(2) == {1: 2.0, 3: 4.0}
-    assert 0 not in working.adj
+    assert 0 not in working.nodes()
+    assert working.weights.shape == (3, 3)
 
 
 def test_contract_with_negative_sigma_adjusts_the_offset():
@@ -285,17 +286,12 @@ def test_local_recalc_solves_the_relaxation_only_once():
 
 
 def test_local_correlation_update_rescales_only_the_affected_blocks():
-    adj = {0: {}, 1: {2: 3.0, 3: -4.0}, 2: {1: 3.0}, 3: {1: -4.0}}
-    working = WorkingGraph(adj, offset=0.0)
-    supernodes = {
-        1: SuperNode(id=1, members={1: 1, 0: -1}),
-        2: SuperNode(id=2),
-        3: SuperNode(id=3),
-    }
+    # supernode 1 holds nodes 1 and 0; only the supernode weights enter
+    weights = np.array([[0.0, 3.0, -4.0], [3.0, 0.0, 0.0], [-4.0, 0.0, 0.0]])
+    working = WorkingGraph(weights, ids=[1, 2, 3], offset=0.0)
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
-    local_correlation_update(E, working, supernodes, survivor=1, affected={2, 3})
-    # the survivor's members (1: +1, 0: -1) do not enter the supernode entry
+    local_correlation_update(E, working, survivor=1, affected={2, 3})
     assert E[0, 1] == pytest.approx(3.0 / np.sqrt(7.0 * 3.0))
     assert E[0, 2] == pytest.approx(-4.0 / np.sqrt(7.0 * 4.0))
     assert np.array_equal(E, E.T)
@@ -305,12 +301,11 @@ def test_local_correlation_update_rescales_only_the_affected_blocks():
 
 
 def test_local_correlation_update_zeroes_isolated_neighbors():
-    adj = {1: {2: 3.0}, 2: {1: 3.0}, 3: {}}
-    working = WorkingGraph(adj, offset=0.0)
-    supernodes = {1: SuperNode(id=1), 2: SuperNode(id=2), 3: SuperNode(id=3)}
+    weights = np.array([[0.0, 3.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    working = WorkingGraph(weights, ids=[1, 2, 3], offset=0.0)
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
-    local_correlation_update(E, working, supernodes, survivor=1, affected={3})
+    local_correlation_update(E, working, survivor=1, affected={3})
     assert E[0, 2] == E[2, 0] == 0.0
     assert E[0, 1] == 0.5  # supernode 2 was not affected
 
