@@ -163,11 +163,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def _stop_mode(args: argparse.Namespace, file_cfg: dict) -> str:
     """A ``k`` from the flag or the config file selects stop_mode "k"."""
-    if _resolve(args, file_cfg, "k", None) is None:
+    k = _resolve(args, file_cfg, "k", None)
+    if k is None:
         return _resolve(args, file_cfg, "stop_mode", ShrinkConfig.stop_mode)
     file_mode = file_cfg.get("stop_mode")
     if file_mode not in (None, "k"):
         raise ValueError(f"k selects stop_mode 'k', but the config file sets {file_mode!r}")
+    if getattr(args, "k", None) is None and getattr(args, "alpha", None) is not None:
+        raise ValueError(
+            f"the config file's k = {k} selects stop_mode 'k', which never reads "
+            f"--alpha {args.alpha}; drop one of the two"
+        )
     return "k"
 
 

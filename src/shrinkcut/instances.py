@@ -12,6 +12,7 @@ position of the offending token; nothing is silently repaired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,11 @@ import numpy as np
 
 class ParseError(ValueError):
     """Raised when an instance stream is malformed."""
+
+
+def _check_optimum(value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"known optimum must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,10 @@ class MdkpInstance:
             raise ValueError(
                 f"capacities must have shape ({self.m},), got {self.capacities.shape}"
             )
+        for name in ("profits", "weights", "capacities"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"all {name} must be finite")
+        _check_optimum(self.known_optimum)
         if np.any(self.profits < 0):
             raise ValueError("all profits must be nonnegative")
         if np.any(self.weights < 0):
@@ -61,6 +71,7 @@ class MisInstance:
     known_optimum: int | None = None
 
     def __post_init__(self) -> None:
+        _check_optimum(self.known_optimum)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
@@ -96,6 +107,7 @@ class QapInstance:
             )
         if not (np.all(np.isfinite(self.flow)) and np.all(np.isfinite(self.distance))):
             raise ValueError("flow/distance entries must be finite")
+        _check_optimum(self.known_optimum)
         if np.any(self.flow < 0) or np.any(self.distance < 0):
             raise ValueError("flow/distance entries must be nonnegative")
 
@@ -239,9 +251,12 @@ def load_optima(path: str | Path) -> dict[str, float]:
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'name value', got {raw!r}")
         try:
-            table[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad value in {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: value must be finite, got {raw!r}")
+        table[parts[0]] = value
     return table
 
 

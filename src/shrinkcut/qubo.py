@@ -4,8 +4,12 @@ A :class:`QuboModel` is the minimization objective
 
     E(x) = sum_{i<j} quad[(i,j)] x_i x_j + sum_i lin[i] x_i + offset
 
-over binary x. Builders encode each problem's objective plus quadratic
-constraint penalties of strength P. Every variable carries a semantics tag:
+over binary x. Builders write each problem's objective plus quadratic
+constraint penalties of strength P as a matrix expression, expanded with
+x^2 = x: MDKP -p.x + P * |Ax - C|^2 (A: the weights, then an optional slack
+block), MIS -sum(x) + P * sum_{(u,v) in E} x_u x_v, QAP x^T kron(F, D) x + P *
+the squared residuals of every row and column sum. Every variable carries a
+semantics tag:
 
     ("item", i)       MDKP decision variable for item i
     ("slack", j, k)   MDKP slack bit k of constraint j (weight 2^k)
@@ -104,7 +108,8 @@ def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
 
     MDKP: P = multiplier * max profit (multiplier alone if there are no items).
     MIS:  P = multiplier.
-    QAP:  P = multiplier * max |F_ik * D_jl| over all index combinations.
+    QAP:  P = multiplier * max F * max D, which is max F_ik * D_jl over all
+          index combinations because the entries are nonnegative.
     """
     if isinstance(inst, MdkpInstance):
         scale = float(np.max(inst.profits)) if inst.n > 0 else 1.0
@@ -116,40 +121,23 @@ def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
     if isinstance(inst, QapInstance):
         if inst.n == 0:
             return policy.multiplier
-        scale = float(np.max(np.abs(np.outer(inst.flow, inst.distance))))
+        scale = float(inst.flow.max() * inst.distance.max())
         if scale == 0.0:
             scale = 1.0
         return policy.multiplier * scale
     raise TypeError(f"unsupported instance type {type(inst).__name__}")
 
 
-class _QuboBuilder:
-    """Accumulates coefficients; drops exact zeros on finalization."""
-
-    def __init__(self, n_vars: int, semantics: list[VarTag]):
-        self.n_vars = n_vars
-        self.semantics = semantics
-        self.quad: dict[tuple[int, int], float] = {}
-        self.lin = np.zeros(n_vars)
-        self.offset = 0.0
-
-    def add_quad(self, i: int, j: int, w: float) -> None:
-        if i == j:
-            # x_i^2 = x_i for binary variables
-            self.lin[i] += w
-            return
-        key = (i, j) if i < j else (j, i)
-        self.quad[key] = self.quad.get(key, 0.0) + w
-
-    def build(self) -> QuboModel:
-        quad = {k: w for k, w in self.quad.items() if w != 0.0}
-        return QuboModel(
-            n_vars=self.n_vars,
-            quad=quad,
-            lin=tuple(float(v) for v in self.lin),
-            offset=float(self.offset),
-            semantics=tuple(self.semantics),
-        )
+def _model_from_pairs(pairs: np.ndarray, lin: np.ndarray, offset: float, semantics) -> QuboModel:
+    """QuboModel from the strict upper triangle of a square pair matrix, exact zeros dropped."""
+    rows, cols = np.nonzero(np.triu(pairs, 1))
+    return QuboModel(
+        n_vars=len(semantics),
+        quad=dict(zip(zip(rows.tolist(), cols.tolist()), pairs[rows, cols].tolist())),
+        lin=tuple(lin.tolist()),
+        offset=float(offset),
+        semantics=tuple(semantics),
+    )
 
 
 def slack_bit_count(capacity: float) -> int:
@@ -158,47 +146,43 @@ def slack_bit_count(capacity: float) -> int:
 
 
 def build_mdkp_qubo(inst: MdkpInstance, P: float, use_slack: bool = False) -> QuboModel:
-    """MDKP as a QUBO: minimize -profit + P * sum_j (load_j [+ slack_j] - C_j)^2.
+    """MDKP as a QUBO: minimize -p.x + P * sum_j (a_j.x - C_j)^2, a_j the rows of A.
 
-    Without slack the squared penalty acts directly on the residual, so exact
-    fills are free and any deviation is charged. With ``use_slack`` each
-    constraint j gains floor(log2(C_j + 1)) power-of-two slack bits appended
-    after the item variables and the penalty becomes an equality form.
+    A holds the item weights. Without slack the squared penalty acts directly
+    on the residual, so exact fills are free and any deviation is charged.
+    With ``use_slack`` each constraint j gains floor(log2(C_j + 1)) slack bits
+    after the items, and A holds 2^k at row j, slack bit (j, k), so the
+    penalty becomes an equality form. In row order, row j adds
+    P * (a_j^2 - 2 C_j a_j) to the linear terms, 2P * a_j a_j^T to the pairs
+    and P * C_j^2 to the offset.
     """
     if P <= 0:
         raise ValueError(f"penalty P must be positive, got {P}")
     semantics: list[VarTag] = [("item", i) for i in range(inst.n)]
-    slack_vars: list[list[tuple[int, float]]] = []  # per constraint: (var index, 2^k)
     if use_slack:
         for j in range(inst.m):
-            bits = []
-            for k in range(slack_bit_count(inst.capacities[j])):
-                bits.append((len(semantics), float(2 ** k)))
-                semantics.append(("slack", j, k))
-            slack_vars.append(bits)
-    builder = _QuboBuilder(len(semantics), semantics)
-
-    for i in range(inst.n):
-        builder.lin[i] -= inst.profits[i]
-
-    for j in range(inst.m):
-        terms: list[tuple[int, float]] = [
-            (i, float(inst.weights[j, i])) for i in range(inst.n) if inst.weights[j, i] != 0
-        ]
-        if use_slack:
-            terms.extend(slack_vars[j])
-        C = float(inst.capacities[j])
-        # P * (sum_a c_a x_a - C)^2 expanded with x^2 = x
-        for a, (va, ca) in enumerate(terms):
-            builder.lin[va] += P * (ca * ca - 2.0 * C * ca)
-            for vb, cb in terms[a + 1:]:
-                builder.add_quad(va, vb, 2.0 * P * ca * cb)
-        builder.offset += P * C * C
-    return builder.build()
+            semantics += [("slack", j, k) for k in range(slack_bit_count(inst.capacities[j]))]
+    A = np.zeros((inst.m, len(semantics)))
+    A[:, :inst.n] = inst.weights
+    slack = np.array([tag[1:] for tag in semantics[inst.n:]], dtype=int).reshape(-1, 2)
+    A[slack[:, 0], np.arange(inst.n, len(semantics))] = 2.0 ** slack[:, 1]
+    lin = np.zeros(len(semantics))
+    lin[:inst.n] -= inst.profits  # 0.0 - p: a zero profit stays +0.0
+    pairs = np.zeros((len(semantics), len(semantics)))
+    offset = 0.0
+    for a, C in zip(A, inst.capacities.tolist()):
+        lin += P * (a * a - 2.0 * C * a)
+        pairs += np.outer(2.0 * P * a, a)
+        offset += P * C * C
+    return _model_from_pairs(pairs, lin, offset, semantics)
 
 
 def build_mis_qubo(inst: MisInstance, P: float) -> QuboModel:
-    """MIS as a QUBO: minimize -|S| + P * (number of conflict edges inside S)."""
+    """MIS as a QUBO: minimize -|S| + P * (number of conflict edges inside S).
+
+    Linear terms -1, and P on the pair of each edge. The pairs stay a sparse
+    dict, so a large sparse graph never needs an n x n array here.
+    """
     if P <= 0:
         raise ValueError(f"penalty P must be positive, got {P}")
     if P <= 1:
@@ -207,52 +191,40 @@ def build_mis_qubo(inst: MisInstance, P: float) -> QuboModel:
             "is then never favored and minimizers may be infeasible",
             stacklevel=2,
         )
-    builder = _QuboBuilder(inst.n, [("vertex", v) for v in range(inst.n)])
-    for v in range(inst.n):
-        builder.lin[v] -= 1.0
+    quad: dict[tuple[int, int], float] = {}
     for u, v in inst.edges:
-        builder.add_quad(u, v, P)
-    return builder.build()
+        key = (min(u, v), max(u, v))
+        quad[key] = quad.get(key, 0.0) + P
+    return QuboModel(
+        n_vars=inst.n,
+        quad=quad,
+        lin=(-1.0,) * inst.n,
+        offset=0.0,
+        semantics=tuple(("vertex", v) for v in range(inst.n)),
+    )
 
 
 def build_qap_qubo(inst: QapInstance, P: float) -> QuboModel:
     """QAP as a QUBO over x_{ij} (variable index i*n + j).
 
-    Objective: sum over ordered pairs of F_ik * D_jl * x_ij * x_kl. Penalties:
-    P * (row sum - 1)^2 for every facility row and P * (column sum - 1)^2 for
-    every location column; their constant parts put 2nP into the offset.
+    Objective x^T K x with K = kron(F, D), so K[i*n + j, k*n + l] = F_ik * D_jl.
+    Penalties P * (row sum - 1)^2 and P * (column sum - 1)^2 for every row and
+    column give pairs K + K^T + 2P * S, S marking the pairs that share a row or
+    a column, and linear terms diag(K) - P - P. The offset adds P 2n times in
+    order, since 2nP can round differently.
     """
     if P <= 0:
         raise ValueError(f"penalty P must be positive, got {P}")
     n = inst.n
+    K = np.kron(inst.flow, inst.distance)
+    row, col = np.divmod(np.arange(n * n), n)
+    shared = (row[:, None] == row) | (col[:, None] == col)
+    pairs = K + K.T + 2.0 * P * shared
+    offset = 0.0
+    for _ in range(2 * n):
+        offset += P
     semantics = [("assign", i, j) for i in range(n) for j in range(n)]
-    builder = _QuboBuilder(n * n, semantics)
-
-    def var(i: int, j: int) -> int:
-        return i * n + j
-
-    for i in range(n):
-        for k in range(n):
-            f = float(inst.flow[i, k])
-            if f == 0:
-                continue
-            for j in range(n):
-                for l in range(n):
-                    d = float(inst.distance[j, l])
-                    if d == 0:
-                        continue
-                    builder.add_quad(var(i, j), var(k, l), f * d)
-
-    # one-hot penalties: (sum - 1)^2 = sum + 2*sum_pairs - 2*sum + 1
-    groups = [[var(i, j) for j in range(n)] for i in range(n)]  # rows
-    groups += [[var(i, j) for i in range(n)] for j in range(n)]  # columns
-    for members in groups:
-        for a, va in enumerate(members):
-            builder.lin[va] -= P
-            for vb in members[a + 1:]:
-                builder.add_quad(va, vb, 2.0 * P)
-        builder.offset += P
-    return builder.build()
+    return _model_from_pairs(pairs, np.diag(K) - P - P, offset, semantics)
 
 
 def evaluate_qubo(model: QuboModel, x) -> float:

@@ -26,6 +26,7 @@ from shrinkcut import (
     default_rank,
     evaluate_qubo,
     sdp_objective,
+    slack_bit_count,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -320,6 +321,101 @@ def brute_maxcut_value(graph: MaxCutGraph) -> float:
         spins = [1] + [1 - 2 * ((counter >> i) & 1) for i in range(n - 1)]
         best = max(best, naive_cut_value(graph, spins))
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# term-loop QUBO builders
+# ---------------------------------------------------------------------------
+
+
+class _TermAccumulator:
+    """Sparse coefficient accumulator; drops exact zeros when it builds the model."""
+
+    def __init__(self, semantics: list) -> None:
+        self.semantics = semantics
+        self.quad: dict[tuple[int, int], float] = {}
+        self.lin = np.zeros(len(semantics))
+        self.offset = 0.0
+
+    def add_quad(self, i: int, j: int, w: float) -> None:
+        if i == j:
+            self.lin[i] += w  # x_i^2 = x_i for binary variables
+            return
+        key = (i, j) if i < j else (j, i)
+        self.quad[key] = self.quad.get(key, 0.0) + w
+
+    def build(self) -> QuboModel:
+        return QuboModel(
+            n_vars=len(self.semantics),
+            quad={k: w for k, w in self.quad.items() if w != 0.0},
+            lin=tuple(float(v) for v in self.lin),
+            offset=float(self.offset),
+            semantics=tuple(self.semantics),
+        )
+
+
+def naive_build_mdkp_qubo(inst: MdkpInstance, P: float, use_slack: bool = False) -> QuboModel:
+    """MDKP QUBO term by term: one pair loop per capacity row over its nonzero terms."""
+    semantics: list = [("item", i) for i in range(inst.n)]
+    slack_vars: list[list[tuple[int, float]]] = []  # per constraint: (var index, 2^k)
+    if use_slack:
+        for j in range(inst.m):
+            bits = []
+            for k in range(slack_bit_count(inst.capacities[j])):
+                bits.append((len(semantics), float(2**k)))
+                semantics.append(("slack", j, k))
+            slack_vars.append(bits)
+    acc = _TermAccumulator(semantics)
+    for i in range(inst.n):
+        acc.lin[i] -= inst.profits[i]
+    for j in range(inst.m):
+        terms = [(i, float(inst.weights[j, i])) for i in range(inst.n) if inst.weights[j, i] != 0]
+        if use_slack:
+            terms.extend(slack_vars[j])
+        C = float(inst.capacities[j])
+        # P * (sum_a c_a x_a - C)^2 expanded with x^2 = x
+        for a, (va, ca) in enumerate(terms):
+            acc.lin[va] += P * (ca * ca - 2.0 * C * ca)
+            for vb, cb in terms[a + 1:]:
+                acc.add_quad(va, vb, 2.0 * P * ca * cb)
+        acc.offset += P * C * C
+    return acc.build()
+
+
+def naive_build_mis_qubo(inst: MisInstance, P: float) -> QuboModel:
+    """MIS QUBO term by term: -1 per vertex, P per edge."""
+    acc = _TermAccumulator([("vertex", v) for v in range(inst.n)])
+    for v in range(inst.n):
+        acc.lin[v] -= 1.0
+    for u, v in inst.edges:
+        acc.add_quad(u, v, P)
+    return acc.build()
+
+
+def naive_build_qap_qubo(inst: QapInstance, P: float) -> QuboModel:
+    """QAP QUBO term by term: a fourfold (i, k, j, l) loop, then a pair loop per one-hot group."""
+    n = inst.n
+    acc = _TermAccumulator([("assign", i, j) for i in range(n) for j in range(n)])
+    for i in range(n):
+        for k in range(n):
+            f = float(inst.flow[i, k])
+            if f == 0:
+                continue
+            for j in range(n):
+                for l in range(n):
+                    d = float(inst.distance[j, l])
+                    if d != 0:
+                        acc.add_quad(i * n + j, k * n + l, f * d)
+    # one-hot penalties: (sum - 1)^2 = sum + 2*sum_pairs - 2*sum + 1
+    groups = [[i * n + j for j in range(n)] for i in range(n)]  # rows
+    groups += [[i * n + j for i in range(n)] for j in range(n)]  # columns
+    for members in groups:
+        for a, va in enumerate(members):
+            acc.lin[va] -= P
+            for vb in members[a + 1:]:
+                acc.add_quad(va, vb, 2.0 * P)
+        acc.offset += P
+    return acc.build()
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,19 @@ def test_a_k_with_a_spectral_stop_mode_in_the_config_file_exits_two(
     assert "the config file sets 'spectral'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+def test_a_k_from_the_config_file_with_an_alpha_flag_exits_two(
+    command, data_dir, tmp_path, capsys
+):
+    config = tmp_path / "k.cfg"
+    config.write_text("k = 5\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.16.txt")]
+    assert main([command, *instance, "--config", str(config), "--alpha", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k = 5" in captured.err and "--alpha 0.5" in captured.err
+
+
 def test_shrink_rejects_both_k_and_alpha(triangle_file):
     with pytest.raises(SystemExit) as excinfo:
         main(
@@ -485,3 +498,32 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     code = main(["build-qubo", "--kind", "mdkp", "--instance", str(mangled)])
     assert code == 2
     assert "shrinkcut:" in capsys.readouterr().err
+
+
+def test_build_qubo_with_slack_on_an_infinite_capacity_exits_two(tmp_path, capsys):
+    path = tmp_path / "inf.txt"
+    path.write_text("2 1 0\n5 7\n2 3\ninf\n")
+    code = main(["build-qubo", "--kind", "mdkp", "--instance", str(path), "--use-slack"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capacities must be finite" in captured.err
+
+
+def test_pipeline_on_an_overflowing_mdkp_header_optimum_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("3 1 1e400\n5 7 4\n2 3 4\n5\n")
+    assert main(["pipeline", "--kind", "mdkp", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "known optimum must be finite" in captured.err
+
+
+def test_pipeline_on_a_non_finite_optima_sidecar_value_exits_two(tmp_path, capsys):
+    (tmp_path / "triangle.txt").write_text(TRIANGLE_TEXT)
+    (tmp_path / "optima.txt").write_text("triangle inf\n")
+    args = ["pipeline", "--kind", "mis", "--instance", str(tmp_path / "triangle.txt")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value must be finite" in captured.err

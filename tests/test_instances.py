@@ -70,6 +70,42 @@ def test_mdkp_instance_rejects_nonpositive_capacity():
         )
 
 
+@pytest.mark.parametrize("field", ["profits", "weights", "capacities"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_mdkp_instance_rejects_non_finite_data(field, bad):
+    data = {
+        "profits": np.array([1.0, 2.0]),
+        "weights": np.array([[1.0, 1.0]]),
+        "capacities": np.array([3.0]),
+    }
+    data[field].reshape(-1)[0] = bad
+    with pytest.raises(ValueError, match=f"all {field} must be finite"):
+        MdkpInstance(n=2, m=1, **data)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_every_instance_rejects_a_non_finite_known_optimum(bad):
+    for build in (
+        lambda: MdkpInstance(
+            n=1,
+            m=1,
+            profits=np.ones(1),
+            weights=np.ones((1, 1)),
+            capacities=np.ones(1),
+            known_optimum=bad,
+        ),
+        lambda: MisInstance(n=2, edges=((0, 1),), known_optimum=bad),
+        lambda: QapInstance(n=1, flow=np.zeros((1, 1)), distance=np.zeros((1, 1)), known_optimum=bad),
+    ):
+        with pytest.raises(ValueError, match="known optimum must be finite"):
+            build()
+
+
+def test_parse_mdkp_rejects_an_overflowing_header_optimum():
+    with pytest.raises(ValueError, match="known optimum must be finite"):
+        parse_mdkp("1 1 1e400\n5\n2\n5\n")
+
+
 def test_serialize_mdkp_round_trips(mdkp_tiny):
     again = parse_mdkp(serialize_mdkp(mdkp_tiny))
     assert again.n == mdkp_tiny.n
@@ -143,6 +179,14 @@ def test_load_optima_rejects_malformed_line(tmp_path):
     path = tmp_path / "optima.txt"
     path.write_text("alpha 12 extra\n")
     with pytest.raises(ParseError, match="expected 'name value'"):
+        load_optima(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_load_optima_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "optima.txt"
+    path.write_text(f"alpha 12\nbeta {value}\n")
+    with pytest.raises(ParseError, match=":2: value must be finite"):
         load_optima(path)
 
 

@@ -1,5 +1,7 @@
 """Penalized QUBO builders, evaluation, and serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     MdkpInstance,
+    MisInstance,
     PenaltyPolicy,
+    QapInstance,
     QuboModel,
     build_mdkp_qubo,
     build_mis_qubo,
@@ -20,7 +24,16 @@ from shrinkcut import (
     recommend_penalty,
     slack_bit_count,
 )
-from tests.conftest import brute_qubo_minimum, every_bitstring, naive_qubo_energy
+from shrinkcut.pipeline import load_instance
+from tests.conftest import (
+    DATA_DIR,
+    brute_qubo_minimum,
+    every_bitstring,
+    naive_build_mdkp_qubo,
+    naive_build_mis_qubo,
+    naive_build_qap_qubo,
+    naive_qubo_energy,
+)
 
 
 def test_mdkp_worked_example_coefficients(mdkp_tiny):
@@ -237,3 +250,110 @@ def test_evaluate_qubo_matches_direct_summation(seed, n):
     model = random_qubo(rng, n)
     x = tuple(int(b) for b in rng.integers(0, 2, n))
     assert evaluate_qubo(model, x) == pytest.approx(naive_qubo_energy(model, x), rel=1e-12)
+
+
+def test_recommend_penalty_for_qap_equals_the_outer_product_form():
+    rng = np.random.default_rng(5)
+    instances = [QapInstance(n=0, flow=np.zeros((0, 0)), distance=np.zeros((0, 0)))]
+    instances.append(QapInstance(n=3, flow=np.zeros((3, 3)), distance=np.ones((3, 3))))
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        flow, distance = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4), rng.random((n, n))
+        flow[rng.random((n, n)) < 0.4] = 0.0
+        instances.append(QapInstance(n=n, flow=flow, distance=distance))
+    for inst in instances:
+        scale = float(np.max(np.abs(np.outer(inst.flow, inst.distance)))) if inst.n else 1.0
+        expected = 2.5 * (scale or 1.0)
+        assert recommend_penalty(inst, PenaltyPolicy(multiplier=2.5)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the matrix-expression builders against the term-loop oracles
+# ---------------------------------------------------------------------------
+
+
+def assert_same_model(model: QuboModel, oracle: QuboModel) -> None:
+    """Exactly the same model: coefficients, offset and tags (and the signs of zeros)."""
+    assert model.quad == oracle.quad
+    assert model.lin == oracle.lin
+    assert model.offset == oracle.offset
+    assert model.semantics == oracle.semantics
+    assert model_to_json(model) == model_to_json(oracle)
+
+
+@st.composite
+def mdkp_instances(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        value, positive = st.integers(0, 30).map(float), st.integers(1, 80).map(float)
+    else:
+        value, positive = st.floats(0.0, 1e3), st.floats(1e-3, 1e3)
+    profits = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+    weights = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n)), dtype=float)
+    weights = weights.reshape(m, n)
+    weights[:, draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)) if n else []] = 0.0
+    capacities = np.array(draw(st.lists(positive, min_size=m, max_size=m)), dtype=float)
+    return MdkpInstance(n=n, m=m, profits=profits, weights=weights, capacities=capacities)
+
+
+@st.composite
+def mis_instances(draw):
+    n = draw(st.integers(0, 15))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(
+        st.lists(pairs.filter(lambda e: e[0] != e[1]), unique_by=frozenset, max_size=40)
+        if n > 1
+        else st.just([])
+    )
+    return MisInstance(n=n, edges=tuple(edges))  # either orientation, as drawn
+
+
+@st.composite
+def qap_instances(draw):
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0.0), st.integers(0, 9).map(float), st.floats(0.0, 1e2))
+    flow, distance = (
+        np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+        for _ in range(2)
+    )
+    return QapInstance(n=n, flow=flow, distance=distance)
+
+
+penalties = st.one_of(st.integers(2, 500).map(float), st.floats(1.001, 1e4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mdkp_instances(), penalties, st.booleans())
+def test_build_mdkp_qubo_equals_the_term_loop_oracle(inst, P, use_slack):
+    assert_same_model(build_mdkp_qubo(inst, P, use_slack), naive_build_mdkp_qubo(inst, P, use_slack))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mis_instances(), penalties)
+def test_build_mis_qubo_equals_the_term_loop_oracle(inst, P):
+    assert_same_model(build_mis_qubo(inst, P), naive_build_mis_qubo(inst, P))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qap_instances(), penalties)
+def test_build_qap_qubo_equals_the_term_loop_oracle(inst, P):
+    assert_same_model(build_qap_qubo(inst, P), naive_build_qap_qubo(inst, P))
+
+
+@pytest.mark.parametrize("multiplier", [10.0, 3.0, 2.5, 0.7, 1.1])
+def test_builders_equal_the_term_loop_oracles_on_the_bundled_instances(multiplier):
+    files = sorted(path for path in DATA_DIR.glob("*/*.txt") if path.name != "optima.txt")
+    assert len(files) == 6
+    for path in files:
+        inst = load_instance(path.parent.name, path)
+        P = recommend_penalty(inst, PenaltyPolicy(multiplier=multiplier))
+        if isinstance(inst, MdkpInstance):
+            for use_slack in (False, True):
+                oracle = naive_build_mdkp_qubo(inst, P, use_slack)
+                assert_same_model(build_mdkp_qubo(inst, P, use_slack), oracle)
+        elif isinstance(inst, MisInstance):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # P <= 1 at multiplier 0.7
+                assert_same_model(build_mis_qubo(inst, P), naive_build_mis_qubo(inst, P))
+        else:
+            assert_same_model(build_qap_qubo(inst, P), naive_build_qap_qubo(inst, P))
