@@ -41,7 +41,6 @@ from .maxcut import (
     spins_to_binary,
 )
 from .sdp import (
-    CorrelationMatrix,
     EmbeddingVectors,
     default_rank,
     extract_correlations,
@@ -80,7 +79,7 @@ from .feasibility import (
     violations,
 )
 from .solvers import Solution, solve_exact, solve_qubo, solve_sa, solve_vqe_sim
-from .reconstruct import LiftedSolution, decode_solution, lift_solution, replay
+from .reconstruct import LiftedSolution, decode_solution, lift_solution
 from .pipeline import (
     CSV_COLUMNS,
     KINDS,

@@ -31,7 +31,7 @@ from .pipeline import (
     run_bench,
     run_pipeline,
 )
-from .qubo import model_from_json, model_to_json
+from .qubo import json_document, model_from_json, model_to_json
 from .reconstruct import decode_solution
 from .shrink import ShrinkConfig, merge_steps_to_jsonl, run_shrink
 from .solvers import solve_qubo
@@ -136,9 +136,13 @@ def load_config_file(path: str | Path) -> dict:
     return settings
 
 
+# config fields whose CLI flags have other names
+_FLAG_NAMES = {"sa_sweeps": "sweeps", "vqe_layers": "layers"}
+
+
 def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default):
     """CLI flag if given, else config-file value, else the built-in default."""
-    value = getattr(args, name, None)
+    value = getattr(args, _FLAG_NAMES.get(name, name), None)
     if value is not None:
         return value
     if name in file_cfg and file_cfg[name] is not None:
@@ -181,11 +185,6 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> P
     values = {}
     for f in fields(PipelineConfig):
         values[f.name] = _resolve(args, file_cfg, f.name, f.default)
-    # flags whose CLI names differ from the config fields
-    if getattr(args, "sweeps", None) is not None:
-        values["sa_sweeps"] = args.sweeps
-    if getattr(args, "layers", None) is not None:
-        values["vqe_layers"] = args.layers
     if getattr(args, "no_repair", False):
         values["do_repair"] = False
     if getattr(args, "no_local_search", False):
@@ -196,13 +195,9 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> P
 
 
 def _load_solution(path: str) -> tuple[str, np.ndarray]:
-    doc = json.loads(Path(path).read_text())
-    try:
-        name = doc["instance"]
-        bits = np.asarray(doc["bits"], dtype=int)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: solution JSON needs 'instance' and 'bits' fields ({exc})")
-    return name, bits
+    text = Path(path).read_text()
+    with json_document(text, f"{path}: solution JSON", ("instance", "bits")) as doc:
+        return doc["instance"], np.asarray(doc["bits"], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def _cmd_shrink(args, parser) -> int:
         graph = qubo_to_maxcut(model)
         aware = _resolve(args, file_cfg, "constraint_aware", PipelineConfig.constraint_aware)
         if aware:
-            node_tags = {node: model.semantics[var] for node, var in graph.var_map.items()}
+            node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
             penalty = make_penalty(inst, node_tags)
 
     if args.k is not None and args.alpha is not None:
@@ -269,15 +264,11 @@ def _cmd_solve(args, parser) -> int:
     model = model_from_json(Path(args.model).read_text())
     backend = _resolve(args, file_cfg, "backend", PipelineConfig.backend)
     options = {}
-    if backend == "sa":
-        if args.sweeps is not None:
-            options["sweeps"] = args.sweeps
-        if args.t_start is not None:
-            options["t_start"] = args.t_start
-        if args.t_end is not None:
-            options["t_end"] = args.t_end
-    elif backend == "vqe" and args.layers is not None:
-        options["layers"] = args.layers
+    if backend == "sa":  # None leaves solve_sa's own default
+        sweeps = _resolve(args, file_cfg, "sa_sweeps", None)
+        options = {"sweeps": sweeps, "t_start": args.t_start, "t_end": args.t_end}
+    elif backend == "vqe":
+        options = {"layers": _resolve(args, file_cfg, "vqe_layers", PipelineConfig.vqe_layers)}
     seed = _resolve(args, file_cfg, "seed", PipelineConfig.seed)
     solution = solve_qubo(model, backend=backend, seed=seed, **options)
     doc = {

@@ -64,7 +64,7 @@ class MdkpInstance:
 
 @dataclass(frozen=True)
 class MisInstance:
-    """Undirected graph for maximum independent set; edges are 0-based (u < v)."""
+    """Undirected graph for maximum independent set; 0-based edges in either orientation."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -77,7 +77,7 @@ class MisInstance:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
-        if len(set(self.edges)) != len(self.edges):
+        if len({(min(e), max(e)) for e in self.edges}) != len(self.edges):
             raise ValueError("edge set contains duplicates")
 
     def adjacency(self) -> list[set[int]]:

@@ -16,6 +16,10 @@ coefficients yields the weights used here:
 with the QUBO offset carried over unchanged. Zero-weight edges are dropped.
 The identity is enforced by exhaustive enumeration in the test suite.
 
+The numbering is fixed, so no graph stores a node-to-variable map: binary
+vectors and spin vectors convert by slicing off node 0. A reduced graph from
+``shrink`` keeps the same numbering over its own nodes.
+
 ``MaxCutGraph.edges`` is the stored format; the kernels read the dense
 symmetric :meth:`MaxCutGraph.weight_matrix` instead.
 """
@@ -29,17 +33,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .qubo import QuboModel, VarTag, pair_matrix
+from .qubo import QuboModel, VarTag, json_document, pair_matrix
 
 
 @dataclass(frozen=True)
 class MaxCutGraph:
-    """Weighted undirected graph; node 0 is the reference and maps to no variable."""
+    """Weighted undirected graph; node 0 is the reference, node v+1 is variable v."""
 
     n_nodes: int
     edges: dict[tuple[int, int], float]
     offset: float
-    var_map: dict[int, int]  # node (>= 1) -> QUBO variable index
 
     def __post_init__(self) -> None:
         for (i, j), w in self.edges.items():
@@ -51,8 +54,6 @@ class MaxCutGraph:
                 raise ValueError(f"edge ({i}, {j}) stores a non-finite weight {w}")
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset}")
-        if 0 in self.var_map:
-            raise ValueError("reference node 0 must not map to a variable")
 
     @cached_property
     def _weight_matrix(self) -> np.ndarray:
@@ -76,20 +77,14 @@ def qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
     for v in range(model.n_vars):
         edges[(0, v + 1)] = -model.lin[v] - 0.5 * quad_row_sum[v]
     edges = {k: w for k, w in edges.items() if w != 0.0}
-    return MaxCutGraph(
-        n_nodes=model.n_vars + 1,
-        edges=edges,
-        offset=model.offset,
-        var_map={v + 1: v for v in range(model.n_vars)},
-    )
+    return MaxCutGraph(n_nodes=model.n_vars + 1, edges=edges, offset=model.offset)
 
 
 def graph_to_qubo(graph: MaxCutGraph, semantics: tuple[VarTag, ...] | None = None) -> QuboModel:
     """Inverse reduction: rebuild the QUBO whose energies are offset - cut.
 
-    Nodes 1..n-1 become variables 0..n-2 (the graph's var_map is regenerated by
-    callers that need a different association). ``semantics`` defaults to
-    generic ("spin", node) tags.
+    Nodes 1..n-1 become variables 0..n-2. ``semantics`` defaults to generic
+    ("spin", node) tags.
     """
     quad = {(i - 1, j - 1): 2.0 * w for (i, j), w in graph.edges.items() if i >= 1}
     lin = np.zeros(graph.n_nodes - 1) - graph.weight_matrix()[1:].sum(axis=1)
@@ -123,20 +118,15 @@ def spins_to_binary(graph: MaxCutGraph, spins) -> np.ndarray:
         raise ValueError(f"spins have shape {spins.shape}, expected ({graph.n_nodes},)")
     if spins[0] == -1:
         spins = -spins
-    n_vars = max(graph.var_map.values(), default=-1) + 1
-    x = np.zeros(n_vars, dtype=int)
-    for node, var in graph.var_map.items():
-        x[var] = (1 - int(spins[node])) // 2
-    return x
+    return (1 - spins[1:].astype(int)) // 2
 
 
 def binary_to_spins(graph: MaxCutGraph, x) -> np.ndarray:
     """Inverse of :func:`spins_to_binary` under the gauge z_0 = +1."""
-    x = np.asarray(x)
-    spins = np.ones(graph.n_nodes, dtype=int)
-    for node, var in graph.var_map.items():
-        spins[node] = 1 - 2 * int(x[var])
-    return spins
+    x = np.asarray(x, dtype=int)
+    if x.shape != (graph.n_nodes - 1,):
+        raise ValueError(f"bits have shape {x.shape}, expected ({graph.n_nodes - 1},)")
+    return np.concatenate(([1], 1 - 2 * x))
 
 
 def classify_edges(full: MaxCutGraph, objective_only: MaxCutGraph) -> dict[tuple[int, int], str]:
@@ -154,26 +144,26 @@ def classify_edges(full: MaxCutGraph, objective_only: MaxCutGraph) -> dict[tuple
 
 
 def graph_to_json(graph: MaxCutGraph) -> str:
+    """The graph as JSON; ``var_map`` is always the identity [0, ..., n-2]."""
     doc = {
         "n_nodes": graph.n_nodes,
         "edges": [[i, j, w] for (i, j), w in sorted(graph.edges.items())],
         "offset": graph.offset,
-        "var_map": [graph.var_map.get(node) for node in range(1, graph.n_nodes)],
+        "var_map": list(range(graph.n_nodes - 1)),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> MaxCutGraph:
-    doc = json.loads(text)
-    edges = {(int(i), int(j)): float(w) for i, j, w in doc["edges"]}
-    var_map = {
-        node: int(var)
-        for node, var in zip(range(1, int(doc["n_nodes"])), doc["var_map"])
-        if var is not None
-    }
-    return MaxCutGraph(
-        n_nodes=int(doc["n_nodes"]),
-        edges=edges,
-        offset=float(doc["offset"]),
-        var_map=var_map,
-    )
+    """Inverse of :func:`graph_to_json`; any ``var_map`` but the identity is rejected."""
+    with json_document(text, "graph JSON", ("n_nodes", "edges", "offset", "var_map")) as doc:
+        n_nodes = int(doc["n_nodes"])
+        if doc["var_map"] != list(range(n_nodes - 1)):
+            raise ValueError(
+                f"graph JSON: var_map must be [0, ..., {n_nodes - 2}] (node v+1 is variable v)"
+            )
+        return MaxCutGraph(
+            n_nodes=n_nodes,
+            edges={(int(i), int(j)): float(w) for i, j, w in doc["edges"]},
+            offset=float(doc["offset"]),
+        )

@@ -349,7 +349,7 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
 
         stage = "maxcut"
         graph = qubo_to_maxcut(model)
-        node_tags = {node: model.semantics[var] for node, var in graph.var_map.items()}
+        node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
         penalty = make_penalty(inst, node_tags) if config.constraint_aware else None
 
         stage = "shrink"

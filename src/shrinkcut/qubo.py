@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -257,14 +258,36 @@ def model_to_json(model: QuboModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@contextmanager
+def json_document(text: str, what: str, keys: tuple[str, ...]):
+    """Parse ``text`` as a JSON object holding ``keys`` and yield it.
+
+    Bad JSON, a document that is not an object, a missing key, or a field of
+    the wrong shape (a TypeError while reading it) raises ValueError
+    prefixed with ``what``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what}: missing field {missing[0]!r}")
+    try:
+        yield doc
+    except TypeError as exc:
+        raise ValueError(f"{what}: malformed field: {exc}") from exc
+
+
 def model_from_json(text: str) -> QuboModel:
-    doc = json.loads(text)
-    quad = {(int(i), int(j)): float(w) for i, j, w in doc["quadratic"]}
-    semantics = tuple(tuple(tag) for tag in doc["semantics"])
-    return QuboModel(
-        n_vars=int(doc["n_vars"]),
-        quad=quad,
-        lin=tuple(float(v) for v in doc["linear"]),
-        offset=float(doc["offset"]),
-        semantics=semantics,
-    )
+    keys = ("n_vars", "linear", "quadratic", "offset", "semantics")
+    with json_document(text, "QUBO model JSON", keys) as doc:
+        return QuboModel(
+            n_vars=int(doc["n_vars"]),
+            quad={(int(i), int(j)): float(w) for i, j, w in doc["quadratic"]},
+            lin=tuple(float(v) for v in doc["linear"]),
+            offset=float(doc["offset"]),
+            semantics=tuple(tuple(tag) for tag in doc["semantics"]),
+        )

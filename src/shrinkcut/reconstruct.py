@@ -1,9 +1,10 @@
 """Lifting reduced-problem solutions back to the original problem.
 
-A shrink run leaves a log of contractions (``MergeStep``); replaying it in
-reverse assigns a spin to every absorbed node from its survivor's spin. The
-lifted spin vector is then gauge-fixed to the reference node and translated
-back into binary variables of the original QUBO.
+A shrink run returns its signed partition: reduced node t stands for the
+supernode ``node_order[t]``, whose members carry their spin relative to it.
+Each original node takes the spin of its reduced node times its relative
+sign. The lifted spin vector is then gauge-fixed to the reference node and
+read as the binary variables of the original QUBO (node v+1 is variable v).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .maxcut import MaxCutGraph, binary_to_spins, cut_value, spins_to_binary
 from .qubo import QuboModel
-from .shrink import MergeStep, ShrinkResult
+from .shrink import ShrinkResult
 
 
 @dataclass(frozen=True)
@@ -26,45 +27,22 @@ class LiftedSolution:
     energy: float
 
 
-def replay(steps: tuple[MergeStep, ...], spins: dict[int, int]) -> dict[int, int]:
-    """Assign spins to absorbed nodes by unwinding the contraction log.
-
-    ``spins`` maps surviving original node ids to +/-1. Steps are replayed
-    newest-first; each sets spin(i) = sigma * spin(j). A step whose survivor
-    has no spin yet, or whose absorbed node already has one, is an error.
-    """
-    assigned = dict(spins)
-    for value in assigned.values():
-        if value not in (1, -1):
-            raise ValueError(f"spins must be +1 or -1, got {value}")
-    for step in reversed(steps):
-        if step.j not in assigned:
-            raise ValueError(
-                f"merge step {step.order}: survivor node {step.j} has no spin assigned"
-            )
-        if step.i in assigned:
-            raise ValueError(
-                f"merge step {step.order}: absorbed node {step.i} already has a spin"
-            )
-        assigned[step.i] = step.sigma * assigned[step.j]
-    return assigned
-
-
 def lift_solution(
     result: ShrinkResult, reduced_bits, original_graph: MaxCutGraph
 ) -> LiftedSolution:
     """Turn reduced-problem bits into an original-problem assignment.
 
-    Reduced bits become reduced-node spins, ``node_order`` places them on the
-    surviving original nodes, the merge log fills in the absorbed nodes, and
-    the global spin gauge is fixed so the reference node sits on the +1 side
-    (a global flip cuts the same weight).
+    Reduced bits become reduced-node spins; every member of supernode
+    ``node_order[t]`` takes reduced spin t times its relative sign. The
+    global spin gauge is then fixed so the reference node sits on the +1
+    side (a global flip cuts the same weight).
     """
-    reduced_spins = binary_to_spins(result.graph, reduced_bits)
-    spin_map = {
-        result.node_order[t]: int(reduced_spins[t]) for t in range(result.graph.n_nodes)
+    reduced_spins = binary_to_spins(result.graph, reduced_bits).tolist()
+    full = {
+        node: sign * z
+        for survivor, z in zip(result.node_order, reduced_spins)
+        for node, sign in result.supernodes[survivor].members.items()
     }
-    full = replay(result.steps, spin_map)
     n = original_graph.n_nodes
     if sorted(full) != list(range(n)):
         missing = sorted(set(range(n)) - set(full))

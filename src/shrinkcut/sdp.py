@@ -49,18 +49,6 @@ class EmbeddingVectors:
             raise ValueError(f"embedding rows must be unit vectors (worst deviation {worst:.2e})")
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric Gram matrix of the embedding, entries clamped to [-1, 1]."""
-
-    entries: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(f"correlation matrix must be {self.n}x{self.n}")
-
-
 def default_rank(n_nodes: int) -> int:
     """Embedding rank sufficient for the rank-constrained optimum."""
     return max(2, int(ceil(sqrt(2.0 * n_nodes))) + 1)
@@ -136,19 +124,17 @@ def solve_maxcut_sdp(
     )
 
 
-def extract_correlations(vecs: EmbeddingVectors) -> CorrelationMatrix:
-    """Gram matrix X_ij = v_i . v_j, clamped into [-1, 1]."""
+def extract_correlations(vecs: EmbeddingVectors) -> np.ndarray:
+    """Gram matrix X_ij = v_i . v_j, clamped into [-1, 1], with a unit diagonal."""
     gram = vecs.vectors @ vecs.vectors.T
     np.clip(gram, -1.0, 1.0, out=gram)
     np.fill_diagonal(gram, 1.0)
-    return CorrelationMatrix(entries=gram, n=gram.shape[0])
+    return gram
 
 
-def sdp_objective(graph: MaxCutGraph, X: CorrelationMatrix | np.ndarray) -> float:
+def sdp_objective(graph: MaxCutGraph, X: np.ndarray) -> float:
     """Relaxed cut value (1/2) sum w_ij (1 - X_ij) for a correlation matrix."""
-    entries = X.entries if isinstance(X, CorrelationMatrix) else np.asarray(X)
-    if entries.shape != (graph.n_nodes, graph.n_nodes):
-        raise ValueError(
-            f"correlation matrix shape {entries.shape} != graph size {graph.n_nodes}"
-        )
-    return 0.5 * float(np.sum(np.triu(graph.weight_matrix()) * (1.0 - entries)))
+    X = np.asarray(X)
+    if X.shape != (graph.n_nodes, graph.n_nodes):
+        raise ValueError(f"correlation matrix shape {X.shape} != graph size {graph.n_nodes}")
+    return 0.5 * float(np.sum(np.triu(graph.weight_matrix()) * (1.0 - X)))

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .maxcut import MaxCutGraph
+from .qubo import json_document
 from .sdp import extract_correlations, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
@@ -131,8 +132,10 @@ class ShrinkStats:
 class ShrinkResult:
     """Reduced graph plus everything needed to lift a reduced solution back up.
 
-    ``node_order[t]`` is the original node id behind reduced node t;
-    ``steps`` replays contractions (in reverse) to reassign absorbed spins.
+    ``node_order[t]`` is the original node id behind reduced node t, and
+    ``supernodes[node_order[t]].members`` is the signed partition: each
+    original node in reduced node t with its spin relative to it. ``steps``
+    is the merge log, in order.
     """
 
     graph: MaxCutGraph
@@ -221,8 +224,7 @@ class WorkingGraph:
         node_order = tuple(self.nodes())
         rows, cols = np.nonzero(np.triu(self.weights, 1))
         edges = dict(zip(zip(rows.tolist(), cols.tolist()), self.weights[rows, cols].tolist()))
-        var_map = {t: t - 1 for t in range(1, len(node_order))}
-        return MaxCutGraph(len(node_order), edges, self.offset, var_map), node_order
+        return MaxCutGraph(len(node_order), edges, self.offset), node_order
 
 
 def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, lam: float):
@@ -383,9 +385,9 @@ def run_shrink(
             max_sweeps=config.sdp_max_sweeps,
             seed=sdp_seed,
         )
-        reduced_entries = extract_correlations(embedding).entries
+        gram = extract_correlations(embedding)
         sdp_seconds += time.perf_counter() - t0
-        return reduced_entries
+        return gram
 
     if initial_correlations is not None:
         correlations = np.array(initial_correlations, dtype=float)
@@ -453,23 +455,11 @@ def merge_steps_to_jsonl(steps: tuple[MergeStep, ...]) -> str:
 
 
 def merge_steps_from_jsonl(text: str) -> tuple[MergeStep, ...]:
+    keys = ("order", "i", "j", "sigma")  # MergeStep's fields, in order
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            steps.append(
-                MergeStep(
-                    order=int(obj["order"]),
-                    i=int(obj["i"]),
-                    j=int(obj["j"]),
-                    sigma=int(obj["sigma"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: missing field {exc}") from exc
+        with json_document(line, f"line {lineno}", keys) as obj:
+            steps.append(MergeStep(*(int(obj[key]) for key in keys)))
     return tuple(steps)

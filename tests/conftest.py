@@ -16,6 +16,7 @@ import pytest
 from shrinkcut import (
     MaxCutGraph,
     MdkpInstance,
+    MergeStep,
     MisInstance,
     QapInstance,
     QuboModel,
@@ -130,6 +131,30 @@ def naive_sdp_objective(graph: MaxCutGraph, X) -> float:
     for (i, j), w in graph.edges.items():
         total += 0.5 * w * (1.0 - X[i][j])
     return total
+
+
+def naive_replay(steps: tuple[MergeStep, ...], spins: dict[int, int]) -> dict[int, int]:
+    """Assign spins to absorbed nodes by unwinding a merge log.
+
+    ``spins`` maps surviving original node ids to +/-1. Steps are replayed
+    newest-first; each sets spin(i) = sigma * spin(j). A step whose survivor
+    has no spin yet, or whose absorbed node already has one, is an error.
+    """
+    assigned = dict(spins)
+    for value in assigned.values():
+        if value not in (1, -1):
+            raise ValueError(f"spins must be +1 or -1, got {value}")
+    for step in reversed(steps):
+        if step.j not in assigned:
+            raise ValueError(
+                f"merge step {step.order}: survivor node {step.j} has no spin assigned"
+            )
+        if step.i in assigned:
+            raise ValueError(
+                f"merge step {step.order}: absorbed node {step.i} already has a spin"
+            )
+        assigned[step.i] = step.sigma * assigned[step.j]
+    return assigned
 
 
 def naive_effective_correlation(a: SuperNode, b: SuperNode, correlations) -> float:
@@ -456,7 +481,6 @@ def random_graph(
         n_nodes=n,
         edges=edges,
         offset=float(rng.integers(-bound, bound + 1)),
-        var_map={v + 1: v for v in range(n - 1)},
     )
 
 

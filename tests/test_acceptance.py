@@ -20,6 +20,7 @@ from shrinkcut import (
     PipelineConfig,
     ShrinkResult,
     ShrinkStats,
+    SuperNode,
     WorkingGraph,
     binary_to_spins,
     build_mdkp_qubo,
@@ -94,6 +95,7 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
             for k in range(n - 1, 1, -1):
                 working = WorkingGraph.from_graph(graph)
                 steps = []
+                supernodes = {v: SuperNode(id=v) for v in range(n)}
                 while working.n_nodes > k:
                     ids = working.nodes()
                     a, b = rng.choice(len(ids), size=2, replace=False)
@@ -101,13 +103,16 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
                     sigma = 1 if rng.random() < 0.5 else -1
                     working.contract(i, j, sigma)
                     steps.append(MergeStep(order=len(steps) + 1, i=i, j=j, sigma=sigma))
+                    # fold i's members into j, signs relative to j, as run_shrink does
+                    for node, rel in supernodes.pop(i).members.items():
+                        supernodes[j].members[node] = sigma * rel
                     reference_absorbed = reference_absorbed or i == 0
                 reduced, node_order = working.to_graph()
                 result = ShrinkResult(
                     graph=reduced,
                     node_order=node_order,
                     steps=tuple(steps),
-                    supernodes={},
+                    supernodes=supernodes,
                     target_k=k,
                     stats=ShrinkStats(
                         merges=len(steps), recalcs=0, sdp_seconds=0.0, shrink_seconds=0.0
@@ -344,7 +349,6 @@ def test_criterion_8_spectral_size_selection_matches_worked_path(capsys):
             n_nodes=3,
             edges={(0, 1): 1.0, (1, 2): 1.0},
             offset=0.0,
-            var_map={1: 0, 2: 1},
         )
         spectrum = symmetric_eigenvalues(laplacian(path))
         assert spectrum.eigenvalues == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)

@@ -137,6 +137,43 @@ def test_shrink_rejects_a_graph_with_a_non_finite_value(tmp_path, capsys, edges,
     assert "shrinkcut:" in captured.err and "finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["to-maxcut --model", "solve --model", "shrink --graph"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("{}", "missing field"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("not json", "invalid JSON"),
+    ],
+    ids=["empty-object", "list", "not-json"],
+)
+def test_json_readers_exit_two_on_a_malformed_document(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert main([*command.split(), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shrinkcut:" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"edges": 5, "offset": 0.0, "var_map": [0, 1]', "malformed field"),
+        ('"edges": [[0, 1, 1.0]], "offset": 0.0, "var_map": [1, 0]', "var_map must be"),
+        ('"edges": [[0, 1, 1.0]], "offset": 0.0', "missing field 'var_map'"),
+    ],
+    ids=["edges-not-a-list", "permuted-var-map", "no-var-map"],
+)
+def test_shrink_rejects_a_malformed_graph_file(tmp_path, capsys, fields, message):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(f'{{"n_nodes": 3, {fields}}}')
+    assert main(["shrink", "--graph", str(graph_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shrinkcut:" in captured.err and message in captured.err
+
+
 def test_shrink_reads_stop_mode_and_k_from_the_config_file(data_dir, tmp_path):
     config = tmp_path / "shrink.cfg"
     config.write_text("stop_mode = k\nk = 4\n")
@@ -255,6 +292,36 @@ def test_solve_sa_is_deterministic_across_invocations(mdkp_file, tmp_path):
         assert code == 0
         outputs.append(out.read_text())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "backend, config_line, flags",
+    [
+        ("sa", "sa_sweeps = 1", ["--sweeps", "1"]),
+        ("vqe", "vqe_layers = 2", ["--layers", "2"]),
+    ],
+)
+def test_solve_reads_sweeps_and_layers_from_the_config_file(
+    data_dir, tmp_path, backend, config_line, flags
+):
+    model_path = tmp_path / "model.json"
+    args = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    main(["build-qubo", *args, "--out", str(model_path)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"backend = {backend}\n{config_line}\n")
+    solve = ["solve", "--model", str(model_path), "--seed", "3"]
+
+    def solution(*extra):
+        out = tmp_path / "solution.json"
+        assert main([*solve, *extra, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    from_file = solution("--config", str(cfg))
+    assert from_file == solution("--backend", backend, *flags)
+    assert from_file != solution("--backend", backend)
+    # an explicit flag still beats the file
+    flag_wins = solution("--config", str(cfg), flags[0], "3")
+    assert flag_wins == solution("--backend", backend, flags[0], "3") != from_file
 
 
 def test_pipeline_exit_zero_and_report_json(mdkp_file, tmp_path):

@@ -146,6 +146,13 @@ def test_mis_instance_adjacency_lists_both_directions():
     assert inst.adjacency() == [{1}, {0, 2}, {1}]
 
 
+def test_mis_instance_rejects_an_edge_listed_in_both_orientations():
+    with pytest.raises(ValueError, match="duplicates"):
+        MisInstance(n=2, edges=((0, 1), (1, 0)))
+    # either orientation alone is the same edge
+    assert MisInstance(n=2, edges=((1, 0),)).adjacency() == [{1}, {0}]
+
+
 def test_parse_qaplib_reads_flow_then_distance(qap_pair):
     inst = parse_qaplib("2\n0 5\n5 0\n0 2\n2 0\n")
     assert inst.n == 2

@@ -102,7 +102,6 @@ def float_graphs(draw) -> MaxCutGraph:
         n_nodes=n,
         edges={key: draw(coefficients) for key in keys},
         offset=draw(coefficients),
-        var_map={v: v - 1 for v in range(1, n)},
     )
 
 
@@ -183,7 +182,7 @@ def test_dense_views_are_read_only_and_built_once():
     )
     Q = model.quad_matrix()
     assert Q.tolist() == [[0.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    graph = MaxCutGraph(n_nodes=3, edges={(0, 2): -2.0}, offset=0.0, var_map={1: 0, 2: 1})
+    graph = MaxCutGraph(n_nodes=3, edges={(0, 2): -2.0}, offset=0.0)
     W = graph.weight_matrix()
     assert W.tolist() == [[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]
     assert model.quad_matrix() is Q and graph.weight_matrix() is W
@@ -213,7 +212,6 @@ def contraction_cases(draw) -> tuple[MaxCutGraph, list[tuple[int, int, int]], bo
         n_nodes=n,
         edges={key: draw(weights) for key in keys},
         offset=draw(weights),
-        var_map={v: v - 1 for v in range(1, n)},
     )
     ids = list(range(n))
     merges = []
@@ -233,7 +231,6 @@ def contraction_cases(draw) -> tuple[MaxCutGraph, list[tuple[int, int, int]], bo
             n_nodes=4,
             edges={(0, 2): 2.0, (1, 2): -2.0, (0, 3): 1.0},
             offset=0.0,
-            var_map={1: 0, 2: 1, 3: 2},
         ),
         [(0, 1, 1), (1, 3, -1)],
         True,
@@ -421,7 +418,6 @@ def sdp_graphs(draw) -> MaxCutGraph:
         n_nodes=n,
         edges={key: draw(annealing_coefficients) for key in keys},
         offset=0.0,
-        var_map={v: v - 1 for v in range(1, n)},
     )
 
 

@@ -1,5 +1,7 @@
 """QUBO <-> Max-Cut reduction, spin transforms, and edge provenance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ def test_mdkp_worked_example_graph_weights(mdkp_tiny):
         (1, 3): 560.0,
         (2, 3): 840.0,
     }
-    assert graph.var_map == {1: 0, 2: 1, 3: 2}
+    # node v+1 is variable v
+    assert spins_to_binary(graph, (1, -1, 1, -1)).tolist() == [1, 0, 1]
 
 
 def test_energy_equals_offset_minus_cut_exhaustively():
@@ -83,9 +86,7 @@ def test_round_trip_starting_from_a_graph():
 
 
 def test_cut_value_hand_example():
-    graph = MaxCutGraph(
-        n_nodes=3, edges={(0, 1): 2.0, (0, 2): -1.0, (1, 2): 4.0}, offset=0.0, var_map={1: 0, 2: 1}
-    )
+    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 2.0, (0, 2): -1.0, (1, 2): 4.0}, offset=0.0)
     # partition {0} vs {1, 2} cuts edges (0,1) and (0,2)
     assert cut_value(graph, (1, -1, -1)) == 1.0
     assert cut_value(graph, (1, 1, 1)) == 0.0
@@ -93,7 +94,7 @@ def test_cut_value_hand_example():
 
 
 def test_cut_value_rejects_bad_spins():
-    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=0.0, var_map={1: 0})
+    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=0.0)
     with pytest.raises(ValueError, match="\\+1 or -1"):
         cut_value(graph, (1, 0))
     with pytest.raises(ValueError, match="shape"):
@@ -114,24 +115,25 @@ def test_spin_transforms_are_gauge_invariant_inverses():
 
 def test_graph_validation_rejects_bad_edges_and_var_map():
     with pytest.raises(ValueError, match="ordered pair"):
-        MaxCutGraph(n_nodes=2, edges={(1, 0): 1.0}, offset=0.0, var_map={})
+        MaxCutGraph(n_nodes=2, edges={(1, 0): 1.0}, offset=0.0)
     with pytest.raises(ValueError, match="zero weight"):
-        MaxCutGraph(n_nodes=2, edges={(0, 1): 0.0}, offset=0.0, var_map={})
-    with pytest.raises(ValueError, match="reference node"):
-        MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=0.0, var_map={0: 0})
+        MaxCutGraph(n_nodes=2, edges={(0, 1): 0.0}, offset=0.0)
+    for var_map in ("[1]", "[null]", "[0, 1]", "{}"):
+        with pytest.raises(ValueError, match="var_map must be \\[0, ..., 0\\]"):
+            graph_from_json(
+                f'{{"n_nodes": 2, "edges": [[0, 1, 1.0]], "offset": 0.0, "var_map": {var_map}}}'
+            )
     nan, inf = float("nan"), float("inf")
     for weight in (nan, inf, -inf):
         with pytest.raises(ValueError, match=r"edge \(0, 2\) stores a non-finite weight"):
-            MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (0, 2): weight}, offset=0.0, var_map={})
+            MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (0, 2): weight}, offset=0.0)
     for offset in (nan, inf, -inf):
         with pytest.raises(ValueError, match="offset must be finite"):
-            MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=offset, var_map={})
+            MaxCutGraph(n_nodes=2, edges={(0, 1): 1.0}, offset=offset)
 
 
 def test_weighted_degrees_plain_and_absolute():
-    graph = MaxCutGraph(
-        n_nodes=3, edges={(0, 1): 2.0, (1, 2): -3.0}, offset=0.0, var_map={1: 0, 2: 1}
-    )
+    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 2.0, (1, 2): -3.0}, offset=0.0)
     assert graph.weighted_degrees().tolist() == [2.0, -1.0, -3.0]
     assert graph.weighted_degrees(absolute=True).tolist() == [2.0, 5.0, 3.0]
 
@@ -175,7 +177,7 @@ def test_graph_json_round_trips_exactly(mdkp_tiny):
 
 
 def test_graph_json_keeps_unmapped_nodes_unmapped():
-    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0}, offset=2.0, var_map={1: 0})
-    again = graph_from_json(graph_to_json(graph))
-    assert again.var_map == {1: 0}
-    assert again == graph
+    # node 2 has no edge, yet it still stands for variable 1
+    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0}, offset=2.0)
+    assert json.loads(graph_to_json(graph))["var_map"] == [0, 1]
+    assert graph_from_json(graph_to_json(graph)) == graph

@@ -1,49 +1,52 @@
-"""Replaying merge logs, lifting reduced solutions, decoding semantics."""
+"""Lifting reduced solutions through the signed partition, decoding semantics."""
 
 import numpy as np
 import pytest
 
 from shrinkcut import (
-    MergeStep,
     QuboModel,
     ShrinkConfig,
+    binary_to_spins,
     build_mdkp_qubo,
     decode_solution,
     evaluate_qubo,
     graph_to_qubo,
     lift_solution,
     qubo_to_maxcut,
-    replay,
     run_shrink,
     solve_exact,
 )
-from tests.conftest import every_bitstring, random_graph, random_qubo
+from tests.conftest import every_bitstring, naive_replay, random_graph, random_qubo
 
 
-def test_replay_unwinds_steps_newest_first():
-    steps = (
-        MergeStep(order=1, i=1, j=0, sigma=-1),
-        MergeStep(order=2, i=2, j=0, sigma=1),
-    )
-    assert replay(steps, {0: 1}) == {0: 1, 1: -1, 2: 1}
-
-
-def test_replay_chains_signs_through_intermediate_nodes():
-    # node 3 joined node 1 before node 1 joined node 0
-    steps = (
-        MergeStep(order=1, i=3, j=1, sigma=-1),
-        MergeStep(order=2, i=1, j=0, sigma=-1),
-    )
-    assert replay(steps, {0: 1, 2: -1}) == {0: 1, 2: -1, 1: -1, 3: 1}
-
-
-def test_replay_rejects_inconsistent_logs():
-    with pytest.raises(ValueError, match="survivor node 5 has no spin"):
-        replay((MergeStep(order=1, i=1, j=5, sigma=1),), {0: 1})
-    with pytest.raises(ValueError, match="already has a spin"):
-        replay((MergeStep(order=1, i=0, j=1, sigma=1),), {0: 1, 1: 1})
-    with pytest.raises(ValueError, match="\\+1 or -1"):
-        replay((), {0: 0})
+def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
+    """Lifting from the signed partition gives the spins of unwinding the merge log."""
+    rng = np.random.default_rng(47)
+    chained = reference_absorbed = False
+    for trial in range(40):
+        n = int(rng.integers(3, 10))
+        graph = random_graph(rng, n, density=0.8)
+        config = ShrinkConfig(
+            stop_mode="k",
+            k=int(rng.integers(1, n)),
+            seed=trial,
+            reference_protected=trial % 2 == 0,
+        )
+        result = run_shrink(graph, config)
+        survivors_so_far = set()
+        for step in result.steps:
+            chained = chained or step.i in survivors_so_far
+            reference_absorbed = reference_absorbed or step.i == 0
+            survivors_so_far.add(step.j)
+        for x in every_bitstring(result.graph.n_nodes - 1):
+            reduced_spins = binary_to_spins(result.graph, x).tolist()
+            full = naive_replay(result.steps, dict(zip(result.node_order, reduced_spins)))
+            expected = np.array([full[v] for v in range(n)])
+            if expected[0] == -1:
+                expected = -expected
+            assert lift_solution(result, x, graph).spins.tolist() == expected.tolist()
+    assert chained  # some node absorbed another before being absorbed itself
+    assert reference_absorbed  # some unprotected runs swallowed the reference node
 
 
 def test_lift_without_steps_passes_bits_through():

@@ -26,7 +26,6 @@ def demo_graph() -> MaxCutGraph:
         n_nodes=4,
         edges={(0, 1): 5.0, (0, 2): 2.0, (1, 3): 3.0, (2, 3): 4.0},
         offset=0.0,
-        var_map={1: 0, 2: 1, 3: 2},
     )
 
 
@@ -66,7 +65,6 @@ def test_contract_drops_edges_that_cancel_exactly():
         n_nodes=4,
         edges={(1, 2): 7.0, (1, 3): 2.0, (2, 3): -2.0},
         offset=0.0,
-        var_map={1: 0, 2: 1, 3: 2},
     )
     working = WorkingGraph.from_graph(graph)
     working.contract(1, 2, 1)
@@ -90,7 +88,6 @@ def test_to_graph_compacts_surviving_ids_in_ascending_order():
     reduced, node_order = working.to_graph()
     assert node_order == (0, 2, 3)
     assert reduced.n_nodes == 3
-    assert reduced.var_map == {1: 0, 2: 1}
     # original w(0,1)=5 folded onto (0,3) with sigma=-1
     assert reduced.edges == {(0, 2): -5.0, (0, 1): 2.0, (1, 2): 4.0}
 
@@ -210,9 +207,7 @@ def test_run_shrink_protects_the_reference_node_by_default():
 
 
 def test_run_shrink_spectral_stop_on_the_path_graph():
-    path = MaxCutGraph(
-        n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1.0}, offset=0.0, var_map={1: 0, 2: 1}
-    )
+    path = MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1.0}, offset=0.0)
     shrunk = run_shrink(path, ShrinkConfig(stop_mode="spectral", alpha=0.25, seed=1))
     assert shrunk.target_k == 2
     assert shrunk.graph.n_nodes == 2
@@ -364,3 +359,7 @@ def test_merge_steps_jsonl_reports_bad_lines():
         merge_steps_from_jsonl("not json\n")
     with pytest.raises(ValueError, match="line 1: missing field"):
         merge_steps_from_jsonl('{"order": 1, "i": 0, "j": 1}\n')
+    with pytest.raises(ValueError, match="line 2: expected a JSON object, got list"):
+        merge_steps_from_jsonl('{"order": 1, "i": 0, "j": 1, "sigma": 1}\n[1, 2]\n')
+    with pytest.raises(ValueError, match="line 1: malformed field"):
+        merge_steps_from_jsonl('{"order": 1, "i": 0, "j": 1, "sigma": null}\n')

@@ -18,9 +18,7 @@ from tests.conftest import DATA_DIR, random_graph, tc64
 
 
 def path3() -> MaxCutGraph:
-    return MaxCutGraph(
-        n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1.0}, offset=0.0, var_map={1: 0, 2: 1}
-    )
+    return MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1.0}, offset=0.0)
 
 
 def test_path_laplacian_matrix():
@@ -87,7 +85,7 @@ def test_jacobi_rejects_non_symmetric_input():
 
 
 def test_absolute_weight_mode_keeps_the_laplacian_psd():
-    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): -2.0}, offset=0.0, var_map={1: 0})
+    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): -2.0}, offset=0.0)
     absolute = symmetric_eigenvalues(laplacian(graph, weight_mode="absolute"))
     assert absolute.eigenvalues == pytest.approx([0.0, 4.0], abs=1e-9)
     raw = symmetric_eigenvalues(laplacian(graph, weight_mode="raw"))
