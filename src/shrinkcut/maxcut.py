@@ -13,71 +13,67 @@ coefficients yields the weights used here:
     w(v+1, u+1) = quad[(v, u)] / 2
     w(0, v+1)   = -lin[v] - (1/2) * sum_u quad[(v, u)]
 
-with the QUBO offset carried over unchanged. Zero-weight edges are dropped.
-The identity is enforced by exhaustive enumeration in the test suite.
+with the QUBO offset carried over unchanged. The identity is enforced by
+exhaustive enumeration in the test suite.
 
 The numbering is fixed, so no graph stores a node-to-variable map: binary
 vectors and spin vectors convert by slicing off node 0. A reduced graph from
 ``shrink`` keeps the same numbering over its own nodes.
 
-``MaxCutGraph.edges`` is the stored format; the kernels read the dense
-symmetric :meth:`MaxCutGraph.weight_matrix` instead.
+A graph stores its weights once, as a read-only symmetric float array with a
+zero diagonal and +0.0 wherever there is no edge; the kernels read it
+directly. The ``{(i, j): w}`` view :attr:`MaxCutGraph.edges` is derived on
+first use, for JSON, edge provenance and edge counts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .qubo import QuboModel, VarTag, json_document, pair_matrix
+from .qubo import QuboModel, VarTag, json_document, json_index, nonzero_terms, pairs_from_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxCutGraph:
-    """Weighted undirected graph; node 0 is the reference, node v+1 is variable v."""
+    """Weighted graph, stored as a read-only float copy of ``weights``; node 0 is the reference."""
 
-    n_nodes: int
-    edges: dict[tuple[int, int], float]
+    weights: np.ndarray
     offset: float
 
     def __post_init__(self) -> None:
-        for (i, j), w in self.edges.items():
-            if not (0 <= i < j < self.n_nodes):
-                raise ValueError(f"edge key ({i}, {j}) is not an ordered pair within range")
-            if w == 0:
-                raise ValueError(f"edge ({i}, {j}) stores a zero weight")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) stores a non-finite weight {w}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
+        weights = np.asarray(self.weights, dtype=float) + 0.0  # a copy; -0.0 becomes +0.0
+        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+            raise ValueError(f"weights must be a square matrix, got shape {weights.shape}")
+        if not (np.isfinite(weights).all() and math.isfinite(self.offset)):
+            raise ValueError("weights and offset must be finite")
+        if np.diag(weights).any() or not np.array_equal(weights, weights.T):
+            raise ValueError("weights must be symmetric with a zero diagonal")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.weights)
 
     @cached_property
-    def _weight_matrix(self) -> np.ndarray:
-        return pair_matrix(self.edges, self.n_nodes, symmetric=True)
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric edge weights, 0 off the edge set (built once, read-only)."""
-        return self._weight_matrix
-
-    def weighted_degrees(self, absolute: bool = False) -> np.ndarray:
-        """Sum of incident edge weights per node (absolute values on request)."""
-        W = self.weight_matrix()
-        return (np.abs(W) if absolute else W).sum(axis=1)
+    def edges(self) -> Mapping[tuple[int, int], float]:
+        """The edges as a read-only ``{(i, j): w}`` view with i < j, keys ascending."""
+        return nonzero_terms(np.triu(self.weights, 1))
 
 
 def qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
     """Reduce a QUBO to its equivalent weighted Max-Cut graph (see module docs)."""
-    Q = model.quad_matrix()
-    quad_row_sum = (Q + Q.T).sum(axis=1)
-    edges = {(i + 1, j + 1): w / 2.0 for (i, j), w in model.quad.items()}
-    for v in range(model.n_vars):
-        edges[(0, v + 1)] = -model.lin[v] - 0.5 * quad_row_sum[v]
-    edges = {k: w for k, w in edges.items() if w != 0.0}
-    return MaxCutGraph(n_nodes=model.n_vars + 1, edges=edges, offset=model.offset)
+    Q = model.pairs + model.pairs.T
+    weights = np.zeros((model.n_vars + 1, model.n_vars + 1))
+    weights[1:, 1:] = Q / 2.0
+    weights[0, 1:] = weights[1:, 0] = -model.lin - 0.5 * Q.sum(axis=1)
+    return MaxCutGraph(weights, model.offset)
 
 
 def graph_to_qubo(graph: MaxCutGraph, semantics: tuple[VarTag, ...] | None = None) -> QuboModel:
@@ -86,17 +82,11 @@ def graph_to_qubo(graph: MaxCutGraph, semantics: tuple[VarTag, ...] | None = Non
     Nodes 1..n-1 become variables 0..n-2. ``semantics`` defaults to generic
     ("spin", node) tags.
     """
-    quad = {(i - 1, j - 1): 2.0 * w for (i, j), w in graph.edges.items() if i >= 1}
-    lin = np.zeros(graph.n_nodes - 1) - graph.weight_matrix()[1:].sum(axis=1)
+    W = graph.weights
+    lin = np.zeros(graph.n_nodes - 1) - W[1:].sum(axis=1)
     if semantics is None:
         semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
-    return QuboModel(
-        n_vars=graph.n_nodes - 1,
-        quad=quad,
-        lin=tuple(float(v) for v in lin),
-        offset=graph.offset,
-        semantics=semantics,
-    )
+    return QuboModel(2.0 * np.triu(W[1:, 1:], 1), lin, graph.offset, semantics)
 
 
 def cut_value(graph: MaxCutGraph, spins) -> float:
@@ -107,7 +97,7 @@ def cut_value(graph: MaxCutGraph, spins) -> float:
     if not np.all(np.abs(spins) == 1):
         raise ValueError("spins must be +1 or -1")
     z = spins.astype(float)
-    W = graph.weight_matrix()
+    W = graph.weights
     return 0.25 * (float(W.sum()) - float(z @ W @ z))
 
 
@@ -136,18 +126,15 @@ def classify_edges(full: MaxCutGraph, objective_only: MaxCutGraph) -> dict[tuple
     an edge whose weight changed (or did not exist) under penalties carries
     constraint contributions.
     """
-    provenance: dict[tuple[int, int], str] = {}
-    for key, w in full.edges.items():
-        base = objective_only.edges.get(key)
-        provenance[key] = "objective" if base is not None and base == w else "constraint"
-    return provenance
+    base = objective_only.edges
+    return {key: "objective" if base.get(key) == w else "constraint" for key, w in full.edges.items()}
 
 
 def graph_to_json(graph: MaxCutGraph) -> str:
     """The graph as JSON; ``var_map`` is always the identity [0, ..., n-2]."""
     doc = {
         "n_nodes": graph.n_nodes,
-        "edges": [[i, j, w] for (i, j), w in sorted(graph.edges.items())],
+        "edges": [[i, j, w] for (i, j), w in graph.edges.items()],
         "offset": graph.offset,
         "var_map": list(range(graph.n_nodes - 1)),
     }
@@ -157,13 +144,10 @@ def graph_to_json(graph: MaxCutGraph) -> str:
 def graph_from_json(text: str) -> MaxCutGraph:
     """Inverse of :func:`graph_to_json`; any ``var_map`` but the identity is rejected."""
     with json_document(text, "graph JSON", ("n_nodes", "edges", "offset", "var_map")) as doc:
-        n_nodes = int(doc["n_nodes"])
+        n_nodes = json_index(doc["n_nodes"], "n_nodes")
         if doc["var_map"] != list(range(n_nodes - 1)):
             raise ValueError(
                 f"graph JSON: var_map must be [0, ..., {n_nodes - 2}] (node v+1 is variable v)"
             )
-        return MaxCutGraph(
-            n_nodes=n_nodes,
-            edges={(int(i), int(j)): float(w) for i, j, w in doc["edges"]},
-            offset=float(doc["offset"]),
-        )
+        upper = pairs_from_json(doc["edges"], n_nodes, "edge")
+        return MaxCutGraph(upper + upper.T, float(doc["offset"]))

@@ -17,8 +17,10 @@ semantics tag:
     ("assign", i, j)  QAP flattened variable x_{ij} (facility i at location j)
     ("spin", node)    generic variable re-derived from a Max-Cut node
 
-The ``quad`` dict is the stored format; energies and solvers read its
-upper-triangular array view :meth:`QuboModel.quad_matrix`.
+A model stores its coefficients once, as read-only float arrays: ``pairs``
+(strictly upper triangular, +0.0 off the term set) and ``lin``. Energies,
+solvers and the Max-Cut reduction read them directly; the ``{(i, j): w}``
+view :attr:`QuboModel.quad` is derived on first use, for JSON and term counts.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,56 +41,45 @@ from .instances import MdkpInstance, MisInstance, QapInstance
 VarTag = tuple  # ("item", i) | ("slack", j, k) | ("vertex", v) | ("assign", i, j) | ("spin", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboModel:
-    """Immutable QUBO: pairwise coefficients (keys i<j), linear terms, offset."""
+    """Immutable QUBO; ``pairs`` and ``lin`` are stored as read-only float copies."""
 
-    n_vars: int
-    quad: dict[tuple[int, int], float]
-    lin: tuple[float, ...]
+    pairs: np.ndarray
+    lin: np.ndarray
     offset: float
     semantics: tuple[VarTag, ...]
 
     def __post_init__(self) -> None:
-        if len(self.lin) != self.n_vars:
-            raise ValueError(f"lin has length {len(self.lin)}, expected {self.n_vars}")
-        if len(self.semantics) != self.n_vars:
-            raise ValueError(
-                f"semantics has length {len(self.semantics)}, expected {self.n_vars}"
-            )
-        for (i, j), w in self.quad.items():
-            if not (0 <= i < j < self.n_vars):
-                raise ValueError(f"quad key ({i}, {j}) is not an ordered pair within range")
-            if w == 0:
-                raise ValueError(f"quad key ({i}, {j}) stores a zero coefficient")
-            if not math.isfinite(w):
-                raise ValueError(f"quad key ({i}, {j}) stores a non-finite coefficient {w}")
-        if not all(map(math.isfinite, self.lin)):
-            raise ValueError("lin holds a non-finite coefficient")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
+        pairs = np.asarray(self.pairs, dtype=float) + 0.0  # a copy; -0.0 becomes +0.0
+        lin = np.array(self.lin, dtype=float)
+        n = len(self.semantics)
+        if pairs.shape != (n, n):
+            raise ValueError(f"pairs has shape {pairs.shape}, expected ({n}, {n})")
+        if lin.shape != (n,):
+            raise ValueError(f"lin has shape {lin.shape}, expected ({n},)")
+        if not (np.isfinite(pairs).all() and np.isfinite(lin).all() and math.isfinite(self.offset)):
+            raise ValueError("pairs, lin and offset must be finite")
+        if np.tril(pairs).any():
+            raise ValueError("pairs must be strictly upper triangular")
+        pairs.flags.writeable = lin.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "lin", lin)
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.lin)
 
     @cached_property
-    def _quad_matrix(self) -> np.ndarray:
-        return pair_matrix(self.quad, self.n_vars)
-
-    def quad_matrix(self) -> np.ndarray:
-        """``quad`` as an upper-triangular n_vars x n_vars array (built once, read-only)."""
-        return self._quad_matrix
+    def quad(self) -> Mapping[tuple[int, int], float]:
+        """The nonzero pairs as a read-only ``{(i, j): w}`` view, keys ascending."""
+        return nonzero_terms(self.pairs)
 
 
-def pair_matrix(
-    pairs: dict[tuple[int, int], float], n: int, symmetric: bool = False
-) -> np.ndarray:
-    """Read-only n x n array with pairs[(i, j)] at [i, j] (and at [j, i] if symmetric)."""
-    ij = np.array(list(pairs), dtype=int).reshape(-1, 2)
-    values = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
-    matrix = np.zeros((n, n))
-    matrix[ij[:, 0], ij[:, 1]] = values
-    if symmetric:
-        matrix[ij[:, 1], ij[:, 0]] = values
-    matrix.flags.writeable = False
-    return matrix
+def nonzero_terms(upper: np.ndarray) -> Mapping[tuple[int, int], float]:
+    """Read-only ``{(i, j): w}`` view of the nonzero entries of ``upper``, in row-major order."""
+    rows, cols = np.nonzero(upper)
+    return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), upper[rows, cols].tolist())))
 
 
 @dataclass(frozen=True)
@@ -129,18 +122,6 @@ def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
     raise TypeError(f"unsupported instance type {type(inst).__name__}")
 
 
-def _model_from_pairs(pairs: np.ndarray, lin: np.ndarray, offset: float, semantics) -> QuboModel:
-    """QuboModel from the strict upper triangle of a square pair matrix, exact zeros dropped."""
-    rows, cols = np.nonzero(np.triu(pairs, 1))
-    return QuboModel(
-        n_vars=len(semantics),
-        quad=dict(zip(zip(rows.tolist(), cols.tolist()), pairs[rows, cols].tolist())),
-        lin=tuple(lin.tolist()),
-        offset=float(offset),
-        semantics=tuple(semantics),
-    )
-
-
 def slack_bit_count(capacity: float) -> int:
     """Number of slack bits for one capacity row: floor(log2(C + 1))."""
     return int(math.floor(math.log2(capacity + 1)))
@@ -175,14 +156,13 @@ def build_mdkp_qubo(inst: MdkpInstance, P: float, use_slack: bool = False) -> Qu
         lin += P * (a * a - 2.0 * C * a)
         pairs += np.outer(2.0 * P * a, a)
         offset += P * C * C
-    return _model_from_pairs(pairs, lin, offset, semantics)
+    return QuboModel(np.triu(pairs, 1), lin, float(offset), tuple(semantics))
 
 
 def build_mis_qubo(inst: MisInstance, P: float) -> QuboModel:
     """MIS as a QUBO: minimize -|S| + P * (number of conflict edges inside S).
 
-    Linear terms -1, and P on the pair of each edge. The pairs stay a sparse
-    dict, so a large sparse graph never needs an n x n array here.
+    Linear terms -1, and P on the pair of each edge.
     """
     if P <= 0:
         raise ValueError(f"penalty P must be positive, got {P}")
@@ -192,17 +172,11 @@ def build_mis_qubo(inst: MisInstance, P: float) -> QuboModel:
             "is then never favored and minimizers may be infeasible",
             stacklevel=2,
         )
-    quad: dict[tuple[int, int], float] = {}
-    for u, v in inst.edges:
-        key = (min(u, v), max(u, v))
-        quad[key] = quad.get(key, 0.0) + P
-    return QuboModel(
-        n_vars=inst.n,
-        quad=quad,
-        lin=(-1.0,) * inst.n,
-        offset=0.0,
-        semantics=tuple(("vertex", v) for v in range(inst.n)),
-    )
+    edges = np.array(inst.edges, dtype=int).reshape(-1, 2)
+    pairs = np.zeros((inst.n, inst.n))
+    pairs[edges.min(axis=1), edges.max(axis=1)] = P  # MisInstance rejects repeated edges
+    semantics = tuple(("vertex", v) for v in range(inst.n))
+    return QuboModel(pairs, np.full(inst.n, -1.0), 0.0, semantics)
 
 
 def build_qap_qubo(inst: QapInstance, P: float) -> QuboModel:
@@ -224,8 +198,8 @@ def build_qap_qubo(inst: QapInstance, P: float) -> QuboModel:
     offset = 0.0
     for _ in range(2 * n):
         offset += P
-    semantics = [("assign", i, j) for i in range(n) for j in range(n)]
-    return _model_from_pairs(pairs, np.diag(K) - P - P, offset, semantics)
+    semantics = tuple(("assign", i, j) for i in range(n) for j in range(n))
+    return QuboModel(np.triu(pairs, 1), np.diag(K) - P - P, float(offset), semantics)
 
 
 def evaluate_qubo(model: QuboModel, x) -> float:
@@ -233,13 +207,13 @@ def evaluate_qubo(model: QuboModel, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_vars,):
         raise ValueError(f"assignment has shape {x.shape}, expected ({model.n_vars},)")
-    return model.offset + float(np.dot(model.lin, x)) + float(x @ model.quad_matrix() @ x)
+    return model.offset + float(np.dot(model.lin, x)) + float(x @ model.pairs @ x)
 
 
 def coefficient_scale(model: QuboModel) -> float:
     """Largest absolute coefficient magnitude (used for annealing schedules)."""
-    values = [abs(w) for w in model.quad.values()] + [abs(v) for v in model.lin]
-    return max(values, default=1.0) or 1.0
+    largest = max(np.abs(model.pairs).max(initial=0.0), np.abs(model.lin).max(initial=0.0))
+    return float(largest) or 1.0
 
 
 def decision_indices(model: QuboModel) -> list[int]:
@@ -250,8 +224,8 @@ def decision_indices(model: QuboModel) -> list[int]:
 def model_to_json(model: QuboModel) -> str:
     doc = {
         "n_vars": model.n_vars,
-        "linear": list(model.lin),
-        "quadratic": [[i, j, w] for (i, j), w in sorted(model.quad.items())],
+        "linear": model.lin.tolist(),
+        "quadratic": [[i, j, w] for (i, j), w in model.quad.items()],
         "offset": model.offset,
         "semantics": [list(tag) for tag in model.semantics],
     }
@@ -281,13 +255,39 @@ def json_document(text: str, what: str, keys: tuple[str, ...]):
         raise ValueError(f"{what}: malformed field: {exc}") from exc
 
 
+def json_index(value, what: str) -> int:
+    """``value`` if it is a JSON integer >= 0 (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def pairs_from_json(rows, n: int, what: str) -> np.ndarray:
+    """n x n array holding w at [i, j] for each [i, j, w] of ``rows``, zero elsewhere.
+
+    A non-integral index, a pair that is not i < j < n, a pair listed twice,
+    and a zero or non-finite weight raise ValueError naming ``what``.
+    """
+    upper = np.zeros((n, n))
+    for i, j, w in rows:
+        i, j, w = json_index(i, f"{what} index"), json_index(j, f"{what} index"), float(w)
+        if not i < j < n:
+            raise ValueError(f"{what} ({i}, {j}) is not an ordered pair within range")
+        if upper[i, j] != 0.0:  # zero weights never get stored
+            raise ValueError(f"{what} ({i}, {j}) is listed twice")
+        if w == 0.0 or not math.isfinite(w):
+            raise ValueError(f"{what} ({i}, {j}) stores a zero or non-finite weight {w}")
+        upper[i, j] = w
+    return upper
+
+
 def model_from_json(text: str) -> QuboModel:
     keys = ("n_vars", "linear", "quadratic", "offset", "semantics")
     with json_document(text, "QUBO model JSON", keys) as doc:
+        n_vars = json_index(doc["n_vars"], "n_vars")
         return QuboModel(
-            n_vars=int(doc["n_vars"]),
-            quad={(int(i), int(j)): float(w) for i, j, w in doc["quadratic"]},
-            lin=tuple(float(v) for v in doc["linear"]),
+            pairs=pairs_from_json(doc["quadratic"], n_vars, "quadratic term"),
+            lin=[float(v) for v in doc["linear"]],
             offset=float(doc["offset"]),
             semantics=tuple(tuple(tag) for tag in doc["semantics"]),
         )

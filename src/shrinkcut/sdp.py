@@ -13,12 +13,11 @@ shrinking stage. The per-sweep objective history is the Gram matrix against
 the upper triangle of the graph's dense weight matrix, built once per solve,
 with ``sdp_objective``'s arithmetic.
 
-A node update is one gather-and-multiply over the node's neighbour list, in
-ascending neighbour order, then a division by -||g|| into the node's row, so
-the embedding depends on the weighted edge set and not on the order of
-``graph.edges``. The stopping displacement is taken once per sweep, from the
-row differences against a copy made at the start of the sweep: every node
-moves at most once per sweep.
+A node update is one gather-and-multiply over the node's neighbour list (the
+nonzero entries of its row of ``graph.weights``), in ascending neighbour
+order, then a division by -||g|| into the node's row. The stopping
+displacement is taken once per sweep, from the row differences against a copy
+made at the start of the sweep: every node moves at most once per sweep.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def solve_maxcut_sdp(
     vectors = rng.standard_normal((n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 
-    W = graph.weight_matrix()
+    W = graph.weights
     # (row view, ascending neighbour indices, their weights) for every node
     # with an edge, in ascending node order; a node without edges never moves
     nonzero = [np.flatnonzero(w_row) for w_row in W]
@@ -137,4 +136,4 @@ def sdp_objective(graph: MaxCutGraph, X: np.ndarray) -> float:
     X = np.asarray(X)
     if X.shape != (graph.n_nodes, graph.n_nodes):
         raise ValueError(f"correlation matrix shape {X.shape} != graph size {graph.n_nodes}")
-    return 0.5 * float(np.sum(np.triu(graph.weight_matrix()) * (1.0 - X)))
+    return 0.5 * float(np.sum(np.triu(graph.weights) * (1.0 - X)))

@@ -160,7 +160,7 @@ class WorkingGraph:
 
     @classmethod
     def from_graph(cls, graph: MaxCutGraph) -> "WorkingGraph":
-        return cls(np.array(graph.weight_matrix()), np.arange(graph.n_nodes), graph.offset)
+        return cls(np.array(graph.weights), np.arange(graph.n_nodes), graph.offset)
 
     @property
     def n_nodes(self) -> int:
@@ -179,17 +179,6 @@ class WorkingGraph:
         if t == len(self.ids) or self.ids[t] != i:
             raise ValueError(f"node {i} not in graph")
         return t
-
-    def neighbors(self, i: int) -> dict[int, float]:
-        row = self.weights[self.position(i)]
-        cols = np.flatnonzero(row)
-        return dict(zip(self.ids[cols].tolist(), row[cols].tolist()))
-
-    def weight(self, i: int, j: int) -> float:
-        return float(self.weights[self.position(i), self.position(j)])
-
-    def absolute_degree(self, i: int) -> float:
-        return float(np.abs(self.weights[self.position(i)]).sum())
 
     def contract(self, i: int, j: int, sigma: int) -> float:
         """Absorb node i into node j with spin(i) = sigma * spin(j).
@@ -221,10 +210,7 @@ class WorkingGraph:
         Returns the compacted graph and ``node_order`` mapping each reduced
         node index to the original id it represents.
         """
-        node_order = tuple(self.nodes())
-        rows, cols = np.nonzero(np.triu(self.weights, 1))
-        edges = dict(zip(zip(rows.tolist(), cols.tolist()), self.weights[rows, cols].tolist()))
-        return MaxCutGraph(len(node_order), edges, self.offset), node_order
+        return MaxCutGraph(self.weights, self.offset), tuple(self.nodes())
 
 
 def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, lam: float):

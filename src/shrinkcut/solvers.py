@@ -61,8 +61,7 @@ def _energy_chunks(model: QuboModel, chunk: int = 1 << 18):
     """
     n = model.n_vars
     low = n // 2
-    upper = model.quad_matrix()
-    lin = np.asarray(model.lin)
+    upper, lin = model.pairs, model.lin
     X_L = _patterns(low)
     X_H = _patterns(n - low)
     E_L = ((X_L @ upper[:low, :low]) * X_L).sum(axis=1) + X_L @ lin[:low]
@@ -141,15 +140,14 @@ def solve_sa(
         raise ValueError(f"need 0 < t_end <= t_start < inf, got {t_end} and {t_start}")
 
     rng = np.random.default_rng(seed)
-    upper = model.quad_matrix()
-    sym = upper + upper.T
+    sym = model.pairs + model.pairs.T
     # (j, sym[j, i]) for the nonzero couplings of each variable i; skipping the
     # zeros changes at most the sign of a zero field, which no decision reads
     couplings = []
     for column in sym.T:
         nonzero = np.flatnonzero(column)
         couplings.append(list(zip(nonzero.tolist(), column[nonzero].tolist())))
-    lin = np.asarray(model.lin, dtype=float).tolist()
+    lin = model.lin.tolist()
 
     initial = rng.integers(0, 2, size=n)
     fields = (sym @ initial).tolist()

@@ -42,8 +42,7 @@ def laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> np.ndarray:
     """L = diag(A 1) - A where A uses |w| ("absolute", default) or w ("raw")."""
     if weight_mode not in ("absolute", "raw"):
         raise ValueError(f"weight_mode must be 'absolute' or 'raw', got {weight_mode!r}")
-    W = graph.weight_matrix()
-    A = np.abs(W) if weight_mode == "absolute" else W
+    A = np.abs(graph.weights) if weight_mode == "absolute" else graph.weights
     return np.diag(A.sum(axis=1)) - A
 
 

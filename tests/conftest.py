@@ -48,6 +48,30 @@ def tc64() -> MisInstance:
 
 
 # ---------------------------------------------------------------------------
+# models and graphs from term dicts
+# ---------------------------------------------------------------------------
+
+
+def qubo_model(quad: dict, lin, offset: float = 0.0, semantics=None) -> QuboModel:
+    """QuboModel with quad[(i, j)] at pairs[i, j] (i < j); ("spin", i) tags by default."""
+    n = len(lin)
+    pairs = np.zeros((n, n))
+    for (i, j), w in quad.items():
+        pairs[i, j] = w
+    if semantics is None:
+        semantics = tuple(("spin", i) for i in range(n))
+    return QuboModel(pairs, lin, offset, semantics)
+
+
+def maxcut_graph(n: int, edges: dict, offset: float = 0.0) -> MaxCutGraph:
+    """MaxCutGraph on n nodes with edges[(i, j)] at weights[i, j] and weights[j, i]."""
+    weights = np.zeros((n, n))
+    for (i, j), w in edges.items():
+        weights[i, j] = weights[j, i] = w
+    return MaxCutGraph(weights, offset)
+
+
+# ---------------------------------------------------------------------------
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
@@ -88,8 +112,7 @@ def naive_energy_chunks(model: QuboModel, chunk: int = 1 << 18):
     must give the same energies in the same counter order.
     """
     n = model.n_vars
-    upper = model.quad_matrix()
-    lin = np.asarray(model.lin)
+    upper, lin = model.pairs, model.lin
     total = 1 << n
     for start in range(0, total, chunk):
         counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -102,15 +125,6 @@ def naive_cut_value(graph: MaxCutGraph, spins) -> float:
     for (i, j), w in graph.edges.items():
         total += 0.5 * w * (1.0 - spins[i] * spins[j])
     return total
-
-
-def naive_weighted_degrees(graph: MaxCutGraph, absolute: bool = False) -> list[float]:
-    degrees = [0.0] * graph.n_nodes
-    for (i, j), w in graph.edges.items():
-        value = abs(w) if absolute else w
-        degrees[i] += value
-        degrees[j] += value
-    return degrees
 
 
 def naive_laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> list[list[float]]:
@@ -213,9 +227,8 @@ def naive_solve_sa(
         t_end = 1e-3 * scale
 
     rng = np.random.default_rng(seed)
-    upper = model.quad_matrix()
-    sym = upper + upper.T
-    lin = np.asarray(model.lin)
+    sym = model.pairs + model.pairs.T
+    lin = model.lin
 
     x = rng.integers(0, 2, size=n)
     fields = sym @ x
@@ -338,6 +351,30 @@ class NaiveWorkingGraph:
         return {(i, j): w for i, nbrs in self.adj.items() for j, w in nbrs.items() if i < j}
 
 
+def naive_qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
+    """The reduction one dict entry at a time, dropping edges of weight 0.
+
+    Only the per-variable pair sums come from the array, so float rounding
+    matches ``qubo_to_maxcut``'s and the two must store the same bytes.
+    """
+    Q = model.pairs
+    quad_row_sum = (Q + Q.T).sum(axis=1)
+    edges = {(i + 1, j + 1): w / 2.0 for (i, j), w in model.quad.items()}
+    for v in range(model.n_vars):
+        edges[(0, v + 1)] = -model.lin[v] - 0.5 * quad_row_sum[v]
+    edges = {k: w for k, w in edges.items() if w != 0.0}
+    return maxcut_graph(model.n_vars + 1, edges, model.offset)
+
+
+def naive_graph_to_qubo(graph: MaxCutGraph, semantics=None) -> QuboModel:
+    """The inverse reduction one dict entry at a time (row sums from the array, as above)."""
+    quad = {(i - 1, j - 1): 2.0 * w for (i, j), w in graph.edges.items() if i >= 1}
+    lin = np.zeros(graph.n_nodes - 1) - graph.weights[1:].sum(axis=1)
+    if semantics is None:
+        semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
+    return qubo_model(quad, lin, graph.offset, semantics)
+
+
 def brute_maxcut_value(graph: MaxCutGraph) -> float:
     """Maximum cut weight by enumerating spin assignments (reference fixed +1)."""
     best = -np.inf
@@ -370,13 +407,8 @@ class _TermAccumulator:
         self.quad[key] = self.quad.get(key, 0.0) + w
 
     def build(self) -> QuboModel:
-        return QuboModel(
-            n_vars=len(self.semantics),
-            quad={k: w for k, w in self.quad.items() if w != 0.0},
-            lin=tuple(float(v) for v in self.lin),
-            offset=float(self.offset),
-            semantics=tuple(self.semantics),
-        )
+        quad = {k: w for k, w in self.quad.items() if w != 0.0}
+        return qubo_model(quad, self.lin, float(self.offset), tuple(self.semantics))
 
 
 def naive_build_mdkp_qubo(inst: MdkpInstance, P: float, use_slack: bool = False) -> QuboModel:
@@ -456,15 +488,8 @@ def random_qubo(rng: np.random.Generator, n: int, bound: int = 9) -> QuboModel:
             w = int(rng.integers(-bound, bound + 1))
             if w != 0:
                 quad[(i, j)] = float(w)
-    lin = tuple(float(rng.integers(-bound, bound + 1)) for _ in range(n))
-    offset = float(rng.integers(-bound, bound + 1))
-    return QuboModel(
-        n_vars=n,
-        quad=quad,
-        lin=lin,
-        offset=offset,
-        semantics=tuple(("spin", i) for i in range(n)),
-    )
+    lin = [float(rng.integers(-bound, bound + 1)) for _ in range(n)]
+    return qubo_model(quad, lin, float(rng.integers(-bound, bound + 1)))
 
 
 def random_graph(
@@ -477,11 +502,7 @@ def random_graph(
                 w = int(rng.integers(-bound, bound + 1))
                 if w != 0:
                     edges[(i, j)] = float(w)
-    return MaxCutGraph(
-        n_nodes=n,
-        edges=edges,
-        offset=float(rng.integers(-bound, bound + 1)),
-    )
+    return maxcut_graph(n, edges, float(rng.integers(-bound, bound + 1)))
 
 
 def random_mis(rng: np.random.Generator, n: int, density: float = 0.3) -> MisInstance:

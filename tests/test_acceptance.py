@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from shrinkcut import (
-    MaxCutGraph,
     MdkpInstance,
     MergeStep,
     MisInstance,
@@ -49,6 +48,7 @@ from shrinkcut.cli import main
 from tests.conftest import (
     brute_maxcut_value,
     every_bitstring,
+    maxcut_graph,
     random_graph,
     random_qubo,
 )
@@ -345,11 +345,7 @@ def test_criterion_7_constraint_awareness_never_hurts_feasibility(capsys):
 def test_criterion_8_spectral_size_selection_matches_worked_path(capsys):
     ok = False
     try:
-        path = MaxCutGraph(
-            n_nodes=3,
-            edges={(0, 1): 1.0, (1, 2): 1.0},
-            offset=0.0,
-        )
+        path = maxcut_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
         spectrum = symmetric_eigenvalues(laplacian(path))
         assert spectrum.eigenvalues == pytest.approx([0.0, 1.0, 3.0], abs=1e-9)
         assert select_target_size(spectrum, 0.25) == 2

@@ -7,8 +7,10 @@ import pytest
 from shrinkcut import (
     build_mdkp_qubo,
     graph_from_json,
+    graph_to_json,
     merge_steps_from_jsonl,
     model_from_json,
+    model_to_json,
     qubo_to_maxcut,
 )
 from shrinkcut.cli import load_config_file, main
@@ -37,8 +39,8 @@ def test_build_qubo_writes_the_worked_model(mdkp_file, tmp_path, mdkp_tiny):
         ["build-qubo", "--kind", "mdkp", "--instance", str(mdkp_file), "--out", str(out)]
     )
     assert code == 0
-    model = model_from_json(out.read_text())
-    assert model == build_mdkp_qubo(mdkp_tiny, P=70.0)
+    assert out.read_text() == model_to_json(build_mdkp_qubo(mdkp_tiny, P=70.0))
+    assert model_to_json(model_from_json(out.read_text())) == out.read_text()
 
 
 def test_build_qubo_use_slack_flag_adds_slack_bits(mdkp_file, tmp_path):
@@ -71,8 +73,8 @@ def test_to_maxcut_from_a_model_file(mdkp_file, tmp_path, mdkp_tiny):
     out = tmp_path / "graph.json"
     code = main(["to-maxcut", "--model", str(model_path), "--out", str(out)])
     assert code == 0
-    graph = graph_from_json(out.read_text())
-    assert graph == qubo_to_maxcut(build_mdkp_qubo(mdkp_tiny, P=70.0))
+    assert out.read_text() == graph_to_json(qubo_to_maxcut(build_mdkp_qubo(mdkp_tiny, P=70.0)))
+    assert graph_to_json(graph_from_json(out.read_text())) == out.read_text()
 
 
 def test_to_maxcut_straight_from_an_instance(triangle_file, tmp_path):
@@ -169,6 +171,64 @@ def test_shrink_rejects_a_malformed_graph_file(tmp_path, capsys, fields, message
     graph_path = tmp_path / "graph.json"
     graph_path.write_text(f'{{"n_nodes": 3, {fields}}}')
     assert main(["shrink", "--graph", str(graph_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shrinkcut:" in captured.err and message in captured.err
+
+
+MODEL_FIELDS = '"linear": [0.0, 0.0, 0.0], "offset": 0.0, "semantics": [["spin", 1], ["spin", 2], ["spin", 3]]'
+GRAPH_FIELDS = '"offset": 0.0, "var_map": [0, 1]'
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "shrink --graph",
+            f'{{"n_nodes": 3, "edges": [[0, 1, 1.0], [0, 1, 5.0], [1, 2, 2.0]], {GRAPH_FIELDS}}}',
+            "edge (0, 1) is listed twice",
+        ),
+        (
+            "solve --model",
+            f'{{"n_vars": 3, "quadratic": [[0, 1, 3.0], [0, 1, -3.0]], {MODEL_FIELDS}}}',
+            "quadratic term (0, 1) is listed twice",
+        ),
+        (
+            "to-maxcut --model",
+            f'{{"n_vars": 3, "quadratic": [[0, 1, 3.0], [0, 1, -3.0]], {MODEL_FIELDS}}}',
+            "quadratic term (0, 1) is listed twice",
+        ),
+        (
+            "solve --model",
+            f'{{"n_vars": 2.9, "quadratic": [[0, 1, 3.0]], {MODEL_FIELDS}}}',
+            "n_vars must be a non-negative integer, got 2.9",
+        ),
+        (
+            "shrink --graph",
+            f'{{"n_nodes": 2.9, "edges": [[0, 1, 1.0]], {GRAPH_FIELDS}}}',
+            "n_nodes must be a non-negative integer, got 2.9",
+        ),
+        (
+            "shrink --graph",
+            f'{{"n_nodes": 3, "edges": [[0, 1.7, 1.0]], {GRAPH_FIELDS}}}',
+            "edge index must be a non-negative integer, got 1.7",
+        ),
+    ],
+    ids=[
+        "repeated-edge",
+        "repeated-term-solve",
+        "repeated-term-to-maxcut",
+        "fractional-n-vars",
+        "fractional-n-nodes",
+        "fractional-edge-index",
+    ],
+)
+def test_json_readers_exit_two_on_a_repeated_or_non_integral_key(
+    tmp_path, capsys, command, doc, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert main([*command.split(), str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "shrinkcut:" in captured.err and message in captured.err

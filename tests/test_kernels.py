@@ -1,19 +1,21 @@
 """The array kernels against one-edge-at-a-time loop oracles on float data.
 
-``evaluate_qubo``, ``cut_value``, ``weighted_degrees``, ``laplacian`` and
-``sdp_objective`` read the dense views ``QuboModel.quad_matrix()`` and
-``MaxCutGraph.weight_matrix()``; the oracles in ``tests/conftest.py`` walk
-the stored dicts instead. The shrinker keeps one S x S supernode correlation
+``evaluate_qubo``, ``cut_value``, ``laplacian`` and ``sdp_objective`` read
+the stored arrays ``QuboModel.pairs`` and ``MaxCutGraph.weights``; the
+oracles in ``tests/conftest.py`` walk the derived ``quad`` and ``edges``
+dicts instead. ``qubo_to_maxcut`` and ``graph_to_qubo`` build whole arrays;
+their oracles build the same arrays one dict entry at a time, and the two
+must store the same bytes. The shrinker keeps one S x S supernode correlation
 matrix and folds rows on every merge; its oracle averages the sign-adjusted
 member pairs of an n x n matrix over each supernode's member dict.
 ``solve_sa`` runs on Python scalars with sparse field updates; its oracle is
 the dense numpy loop, and the two must agree bit for bit.
 ``solve_maxcut_sdp`` takes its stopping displacement once per sweep; its
 oracle takes it node by node, and the two must return the same embedding bit
-for bit, as must the same graph with its ``edges`` dict in another order.
-``WorkingGraph`` contracts one dense row into another; its oracle folds a
-dict-of-dicts graph one edge at a time, and the two must hold the same ids,
-edges and weights after every contraction.
+for bit, as must the same graph read from JSON with its edges in another
+order. ``WorkingGraph`` contracts one dense row into another; its oracle
+folds a dict-of-dicts graph one edge at a time, and the two must hold the
+same ids, edges and weights after every contraction.
 ``_energy_chunks`` splits the variables into a low and a high half
 and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
 by row, and the two must give the same energies in the same counter order
@@ -24,10 +26,9 @@ every call, and the two must agree on every pair after every merge.
 """
 
 import itertools
-from dataclasses import replace
+import json
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,8 @@ from shrinkcut import (
     build_model,
     cut_value,
     evaluate_qubo,
+    graph_from_json,
+    graph_to_json,
     graph_to_qubo,
     laplacian,
     local_correlation_update,
@@ -58,16 +61,19 @@ from shrinkcut.solvers import _energy_chunks
 from tests.conftest import (
     DATA_DIR,
     NaiveWorkingGraph,
+    maxcut_graph,
     naive_cut_value,
     naive_energy_chunks,
     naive_effective_correlation,
+    naive_graph_to_qubo,
     naive_laplacian,
     naive_pi_mis,
     naive_qubo_energy,
+    naive_qubo_to_maxcut,
     naive_sdp_objective,
     naive_solve_maxcut_sdp,
     naive_solve_sa,
-    naive_weighted_degrees,
+    qubo_model,
     random_mis,
     tc64,
 )
@@ -84,12 +90,10 @@ def float_models(draw) -> QuboModel:
     n = draw(st.integers(min_value=0, max_value=7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return QuboModel(
-        n_vars=n,
-        quad={key: draw(coefficients) for key in keys},
-        lin=tuple(draw(st.lists(coefficients, min_size=n, max_size=n))),
-        offset=draw(coefficients),
-        semantics=tuple(("spin", i) for i in range(n)),
+    return qubo_model(
+        {key: draw(coefficients) for key in keys},
+        draw(st.lists(coefficients, min_size=n, max_size=n)),
+        draw(coefficients),
     )
 
 
@@ -98,11 +102,7 @@ def float_graphs(draw) -> MaxCutGraph:
     n = draw(st.integers(min_value=1, max_value=8))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return MaxCutGraph(
-        n_nodes=n,
-        edges={key: draw(coefficients) for key in keys},
-        offset=draw(coefficients),
-    )
+    return maxcut_graph(n, {key: draw(coefficients) for key in keys}, draw(coefficients))
 
 
 def _symmetrize(values, n: int) -> np.ndarray:
@@ -145,14 +145,6 @@ def test_cut_value_matches_the_loop_oracle(graph, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_graphs(), st.booleans())
-def test_weighted_degrees_match_the_loop_oracle(graph, absolute):
-    expected = naive_weighted_degrees(graph, absolute)
-    scale = _scale(list(graph.edges.values()))
-    assert graph.weighted_degrees(absolute) == pytest.approx(expected, rel=RTOL, abs=RTOL * scale)
-
-
-@settings(max_examples=60, deadline=None)
 @given(float_graphs(), st.sampled_from(["absolute", "raw"]))
 def test_laplacian_matches_the_loop_oracle(graph, weight_mode):
     expected = np.array(naive_laplacian(graph, weight_mode))
@@ -172,25 +164,6 @@ def test_sdp_objective_matches_the_loop_oracle(graph, seed):
     assert abs(sdp_objective(graph, X) - expected) <= RTOL * scale
 
 
-def test_dense_views_are_read_only_and_built_once():
-    model = QuboModel(
-        n_vars=3,
-        quad={(0, 2): 1.5},
-        lin=(0.0, 0.0, 0.0),
-        offset=0.0,
-        semantics=(("spin", 0), ("spin", 1), ("spin", 2)),
-    )
-    Q = model.quad_matrix()
-    assert Q.tolist() == [[0.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    graph = MaxCutGraph(n_nodes=3, edges={(0, 2): -2.0}, offset=0.0)
-    W = graph.weight_matrix()
-    assert W.tolist() == [[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]
-    assert model.quad_matrix() is Q and graph.weight_matrix() is W
-    for view in (Q, W):
-        with pytest.raises(ValueError, match="read-only"):
-            view[0, 0] = 1.0
-
-
 # small pools make folded edges cancel to exactly 0 (0.1 - 0.1 does too)
 integer_weights = st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
 float_weights = st.one_of(st.sampled_from([-0.3, -0.1, 0.1, 0.3]), coefficients)
@@ -208,11 +181,7 @@ def contraction_cases(draw) -> tuple[MaxCutGraph, list[tuple[int, int, int]], bo
     n = draw(st.integers(min_value=1, max_value=10))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    graph = MaxCutGraph(
-        n_nodes=n,
-        edges={key: draw(weights) for key in keys},
-        offset=draw(weights),
-    )
+    graph = maxcut_graph(n, {key: draw(weights) for key in keys}, draw(weights))
     ids = list(range(n))
     merges = []
     for _ in range(draw(st.integers(min_value=0, max_value=n - 1))):
@@ -227,11 +196,7 @@ def contraction_cases(draw) -> tuple[MaxCutGraph, list[tuple[int, int, int]], bo
 # the reference is absorbed and w(1, 2) cancels to 0; then w(1, 3) = 1 is folded with sigma -1
 @example(
     (
-        MaxCutGraph(
-            n_nodes=4,
-            edges={(0, 2): 2.0, (1, 2): -2.0, (0, 3): 1.0},
-            offset=0.0,
-        ),
+        maxcut_graph(4, {(0, 2): 2.0, (1, 2): -2.0, (0, 3): 1.0}),
         [(0, 1, 1), (1, 3, -1)],
         True,
     )
@@ -250,8 +215,9 @@ def test_dense_contraction_matches_the_dict_oracle(case):
         edges = {(node_order[a], node_order[b]): w for (a, b), w in reduced.edges.items()}
         assert edges == oracle.edges()
         assert working.edge_count == len(edges)
-        for v in working.nodes():
-            assert working.neighbors(v) == oracle.adj[v]
+        for v, row in zip(working.nodes(), working.weights):
+            cols = np.flatnonzero(row)
+            assert dict(zip(working.ids[cols].tolist(), row[cols].tolist())) == oracle.adj[v]
         if integral:
             assert (constant, working.offset) == (expected, oracle.offset)
         else:
@@ -288,10 +254,12 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
             working = WorkingGraph(weights, ids=ids, offset=0.0)
             affected = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
             local_correlation_update(E, working, survivor, affected)
-            d_s = working.absolute_degree(survivor)
+            degree = np.abs(weights).sum(axis=1)
+            s = ids.index(survivor)
             for k in affected - {survivor}:
-                d_k = working.absolute_degree(k)
-                value = 0.0 if d_s * d_k == 0.0 else working.weight(survivor, k) / np.sqrt(d_s * d_k)
+                t = ids.index(k)
+                d = degree[s] * degree[t]
+                value = 0.0 if d == 0.0 else weights[s, t] / np.sqrt(d)
                 _block_write(X, supernodes, survivor, k, value)
         assert E.shape == (len(ids), len(ids))
         for r, a in enumerate(ids):
@@ -365,12 +333,10 @@ def annealing_models(draw) -> QuboModel:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     linear = st.one_of(st.just(0.0), annealing_coefficients)
-    return QuboModel(
-        n_vars=n,
-        quad={key: draw(annealing_coefficients) for key in keys},
-        lin=tuple(draw(st.lists(linear, min_size=n, max_size=n))),
-        offset=draw(annealing_coefficients),
-        semantics=tuple(("spin", i) for i in range(n)),
+    return qubo_model(
+        {key: draw(annealing_coefficients) for key in keys},
+        draw(st.lists(linear, min_size=n, max_size=n)),
+        draw(annealing_coefficients),
     )
 
 
@@ -414,11 +380,7 @@ def sdp_graphs(draw) -> MaxCutGraph:
     isolated = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 3)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not {i, j} & isolated]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return MaxCutGraph(
-        n_nodes=n,
-        edges={key: draw(annealing_coefficients) for key in keys},
-        offset=0.0,
-    )
+    return maxcut_graph(n, {key: draw(annealing_coefficients) for key in keys})
 
 
 def assert_same_embedding(graph, **options):
@@ -445,8 +407,11 @@ def test_solve_maxcut_sdp_equals_the_per_node_loop_oracle_bit_for_bit(
 ):
     options = dict(rank=rank, max_sweeps=max_sweeps, tol=tol, seed=seed)
     got = assert_same_embedding(graph, **options)
-    # the same weighted edge set stored in another order gives the same embedding
-    shuffled = replace(graph, edges=dict(data.draw(st.permutations(list(graph.edges.items())))))
+    # the same edge list read from JSON in another order stores the same bytes and embedding
+    doc = json.loads(graph_to_json(graph))
+    doc["edges"] = data.draw(st.permutations(doc["edges"]))
+    shuffled = graph_from_json(json.dumps(doc))
+    assert shuffled.weights.tobytes() == graph.weights.tobytes()
     again = solve_maxcut_sdp(shuffled, **options)
     assert np.array_equal(again.vectors, got.vectors)
     assert again.objective_history == got.objective_history
@@ -474,12 +439,10 @@ def enumeration_cases(draw) -> tuple[QuboModel, int, bool]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     linear = st.one_of(st.just(0.0), coefficient)
-    model = QuboModel(
-        n_vars=n,
-        quad={key: draw(coefficient) for key in keys},
-        lin=tuple(draw(st.lists(linear, min_size=n, max_size=n))),
-        offset=draw(coefficient),
-        semantics=tuple(("spin", i) for i in range(n)),
+    model = qubo_model(
+        {key: draw(coefficient) for key in keys},
+        draw(st.lists(linear, min_size=n, max_size=n)),
+        draw(coefficient),
     )
     return model, draw(st.integers(min_value=1, max_value=(1 << n) + 1)), integral
 
@@ -514,22 +477,10 @@ def test_energy_chunks_equal_the_row_by_row_oracle(case):
 
 def test_solve_exact_breaks_ties_across_blocks_toward_the_lowest_counter():
     # chunk=1 gives one block per high pattern, so tied states sit in different blocks
-    flat = QuboModel(
-        n_vars=5,
-        quad={},
-        lin=(0.0,) * 5,
-        offset=2.0,
-        semantics=tuple(("spin", i) for i in range(5)),
-    )
+    flat = qubo_model({}, (0.0,) * 5, offset=2.0)
     assert solve_exact(flat, chunk=1).bits.tolist() == [0] * 5
     # energies 0, -1, -1, -1 over counters 0-3; counters 2 and 3 form the second block
-    tied = QuboModel(
-        n_vars=2,
-        quad={(0, 1): 1.0},
-        lin=(-1.0, -1.0),
-        offset=0.0,
-        semantics=(("spin", 0), ("spin", 1)),
-    )
+    tied = qubo_model({(0, 1): 1.0}, (-1.0, -1.0))
     solution = solve_exact(tied, chunk=1)
     assert solution.bits.tolist() == [1, 0]
     assert solution.energy == -1.0
@@ -563,13 +514,69 @@ def test_solve_exact_equals_the_oracle_on_the_20_variable_mdkp_reduced_model(mon
 
 def test_solve_exact_finds_the_closed_form_optimum_of_a_24_variable_separable_model():
     lin = np.random.default_rng(53).integers(1, 10, size=24) * np.resize([1.0, -1.0, -1.0], 24)
-    model = QuboModel(
-        n_vars=24,
-        quad={},
-        lin=tuple(lin),
-        offset=4.0,
-        semantics=tuple(("spin", i) for i in range(24)),
-    )
+    model = qubo_model({}, lin, offset=4.0)
     solution = solve_exact(model)
     assert solution.bits.tolist() == (lin < 0).astype(int).tolist()
     assert solution.energy == 4.0 + lin[lin < 0].sum()
+
+
+@st.composite
+def reduction_models(draw) -> QuboModel:
+    """Models on 0-12 variables, integer or float, some variables without pairs.
+
+    Linear terms may be 0.0, so a reference weight can come out as -0.0 (a
+    variable with no pairs and lin 0.0) or cancel to exactly 0.
+    """
+    n = draw(st.integers(min_value=0, max_value=12))
+    coefficient = integer_coefficients if draw(st.booleans()) else coefficients
+    isolated = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not {i, j} & isolated]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    linear = st.one_of(st.just(0.0), coefficient)
+    return qubo_model(
+        {key: draw(coefficient) for key in keys},
+        draw(st.lists(linear, min_size=n, max_size=n)),
+        draw(coefficient),
+    )
+
+
+def assert_same_reductions(model: QuboModel) -> None:
+    """Both reductions store the same bytes as their dict oracles."""
+    graph = qubo_to_maxcut(model)
+    want = naive_qubo_to_maxcut(model)
+    assert graph.weights.tobytes() == want.weights.tobytes()
+    assert graph.offset == want.offset
+    again = graph_to_qubo(graph, model.semantics)
+    oracle = naive_graph_to_qubo(graph, model.semantics)
+    assert again.pairs.tobytes() == oracle.pairs.tobytes()
+    assert again.lin.tobytes() == oracle.lin.tobytes()
+    assert (again.offset, again.semantics) == (oracle.offset, oracle.semantics)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_models())
+# variable 1 has no pairs and lin 0.0: its reference weight is -0.0 before it is stored
+@example(qubo_model({}, (1.0, 0.0)))
+# lin[0] = -1 cancels the half pair sum 1 exactly
+@example(qubo_model({(0, 1): 2.0}, (-1.0, 0.0)))
+def test_reductions_store_the_same_bytes_as_the_dict_oracles(model):
+    assert_same_reductions(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_graphs())
+def test_graph_to_qubo_stores_the_same_bytes_as_the_dict_oracle(graph):
+    got, want = graph_to_qubo(graph), naive_graph_to_qubo(graph)
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert got.lin.tobytes() == want.lin.tobytes()
+    assert (got.offset, got.semantics) == (want.offset, want.semantics)
+
+
+def test_reductions_store_the_same_bytes_as_the_dict_oracles_on_the_bundled_instances():
+    files = sorted(path for path in DATA_DIR.glob("*/*.txt") if path.name != "optima.txt")
+    assert len(files) == 6
+    for path in files:
+        kind = path.parent.name
+        assert_same_reductions(build_model(load_instance(kind, path), PipelineConfig(kind=kind)))
+    synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    assert_same_reductions(build_model(synth, PipelineConfig(kind="mdkp", use_slack=True)))

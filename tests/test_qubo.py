@@ -39,7 +39,7 @@ from tests.conftest import (
 def test_mdkp_worked_example_coefficients(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     assert model.n_vars == 3
-    assert model.lin == (-1125.0, -1477.0, -1684.0)
+    assert model.lin.tolist() == [-1125.0, -1477.0, -1684.0]
     assert model.quad == {(0, 1): 840.0, (0, 2): 1120.0, (1, 2): 1680.0}
     assert model.offset == 1750.0
     assert model.semantics == (("item", 0), ("item", 1), ("item", 2))
@@ -109,7 +109,7 @@ def test_slack_bit_count_uses_floor_log2_of_capacity_plus_one():
 
 def test_mis_triangle_coefficients_and_optimum(mis_triangle):
     model = build_mis_qubo(mis_triangle, P=2.0)
-    assert model.lin == (-1.0, -1.0, -1.0)
+    assert model.lin.tolist() == [-1.0, -1.0, -1.0]
     assert model.quad == {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0}
     assert model.offset == 0.0
     best_x, best_e = brute_qubo_minimum(model)
@@ -125,7 +125,7 @@ def test_mis_penalty_at_most_one_warns(mis_triangle):
 def test_qap_pair_coefficients(qap_pair):
     model = build_qap_qubo(qap_pair, P=100.0)
     assert model.n_vars == 4
-    assert model.lin == (-200.0, -200.0, -200.0, -200.0)
+    assert model.lin.tolist() == [-200.0, -200.0, -200.0, -200.0]
     assert model.offset == 400.0
     # objective couplings: x00 with x11 and x01 with x10, each 2 * 5 * 2 = 20
     assert model.quad[(0, 3)] == 20.0
@@ -190,36 +190,65 @@ def test_builders_reject_nonpositive_penalty(mdkp_tiny, mis_triangle, qap_pair):
 
 
 def test_qubo_model_validates_lengths_and_quad_keys():
-    with pytest.raises(ValueError, match="lin has length"):
-        QuboModel(n_vars=2, quad={}, lin=(1.0,), offset=0.0, semantics=(("spin", 0), ("spin", 1)))
-    with pytest.raises(ValueError, match="ordered pair"):
-        QuboModel(
-            n_vars=2,
-            quad={(1, 0): 1.0},
-            lin=(0.0, 0.0),
-            offset=0.0,
-            semantics=(("spin", 0), ("spin", 1)),
-        )
-    with pytest.raises(ValueError, match="zero coefficient"):
-        QuboModel(
-            n_vars=2,
-            quad={(0, 1): 0.0},
-            lin=(0.0, 0.0),
-            offset=0.0,
-            semantics=(("spin", 0), ("spin", 1)),
-        )
+    spins = (("spin", 0), ("spin", 1))
+    with pytest.raises(ValueError, match="lin has shape"):
+        QuboModel(np.zeros((2, 2)), lin=(1.0,), offset=0.0, semantics=spins)
+    with pytest.raises(ValueError, match="pairs has shape"):
+        QuboModel(np.zeros((2, 3)), lin=(0.0, 0.0), offset=0.0, semantics=spins)
+    with pytest.raises(ValueError, match="pairs has shape"):
+        QuboModel(np.zeros((2, 2)), lin=(0.0, 0.0), offset=0.0, semantics=spins[:1])
+    for pairs in ([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="strictly upper triangular"):
+            QuboModel(pairs, lin=(0.0, 0.0), offset=0.0, semantics=spins)
     nan, inf = float("nan"), float("inf")
-    for quad, lin, offset in (
-        ({(0, 1): nan}, (0.0, 0.0), 0.0),
-        ({(0, 1): -inf}, (0.0, 0.0), 0.0),
-        ({(0, 1): 1.0}, (0.0, inf), 0.0),
-        ({(0, 1): 1.0}, (nan, 0.0), 0.0),
-        ({(0, 1): 1.0}, (0.0, 0.0), nan),
+    for pairs, lin, offset in (
+        ([[0.0, nan], [0.0, 0.0]], (0.0, 0.0), 0.0),
+        ([[0.0, -inf], [0.0, 0.0]], (0.0, 0.0), 0.0),
+        ([[0.0, 1.0], [nan, 0.0]], (0.0, 0.0), 0.0),
+        ([[0.0, 1.0], [0.0, 0.0]], (0.0, inf), 0.0),
+        ([[0.0, 1.0], [0.0, 0.0]], (nan, 0.0), 0.0),
+        ([[0.0, 1.0], [0.0, 0.0]], (0.0, 0.0), nan),
     ):
-        with pytest.raises(ValueError, match="finite"):
-            QuboModel(
-                n_vars=2, quad=quad, lin=lin, offset=offset, semantics=(("spin", 0), ("spin", 1))
-            )
+        with pytest.raises(ValueError, match="pairs, lin and offset must be finite"):
+            QuboModel(pairs, lin=lin, offset=offset, semantics=spins)
+
+    def from_terms(quadratic: str, n_vars="2") -> QuboModel:
+        return model_from_json(
+            f'{{"n_vars": {n_vars}, "linear": [0.0, 0.0], "quadratic": {quadratic}, '
+            '"offset": 0.0, "semantics": [["spin", 0], ["spin", 1]]}'
+        )
+
+    with pytest.raises(ValueError, match="ordered pair"):
+        from_terms("[[1, 0, 1.0]]")
+    with pytest.raises(ValueError, match=r"stores a zero or non-finite weight 0\.0"):
+        from_terms("[[0, 1, 0.0]]")
+    with pytest.raises(ValueError, match="zero or non-finite weight nan"):
+        from_terms("[[0, 1, NaN]]")
+    with pytest.raises(ValueError, match=r"quadratic term \(0, 1\) is listed twice"):
+        from_terms("[[0, 1, 3.0], [0, 1, -3.0]]")
+    with pytest.raises(ValueError, match="quadratic term index must be a non-negative integer"):
+        from_terms("[[0, 1.7, 3.0]]")
+    for n_vars in ("2.9", "2.0", "false", "-2"):
+        with pytest.raises(ValueError, match="n_vars must be a non-negative integer"):
+            from_terms("[[0, 1, 3.0]]", n_vars)
+
+
+def test_stored_pairs_and_lin_are_read_only_copies_with_positive_zero_pairs():
+    source = np.array([[0.0, -0.0, 1.5], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+    lin = np.array([-0.0, 1.0, 0.0])
+    model = QuboModel(source, lin, 0.0, (("spin", 0), ("spin", 1), ("spin", 2)))
+    source[0, 2], lin[1] = 5.0, 5.0
+    assert model.pairs.tolist() == [[0.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert not np.signbit(model.pairs).any()
+    assert np.signbit(model.lin).tolist() == [True, False, False]  # lin keeps its zeros' signs
+    assert model.n_vars == 3
+    for stored in (model.pairs, model.lin):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+    assert model.quad == {(0, 2): 1.5}
+    assert model.quad is model.quad  # derived once
+    with pytest.raises(TypeError):
+        model.quad[(0, 1)] = 1.0
 
 
 def test_evaluate_qubo_rejects_wrong_length(mis_triangle):
@@ -231,14 +260,17 @@ def test_evaluate_qubo_rejects_wrong_length(mis_triangle):
 def test_coefficient_scale_is_largest_absolute_coefficient(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     assert coefficient_scale(model) == 1684.0
-    empty = QuboModel(n_vars=1, quad={}, lin=(0.0,), offset=3.0, semantics=(("spin", 0),))
+    empty = QuboModel(np.zeros((1, 1)), lin=(0.0,), offset=3.0, semantics=(("spin", 0),))
     assert coefficient_scale(empty) == 1.0
 
 
 def test_model_json_round_trips_exactly(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0, use_slack=True)
-    again = model_from_json(model_to_json(model))
-    assert again == model
+    text = model_to_json(model)
+    again = model_from_json(text)
+    assert model_to_json(again) == text
+    assert again.pairs.tobytes() == model.pairs.tobytes()
+    assert again.lin.tobytes() == model.lin.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,8 +306,8 @@ def test_recommend_penalty_for_qap_equals_the_outer_product_form():
 
 def assert_same_model(model: QuboModel, oracle: QuboModel) -> None:
     """Exactly the same model: coefficients, offset and tags (and the signs of zeros)."""
-    assert model.quad == oracle.quad
-    assert model.lin == oracle.lin
+    assert model.pairs.tobytes() == oracle.pairs.tobytes()
+    assert model.lin.tobytes() == oracle.lin.tobytes()
     assert model.offset == oracle.offset
     assert model.semantics == oracle.semantics
     assert model_to_json(model) == model_to_json(oracle)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shrinkcut import (
-    QuboModel,
     ShrinkConfig,
     binary_to_spins,
     build_mdkp_qubo,
@@ -16,7 +15,7 @@ from shrinkcut import (
     run_shrink,
     solve_exact,
 )
-from tests.conftest import every_bitstring, naive_replay, random_graph, random_qubo
+from tests.conftest import every_bitstring, naive_replay, qubo_model, random_graph, random_qubo
 
 
 def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
@@ -125,9 +124,7 @@ def test_decode_solution_vertex_and_spin_kinds(mis_triangle):
 
     model = build_mis_qubo(mis_triangle, P=2.0)
     assert decode_solution(model, (0, 1, 0)).tolist() == [0, 1, 0]
-    generic = QuboModel(
-        n_vars=2, quad={}, lin=(0.0, 0.0), offset=0.0, semantics=(("spin", 1), ("spin", 2))
-    )
+    generic = qubo_model({}, (0.0, 0.0), semantics=(("spin", 1), ("spin", 2)))
     assert decode_solution(generic, (1, 0)).tolist() == [1, 0]
 
 
@@ -143,8 +140,6 @@ def test_decode_solution_rejects_bad_inputs(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     with pytest.raises(ValueError, match="shape"):
         decode_solution(model, (1, 0))
-    mixed = QuboModel(
-        n_vars=2, quad={}, lin=(0.0, 0.0), offset=0.0, semantics=(("item", 0), ("vertex", 0))
-    )
+    mixed = qubo_model({}, (0.0, 0.0), semantics=(("item", 0), ("vertex", 0)))
     with pytest.raises(ValueError, match="mixed/unknown semantics"):
         decode_solution(mixed, (0, 0))

@@ -10,15 +10,11 @@ from shrinkcut import (
     sdp_objective,
     solve_maxcut_sdp,
 )
-from tests.conftest import brute_maxcut_value, random_graph
+from tests.conftest import brute_maxcut_value, maxcut_graph, random_graph
 
 
 def triangle_graph() -> MaxCutGraph:
-    return MaxCutGraph(
-        n_nodes=3,
-        edges={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
-        offset=0.0,
-    )
+    return maxcut_graph(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
 
 
 def test_triangle_relaxation_reaches_nine_quarters():
@@ -29,7 +25,7 @@ def test_triangle_relaxation_reaches_nine_quarters():
 
 
 def test_single_edge_embedding_anti_aligns():
-    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): 4.0}, offset=0.0)
+    graph = maxcut_graph(2, {(0, 1): 4.0})
     X = extract_correlations(solve_maxcut_sdp(graph, seed=0))
     assert X[0, 1] == pytest.approx(-1.0, abs=1e-6)
     assert sdp_objective(graph, X) == pytest.approx(4.0, abs=1e-6)
@@ -93,7 +89,7 @@ def test_default_rank_grows_like_sqrt_of_two_n():
 
 
 def test_isolated_nodes_keep_their_initial_direction():
-    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0}, offset=0.0)
+    graph = maxcut_graph(3, {(0, 1): 1.0})
     vecs = solve_maxcut_sdp(graph, seed=6)
     # node 2 has no neighbors, so its vector must survive with unit norm
     assert np.linalg.norm(vecs.vectors[2]) == pytest.approx(1.0, abs=1e-9)
@@ -121,7 +117,7 @@ def test_solver_validates_parameters():
 
 @pytest.mark.parametrize("n_nodes", [0, 1, 3])
 def test_a_graph_without_edges_stops_after_one_sweep_with_the_initial_vectors(n_nodes):
-    graph = MaxCutGraph(n_nodes=n_nodes, edges={}, offset=0.0)
+    graph = maxcut_graph(n_nodes, {})
     vecs = solve_maxcut_sdp(graph, seed=4)
     initial = np.random.default_rng(4).standard_normal((n_nodes, default_rank(n_nodes)))
     initial /= np.linalg.norm(initial, axis=1, keepdims=True)
@@ -132,7 +128,7 @@ def test_a_graph_without_edges_stops_after_one_sweep_with_the_initial_vectors(n_
 
 def test_a_node_whose_neighbour_sum_vanishes_keeps_its_initial_vector():
     # node 2's gradient is 1e-20 * v1, below the 1e-12 floor: it must not move
-    graph = MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1e-20}, offset=0.0)
+    graph = maxcut_graph(3, {(0, 1): 1.0, (1, 2): 1e-20})
     vecs = solve_maxcut_sdp(graph, seed=0)
     initial = np.random.default_rng(0).standard_normal((3, default_rank(3)))
     initial /= np.linalg.norm(initial, axis=1, keepdims=True)

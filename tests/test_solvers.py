@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shrinkcut import (
-    QuboModel,
     Solution,
     build_mdkp_qubo,
     evaluate_qubo,
@@ -13,7 +12,7 @@ from shrinkcut import (
     solve_sa,
     solve_vqe_sim,
 )
-from tests.conftest import brute_qubo_minimum, random_qubo
+from tests.conftest import brute_qubo_minimum, qubo_model, random_qubo
 
 
 def test_solution_coerces_and_validates_bits():
@@ -38,13 +37,7 @@ def test_solve_exact_matches_brute_force_enumeration():
 
 def test_solve_exact_breaks_ties_toward_the_lowest_counter():
     # an all-zero objective makes every state optimal; counter 0 must win
-    flat = QuboModel(
-        n_vars=3,
-        quad={},
-        lin=(0.0, 0.0, 0.0),
-        offset=1.0,
-        semantics=(("spin", 0), ("spin", 1), ("spin", 2)),
-    )
+    flat = qubo_model({}, (0.0, 0.0, 0.0), offset=1.0)
     assert solve_exact(flat).bits.tolist() == [0, 0, 0]
     assert solve_exact(flat).energy == 1.0
 
@@ -69,19 +62,13 @@ def test_solve_exact_rejects_a_chunk_below_one(chunk):
 
 
 def test_solve_exact_enforces_the_variable_cap():
-    big = QuboModel(
-        n_vars=25,
-        quad={},
-        lin=tuple([0.0] * 25),
-        offset=0.0,
-        semantics=tuple(("spin", i) for i in range(25)),
-    )
+    big = qubo_model({}, [0.0] * 25)
     with pytest.raises(ValueError, match="capped at 24"):
         solve_exact(big)
 
 
 def test_solve_exact_empty_model_returns_the_offset():
-    empty = QuboModel(n_vars=0, quad={}, lin=(), offset=3.5, semantics=())
+    empty = qubo_model({}, (), offset=3.5)
     solution = solve_exact(empty)
     assert solution.bits.size == 0
     assert solution.energy == 3.5
@@ -149,13 +136,7 @@ def test_solve_vqe_sim_reports_the_energy_of_its_bits():
     for seed in range(30):
         n = int(rng.integers(2, 9))
         quad = {(i, j): six_decades() for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
-        model = QuboModel(
-            n_vars=n,
-            quad=quad,
-            lin=tuple(six_decades() for _ in range(n)),
-            offset=six_decades(),
-            semantics=tuple(("spin", i) for i in range(n)),
-        )
+        model = qubo_model(quad, [six_decades() for _ in range(n)], six_decades())
         solution = solve_vqe_sim(model, seed=seed)
         assert solution.energy == evaluate_qubo(model, solution.bits)
 
@@ -169,30 +150,18 @@ def test_solve_vqe_sim_is_deterministic_per_seed():
 
 
 def test_solve_vqe_sim_handles_one_and_two_qubits():
-    one = QuboModel(n_vars=1, quad={}, lin=(-2.0,), offset=0.5, semantics=(("spin", 0),))
+    one = qubo_model({}, (-2.0,), offset=0.5)
     assert solve_vqe_sim(one, seed=0).bits.tolist() == [1]
-    two = QuboModel(
-        n_vars=2,
-        quad={(0, 1): 3.0},
-        lin=(-1.0, -1.0),
-        offset=0.0,
-        semantics=(("spin", 0), ("spin", 1)),
-    )
+    two = qubo_model({(0, 1): 3.0}, (-1.0, -1.0))
     solution = solve_vqe_sim(two, seed=0)
     assert solution.energy == -1.0  # either single variable, never both
 
 
 def test_solve_vqe_sim_enforces_cap_and_parameters():
-    big = QuboModel(
-        n_vars=17,
-        quad={},
-        lin=tuple([0.0] * 17),
-        offset=0.0,
-        semantics=tuple(("spin", i) for i in range(17)),
-    )
+    big = qubo_model({}, [0.0] * 17)
     with pytest.raises(ValueError, match="capped at 16"):
         solve_vqe_sim(big)
-    small = QuboModel(n_vars=1, quad={}, lin=(0.0,), offset=0.0, semantics=(("spin", 0),))
+    small = qubo_model({}, (0.0,))
     with pytest.raises(ValueError, match="invalid VQE parameters"):
         solve_vqe_sim(small, restarts=0)
 

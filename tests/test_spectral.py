@@ -14,11 +14,11 @@ from shrinkcut import (
     select_target_size,
     symmetric_eigenvalues,
 )
-from tests.conftest import DATA_DIR, random_graph, tc64
+from tests.conftest import DATA_DIR, maxcut_graph, random_graph, tc64
 
 
 def path3() -> MaxCutGraph:
-    return MaxCutGraph(n_nodes=3, edges={(0, 1): 1.0, (1, 2): 1.0}, offset=0.0)
+    return maxcut_graph(3, {(0, 1): 1.0, (1, 2): 1.0})
 
 
 def test_path_laplacian_matrix():
@@ -85,7 +85,7 @@ def test_jacobi_rejects_non_symmetric_input():
 
 
 def test_absolute_weight_mode_keeps_the_laplacian_psd():
-    graph = MaxCutGraph(n_nodes=2, edges={(0, 1): -2.0}, offset=0.0)
+    graph = maxcut_graph(2, {(0, 1): -2.0})
     absolute = symmetric_eigenvalues(laplacian(graph, weight_mode="absolute"))
     assert absolute.eigenvalues == pytest.approx([0.0, 4.0], abs=1e-9)
     raw = symmetric_eigenvalues(laplacian(graph, weight_mode="raw"))
