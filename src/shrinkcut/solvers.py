@@ -10,11 +10,23 @@ chunked pass over all 2^n energies: the variables split into a low half L
 takes one matrix product against all 2^len(L) low patterns, flattened in
 counter order. A block holds max(chunk, 2^(n // 2)) energies at most, and
 exact enumeration breaks ties toward the lowest counter.
+
+Annealing draws its uniforms and its slice of the cooling schedule in blocks
+of about ``DRAW_BLOCK`` values, so its memory does not grow with the sweep
+count. Once a sweep accepts no move, the state is frozen, and one vectorised
+look-ahead with ``np.exp`` finds the next sweep in which some move might be
+accepted; the sweeps before it are skipped. The per-variable loop with
+``math.exp`` still makes every decision, and the look-ahead's relative margin
+``LOOKAHEAD_MARGIN`` (1e-9) is far wider than the rounding gap between the two
+exponentials (about 2e-13 relative at most), so a skipped sweep is always one
+the loop would have rejected move by move and the answers are those of the
+sweep-by-sweep loop, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +35,10 @@ from .qubo import QuboModel, coefficient_scale, evaluate_qubo
 
 EXACT_MAX_VARS = 24
 VQE_MAX_VARS = 16
+# uniforms drawn per block by solve_sa, whatever the sweep count
+DRAW_BLOCK = 1 << 16
+# relative slack on np.exp in solve_sa's frozen-sweep look-ahead
+LOOKAHEAD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,6 +120,35 @@ def solve_exact(model: QuboModel, chunk: int = 1 << 18) -> Solution:
     return Solution(bits=bits, energy=evaluate_qubo(model, bits))
 
 
+def _schedule(t_start: float, t_end: float, sweeps: int, first: int, stop: int) -> np.ndarray:
+    """Temperatures of sweeps ``first`` to ``stop - 1`` of the geometric ramp.
+
+    Element by element the same doubles as the whole ``sweeps``-long array,
+    so a block of sweeps needs only its own slice.
+    """
+    if sweeps == 1:
+        return np.array([t_start])
+    return t_start * (t_end / t_start) ** (np.arange(first, stop) / (sweeps - 1))
+
+
+def _first_live_sweep(
+    deltas: np.ndarray, temperatures: np.ndarray, draws: np.ndarray
+) -> int | None:
+    """First row of ``draws`` in which some move of a frozen state might be accepted.
+
+    ``deltas`` are the (all positive) flip costs of the frozen state, one
+    row of ``draws`` and one temperature per sweep. A move might be accepted
+    when ``u <= exp(-delta / T) * (1 + LOOKAHEAD_MARGIN)``; a row with no such
+    move is a sweep that rejects every move. None if no row qualifies.
+    """
+    with np.errstate(over="ignore"):  # -delta / T may overflow to -inf, as in Python
+        bounds = -deltas / temperatures[:, None]
+    np.exp(bounds, out=bounds)  # in place: a window spans up to a whole draw block
+    bounds *= 1 + LOOKAHEAD_MARGIN
+    hits = np.flatnonzero((draws <= bounds).any(axis=1))
+    return int(hits[0]) if hits.size else None
+
+
 def solve_sa(
     model: QuboModel,
     seed: int = 0,
@@ -123,12 +168,26 @@ def solve_sa(
     from one made with ``np.exp``; the draws u are multiples of 2^-53, so
     that happens with probability at most about 2^-53 per uphill attempt.
     The best-seen state's energy is recomputed from scratch before returning.
+
+    The uniforms are drawn ``max(1, DRAW_BLOCK // n)`` sweeps at a time, one
+    ``(rows, n)`` array per block, with the schedule's slice for the same
+    sweeps: the same stream as one ``rng.random(n)`` per sweep, with memory
+    that does not grow with ``sweeps``. A sweep that accepts no move leaves
+    the state frozen; from then on one vectorised look-ahead over the next
+    L buffered sweeps (L doubling while nothing is found, reset to 1 by a
+    flip) jumps to the first sweep in which a move might be accepted. The
+    per-variable loop still makes every decision; the skipped sweeps are
+    ones it would have rejected move by move (see the margin note in the
+    loop), so the result equals the sweep-by-sweep loop bit for bit.
+    ``sweeps`` must be an integer (not a bool), at least 1.
     """
     n = model.n_vars
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
     if sweeps is None:
         sweeps = 200 * n
+    if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral):
+        raise ValueError(f"sweeps must be an integer, got {sweeps!r}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     scale = coefficient_scale(model)
@@ -156,31 +215,59 @@ def solve_sa(
     best_bits = x.copy()
     best_energy = energy
 
-    if sweeps == 1:
-        temperatures = np.array([t_start])
-    else:
-        temperatures = t_start * (t_end / t_start) ** (np.arange(sweeps) / (sweeps - 1))
-
-    for temperature in map(float, temperatures):
-        accept_draws = rng.random(n).tolist()
-        for i in range(n):
-            bit = x[i]
-            delta = lin[i] + fields[i]
-            if bit:
-                delta = -delta
-            if delta <= 0 or accept_draws[i] < math.exp(-delta / temperature):
+    rows = max(1, DRAW_BLOCK // n)
+    frozen = None  # the flip costs of a state the last sweep left unchanged
+    ahead = 1
+    for first in range(0, sweeps, rows):
+        temperatures = _schedule(t_start, t_end, sweeps, first, min(first + rows, sweeps))
+        draws = rng.random((len(temperatures), n))
+        sweep = 0
+        while sweep < len(temperatures):
+            if frozen is not None:
+                # Skip sweeps that certainly reject every move. Both tests see
+                # the same double z = -delta / T; np.exp and math.exp are each
+                # within a few ulp of exp(z), and even a 1-ulp slip in z moves
+                # exp(z) by at most |z| 2^-52, about 2e-13 relative for
+                # z >= -745 (below, both underflow to 0). The 1e-9 margin is
+                # far wider. Draws are 0 or at least 2^-53, so subnormal exp
+                # values only matter for u = 0, which ``<=`` keeps live.
+                window = slice(sweep, sweep + ahead)
+                live = _first_live_sweep(frozen, temperatures[window], draws[window])
+                if live is None:
+                    sweep += ahead
+                    ahead *= 2
+                    continue
+                sweep += live
+            temperature = float(temperatures[sweep])
+            accept_draws = draws[sweep].tolist()
+            flipped = False
+            for i in range(n):
+                bit = x[i]
+                delta = lin[i] + fields[i]
                 if bit:
-                    x[i] = 0
-                    for j, w in couplings[i]:
-                        fields[j] -= w
-                else:
-                    x[i] = 1
-                    for j, w in couplings[i]:
-                        fields[j] += w
-                energy += delta
-                if energy < best_energy:
-                    best_energy = energy
-                    best_bits = x.copy()
+                    delta = -delta
+                if delta <= 0 or accept_draws[i] < math.exp(-delta / temperature):
+                    flipped = True
+                    if bit:
+                        x[i] = 0
+                        for j, w in couplings[i]:
+                            fields[j] -= w
+                    else:
+                        x[i] = 1
+                        for j, w in couplings[i]:
+                            fields[j] += w
+                    energy += delta
+                    if energy < best_energy:
+                        best_energy = energy
+                        best_bits = x.copy()
+            if flipped:
+                frozen = None
+                ahead = 1
+            elif frozen is None:
+                # the loop's own deltas, each positive since none was accepted
+                costs = model.lin + np.array(fields)
+                frozen = np.where(np.array(x, dtype=bool), -costs, costs)
+            sweep += 1
 
     return Solution(bits=best_bits, energy=evaluate_qubo(model, best_bits))
 

@@ -384,6 +384,23 @@ def test_solve_reads_sweeps_and_layers_from_the_config_file(
     assert flag_wins == solution("--backend", backend, flags[0], "3") != from_file
 
 
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_a_fractional_sweep_count_in_the_config_file_exits_two(
+    command, data_dir, tmp_path, capsys
+):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    if command == "solve":
+        model_path = tmp_path / "model.json"
+        main(["build-qubo", *instance, "--out", str(model_path)])
+        instance = ["--model", str(model_path)]
+    config = tmp_path / "sweeps.cfg"
+    config.write_text("sa_sweeps = 2.5\n")
+    assert main([command, *instance, "--backend", "sa", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweeps must be an integer, got 2.5" in captured.err
+
+
 def test_pipeline_exit_zero_and_report_json(mdkp_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(

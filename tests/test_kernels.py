@@ -27,8 +27,12 @@ every call, and the two must agree on every pair after every merge.
 
 import itertools
 import json
+import math
+import types
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -328,11 +332,10 @@ temperatures = st.floats(min_value=1e-3, max_value=1e3)
 
 
 @st.composite
-def annealing_models(draw) -> QuboModel:
+def annealing_models(draw, linear=st.one_of(st.just(0.0), annealing_coefficients)) -> QuboModel:
     n = draw(st.integers(min_value=1, max_value=24))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    linear = st.one_of(st.just(0.0), annealing_coefficients)
     return qubo_model(
         {key: draw(annealing_coefficients) for key in keys},
         draw(st.lists(linear, min_size=n, max_size=n)),
@@ -340,10 +343,16 @@ def annealing_models(draw) -> QuboModel:
     )
 
 
+# zero linear terms give fields that cancel and uncoupled variables with
+# deltas of exactly 0, which are always accepted and never frozen
+annealing_cases = st.one_of(annealing_models(), annealing_models(linear=st.just(0.0)))
 schedules = st.one_of(
     st.just((None, None)),
     st.tuples(temperatures, temperatures).map(lambda pair: (max(pair), min(pair))),
     temperatures.map(lambda t: (t, t)),
+    # T = 1e-9 freezes the state after its first quiet sweep, so almost every
+    # later sweep is skipped; T = 1e9 accepts almost every move and never freezes
+    st.sampled_from([1e-9, 1e9]).map(lambda t: (t, t)),
 )
 
 
@@ -356,7 +365,7 @@ def assert_same_annealing_result(model, **options):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    annealing_models(),
+    annealing_cases,
     st.integers(min_value=1, max_value=100),
     schedules,
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -366,11 +375,134 @@ def test_solve_sa_equals_the_numpy_loop_oracle_bit_for_bit(model, sweeps, schedu
     assert_same_annealing_result(model, seed=seed, sweeps=sweeps, t_start=t_start, t_end=t_end)
 
 
+def _six_decade_model(rng, n):
+    pairs = np.triu(rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+    pairs[rng.random((n, n)) < 0.5] = 0.0
+    lin = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    return QuboModel(pairs, lin, 0.0, tuple(("spin", i) for i in range(n)))
+
+
+@pytest.mark.parametrize(
+    "n, sweeps, t_start, t_end",
+    [
+        (1, 140_000, None, None),  # three draw blocks of 65,536 sweeps
+        (3, 70_000, None, None),
+        (10, 20_000, None, None),
+        (10, 20_000, 1e-2, 1e-2),  # frozen across block boundaries
+        (24, 6_000, 1e3, 1e-3),
+    ],
+)
+def test_solve_sa_equals_the_oracle_across_draw_blocks(n, sweeps, t_start, t_end):
+    assert n * sweeps > solvers.DRAW_BLOCK
+    model = _six_decade_model(np.random.default_rng(n * sweeps), n)
+    assert_same_annealing_result(model, seed=n, sweeps=sweeps, t_start=t_start, t_end=t_end)
+
+
 def test_solve_sa_equals_the_oracle_on_the_1tc64_mis_model():
     model = graph_to_qubo(qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis"))))
     # the pipeline seed of perfbench op 0 under --seed 1
     seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
     assert_same_annealing_result(model, seed=seed, sweeps=2000)
+
+
+def test_solve_sa_equals_the_oracle_on_the_1tc64_mis_model_at_the_default_sweeps():
+    # 200 n = 12,800 sweeps, frozen for more than half of them
+    model = graph_to_qubo(qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis"))))
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    assert_same_annealing_result(model, seed=seed)
+
+
+def exp_arguments(model, skip, **options):
+    """Every argument ``solve_sa`` passes to ``math.exp``, in call order.
+
+    With ``skip=False`` the look-ahead always reports the next sweep live, so
+    every sweep runs, as in the sweep-by-sweep loop.
+    """
+    log = []
+    logging_math = types.SimpleNamespace(exp=lambda z: log.append(z) or math.exp(z), inf=math.inf)
+    with mock.patch.object(solvers, "math", logging_math):
+        if skip:
+            solve_sa(model, **options)
+        else:
+            with mock.patch.object(solvers, "_first_live_sweep", lambda *arrays: 0):
+                solve_sa(model, **options)
+    return log
+
+
+def assert_skips_only_rejecting_sweeps(model, **options):
+    """The run with skips makes a subset of the full run's uphill tests, in order.
+
+    Best-state results can agree even after two trajectories part; the exp
+    arguments carry the state and the temperature of every uphill test, so a
+    skipped sweep that would have accepted a move shows up here.
+    """
+    full = exp_arguments(model, skip=False, **options)
+    kept = exp_arguments(model, skip=True, **options)
+    remaining = iter(full)
+    assert all(any(z == w for w in remaining) for z in kept)
+    return full, kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    annealing_cases,
+    st.integers(min_value=1, max_value=400),
+    schedules,
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_solve_sa_skips_only_sweeps_that_reject_every_move(model, sweeps, schedule, seed):
+    t_start, t_end = schedule
+    assert_skips_only_rejecting_sweeps(
+        model, seed=seed, sweeps=sweeps, t_start=t_start, t_end=t_end
+    )
+
+
+def test_solve_sa_skips_only_rejecting_sweeps_on_the_1tc64_mis_model():
+    model = graph_to_qubo(qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis"))))
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    full, kept = assert_skips_only_rejecting_sweeps(model, seed=seed)
+    assert len(kept) < len(full) / 2  # the skip does engage
+
+
+def test_first_live_sweep_finds_every_draw_the_loop_would_accept():
+    rng = np.random.default_rng(5)
+    deltas = rng.uniform(1.0, 10.0, 8)
+    temperatures = 10.0 ** rng.uniform(-1.0, 0.5, 40)
+    # the loop's own acceptance limits, from math.exp; each is below 0.4
+    limits = np.array([[math.exp(-d / t) for d in deltas] for t in temperatures])
+    beyond_margin = limits * (1 + 2 * solvers.LOOKAHEAD_MARGIN)
+    assert solvers._first_live_sweep(deltas, temperatures, beyond_margin) is None
+    for row, col in [(0, 0), (17, 3), (39, 7)]:
+        for draw in (np.nextafter(limits[row, col], 0.0), limits[row, col]):
+            draws = beyond_margin.copy()
+            draws[row, col] = draw  # an accept, then a reject inside the margin
+            assert solvers._first_live_sweep(deltas, temperatures, draws) == row
+            draws[-1, 0] = 0.0
+            assert solvers._first_live_sweep(deltas, temperatures, draws) == row
+    # exp(-1000) underflows to 0 in both; a draw of exactly 0 still counts as live
+    draws = np.full((3, 1), 0.5)
+    draws[2, 0] = 0.0
+    assert solvers._first_live_sweep(np.array([1e3]), np.ones(3), draws) == 2
+    assert solvers._first_live_sweep(np.array([1e300]), np.full(3, 1e-300), draws) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=100_000),
+    st.tuples(temperatures, temperatures).map(lambda pair: (max(pair), min(pair))),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+)
+def test_sliced_schedule_equals_the_whole_ramp(sweeps, schedule, cuts):
+    t_start, t_end = schedule
+    if sweeps == 1:
+        whole = np.array([t_start])
+    else:
+        whole = t_start * (t_end / t_start) ** (np.arange(sweeps) / (sweeps - 1))
+    bounds = sorted({0, sweeps, *(int(c * sweeps) for c in cuts)})
+    sliced = np.concatenate(
+        [solvers._schedule(t_start, t_end, sweeps, a, b) for a, b in zip(bounds, bounds[1:])]
+    )
+    assert sliced.tobytes() == whole.tobytes()
 
 
 @st.composite

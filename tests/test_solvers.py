@@ -1,5 +1,7 @@
 """Solving backends: exact enumeration, simulated annealing, toy VQE."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,28 @@ def test_solve_sa_validates_schedule_parameters():
     # a single sweep is legal and still returns a coherent solution
     solution = solve_sa(model, sweeps=1, seed=1)
     assert evaluate_qubo(model, solution.bits) == pytest.approx(solution.energy)
+
+
+@pytest.mark.parametrize("sweeps", [2.5, 3.0, True, "3"])
+def test_solve_sa_rejects_a_sweep_count_that_is_not_an_integer(sweeps):
+    model = random_qubo(np.random.default_rng(61), 4)
+    with pytest.raises(ValueError, match="sweeps must be an integer"):
+        solve_sa(model, sweeps=sweeps)
+    numpy_count = solve_sa(model, sweeps=np.int64(3))
+    assert numpy_count.bits.tolist() == solve_sa(model, sweeps=3).bits.tolist()
+
+
+def test_solve_sa_memory_does_not_grow_with_the_sweep_count():
+    # frozen after at most one flip (setting the bit costs 1 at T = 1e-3), so
+    # a million sweeps are skipped block by block; the whole schedule is 8 MB
+    model = qubo_model({}, [1.0])
+    tracemalloc.start()
+    try:
+        solve_sa(model, seed=0, sweeps=10**6, t_start=1e-3, t_end=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_solve_vqe_sim_reaches_the_optimum_on_tiny_models():
