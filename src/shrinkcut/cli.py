@@ -80,7 +80,13 @@ def _add_shrink_flags(parser: argparse.ArgumentParser) -> None:
         dest="reference_protected",
     )
     parser.add_argument("--sdp-rank", type=int, default=None, dest="sdp_rank")
-    parser.add_argument("--sdp-tol", type=float, default=None, dest="sdp_tol")
+    parser.add_argument(
+        "--sdp-tol",
+        type=float,
+        default=None,
+        dest="sdp_tol",
+        help="stop the relaxation once a sweep raises its objective by at most this fraction",
+    )
     parser.add_argument("--sdp-max-sweeps", type=int, default=None, dest="sdp_max_sweeps")
     parser.add_argument(
         "--constraint-aware",

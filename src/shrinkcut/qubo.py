@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -260,6 +261,12 @@ def json_index(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
     return value
+
+
+def require_integer(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def pairs_from_json(rows, n: int, what: str) -> np.ndarray:

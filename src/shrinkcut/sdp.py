@@ -9,25 +9,34 @@ optimal v_i given all others is -g / ||g||. Each update is an exact argmax,
 so the objective is non-decreasing sweep over sweep. At rank
 ceil(sqrt(2n)) + 1 the low-rank formulation attains the SDP optimum.
 The Gram matrix X_ij = v_i . v_j is the correlation output consumed by the
-shrinking stage. The per-sweep objective history is the Gram matrix against
-the upper triangle of the graph's dense weight matrix, built once per solve,
-with ``sdp_objective``'s arithmetic.
+shrinking stage.
+
+The ascent stops on the relative gain in the objective, as the mixing method
+does (Wang, Chang & Kolter, arXiv:1706.00476): with f_0 the objective of the
+initial vectors and f_t its value after sweep t, it stops once
+f_t - f_{t-1} <= tol * |f_t|, or after ``max_sweeps`` sweeps. The default
+tol is 1e-10. The vectors can keep drifting along a flat face of the
+objective long after its value has settled, so a stop on their displacement
+may never fire. The objective is read once per sweep from the edge list, in
+O(m * rank): the per-edge dot products v_i . v_j in ascending (i, j) order,
+each summed by ``np.sum`` over the rank, weighted by w_ij (1 - v_i . v_j)
+and summed by ``np.sum``.
 
 A node update is one gather-and-multiply over the node's neighbour list (the
 nonzero entries of its row of ``graph.weights``), in ascending neighbour
-order, then a division by -||g|| into the node's row. The stopping
-displacement is taken once per sweep, from the row differences against a copy
-made at the start of the sweep: every node moves at most once per sweep.
+order, then a division by -||g|| into the node's row.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 
 from .maxcut import MaxCutGraph
+from .qubo import require_integer
 
 _GRADIENT_FLOOR = 1e-12
 
@@ -56,35 +65,34 @@ def default_rank(n_nodes: int) -> int:
 def solve_maxcut_sdp(
     graph: MaxCutGraph,
     rank: int | None = None,
-    tol: float = 1e-6,
+    tol: float = 1e-10,
     max_sweeps: int = 1000,
     seed: int = 0,
 ) -> EmbeddingVectors:
-    """Run the mixing coordinate ascent until the largest per-sweep vector
-    displacement falls below ``tol`` or ``max_sweeps`` is reached.
+    """Run the mixing coordinate ascent until a sweep raises the relaxed
+    objective by at most ``tol`` times its new value, or for ``max_sweeps``
+    sweeps.
 
     Deterministic for fixed (graph, rank, tol, seed): initialization draws
     seeded componentwise normals (normalized), updates visit nodes in
     ascending order, and each node reads its neighbours in ascending order.
     A node without edges, or whose gradient norm is below 1e-12, keeps its
-    vector.
-
-    The displacement is the largest row of ``vectors - before``, where
-    ``before`` is the embedding at the start of the sweep. The vectors and
-    the history equal those of a loop that takes ``np.linalg.norm`` of each
-    node's move bit for bit; the displacement sums each row in a different
-    order, so a stop decision can differ from that loop's only when the
-    displacement lies within a few ulp of ``tol``.
+    vector. ``objective_history`` holds the objective after each sweep, so a
+    graph without edges stops after one sweep with history ``(0.0,)``.
+    ``rank`` and ``max_sweeps`` must be integers (not bools) and ``tol`` a
+    finite number > 0.
     """
     n = graph.n_nodes
     if rank is None:
         rank = default_rank(n)
+    require_integer("rank", rank)
+    require_integer("max_sweeps", max_sweeps)
     if rank < 2:
         raise ValueError(f"rank must be at least 2, got {rank}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -96,30 +104,32 @@ def solve_maxcut_sdp(
     updates = [
         (row, idx, w_row[idx]) for row, idx, w_row in zip(vectors, nonzero, W) if idx.size
     ]
-    upper = np.triu(W)
+    heads, tails = np.nonzero(np.triu(W))
+    edge_weights = W[heads, tails]
+
+    def objective() -> float:
+        dots = np.sum(vectors[heads] * vectors[tails], axis=1)
+        return 0.5 * float(np.sum(edge_weights * (1.0 - dots)))
 
     history: list[float] = []
-    before = np.empty_like(vectors)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
-        np.copyto(before, vectors)
+    previous = objective()
+    for _ in range(max_sweeps):
         for row, idx, w in updates:
             g = w.dot(vectors.take(idx, axis=0))
             norm = sqrt(g.dot(g))
             if norm < _GRADIENT_FLOOR:
                 continue
             np.divide(g, -norm, out=row)
-        history.append(0.5 * float(np.sum(upper * (1.0 - vectors @ vectors.T))))
-        moves = vectors - before
-        max_move = sqrt(np.max(np.einsum("ij,ij->i", moves, moves), initial=0.0))
-        if max_move < tol:
+        current = objective()
+        history.append(current)
+        if current - previous <= tol * abs(current):
             break
+        previous = current
     return EmbeddingVectors(
         vectors=vectors,
         rank=rank,
         objective_history=tuple(history),
-        sweeps_used=sweeps,
+        sweeps_used=len(history),
     )
 
 

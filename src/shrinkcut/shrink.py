@@ -93,7 +93,7 @@ class ShrinkConfig:
     seed: int = 0
     reference_protected: bool = True
     sdp_rank: int | None = None
-    sdp_tol: float = 1e-6
+    sdp_tol: float = 1e-10
     sdp_max_sweeps: int = 1000
 
     def __post_init__(self) -> None:

@@ -26,12 +26,11 @@ sweep-by-sweep loop, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboModel, coefficient_scale, evaluate_qubo
+from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer
 
 EXACT_MAX_VARS = 24
 VQE_MAX_VARS = 16
@@ -179,17 +178,14 @@ def solve_sa(
     per-variable loop still makes every decision; the skipped sweeps are
     ones it would have rejected move by move (see the margin note in the
     loop), so the result equals the sweep-by-sweep loop bit for bit.
-    ``sweeps`` must be an integer (not a bool), at least 1.
+    ``sweeps`` must be an integer (not a bool), at least 1. The parameters
+    are checked before anything else, also for a model without variables.
     """
     n = model.n_vars
-    if n == 0:
-        return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
-    if sweeps is None:
-        sweeps = 200 * n
-    if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral):
-        raise ValueError(f"sweeps must be an integer, got {sweeps!r}")
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if sweeps is not None:
+        require_integer("sweeps", sweeps)
+        if sweeps < 1:
+            raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     scale = coefficient_scale(model)
     if t_start is None:
         t_start = scale
@@ -197,6 +193,10 @@ def solve_sa(
         t_end = 1e-3 * scale
     if not (0 < t_end <= t_start < math.inf):
         raise ValueError(f"need 0 < t_end <= t_start < inf, got {t_end} and {t_start}")
+    if n == 0:
+        return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
+    if sweeps is None:
+        sweeps = 200 * n
 
     rng = np.random.default_rng(seed)
     sym = model.pairs + model.pairs.T
@@ -314,15 +314,16 @@ def solve_vqe_sim(
     coordinate search over a fixed angle grid against the exact expected
     energy; the returned solution is the best of the ``shots``
     highest-probability basis states, and its energy is ``evaluate_qubo`` of
-    those bits.
+    those bits. ``layers`` must be an integer (not a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
         raise ValueError(f"VQE simulation is capped at {VQE_MAX_VARS} variables, got {n}")
-    if n == 0:
-        return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
+    require_integer("layers", layers)
     if layers < 0 or restarts < 1 or passes < 1 or grid < 2 or shots < 1:
         raise ValueError("invalid VQE parameters")
+    if n == 0:
+        return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
 
     energies = np.concatenate([chunk for _, chunk in _energy_chunks(model)])
     cz_mask = _cz_ring_mask(n)

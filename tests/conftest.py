@@ -26,7 +26,6 @@ from shrinkcut import (
     coefficient_scale,
     default_rank,
     evaluate_qubo,
-    sdp_objective,
     slack_bit_count,
 )
 
@@ -260,17 +259,19 @@ def naive_solve_sa(
 def naive_solve_maxcut_sdp(
     graph: MaxCutGraph,
     rank: int | None = None,
-    tol: float = 1e-6,
+    tol: float = 1e-10,
     max_sweeps: int = 1000,
     seed: int = 0,
 ) -> EmbeddingVectors:
     """Mixing-method coordinate ascent with per-node bookkeeping.
 
-    The same initialization, ascending neighbour order and updates as
-    ``solve_maxcut_sdp``, written as the direct loop: each node takes
-    ``np.linalg.norm`` of its gradient and of its own move, and every sweep
-    calls ``sdp_objective``. ``solve_maxcut_sdp`` must return the same
-    vectors, history and sweep count.
+    The same initialization, ascending neighbour order, updates and stopping
+    rule as ``solve_maxcut_sdp``, written as the direct loop: each node takes
+    ``np.linalg.norm`` of its gradient, and the objective is summed one edge
+    at a time from ``graph.edges`` in ascending key order, before the first
+    sweep and after every sweep. It stops once a sweep raises the objective
+    by at most ``tol`` times its new value. ``solve_maxcut_sdp`` must return
+    the same vectors, history and sweep count.
     """
     n = graph.n_nodes
     if rank is None:
@@ -282,7 +283,8 @@ def naive_solve_maxcut_sdp(
     neighbors: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[float]] = [[] for _ in range(n)]
     # in ascending (i, j) key order every node's list comes out ascending
-    for (i, j), w in sorted(graph.edges.items()):
+    edges = sorted(graph.edges.items())
+    for (i, j), w in edges:
         neighbors[i].append(j)
         weights[i].append(w)
         neighbors[j].append(i)
@@ -290,11 +292,13 @@ def naive_solve_maxcut_sdp(
     nbr_idx = [np.array(nb, dtype=int) for nb in neighbors]
     nbr_w = [np.array(ws) for ws in weights]
 
+    def objective() -> float:
+        terms = [w * (1.0 - float(np.sum(vectors[i] * vectors[j]))) for (i, j), w in edges]
+        return 0.5 * float(np.sum(np.array(terms, dtype=float)))
+
     history: list[float] = []
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
-        max_move = 0.0
+    previous = objective()
+    for _ in range(max_sweeps):
         for i in range(n):
             if nbr_idx[i].size == 0:
                 continue
@@ -302,16 +306,14 @@ def naive_solve_maxcut_sdp(
             norm = np.linalg.norm(g)
             if norm < 1e-12:
                 continue
-            new_v = -g / norm
-            move = np.linalg.norm(new_v - vectors[i])
-            if move > max_move:
-                max_move = move
-            vectors[i] = new_v
-        history.append(sdp_objective(graph, vectors @ vectors.T))
-        if max_move < tol:
+            vectors[i] = -g / norm
+        current = objective()
+        history.append(current)
+        if current - previous <= tol * abs(current):
             break
+        previous = current
     return EmbeddingVectors(
-        vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=sweeps
+        vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=len(history)
     )
 
 

@@ -401,6 +401,48 @@ def test_a_fractional_sweep_count_in_the_config_file_exits_two(
     assert "sweeps must be an integer, got 2.5" in captured.err
 
 
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("sdp_tol = nan", "tol must be a finite number > 0, got nan"),
+        ("sdp_tol = inf", "tol must be a finite number > 0, got inf"),
+        ("sdp_tol = 0", "tol must be a finite number > 0, got 0"),
+        ("sdp_max_sweeps = yes", "max_sweeps must be an integer, got True"),
+        ("sdp_max_sweeps = 2.5", "max_sweeps must be an integer, got 2.5"),
+        ("sdp_rank = 3.0", "rank must be an integer, got 3.0"),
+    ],
+)
+def test_an_invalid_sdp_setting_in_the_config_file_exits_two(
+    command, setting, message, data_dir, tmp_path, capsys
+):
+    config = tmp_path / "sdp.cfg"
+    config.write_text(setting + "\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main([command, *instance, "--k", "5", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+@pytest.mark.parametrize("layers", ["2.5", "yes"])
+def test_a_layer_count_that_is_not_an_integer_in_the_config_file_exits_two(
+    command, layers, data_dir, tmp_path, capsys
+):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    if command == "solve":
+        model_path = tmp_path / "model.json"
+        main(["build-qubo", *instance, "--out", str(model_path)])
+        instance = ["--model", str(model_path)]
+    config = tmp_path / "layers.cfg"
+    config.write_text(f"vqe_layers = {layers}\n")
+    assert main([command, *instance, "--backend", "vqe", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "layers must be an integer" in captured.err
+
+
 def test_pipeline_exit_zero_and_report_json(mdkp_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(

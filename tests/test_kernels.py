@@ -46,6 +46,7 @@ from shrinkcut import (
     build_model,
     cut_value,
     evaluate_qubo,
+    extract_correlations,
     graph_from_json,
     graph_to_json,
     graph_to_qubo,
@@ -529,7 +530,8 @@ def assert_same_embedding(graph, **options):
     sdp_graphs(),
     st.one_of(st.none(), st.integers(min_value=2, max_value=8)),
     st.integers(min_value=1, max_value=60),
-    # 1e-12 runs every graph to the cap; 0.1 stops most after a few sweeps
+    # 1e-12 runs about a fifth of random graphs to a 60-sweep cap; 0.1 stops
+    # most after two or three sweeps
     st.sampled_from([1e-12, 1e-6, 1e-3, 0.1]),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.data(),
@@ -553,8 +555,14 @@ def test_solve_maxcut_sdp_equals_the_per_node_loop_oracle_bit_for_bit(
 def test_solve_maxcut_sdp_equals_the_oracle_on_the_synth24x4_slack_graph():
     synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
     graph = qubo_to_maxcut(build_model(synth, PipelineConfig(kind="mdkp", use_slack=True)))
-    # penalty-weighted: the solve runs to the 1000-sweep cap
-    assert assert_same_embedding(graph, seed=5).sweeps_used == 1000
+    # penalty-weighted: the objective (about 1.26e9) settles within a few
+    # sweeps while the vectors keep drifting along a flat face
+    got = assert_same_embedding(graph, seed=5)
+    assert got.sweeps_used < 10
+    capped = solve_maxcut_sdp(graph, seed=5, max_sweeps=1000, tol=1e-300)
+    settled = sdp_objective(graph, extract_correlations(got))
+    reference = sdp_objective(graph, extract_correlations(capped))
+    assert abs(settled - reference) <= 1e-9 * abs(reference)
 
 
 def test_solve_maxcut_sdp_equals_the_oracle_on_the_1tc64_mis_graph():

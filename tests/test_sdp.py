@@ -134,3 +134,30 @@ def test_a_node_whose_neighbour_sum_vanishes_keeps_its_initial_vector():
     initial /= np.linalg.norm(initial, axis=1, keepdims=True)
     assert np.array_equal(vecs.vectors[2], initial[2])
     assert not np.array_equal(vecs.vectors[0], initial[0])
+
+
+@pytest.mark.parametrize("tol",[np.nan, np.inf, -np.inf, -1e-10, True, "1e-10", None])
+def test_solver_rejects_a_tolerance_that_is_not_a_finite_positive_number(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        solve_maxcut_sdp(triangle_graph(), tol=tol)
+
+
+@pytest.mark.parametrize("name", ["rank", "max_sweeps"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_solver_rejects_a_rank_or_sweep_cap_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        solve_maxcut_sdp(triangle_graph(), **{name: value})
+    numpy_count = solve_maxcut_sdp(triangle_graph(), **{name: np.int64(3)}, seed=1)
+    plain = solve_maxcut_sdp(triangle_graph(), **{name: 3}, seed=1)
+    assert np.array_equal(numpy_count.vectors, plain.vectors)
+
+
+def test_the_ascent_stops_at_the_first_sweep_that_adds_at_most_tol_times_the_objective():
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        graph = random_graph(rng, int(rng.integers(3, 13)))
+        for tol in (1e-3, 1e-10):
+            history = np.array(solve_maxcut_sdp(graph, tol=tol, seed=trial).objective_history)
+            stop = np.diff(history) <= tol * np.abs(history[1:])
+            assert not stop[:-1].any()
+            assert stop.size == 0 or stop[-1]

@@ -127,6 +127,20 @@ def test_solve_sa_rejects_a_sweep_count_that_is_not_an_integer(sweeps):
     assert numpy_count.bits.tolist() == solve_sa(model, sweeps=3).bits.tolist()
 
 
+def test_solve_sa_checks_its_parameters_also_on_a_model_without_variables():
+    empty = qubo_model({}, (), offset=2.5)
+    with pytest.raises(ValueError, match="sweeps must be an integer, got 2.5"):
+        solve_sa(empty, sweeps=2.5, t_start=-1.0, t_end=5.0)
+    with pytest.raises(ValueError, match="sweeps must be >= 1"):
+        solve_sa(empty, sweeps=0)
+    with pytest.raises(ValueError, match="t_end <= t_start"):
+        solve_sa(empty, t_start=-1.0)
+    with pytest.raises(ValueError, match="t_end <= t_start"):
+        solve_sa(empty, t_start=1.0, t_end=2.0)
+    solution = solve_sa(empty, seed=1)
+    assert solution.bits.tolist() == [] and solution.energy == 2.5
+
+
 def test_solve_sa_memory_does_not_grow_with_the_sweep_count():
     # frozen after at most one flip (setting the bit costs 1 at T = 1e-3), so
     # a million sweeps are skipped block by block; the whole schedule is 8 MB
@@ -188,6 +202,17 @@ def test_solve_vqe_sim_enforces_cap_and_parameters():
     small = qubo_model({}, (0.0,))
     with pytest.raises(ValueError, match="invalid VQE parameters"):
         solve_vqe_sim(small, restarts=0)
+
+
+@pytest.mark.parametrize("layers", [2.5, 1.0, True, "1"])
+def test_solve_vqe_sim_rejects_a_layer_count_that_is_not_an_integer(layers):
+    model = random_qubo(np.random.default_rng(71), 3)
+    with pytest.raises(ValueError, match="layers must be an integer"):
+        solve_vqe_sim(model, layers=layers)
+    with pytest.raises(ValueError, match="layers must be an integer"):
+        solve_vqe_sim(qubo_model({}, ()), layers=layers)
+    numpy_count = solve_vqe_sim(model, layers=np.int64(1), seed=2)
+    assert numpy_count.bits.tolist() == solve_vqe_sim(model, layers=1, seed=2).bits.tolist()
 
 
 def test_solve_qubo_dispatches_by_backend_name(mdkp_tiny):
