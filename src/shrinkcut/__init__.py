@@ -69,8 +69,6 @@ from .feasibility import (
     make_penalty,
     mdkp_violations,
     mis_violations,
-    pi_mdkp,
-    pi_qap,
     qap_violations,
     repair,
     repair_mdkp,

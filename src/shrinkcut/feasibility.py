@@ -2,7 +2,12 @@
 
 The shrink stage can discount merges that would entangle constraint
 structure: ``make_penalty`` builds a scoring function Pi(a, b) over supernode
-pairs from the problem instance and the node -> variable-tag mapping. The
+pairs from the problem instance and the node -> variable-tag mapping. It
+memoises one summary per supernode, keyed by (id, member count), and scores a
+pair with O(1) arithmetic on the two summaries: vertex and neighbour bitmasks
+for MIS, facility-row and location-column bitmasks for QAP, and for MDKP the
+sum of the items' capacity shares mean_j(w_ji / C_j), so that Pi = s_a + s_b
+is the mean fractional capacity of the merged items up to rounding. The
 repair routines turn an arbitrary bitstring into a feasible solution with
 deterministic greedy rules.
 """
@@ -101,96 +106,81 @@ def is_feasible(inst, x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _decision_tags(sn: SuperNode, node_tags: dict[int, tuple]) -> list[tuple]:
-    return [node_tags[v] for v in sn.members if v in node_tags]
-
-
-def pi_mdkp(a: SuperNode, b: SuperNode, inst: MdkpInstance, node_tags: dict[int, tuple]) -> float:
-    """Mean fractional capacity the merged item set would consume, over all rows.
-
-    Only decision (item) members count; slack bits and the reference node are
-    ignored.
-    """
-    items = [
-        tag[1]
-        for tag in _decision_tags(a, node_tags) + _decision_tags(b, node_tags)
-        if tag[0] == "item"
-    ]
-    if not items:
-        return 0.0
-    used = inst.weights[:, items].sum(axis=1)
-    return float(np.mean(used / inst.capacities))
-
-
-def pi_qap(a: SuperNode, b: SuperNode, inst: QapInstance, node_tags: dict[int, tuple]) -> float:
-    """1.0 when the supernodes share a facility or a location, else 0.0."""
-    assigns_a = [tag for tag in _decision_tags(a, node_tags) if tag[0] == "assign"]
-    assigns_b = [tag for tag in _decision_tags(b, node_tags) if tag[0] == "assign"]
-    rows_a = {t[1] for t in assigns_a}
-    cols_a = {t[2] for t in assigns_a}
-    rows_b = {t[1] for t in assigns_b}
-    cols_b = {t[2] for t in assigns_b}
-    if (rows_a & rows_b) or (cols_a & cols_b):
-        return 1.0
-    return 0.0
-
-
-def _mis_penalty(inst: MisInstance, node_tags: dict[int, tuple]):
-    """Pi(a, b) for MIS from one vertex mask and one neighbour mask per supernode."""
-    neighbours = [0] * inst.n
-    for u, v in inst.edges:
-        neighbours[u] |= 1 << v
-        neighbours[v] |= 1 << u
-    vertex_of = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
-    summaries: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def summary(sn: SuperNode) -> tuple[int, int]:
-        key = (sn.id, len(sn.members))
-        if key not in summaries:
-            verts = nbrs = 0
-            for node in sn.members:
-                if node in vertex_of:
-                    u = vertex_of[node]
-                    verts |= 1 << u
-                    nbrs |= neighbours[u]
-            summaries[key] = (verts, nbrs)
-        return summaries[key]
-
-    def penalty(a: SuperNode, b: SuperNode) -> float:
-        return 1.0 if summary(a)[1] & summary(b)[0] else 0.0
-
-    return penalty
-
-
 def make_penalty(inst, node_tags: dict[int, tuple]):
-    """Build a Pi(a, b) scorer for the shrink stage from an instance.
+    """Build the Pi(a, b) scorer the shrink stage calls once per supernode pair.
 
-    ``node_tags`` maps Max-Cut node ids to variable semantics tags (the
-    reference node 0 has no entry). MIS scores 1.0 when a conflict edge runs
-    between the two supernodes: each supernode's vertex bitmask and the OR of
-    its vertices' neighbour bitmasks are memoised per (supernode id, member
-    count). MDKP and QAP results are cached per pair of those keys. Both
-    memos are valid for one shrink only, because there member sets only ever
-    grow, so an id and a count name one member set.
+    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the
+    reference node 0 has no entry and slack bits count for nothing. Each
+    supernode gets a summary of its decision members, memoised per
+    (supernode id, member count): within one shrink member sets only ever
+    grow, so an id and a count name one member set. Pi is then O(1)
+    arithmetic on the two summaries:
+
+    - MIS: the summary is (vertex mask, neighbour mask), and Pi is 1.0 when
+      a's neighbour mask meets b's vertex mask (a conflict edge runs between
+      the two supernodes), else 0.0.
+    - QAP: the summary holds one bit per facility row and one per location
+      column of the assignment members, and Pi is 1.0 when the two
+      supernodes share a row or a column, else 0.0.
+    - MDKP: Pi is the mean fractional capacity the merged item set would
+      consume, mean_j((u_a + u_b)_j / C_j) for the item loads u. That equals
+      s_a + s_b, where item i's share is mean_j(w_ji / C_j) and a summary s
+      adds its items' shares to 0.0 in member order; the two forms agree in
+      exact arithmetic and can differ only in rounding.
     """
-    if isinstance(inst, MisInstance):
-        return _mis_penalty(inst, node_tags)
     if isinstance(inst, MdkpInstance):
-        fn = pi_mdkp
+        shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
+        parts = {node: shares[tag[1]] for node, tag in node_tags.items() if tag[0] == "item"}
+    elif isinstance(inst, MisInstance):
+        neighbours = [0] * inst.n
+        for u, v in inst.edges:
+            neighbours[u] |= 1 << v
+            neighbours[v] |= 1 << u
+        parts = {
+            node: (1 << tag[1], neighbours[tag[1]])
+            for node, tag in node_tags.items()
+            if tag[0] == "vertex"
+        }
     elif isinstance(inst, QapInstance):
-        fn = pi_qap
+        # bit i is facility row i and bit n + j location column j; a cell
+        # reaches exactly the bits it holds, so one AND finds a shared one
+        parts = {}
+        for node, tag in node_tags.items():
+            if tag[0] == "assign":
+                mask = 1 << tag[1] | 1 << (inst.n + tag[2])
+                parts[node] = (mask, mask)
     else:
         raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    additive = isinstance(inst, MdkpInstance)
+    summaries: dict[tuple[int, int], float | tuple[int, int]] = {}
 
-    cache: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
+    def summarise(sn: SuperNode) -> float | tuple[int, int]:
+        found = [parts[node] for node in sn.members if node in parts]
+        if additive:
+            total = 0.0
+            for share in found:
+                total += share
+            return total
+        own = reach = 0
+        for bits, reached in found:
+            own |= bits
+            reach |= reached
+        return own, reach
 
     def penalty(a: SuperNode, b: SuperNode) -> float:
-        key_a = (a.id, len(a.members))
-        key_b = (b.id, len(b.members))
-        key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        if key not in cache:
-            cache[key] = fn(a, b, inst, node_tags)
-        return cache[key]
+        key = (a.id, len(a.members))
+        try:
+            summary_a = summaries[key]
+        except KeyError:
+            summary_a = summaries[key] = summarise(a)
+        key = (b.id, len(b.members))
+        try:
+            summary_b = summaries[key]
+        except KeyError:
+            summary_b = summaries[key] = summarise(b)
+        if additive:
+            return summary_a + summary_b
+        return 1.0 if summary_a[1] & summary_b[0] else 0.0
 
     return penalty
 

@@ -24,14 +24,16 @@ same ids).
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable
 
 import numpy as np
 
 from .maxcut import MaxCutGraph
-from .qubo import json_document
+from .qubo import json_document, require_integer
 from .sdp import extract_correlations, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
@@ -108,14 +110,16 @@ class ShrinkConfig:
             raise ValueError(f"energy_order must be 'ascending' or 'descending', got {self.energy_order!r}")
         if self.weight_mode not in ("absolute", "raw"):
             raise ValueError(f"weight_mode must be 'absolute' or 'raw', got {self.weight_mode!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        lam, delta = self.lam, self.delta
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < inf:
+            raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
         if self.recalc not in ("fixed", "delta", "tau", "local"):
             raise ValueError(f"recalc must be one of fixed/delta/tau/local, got {self.recalc!r}")
+        require_integer("r", self.r)
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < inf:
+            raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
 

@@ -201,6 +201,49 @@ def naive_pi_mis(
     return 0.0
 
 
+def _decision_tags(sn: SuperNode, node_tags: dict[int, tuple]) -> list[tuple]:
+    return [node_tags[v] for v in sn.members if v in node_tags]
+
+
+def naive_pi_mdkp(
+    a: SuperNode, b: SuperNode, inst: MdkpInstance, node_tags: dict[int, tuple]
+) -> float:
+    """Mean fractional capacity the merged item set would consume, over all rows.
+
+    Sums the item columns of both supernodes and divides by the capacities
+    on every call; slack bits and the reference node are ignored. The MDKP
+    scorer of ``make_penalty`` must agree for every pair, up to rounding.
+    """
+    items = [
+        tag[1]
+        for tag in _decision_tags(a, node_tags) + _decision_tags(b, node_tags)
+        if tag[0] == "item"
+    ]
+    if not items:
+        return 0.0
+    used = inst.weights[:, items].sum(axis=1)
+    return float(np.mean(used / inst.capacities))
+
+
+def naive_pi_qap(
+    a: SuperNode, b: SuperNode, inst: QapInstance, node_tags: dict[int, tuple]
+) -> float:
+    """1.0 when the supernodes share a facility or a location, else 0.0.
+
+    Builds both row and column sets on every call; the QAP scorer of
+    ``make_penalty`` must give the same value for every pair.
+    """
+    assigns_a = [tag for tag in _decision_tags(a, node_tags) if tag[0] == "assign"]
+    assigns_b = [tag for tag in _decision_tags(b, node_tags) if tag[0] == "assign"]
+    rows_a = {t[1] for t in assigns_a}
+    cols_a = {t[2] for t in assigns_a}
+    rows_b = {t[1] for t in assigns_b}
+    cols_b = {t[2] for t in assigns_b}
+    if (rows_a & rows_b) or (cols_a & cols_b):
+        return 1.0
+    return 0.0
+
+
 def naive_solve_sa(
     model: QuboModel,
     seed: int = 0,

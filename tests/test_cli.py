@@ -425,6 +425,40 @@ def test_an_invalid_sdp_setting_in_the_config_file_exits_two(
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("lam = nan", "lam must be a finite number >= 0, got nan"),
+        ("lam = inf", "lam must be a finite number >= 0, got inf"),
+        ("delta = nan", "delta must be a finite number > 0, got nan"),
+        ("r = 2.5", "r must be an integer, got 2.5"),
+        ("r = yes", "r must be an integer, got True"),
+    ],
+)
+def test_an_invalid_penalty_weight_or_recalc_knob_in_the_config_file_exits_two(
+    command, setting, message, data_dir, tmp_path, capsys
+):
+    config = tmp_path / "shrink.cfg"
+    config.write_text(setting + "\n")
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main([command, *instance, "--k", "5", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+@pytest.mark.parametrize("flag", [["--lambda", "nan"], ["--lambda", "inf"], ["--delta", "nan"]])
+def test_a_non_finite_penalty_weight_or_drift_flag_exits_two(command, flag, data_dir, capsys):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main([command, *instance, "--k", "5", "--recalc", "delta", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a finite number" in captured.err
+    assert "high <= 0" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
 @pytest.mark.parametrize("layers", ["2.5", "yes"])
 def test_a_layer_count_that_is_not_an_integer_in_the_config_file_exits_two(

@@ -127,16 +127,56 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
     assert penalty(SuperNode(id=0), SuperNode(id=4)) == 0.0  # reference has no tags
 
 
-def test_penalty_cache_refreshes_when_members_grow():
-    single_edge = MisInstance(n=3, edges=((0, 2),))
-    tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
-    penalty = make_penalty(single_edge, tags)
+@pytest.mark.parametrize(
+    "inst, tags, joiner, before, after",
+    [
+        # vertex 0 joins, creating a cross edge to vertex 2
+        (
+            MisInstance(n=3, edges=((0, 2),)),
+            {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)},
+            1,
+            0.0,
+            1.0,
+        ),
+        # cell (1, 1) joins, sharing facility row 1 with cell (1, 0)
+        (
+            QapInstance(n=2, flow=np.zeros((2, 2)), distance=np.zeros((2, 2))),
+            {1: ("assign", 0, 0), 2: ("assign", 0, 1), 3: ("assign", 1, 0), 4: ("assign", 1, 1)},
+            4,
+            0.0,
+            1.0,
+        ),
+        # item 0 (weight 2) joins items 1 and 2 (weights 3 and 4), capacity 5
+        (
+            MdkpInstance(
+                n=3,
+                m=1,
+                profits=np.ones(3),
+                weights=np.array([[2.0, 3.0, 4.0]]),
+                capacities=np.array([5.0]),
+            ),
+            {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)},
+            1,
+            pytest.approx(7 / 5),
+            pytest.approx(9 / 5),
+        ),
+    ],
+    ids=["mis", "qap", "mdkp"],
+)
+def test_penalty_summaries_refresh_when_members_grow(inst, tags, joiner, before, after):
+    """Pair (2, 3) is scored, then ``joiner`` joins supernode 2 and the score changes.
+
+    MIS and QAP scores are compared exactly; MDKP's item shares 3/5 + 4/5
+    round differently from the load 7/5.
+    """
+    penalty = make_penalty(inst, tags)
     a = SuperNode(id=2)
     b = SuperNode(id=3)
-    assert penalty(a, b) == 0.0
-    assert penalty(b, a) == 0.0  # symmetric cache key
-    a.members[1] = 1  # vertex 0 joins, creating a cross edge to vertex 2
-    assert penalty(a, b) == 1.0
+    assert penalty(a, b) == before
+    assert penalty(b, a) == before
+    a.members[joiner] = 1
+    assert penalty(a, b) == after
+    assert penalty(b, a) == after
 
 
 def test_make_penalty_rejects_unknown_instances():

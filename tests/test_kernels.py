@@ -20,9 +20,12 @@ same ids, edges and weights after every contraction.
 and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
 by row, and the two must give the same energies in the same counter order
 (equal on integer data, within rounding on float data).
-The MIS merge penalty memoises one vertex bitmask and one neighbour bitmask
-per supernode; its oracle rebuilds both vertex sets and the adjacency on
-every call, and the two must agree on every pair after every merge.
+The merge penalty memoises one summary per supernode: vertex and neighbour
+bitmasks for MIS, row and column bitmasks for QAP, a sum of item capacity
+shares for MDKP. Its oracles rebuild the vertex sets and adjacency, the row
+and column sets, or the item loads on every call, and must agree on every
+pair after every merge: exactly for MIS and QAP, within 1e-12 relative for
+MDKP, whose shares round differently from summed loads.
 """
 
 import itertools
@@ -38,8 +41,10 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     MaxCutGraph,
+    MdkpInstance,
     MisInstance,
     PipelineConfig,
+    QapInstance,
     QuboModel,
     SuperNode,
     WorkingGraph,
@@ -72,7 +77,9 @@ from tests.conftest import (
     naive_effective_correlation,
     naive_graph_to_qubo,
     naive_laplacian,
+    naive_pi_mdkp,
     naive_pi_mis,
+    naive_pi_qap,
     naive_qubo_energy,
     naive_qubo_to_maxcut,
     naive_sdp_objective,
@@ -274,28 +281,67 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
                     assert abs(E[r, c] - expected) <= 1e-12
 
 
-@st.composite
-def mis_merge_cases(draw) -> tuple[MisInstance, dict[int, tuple], list[tuple[int, int, int]]]:
-    """A random conflict graph, its node tags and a random signed merge sequence.
+def random_merges(draw, n_nodes: int) -> list[tuple[int, int, int]]:
+    """A random signed merge sequence over Max-Cut nodes 0..n_nodes.
 
-    Max-Cut node 0 is the untagged reference; nodes 1..n carry the vertices
-    in a random order. Each merge is (absorbed, survivor, sigma).
+    Each merge is (absorbed, survivor, sigma) between two surviving nodes.
     """
-    n = draw(st.integers(min_value=1, max_value=20))
-    density = draw(st.floats(min_value=0.0, max_value=1.0))
-    inst = random_mis(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, density)
-    tags = {node: ("vertex", u) for node, u in enumerate(draw(st.permutations(range(n))), 1)}
-    ids = list(range(n + 1))
+    ids = list(range(n_nodes + 1))
     merges = []
-    for _ in range(draw(st.integers(min_value=0, max_value=n))):
+    for _ in range(draw(st.integers(min_value=0, max_value=n_nodes))):
         absorbed, survivor = draw(st.permutations(ids))[:2]
         ids.remove(absorbed)
         merges.append((absorbed, survivor, draw(st.sampled_from([-1, 1]))))
-    return inst, tags, merges
+    return merges
 
 
-@settings(max_examples=100, deadline=None)
-@given(mis_merge_cases())
+def shuffled_tags(draw, tags: list[tuple]) -> dict[int, tuple]:
+    """``tags`` on Max-Cut nodes 1..len(tags) in a random order; node 0 is the untagged reference."""
+    return dict(enumerate(draw(st.permutations(tags)), 1))
+
+
+@st.composite
+def mis_merge_cases(draw):
+    """A random conflict graph, its vertex tags and a random merge sequence."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    inst = random_mis(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, density)
+    tags = shuffled_tags(draw, [("vertex", u) for u in range(n)])
+    return inst, tags, random_merges(draw, len(tags))
+
+
+@st.composite
+def qap_merge_cases(draw):
+    """A QAP size, its assignment tags and a random merge sequence (flows play no part)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    inst = QapInstance(n=n, flow=np.zeros((n, n)), distance=np.zeros((n, n)))
+    tags = shuffled_tags(draw, [("assign", i, j) for i in range(n) for j in range(n)])
+    return inst, tags, random_merges(draw, len(tags))
+
+
+@st.composite
+def mdkp_merge_cases(draw):
+    """Random integer or float MDKP rows, item and slack tags and a random merge sequence."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.integers(0, 50, (m, n)).astype(float)
+        capacities = rng.integers(1, 100, m).astype(float)
+    else:
+        weights = rng.uniform(0.0, 50.0, (m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+        capacities = rng.uniform(0.5, 100.0, m)
+    inst = MdkpInstance(n=n, m=m, profits=np.ones(n), weights=weights, capacities=capacities)
+    slack = [("slack", 0, k) for k in range(draw(st.integers(min_value=0, max_value=3)))]
+    tags = shuffled_tags(draw, [("item", i) for i in range(n)] + slack)
+    return inst, tags, random_merges(draw, len(tags))
+
+
+PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpInstance: naive_pi_mdkp}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()))
 # vertex 0 joins supernode 2 after (2, 3) was scored: a stale memo still says 0.0
 @example(
     (
@@ -304,14 +350,27 @@ def mis_merge_cases(draw) -> tuple[MisInstance, dict[int, tuple], list[tuple[int
         [(1, 2, 1)],
     )
 )
-def test_mis_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
+def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
+    """MIS and QAP exactly; MDKP within rounding, and exactly as a freshly built scorer.
+
+    The MDKP scorer adds per-item shares mean_j(w_ji / C_j) where the oracle
+    adds item loads before dividing, so the two round differently even on
+    integer weights; the fresh scorer checks the memo itself bit for bit.
+    """
     inst, tags, merges = case
+    oracle = PENALTY_ORACLES[type(inst)]
     penalty = make_penalty(inst, tags)
-    supernodes = {v: SuperNode(id=v) for v in range(inst.n + 1)}
+    supernodes = {v: SuperNode(id=v) for v in range(len(tags) + 1)}
 
     def assert_every_pair_matches():
+        fresh = make_penalty(inst, tags)
         for a, b in itertools.permutations(supernodes.values(), 2):
-            assert penalty(a, b) == naive_pi_mis(a, b, inst, tags)
+            got, want = penalty(a, b), oracle(a, b, inst, tags)
+            if isinstance(inst, MdkpInstance):
+                assert abs(got - want) <= 1e-12 * want
+                assert got == fresh(a, b)
+            else:
+                assert got == want
 
     assert_every_pair_matches()
     for absorbed, survivor, sigma in merges:

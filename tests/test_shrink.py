@@ -1,5 +1,7 @@
 """Correlation-guided graph contraction: selection, bookkeeping, policies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,30 @@ def test_shrink_config_validation():
         ShrinkConfig(recalc="never")
     with pytest.raises(ValueError, match="tau"):
         ShrinkConfig(recalc="tau", tau=2.0)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"lam": float("nan")}, "lam must be a finite number >= 0, got nan"),
+        ({"lam": float("inf")}, "lam must be a finite number >= 0, got inf"),
+        ({"lam": True}, "lam must be a finite number >= 0, got True"),
+        ({"delta": float("nan")}, "delta must be a finite number > 0, got nan"),
+        ({"delta": float("inf")}, "delta must be a finite number > 0, got inf"),
+        ({"delta": 0.0}, "delta must be a finite number > 0, got 0.0"),
+        ({"r": 2.5}, "r must be an integer, got 2.5"),
+        ({"r": True}, "r must be an integer, got True"),
+        ({"r": 0}, "r must be >= 1, got 0"),
+    ],
+)
+def test_shrink_config_rejects_a_penalty_weight_or_recalc_knob_out_of_range(setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShrinkConfig(**setting)
+
+
+def test_shrink_config_accepts_numpy_and_integer_numbers():
+    config = ShrinkConfig(lam=0, delta=np.float64(0.5), r=np.int64(3))
+    assert (config.lam, config.delta, config.r) == (0, 0.5, 3)
 
 
 def test_supernode_and_merge_step_validation():
