@@ -32,7 +32,6 @@ from .qubo import (
 from .maxcut import (
     MaxCutGraph,
     binary_to_spins,
-    classify_edges,
     cut_value,
     graph_from_json,
     graph_to_json,

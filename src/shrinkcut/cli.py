@@ -319,6 +319,9 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"unknown problem kind {kind!r} in {spec!r}")
         instances.append((kind, path))
     base = _pipeline_config(args, file_cfg, kind=instances[0][0], instance=None, out=None)
+    # Each strategy sets only the stop; check the other shrink settings once, before any row.
+    shared = {f.name: getattr(base, f.name) for f in fields(ShrinkConfig)}
+    ShrinkConfig(**{**shared, "stop_mode": "spectral", "k": None})
     timings = _resolve(args, file_cfg, "timings", None) or "zero"
     csv_text, failures = run_bench(
         base, instances, strategies=tuple(args.strategies), timings=timings

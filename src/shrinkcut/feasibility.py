@@ -10,6 +10,9 @@ sum of the items' capacity shares mean_j(w_ji / C_j), so that Pi = s_a + s_b
 is the mean fractional capacity of the merged items up to rounding. The
 repair routines turn an arbitrary bitstring into a feasible solution with
 deterministic greedy rules.
+
+scipy is loaded only by the QAP repair (``hungarian``), so other commands
+start without it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .instances import MdkpInstance, MisInstance, QapInstance
 from .shrink import SuperNode
@@ -257,6 +259,10 @@ def hungarian(cost: np.ndarray) -> tuple[int, ...]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if n == 0:
         return ()
+    # Imported here, not at module level: scipy.optimize takes most of the
+    # package's import time, and only QAP repair reaches this function.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     best_total = float(cost[rows, cols].sum())
 

@@ -23,7 +23,7 @@ vectors and spin vectors convert by slicing off node 0. A reduced graph from
 A graph stores its weights once, as a read-only symmetric float array with a
 zero diagonal and +0.0 wherever there is no edge; the kernels read it
 directly. The ``{(i, j): w}`` view :attr:`MaxCutGraph.edges` is derived on
-first use, for JSON, edge provenance and edge counts.
+first use, for JSON and edge counts.
 """
 
 from __future__ import annotations
@@ -117,17 +117,6 @@ def binary_to_spins(graph: MaxCutGraph, x) -> np.ndarray:
     if x.shape != (graph.n_nodes - 1,):
         raise ValueError(f"bits have shape {x.shape}, expected ({graph.n_nodes - 1},)")
     return np.concatenate(([1], 1 - 2 * x))
-
-
-def classify_edges(full: MaxCutGraph, objective_only: MaxCutGraph) -> dict[tuple[int, int], str]:
-    """Tag each edge of ``full`` as constraint-derived or objective-derived.
-
-    ``objective_only`` is the graph of the same build with penalties removed;
-    an edge whose weight changed (or did not exist) under penalties carries
-    constraint contributions.
-    """
-    base = objective_only.edges
-    return {key: "objective" if base.get(key) == w else "constraint" for key, w in full.edges.items()}
 
 
 def graph_to_json(graph: MaxCutGraph) -> str:

@@ -658,6 +658,32 @@ def test_bench_rejects_size_keys_in_the_config_file(triangle_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("flags", "config_text", "message"),
+    [
+        (["--lambda", "nan"], "", "lam must be a finite number >= 0, got nan"),
+        ([], "delta = nan\n", "delta must be a finite number > 0, got nan"),
+    ],
+    ids=["lambda-flag", "delta-config"],
+)
+def test_bench_rejects_a_bad_shrink_setting_before_any_row(
+    triangle_file, tmp_path, capsys, flags, config_text, message
+):
+    config = tmp_path / "bench.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "bench.csv"
+    code = main(
+        ["bench", "--instances", f"mis:{triangle_file}", "--backend", "sa", "--sweeps", "50"]
+        + ["--seed", "1", "--config", str(config), "--out", str(out)]
+        + flags
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(message) == 1
+    assert "bench:" not in err
+    assert not out.exists()
+
+
 def test_verify_accepts_and_rejects_solutions(triangle_file, tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"instance": "triangle", "bits": [1, 0, 0]}))

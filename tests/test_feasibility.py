@@ -1,6 +1,12 @@
 """Violation checks, merge penalties, and deterministic repair."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +309,48 @@ def test_hungarian_handles_trivial_sizes():
 def test_hungarian_rejects_non_square_input():
     with pytest.raises(ValueError, match="square"):
         hungarian(np.zeros((2, 3)))
+
+
+# Run in a fresh interpreter: this test session has already loaded
+# scipy.optimize through the hungarian tests, so an in-process check could
+# never see it missing.
+_LAZY_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    import shrinkcut, shrinkcut.cli, shrinkcut.pipeline
+    seen = {"import": "scipy.optimize" in sys.modules}
+    from shrinkcut import PipelineConfig, load_instance, repair_qap, run_pipeline
+    run_pipeline(PipelineConfig(kind="mis", instance=sys.argv[1], stop_mode="k", k=5))
+    seen["mis_pipeline"] = "scipy.optimize" in sys.modules
+    report = repair_qap(load_instance("qap", sys.argv[2]), np.ones(36, dtype=int))
+    seen["qap_repair"] = "scipy.optimize" in sys.modules
+    seen["bits"] = np.asarray(report.bits).tolist()
+    print(json.dumps(seen))
+    """
+)
+
+
+def test_scipy_optimize_loads_only_when_a_qap_repair_needs_it():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT]
+        + [str(root / "data" / "mis" / "1tc.8.txt"), str(root / "data" / "qap" / "rand6.txt")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["import"] is False
+    assert seen["mis_pipeline"] is False
+    assert seen["qap_repair"] is True
+    bits = np.array(seen["bits"])
+    assert bits.shape == (6, 6)
+    assert bits.sum(axis=0).tolist() == [1] * 6
+    assert bits.sum(axis=1).tolist() == [1] * 6

@@ -1,4 +1,4 @@
-"""QUBO <-> Max-Cut reduction, spin transforms, and edge provenance."""
+"""QUBO <-> Max-Cut reduction, spin transforms, and graph JSON."""
 
 import json
 
@@ -9,9 +9,6 @@ from shrinkcut import (
     MaxCutGraph,
     binary_to_spins,
     build_mdkp_qubo,
-    build_mis_qubo,
-    build_qap_qubo,
-    classify_edges,
     cut_value,
     evaluate_qubo,
     graph_from_json,
@@ -176,33 +173,6 @@ def test_stored_weights_are_symmetric_read_only_copies_with_positive_zeros():
     assert graph.edges is graph.edges  # derived once
     with pytest.raises(TypeError):
         graph.edges[(0, 1)] = 1.0
-
-
-def test_classify_edges_qap_pair_and_dominance(qap_pair):
-    full = qubo_to_maxcut(build_qap_qubo(qap_pair, P=100.0))
-    objective_model = qubo_model(
-        {(0, 3): 20.0, (1, 2): 20.0},
-        (0.0, 0.0, 0.0, 0.0),
-        semantics=tuple(("assign", i, j) for i in range(2) for j in range(2)),
-    )
-    tags = classify_edges(full, qubo_to_maxcut(objective_model))
-    objective = {k for k, t in tags.items() if t == "objective"}
-    constraint = {k for k, t in tags.items() if t == "constraint"}
-    # the one-hot penalty cancels out of reference edges when groups have size 2
-    assert objective == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)}
-    assert constraint == {(1, 2), (1, 3), (2, 4), (3, 4)}
-    smallest_constraint = min(abs(full.edges[k]) for k in constraint)
-    largest_objective = max(abs(full.edges[k]) for k in objective)
-    assert smallest_constraint > largest_objective
-
-
-def test_classify_edges_mis_triangle_all_constraint(mis_triangle):
-    full = qubo_to_maxcut(build_mis_qubo(mis_triangle, P=2.0))
-    objective_model = qubo_model(
-        {}, (-1.0, -1.0, -1.0), semantics=tuple(("vertex", v) for v in range(3))
-    )
-    tags = classify_edges(full, qubo_to_maxcut(objective_model))
-    assert set(tags.values()) == {"constraint"}
 
 
 def test_graph_json_round_trips_exactly(mdkp_tiny):
