@@ -22,7 +22,6 @@ from .qubo import (
     build_mis_qubo,
     build_qap_qubo,
     coefficient_scale,
-    decision_indices,
     evaluate_qubo,
     model_from_json,
     model_to_json,
@@ -52,7 +51,6 @@ from .shrink import (
     ShrinkConfig,
     ShrinkResult,
     ShrinkStats,
-    SuperNode,
     WorkingGraph,
     local_correlation_update,
     merge_score,

@@ -1,14 +1,15 @@
 """Constraint checking, merge penalties, and greedy solution repair.
 
 The shrink stage can discount merges that would entangle constraint
-structure: ``make_penalty`` builds a scoring function Pi(a, b) over supernode
-pairs from the problem instance and the node -> variable-tag mapping. It
-memoises one summary per supernode, keyed by (id, member count), and scores a
-pair with O(1) arithmetic on the two summaries: vertex and neighbour bitmasks
-for MIS, facility-row and location-column bitmasks for QAP, and for MDKP the
-sum of the items' capacity shares mean_j(w_ji / C_j), so that Pi = s_a + s_b
-is the mean fractional capacity of the merged items up to rounding. The
-repair routines turn an arbitrary bitstring into a feasible solution with
+structure: ``make_penalty`` builds a scoring function Pi(a, b) over pairs of
+supernode member lists from the problem instance and the node ->
+variable-tag mapping. It memoises one summary per supernode, keyed by
+(representative, member count), and scores a pair with O(1) arithmetic on
+the two summaries: vertex and neighbour bitmasks for MIS, facility-row and
+location-column bitmasks for QAP, and for MDKP the sum of the items'
+capacity shares mean_j(w_ji / C_j), so that Pi = s_a + s_b is the mean
+fractional capacity of the merged items up to rounding. The repair
+routines turn an arbitrary bitstring into a feasible solution with
 deterministic greedy rules.
 
 scipy is loaded only by the QAP repair (``hungarian``), so other commands
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import MdkpInstance, MisInstance, QapInstance
-from .shrink import SuperNode
 
 _LEX_TOL = 1e-9
 
@@ -111,11 +111,13 @@ def is_feasible(inst, x) -> bool:
 def make_penalty(inst, node_tags: dict[int, tuple]):
     """Build the Pi(a, b) scorer the shrink stage calls once per supernode pair.
 
-    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the
-    reference node 0 has no entry and slack bits count for nothing. Each
-    supernode gets a summary of its decision members, memoised per
-    (supernode id, member count): within one shrink member sets only ever
-    grow, so an id and a count name one member set. Pi is then O(1)
+    ``a`` and ``b`` are member lists of Max-Cut node ids, representative
+    first (``WorkingGraph.members``). ``node_tags`` maps Max-Cut node ids to
+    variable semantics tags; the reference node 0 has no entry and slack bits
+    count for nothing. Each supernode gets a summary of its decision members,
+    memoised per (representative, member count), i.e. ``(members[0],
+    len(members))``: within one shrink member lists only ever grow, so a
+    representative and a count name one member set. Pi is then O(1)
     arithmetic on the two summaries:
 
     - MIS: the summary is (vertex mask, neighbour mask), and Pi is 1.0 when
@@ -156,8 +158,8 @@ def make_penalty(inst, node_tags: dict[int, tuple]):
     additive = isinstance(inst, MdkpInstance)
     summaries: dict[tuple[int, int], float | tuple[int, int]] = {}
 
-    def summarise(sn: SuperNode) -> float | tuple[int, int]:
-        found = [parts[node] for node in sn.members if node in parts]
+    def summarise(members: list[int]) -> float | tuple[int, int]:
+        found = [parts[node] for node in members if node in parts]
         if additive:
             total = 0.0
             for share in found:
@@ -169,13 +171,13 @@ def make_penalty(inst, node_tags: dict[int, tuple]):
             reach |= reached
         return own, reach
 
-    def penalty(a: SuperNode, b: SuperNode) -> float:
-        key = (a.id, len(a.members))
+    def penalty(a: list[int], b: list[int]) -> float:
+        key = (a[0], len(a))
         try:
             summary_a = summaries[key]
         except KeyError:
             summary_a = summaries[key] = summarise(a)
-        key = (b.id, len(b.members))
+        key = (b[0], len(b))
         try:
             summary_b = summaries[key]
         except KeyError:
@@ -225,23 +227,16 @@ def repair_mis(inst: MisInstance, x) -> RepairReport:
 
     Each round resolves the lexicographically smallest violated edge by
     dropping its higher-degree endpoint (ties: the higher vertex index).
+    Dropping a vertex never violates an edge, so one pass over the sorted
+    edges visits the violated ones in that order.
     """
     bits = _check_bits(x, inst.n, "MIS").copy()
     adjacency = inst.adjacency()
-    edges = sorted(inst.edges)
     iterations = 0
-    while True:
-        conflict = None
-        for u, v in edges:
-            if bits[u] == 1 and bits[v] == 1:
-                conflict = (u, v)
-                break
-        if conflict is None:
-            break
-        u, v = conflict
-        drop = u if len(adjacency[u]) > len(adjacency[v]) else v
-        bits[drop] = 0
-        iterations += 1
+    for u, v in sorted(inst.edges):
+        if bits[u] == 1 and bits[v] == 1:
+            bits[u if len(adjacency[u]) > len(adjacency[v]) else v] = 0
+            iterations += 1
     return RepairReport(bits=bits, iterations=iterations, feasible=True)
 
 

@@ -203,7 +203,10 @@ def local_search(inst, solution) -> np.ndarray:
 
     MDKP tries adding each excluded item, MIS each non-conflicting vertex,
     QAP all pairwise location swaps; only strict improvements are accepted.
-    Raises on infeasible input.
+    An addition only grows the loads or the selected neighbours, so an item
+    or vertex that does not fit never fits later, and MDKP and MIS take one
+    ascending pass. A swap can make an earlier pair improving again, so QAP
+    restarts after each. Raises on infeasible input.
     """
     if not is_feasible(inst, solution):
         raise ValueError("local search requires a feasible starting solution")
@@ -219,31 +222,21 @@ def local_search(inst, solution) -> np.ndarray:
 def _local_search_mdkp(inst: MdkpInstance, solution) -> np.ndarray:
     bits = np.asarray(solution).reshape(inst.n).astype(int).copy()
     loads = inst.weights @ bits
-    improved = True
-    while improved:
-        improved = False
-        for i in range(inst.n):
-            if bits[i] == 1 or inst.profits[i] <= 0:
-                continue
-            if np.all(loads + inst.weights[:, i] <= inst.capacities):
-                bits[i] = 1
-                loads = loads + inst.weights[:, i]
-                improved = True
-                break
+    for i in range(inst.n):
+        if bits[i] == 1 or inst.profits[i] <= 0:
+            continue
+        if np.all(loads + inst.weights[:, i] <= inst.capacities):
+            bits[i] = 1
+            loads = loads + inst.weights[:, i]
     return bits
 
 
 def _local_search_mis(inst: MisInstance, solution) -> np.ndarray:
     bits = np.asarray(solution).reshape(inst.n).astype(int).copy()
     adjacency = inst.adjacency()
-    improved = True
-    while improved:
-        improved = False
-        for v in range(inst.n):
-            if bits[v] == 0 and not any(bits[u] for u in adjacency[v]):
-                bits[v] = 1
-                improved = True
-                break
+    for v in range(inst.n):
+        if bits[v] == 0 and not any(bits[u] for u in adjacency[v]):
+            bits[v] = 1
     return bits
 
 

@@ -217,11 +217,6 @@ def coefficient_scale(model: QuboModel) -> float:
     return float(largest) or 1.0
 
 
-def decision_indices(model: QuboModel) -> list[int]:
-    """Indices of decision variables (everything except slack bits)."""
-    return [i for i, tag in enumerate(model.semantics) if tag[0] != "slack"]
-
-
 def model_to_json(model: QuboModel) -> str:
     doc = {
         "n_vars": model.n_vars,

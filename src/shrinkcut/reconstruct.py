@@ -1,10 +1,10 @@
 """Lifting reduced-problem solutions back to the original problem.
 
-A shrink run returns its signed partition: reduced node t stands for the
-supernode ``node_order[t]``, whose members carry their spin relative to it.
-Each original node takes the spin of its reduced node times its relative
-sign. The lifted spin vector is then gauge-fixed to the reference node and
-read as the binary variables of the original QUBO (node v+1 is variable v).
+A shrink run returns its signed partition as two arrays over the original
+nodes: ``label[v]``, the reduced node that holds v, and ``sign[v]``, v's spin
+relative to it. Lifting is one gather, reduced spins[label] * sign. The
+lifted spin vector is then gauge-fixed to the reference node and read as the
+binary variables of the original QUBO (node v+1 is variable v).
 """
 
 from __future__ import annotations
@@ -32,23 +32,17 @@ def lift_solution(
 ) -> LiftedSolution:
     """Turn reduced-problem bits into an original-problem assignment.
 
-    Reduced bits become reduced-node spins; every member of supernode
-    ``node_order[t]`` takes reduced spin t times its relative sign. The
-    global spin gauge is then fixed so the reference node sits on the +1
-    side (a global flip cuts the same weight).
+    Reduced bits become reduced-node spins; original node v takes the spin
+    of reduced node ``label[v]`` times ``sign[v]``. The global spin gauge is
+    then fixed so the reference node sits on the +1 side (a global flip cuts
+    the same weight).
     """
-    reduced_spins = binary_to_spins(result.graph, reduced_bits).tolist()
-    full = {
-        node: sign * z
-        for survivor, z in zip(result.node_order, reduced_spins)
-        for node, sign in result.supernodes[survivor].members.items()
-    }
-    n = original_graph.n_nodes
-    if sorted(full) != list(range(n)):
-        missing = sorted(set(range(n)) - set(full))
-        raise ValueError(f"lifted spins do not cover all original nodes; missing {missing}")
-    spins = np.array([full[v] for v in range(n)], dtype=int)
-
+    spins = binary_to_spins(result.graph, reduced_bits)[result.label] * result.sign
+    if len(spins) != original_graph.n_nodes:
+        raise ValueError(
+            f"the shrink covers {len(spins)} original nodes, the graph has "
+            f"{original_graph.n_nodes}"
+        )
     if spins[0] == -1:
         spins = -spins
     bits = spins_to_binary(original_graph, spins)

@@ -11,14 +11,15 @@ Correlations go stale as the graph changes; ``recalc`` picks one of four
 refresh policies (fixed period, edge-count drift, correlation-strength
 threshold, or cheap local rescaling with no re-solves).
 
-The state is two aligned S x S matrices over the surviving supernodes, rows
-and columns in ascending supernode id: the edge weights W of the working graph
-and the correlations E. Absorbing a into b with sign sigma sets
-W[b] += sigma * W[a] and makes E[b] the size-weighted mean of the two
+The state is the edge weights W of the working graph, the correlations E and
+the signed partition, all aligned over the surviving supernodes in ascending
+representative id, and all reduced by one contraction. Absorbing a into b with
+sign sigma sets W[b] += sigma * W[a], appends a's members to b's, multiplies
+their signs by sigma, and makes E[b] the size-weighted mean of the two
 sign-adjusted rows, so E[a, b] stays the mean sign-adjusted correlation over
-all member pairs of a and b; both then drop a's row and column. A re-solve
-replaces E with the SDP correlations of the graph W (whose node order is those
-same ids).
+all member pairs of a and b; W, E and the member lists then drop a's row. A
+re-solve replaces E with the SDP correlations of the graph W (whose node order
+is those same ids).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Callable
 
@@ -37,24 +38,7 @@ from .qubo import json_document, require_integer
 from .sdp import extract_correlations, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
-PenaltyFn = Callable[["SuperNode", "SuperNode"], float]
-
-
-@dataclass
-class SuperNode:
-    """A contracted group of original nodes with their spin signs relative to the representative."""
-
-    id: int
-    members: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            self.members = {self.id: 1}
-        if self.members.get(self.id) != 1:
-            raise ValueError(f"supernode {self.id} must contain itself with relative sign +1")
-        for node, sign in self.members.items():
-            if sign not in (1, -1):
-                raise ValueError(f"relative sign of node {node} must be +1 or -1, got {sign}")
+PenaltyFn = Callable[[list[int], list[int]], float]
 
 
 @dataclass(frozen=True)
@@ -136,16 +120,17 @@ class ShrinkStats:
 class ShrinkResult:
     """Reduced graph plus everything needed to lift a reduced solution back up.
 
-    ``node_order[t]`` is the original node id behind reduced node t, and
-    ``supernodes[node_order[t]].members`` is the signed partition: each
-    original node in reduced node t with its spin relative to it. ``steps``
-    is the merge log, in order.
+    ``node_order[t]`` is the original node id behind reduced node t. The
+    signed partition is two length-n arrays over the original nodes:
+    ``label[v]`` is the reduced node that holds v, and ``sign[v]`` is v's
+    spin relative to it. ``steps`` is the merge log, in order.
     """
 
     graph: MaxCutGraph
     node_order: tuple[int, ...]
     steps: tuple[MergeStep, ...]
-    supernodes: dict[int, SuperNode]
+    label: np.ndarray
+    sign: np.ndarray
     target_k: int
     stats: ShrinkStats
 
@@ -155,12 +140,18 @@ class WorkingGraph:
 
     ``ids`` lists the surviving node ids in ascending order; row and column t
     of ``weights`` belong to node ``ids[t]``. The diagonal is always 0.
+    ``members[t]`` lists the original nodes that row t stands for, its
+    representative ``ids[t]`` first, and ``sign[v]`` is original node v's
+    spin relative to its representative. By default each id stands for
+    itself alone.
     """
 
     def __init__(self, weights: np.ndarray, ids: np.ndarray | list[int], offset: float) -> None:
         self.weights = weights
         self.ids = np.asarray(ids)
         self.offset = offset
+        self.members = [[i] for i in self.ids.tolist()]
+        self.sign = np.ones(int(self.ids.max(initial=-1)) + 1, dtype=int)
 
     @classmethod
     def from_graph(cls, graph: MaxCutGraph) -> "WorkingGraph":
@@ -189,9 +180,10 @@ class WorkingGraph:
 
         Row j becomes W[j] + sigma * W[i] (mirrored into column j, with no
         self-loop), and row and column i are dropped; an edge that cancels to
-        exactly 0 is gone. The constant (1 - sigma)/2 * sum_k w(i,k) is
-        subtracted from the offset so original and reduced energies coincide.
-        Returns that constant.
+        exactly 0 is gone. i's members follow j's, their signs times sigma.
+        The constant (1 - sigma)/2 * sum_k w(i,k) is subtracted from the
+        offset so original and reduced energies coincide. Returns that
+        constant.
         """
         a, b = self.position(i), self.position(j)
         if i == j:
@@ -206,7 +198,17 @@ class WorkingGraph:
         W[b] = W[:, b] = row
         keep = self.ids != i
         self.weights, self.ids = W[np.ix_(keep, keep)], self.ids[keep]
+        absorbed = self.members.pop(a)
+        self.sign[absorbed] *= sigma
+        self.members[b - (a < b)] += absorbed
         return constant
+
+    def label(self) -> np.ndarray:
+        """The row of each original node, from the member lists."""
+        label = np.empty(len(self.sign), dtype=int)
+        for t, group in enumerate(self.members):
+            label[group] = t
+        return label
 
     def to_graph(self) -> tuple[MaxCutGraph, tuple[int, ...]]:
         """Compact to contiguous node ids 0..m-1 (surviving ids ascending).
@@ -223,7 +225,7 @@ def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, la
 
 
 def select_merge(
-    supernodes: dict[int, SuperNode],
+    supernodes: list[list[int]],
     correlations: np.ndarray,
     lam: float = 1.5,
     penalty: PenaltyFn | None = None,
@@ -232,30 +234,32 @@ def select_merge(
 ) -> tuple[int, int, int]:
     """Pick the best-scoring supernode pair to contract next.
 
-    ``correlations`` is the S x S supernode correlation matrix, rows and
-    columns in ascending supernode id; only its upper triangle is read.
-    Returns (absorbed, survivor, sigma): the smaller id is absorbed into the
-    larger, except that a protected node (the reference) always survives.
-    Score ties (exact float equality) are broken uniformly at random with
-    ``rng`` among the tied pairs in ascending (a, b) order.
+    ``supernodes`` holds one member list per surviving supernode, its
+    representative first, in ascending representative id (``WorkingGraph.
+    members``); ``penalty`` receives two of these lists. ``correlations`` is
+    the S x S supernode correlation matrix in the same order; only its upper
+    triangle is read. Returns (absorbed, survivor, sigma) as representative
+    ids: the smaller id is absorbed into the larger, except that a protected
+    node (the reference) always survives. Score ties (exact float equality)
+    are broken uniformly at random with ``rng`` among the tied pairs in
+    ascending (a, b) order.
     """
-    ids = sorted(supernodes)
-    if len(ids) < 2:
-        raise ValueError(f"need at least two supernodes to merge, got {len(ids)}")
-    if correlations.shape != (len(ids), len(ids)):
+    size = len(supernodes)
+    if size < 2:
+        raise ValueError(f"need at least two supernodes to merge, got {size}")
+    if correlations.shape != (size, size):
         raise ValueError(f"need one correlation row per supernode, got shape {correlations.shape}")
-    rows, cols = np.triu_indices(len(ids), 1)
+    rows, cols = np.triu_indices(size, 1)
     corr = correlations[rows, cols]
     pi = 0.0
     if penalty is not None:
-        sns = [supernodes[sid] for sid in ids]
-        firsts = [sns[r] for r in rows.tolist()]
-        seconds = [sns[c] for c in cols.tolist()]
+        firsts = [supernodes[r] for r in rows.tolist()]
+        seconds = [supernodes[c] for c in cols.tolist()]
         pi = np.fromiter(map(penalty, firsts, seconds), float, count=len(firsts))
     score = merge_score(corr, pi, lam)
     ties = np.flatnonzero(score == score.max())
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
-    a, b = ids[rows[pick]], ids[cols[pick]]
+    a, b = supernodes[rows[pick]][0], supernodes[cols[pick]][0]
     sigma = -1 if corr[pick] < 0 else 1
     return (b, a, sigma) if a in protected else (a, b, sigma)
 
@@ -286,23 +290,21 @@ def local_correlation_update(
 
 def _fold_correlations(
     correlations: np.ndarray,
-    supernodes: dict[int, SuperNode],
-    absorbed: int,
-    survivor: int,
+    members: list[list[int]],
+    a: int,
+    b: int,
     sigma: int,
 ) -> np.ndarray:
-    """The S x S correlations after absorbing ``absorbed`` into ``survivor`` with sign ``sigma``.
+    """The S x S correlations after absorbing row ``a`` into row ``b`` with sign ``sigma``.
 
-    ``supernodes`` is read before the merge. The survivor's row and column
-    become the size-weighted mean of both sign-adjusted rows; the absorbed row
-    and column are dropped. The diagonal is never read.
+    ``members`` (aligned with the rows) is read before the merge. Row and
+    column b become the size-weighted mean of both sign-adjusted rows; row
+    and column a are dropped. The diagonal is never read.
     """
-    ids = sorted(supernodes)
-    a, b = ids.index(absorbed), ids.index(survivor)
-    n_a, n_b = len(supernodes[absorbed].members), len(supernodes[survivor].members)
+    n_a, n_b = len(members[a]), len(members[b])
     row = (n_b * correlations[b] + sigma * n_a * correlations[a]) / (n_a + n_b)
     correlations[b] = correlations[:, b] = row
-    keep = np.arange(len(ids)) != a
+    keep = np.arange(len(members)) != a
     return correlations[np.ix_(keep, keep)]
 
 
@@ -310,14 +312,11 @@ def run_shrink(
     graph: MaxCutGraph,
     config: ShrinkConfig | None = None,
     penalty: PenaltyFn | None = None,
-    initial_correlations: np.ndarray | None = None,
 ) -> ShrinkResult:
     """Shrink ``graph`` down to the target node count by repeated contraction.
 
-    ``penalty`` (if given) scores how badly two supernodes mix constraint
-    structure; ``initial_correlations`` overrides the first SDP solve with a
-    caller-supplied n x n correlation matrix (at the start every node is its
-    own supernode).
+    ``penalty`` (if given) scores how badly two supernodes, given as member
+    lists, mix constraint structure.
     """
     if config is None:
         config = ShrinkConfig()
@@ -335,7 +334,6 @@ def run_shrink(
         spectrum = symmetric_eigenvalues(laplacian(graph, config.weight_mode))
         target_k = select_target_size(spectrum, config.alpha, config.energy_order)
 
-    supernodes = {v: SuperNode(id=v, members={v: 1}) for v in range(n)}
     working = WorkingGraph.from_graph(graph)
     sdp_seconds = 0.0
     recalcs = 0
@@ -353,7 +351,8 @@ def run_shrink(
             graph=reduced,
             node_order=node_order,
             steps=tuple(steps),
-            supernodes=supernodes,
+            label=working.label(),
+            sign=working.sign,
             target_k=target_k,
             stats=stats,
         )
@@ -379,37 +378,25 @@ def run_shrink(
         sdp_seconds += time.perf_counter() - t0
         return gram
 
-    if initial_correlations is not None:
-        correlations = np.array(initial_correlations, dtype=float)
-        if correlations.shape != (n, n):
-            raise ValueError(
-                f"initial correlations must have shape ({n}, {n}), got {correlations.shape}"
-            )
-        if not np.all(np.isfinite(correlations)):
-            raise ValueError("initial correlations contain non-finite values")
-    else:
-        correlations = solve_correlations()
+    correlations = solve_correlations()
 
     merges_since_solve = 0
     edges_at_solve = working.edge_count
 
     while working.n_nodes > target_k:
         absorbed, survivor, sigma = select_merge(
-            supernodes,
+            working.members,
             correlations,
             lam=config.lam,
             penalty=penalty,
             rng=tie_rng,
             protected=protected,
         )
-        rows = working.weights[[working.position(absorbed), working.position(survivor)]]
+        a, b = working.position(absorbed), working.position(survivor)
+        rows = working.weights[[a, b]]
         affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
+        correlations = _fold_correlations(correlations, working.members, a, b, sigma)
         working.contract(absorbed, survivor, sigma)
-        correlations = _fold_correlations(correlations, supernodes, absorbed, survivor, sigma)
-        absorbed_sn = supernodes.pop(absorbed)
-        survivor_sn = supernodes[survivor]
-        for node, rel in absorbed_sn.members.items():
-            survivor_sn.members[node] = sigma * rel
         steps.append(MergeStep(order=len(steps) + 1, i=absorbed, j=survivor, sigma=sigma))
         merges_since_solve += 1
 

@@ -21,8 +21,8 @@ from shrinkcut import (
     QapInstance,
     QuboModel,
     EmbeddingVectors,
+    RepairReport,
     Solution,
-    SuperNode,
     coefficient_scale,
     default_rank,
     evaluate_qubo,
@@ -170,26 +170,30 @@ def naive_replay(steps: tuple[MergeStep, ...], spins: dict[int, int]) -> dict[in
     return assigned
 
 
-def naive_effective_correlation(a: SuperNode, b: SuperNode, correlations) -> float:
-    """Mean sign-adjusted correlation over all member pairs of two supernodes."""
-    ua = np.fromiter(a.members.keys(), dtype=int, count=len(a.members))
-    sa = np.fromiter(a.members.values(), dtype=float, count=len(a.members))
-    ub = np.fromiter(b.members.keys(), dtype=int, count=len(b.members))
-    sb = np.fromiter(b.members.values(), dtype=float, count=len(b.members))
-    block = correlations[np.ix_(ua, ub)]
+def naive_effective_correlation(a: list[int], b: list[int], sign, correlations) -> float:
+    """Mean sign-adjusted correlation over all member pairs of two supernodes.
+
+    ``a`` and ``b`` are member lists; ``sign[v]`` is node v's relative spin.
+    """
+    sa, sb = np.asarray(sign, dtype=float)[a], np.asarray(sign, dtype=float)[b]
+    block = correlations[np.ix_(a, b)]
     return float(np.mean(sa[:, None] * sb[None, :] * block))
 
 
+def _decision_tags(members: list[int], node_tags: dict[int, tuple]) -> list[tuple]:
+    return [node_tags[v] for v in members if v in node_tags]
+
+
 def naive_pi_mis(
-    a: SuperNode, b: SuperNode, inst: MisInstance, node_tags: dict[int, tuple]
+    a: list[int], b: list[int], inst: MisInstance, node_tags: dict[int, tuple]
 ) -> float:
     """1.0 when a conflict edge runs between the two supernodes, else 0.0.
 
     Builds both vertex sets and the instance's whole adjacency on every call;
     the MIS scorer of ``make_penalty`` must give the same value for every pair.
     """
-    tags_a = [node_tags[v] for v in a.members if v in node_tags]
-    tags_b = [node_tags[v] for v in b.members if v in node_tags]
+    tags_a = _decision_tags(a, node_tags)
+    tags_b = _decision_tags(b, node_tags)
     verts_a = {tag[1] for tag in tags_a if tag[0] == "vertex"}
     verts_b = {tag[1] for tag in tags_b if tag[0] == "vertex"}
     if not verts_a or not verts_b:
@@ -201,12 +205,8 @@ def naive_pi_mis(
     return 0.0
 
 
-def _decision_tags(sn: SuperNode, node_tags: dict[int, tuple]) -> list[tuple]:
-    return [node_tags[v] for v in sn.members if v in node_tags]
-
-
 def naive_pi_mdkp(
-    a: SuperNode, b: SuperNode, inst: MdkpInstance, node_tags: dict[int, tuple]
+    a: list[int], b: list[int], inst: MdkpInstance, node_tags: dict[int, tuple]
 ) -> float:
     """Mean fractional capacity the merged item set would consume, over all rows.
 
@@ -226,7 +226,7 @@ def naive_pi_mdkp(
 
 
 def naive_pi_qap(
-    a: SuperNode, b: SuperNode, inst: QapInstance, node_tags: dict[int, tuple]
+    a: list[int], b: list[int], inst: QapInstance, node_tags: dict[int, tuple]
 ) -> float:
     """1.0 when the supernodes share a facility or a location, else 0.0.
 
@@ -242,6 +242,65 @@ def naive_pi_qap(
     if (rows_a & rows_b) or (cols_a & cols_b):
         return 1.0
     return 0.0
+
+
+def naive_repair_mis(inst: MisInstance, x) -> RepairReport:
+    """``repair_mis`` as a restart loop: rescan the sorted edges from the start after every drop.
+
+    Each round drops the higher-degree endpoint (ties: the higher index) of
+    the first violated edge; ``repair_mis`` must return the same bits and
+    round count.
+    """
+    bits = np.asarray(x).reshape(inst.n).astype(int).copy()
+    adjacency = inst.adjacency()
+    edges = sorted(inst.edges)
+    iterations = 0
+    while True:
+        conflict = None
+        for u, v in edges:
+            if bits[u] == 1 and bits[v] == 1:
+                conflict = (u, v)
+                break
+        if conflict is None:
+            break
+        u, v = conflict
+        drop = u if len(adjacency[u]) > len(adjacency[v]) else v
+        bits[drop] = 0
+        iterations += 1
+    return RepairReport(bits=bits, iterations=iterations, feasible=True)
+
+
+def naive_local_search_mdkp(inst: MdkpInstance, solution) -> np.ndarray:
+    """MDKP local search as a restart loop: rescan from item 0 after every addition."""
+    bits = np.asarray(solution).reshape(inst.n).astype(int).copy()
+    loads = inst.weights @ bits
+    improved = True
+    while improved:
+        improved = False
+        for i in range(inst.n):
+            if bits[i] == 1 or inst.profits[i] <= 0:
+                continue
+            if np.all(loads + inst.weights[:, i] <= inst.capacities):
+                bits[i] = 1
+                loads = loads + inst.weights[:, i]
+                improved = True
+                break
+    return bits
+
+
+def naive_local_search_mis(inst: MisInstance, solution) -> np.ndarray:
+    """MIS local search as a restart loop: rescan from vertex 0 after every addition."""
+    bits = np.asarray(solution).reshape(inst.n).astype(int).copy()
+    adjacency = inst.adjacency()
+    improved = True
+    while improved:
+        improved = False
+        for v in range(inst.n):
+            if bits[v] == 0 and not any(bits[u] for u in adjacency[v]):
+                bits[v] = 1
+                improved = True
+                break
+    return bits
 
 
 def naive_solve_sa(

@@ -19,7 +19,6 @@ from shrinkcut import (
     PipelineConfig,
     ShrinkResult,
     ShrinkStats,
-    SuperNode,
     WorkingGraph,
     binary_to_spins,
     build_mdkp_qubo,
@@ -95,7 +94,6 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
             for k in range(n - 1, 1, -1):
                 working = WorkingGraph.from_graph(graph)
                 steps = []
-                supernodes = {v: SuperNode(id=v) for v in range(n)}
                 while working.n_nodes > k:
                     ids = working.nodes()
                     a, b = rng.choice(len(ids), size=2, replace=False)
@@ -103,16 +101,18 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
                     sigma = 1 if rng.random() < 0.5 else -1
                     working.contract(i, j, sigma)
                     steps.append(MergeStep(order=len(steps) + 1, i=i, j=j, sigma=sigma))
-                    # fold i's members into j, signs relative to j, as run_shrink does
-                    for node, rel in supernodes.pop(i).members.items():
-                        supernodes[j].members[node] = sigma * rel
                     reference_absorbed = reference_absorbed or i == 0
+                    # representatives lead their members with sign +1; members partition the nodes
+                    assert [group[0] for group in working.members] == working.nodes()
+                    assert all(working.sign[group[0]] == 1 for group in working.members)
+                    assert sorted(v for group in working.members for v in group) == list(range(n))
                 reduced, node_order = working.to_graph()
                 result = ShrinkResult(
                     graph=reduced,
                     node_order=node_order,
                     steps=tuple(steps),
-                    supernodes=supernodes,
+                    label=working.label(),
+                    sign=working.sign,
                     target_k=k,
                     stats=ShrinkStats(
                         merges=len(steps), recalcs=0, sdp_seconds=0.0, shrink_seconds=0.0

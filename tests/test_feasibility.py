@@ -15,7 +15,6 @@ from shrinkcut import (
     MdkpInstance,
     MisInstance,
     QapInstance,
-    SuperNode,
     hungarian,
     is_feasible,
     make_penalty,
@@ -79,9 +78,9 @@ def mdkp_tags() -> dict[int, tuple]:
 def test_mdkp_penalty_is_mean_fractional_capacity(mdkp_tiny):
     penalty = make_penalty(mdkp_tiny, mdkp_tags())
     # items 0 and 1 together load 5 of 5
-    assert penalty(SuperNode(id=1), SuperNode(id=2)) == pytest.approx(1.0)
+    assert penalty([1], [2]) == pytest.approx(1.0)
     # the reference supernode carries no items, so only item 1 counts
-    assert penalty(SuperNode(id=0), SuperNode(id=2)) == pytest.approx(0.6)
+    assert penalty([0], [2]) == pytest.approx(0.6)
 
 
 def test_mdkp_penalty_averages_over_capacity_rows():
@@ -93,30 +92,30 @@ def test_mdkp_penalty_averages_over_capacity_rows():
         capacities=np.array([5.0, 4.0]),
     )
     penalty = make_penalty(inst, {1: ("item", 0), 2: ("item", 1)})
-    assert penalty(SuperNode(id=1), SuperNode(id=2)) == pytest.approx((1.0 + 0.5) / 2)
+    assert penalty([1], [2]) == pytest.approx((1.0 + 0.5) / 2)
 
 
 def test_mdkp_penalty_ignores_slack_members(mdkp_tiny):
     tags = dict(mdkp_tags())
     tags[4] = ("slack", 0, 0)
     penalty = make_penalty(mdkp_tiny, tags)
-    assert penalty(SuperNode(id=2), SuperNode(id=4)) == pytest.approx(0.6)
+    assert penalty([2], [4]) == pytest.approx(0.6)
 
 
 def test_mis_penalty_fires_only_on_cross_edges():
     path = MisInstance(n=3, edges=((0, 1), (1, 2)))
     tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
     penalty = make_penalty(path, tags)
-    assert penalty(SuperNode(id=1), SuperNode(id=2)) == 1.0
-    assert penalty(SuperNode(id=1), SuperNode(id=3)) == 0.0
+    assert penalty([1], [2]) == 1.0
+    assert penalty([1], [3]) == 0.0
 
 
 def test_mis_penalty_ignores_conflicts_inside_one_supernode():
     single_edge = MisInstance(n=3, edges=((0, 1),))
     tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
     penalty = make_penalty(single_edge, tags)
-    merged = SuperNode(id=1, members={1: 1, 2: -1})
-    assert penalty(merged, SuperNode(id=3)) == 0.0
+    merged = [1, 2]
+    assert penalty(merged, [3]) == 0.0
 
 
 def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
@@ -127,10 +126,10 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
         4: ("assign", 1, 1),
     }
     penalty = make_penalty(qap_pair, tags)
-    assert penalty(SuperNode(id=1), SuperNode(id=2)) == 1.0  # same facility row
-    assert penalty(SuperNode(id=1), SuperNode(id=3)) == 1.0  # same location column
-    assert penalty(SuperNode(id=1), SuperNode(id=4)) == 0.0
-    assert penalty(SuperNode(id=0), SuperNode(id=4)) == 0.0  # reference has no tags
+    assert penalty([1], [2]) == 1.0  # same facility row
+    assert penalty([1], [3]) == 1.0  # same location column
+    assert penalty([1], [4]) == 0.0
+    assert penalty([0], [4]) == 0.0  # reference has no tags
 
 
 @pytest.mark.parametrize(
@@ -176,11 +175,11 @@ def test_penalty_summaries_refresh_when_members_grow(inst, tags, joiner, before,
     round differently from the load 7/5.
     """
     penalty = make_penalty(inst, tags)
-    a = SuperNode(id=2)
-    b = SuperNode(id=3)
+    a = [2]
+    b = [3]
     assert penalty(a, b) == before
     assert penalty(b, a) == before
-    a.members[joiner] = 1
+    a.append(joiner)
     assert penalty(a, b) == after
     assert penalty(b, a) == after
 

@@ -7,7 +7,8 @@ dicts instead. ``qubo_to_maxcut`` and ``graph_to_qubo`` build whole arrays;
 their oracles build the same arrays one dict entry at a time, and the two
 must store the same bytes. The shrinker keeps one S x S supernode correlation
 matrix and folds rows on every merge; its oracle averages the sign-adjusted
-member pairs of an n x n matrix over each supernode's member dict.
+member pairs of an n x n matrix over the member lists and signs that
+``WorkingGraph.contract`` folds.
 ``solve_sa`` runs on Python scalars with sparse field updates; its oracle is
 the dense numpy loop, and the two must agree bit for bit.
 ``solve_maxcut_sdp`` takes its stopping displacement once per sweep; its
@@ -26,6 +27,9 @@ shares for MDKP. Its oracles rebuild the vertex sets and adjacency, the row
 and column sets, or the item loads on every call, and must agree on every
 pair after every merge: exactly for MIS and QAP, within 1e-12 relative for
 MDKP, whose shares round differently from summed loads.
+MIS repair and MDKP and MIS local search take one pass; their oracles rescan
+from the start after every change, and the two must give the same bits and,
+for repair, the same round count.
 """
 
 import itertools
@@ -46,7 +50,6 @@ from shrinkcut import (
     PipelineConfig,
     QapInstance,
     QuboModel,
-    SuperNode,
     WorkingGraph,
     build_model,
     cut_value,
@@ -57,8 +60,11 @@ from shrinkcut import (
     graph_to_qubo,
     laplacian,
     local_correlation_update,
+    local_search,
     make_penalty,
     qubo_to_maxcut,
+    repair_mdkp,
+    repair_mis,
     sdp_objective,
     solve_maxcut_sdp,
     solve_exact,
@@ -77,11 +83,14 @@ from tests.conftest import (
     naive_effective_correlation,
     naive_graph_to_qubo,
     naive_laplacian,
+    naive_local_search_mdkp,
+    naive_local_search_mis,
     naive_pi_mdkp,
     naive_pi_mis,
     naive_pi_qap,
     naive_qubo_energy,
     naive_qubo_to_maxcut,
+    naive_repair_mis,
     naive_sdp_objective,
     naive_solve_maxcut_sdp,
     naive_solve_sa,
@@ -237,11 +246,11 @@ def test_dense_contraction_matches_the_dict_oracle(case):
             assert abs(working.offset - oracle.offset) <= 1e-12 * scale
 
 
-def _block_write(X, supernodes, s, k, value) -> None:
+def _block_write(X, members_s, members_k, sign, value) -> None:
     """What a local update means for the n x n matrix: every sign-adjusted member pair of s and k."""
-    for u, su in supernodes[s].members.items():
-        for v, sv in supernodes[k].members.items():
-            X[u, v] = X[v, u] = value * su * sv
+    for u in members_s:
+        for v in members_k:
+            X[u, v] = X[v, u] = value * sign[u] * sign[v]
 
 
 @settings(max_examples=80, deadline=None)
@@ -249,15 +258,15 @@ def _block_write(X, supernodes, s, k, value) -> None:
 def test_folded_correlations_track_the_member_pair_oracle(n, data):
     X = data.draw(symmetric_matrices(n))
     E = X.copy()  # every node starts as its own supernode
-    supernodes = {v: SuperNode(id=v) for v in range(n)}
-    while len(supernodes) > 1:
-        ids = sorted(supernodes)
-        absorbed, survivor = data.draw(st.permutations(ids))[:2]
+    partition = WorkingGraph.from_graph(maxcut_graph(n, {}))
+    while partition.n_nodes > 1:
+        absorbed, survivor = data.draw(st.permutations(partition.nodes()))[:2]
         sigma = data.draw(st.sampled_from([-1, 1]))
-        E = _fold_correlations(E, supernodes, absorbed, survivor, sigma)
-        for node, rel in supernodes.pop(absorbed).members.items():
-            supernodes[survivor].members[node] = sigma * rel
-        ids = sorted(supernodes)
+        a, b = partition.position(absorbed), partition.position(survivor)
+        E = _fold_correlations(E, partition.members, a, b, sigma)
+        partition.contract(absorbed, survivor, sigma)
+        ids = partition.nodes()
+        members = dict(zip(ids, partition.members))
         if len(ids) > 1 and data.draw(st.booleans()):
             # a local update on a random graph over the surviving supernodes
             weights = np.zeros((len(ids), len(ids)))
@@ -272,12 +281,12 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
                 t = ids.index(k)
                 d = degree[s] * degree[t]
                 value = 0.0 if d == 0.0 else weights[s, t] / np.sqrt(d)
-                _block_write(X, supernodes, survivor, k, value)
+                _block_write(X, members[survivor], members[k], partition.sign, value)
         assert E.shape == (len(ids), len(ids))
-        for r, a in enumerate(ids):
-            for c, b in enumerate(ids):
+        for r, group_r in enumerate(partition.members):
+            for c, group_c in enumerate(partition.members):
                 if r != c:
-                    expected = naive_effective_correlation(supernodes[a], supernodes[b], X)
+                    expected = naive_effective_correlation(group_r, group_c, partition.sign, X)
                     assert abs(E[r, c] - expected) <= 1e-12
 
 
@@ -360,11 +369,11 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
     inst, tags, merges = case
     oracle = PENALTY_ORACLES[type(inst)]
     penalty = make_penalty(inst, tags)
-    supernodes = {v: SuperNode(id=v) for v in range(len(tags) + 1)}
+    partition = WorkingGraph.from_graph(maxcut_graph(len(tags) + 1, {}))
 
     def assert_every_pair_matches():
         fresh = make_penalty(inst, tags)
-        for a, b in itertools.permutations(supernodes.values(), 2):
+        for a, b in itertools.permutations(partition.members, 2):
             got, want = penalty(a, b), oracle(a, b, inst, tags)
             if isinstance(inst, MdkpInstance):
                 assert abs(got - want) <= 1e-12 * want
@@ -374,9 +383,53 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
 
     assert_every_pair_matches()
     for absorbed, survivor, sigma in merges:
-        for node, rel in supernodes.pop(absorbed).members.items():
-            supernodes[survivor].members[node] = sigma * rel
+        partition.contract(absorbed, survivor, sigma)
         assert_every_pair_matches()
+
+
+@st.composite
+def mis_selections(draw):
+    """A random conflict graph and a random vertex selection, feasible or not."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    inst = random_mis(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, density)
+    return inst, np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def mdkp_selections(draw):
+    """Random integer or float MDKP rows, some profits 0, and a random item selection."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.integers(0, 20, (m, n)).astype(float)
+        capacities = rng.integers(1, 60, m).astype(float)
+    else:
+        weights = rng.uniform(0.0, 20.0, (m, n)) * 10.0 ** rng.integers(-2, 3, (m, n))
+        capacities = rng.uniform(0.5, 60.0, m)
+    profits = rng.integers(0, 3, n).astype(float)
+    inst = MdkpInstance(n=n, m=m, profits=profits, weights=weights, capacities=capacities)
+    return inst, np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mis_selections())
+def test_mis_repair_and_local_search_equal_the_restart_oracles(case):
+    inst, bits = case
+    report, expected = repair_mis(inst, bits), naive_repair_mis(inst, bits)
+    assert np.array_equal(report.bits, expected.bits)
+    assert report.iterations == expected.iterations
+    grown = local_search(inst, report.bits)
+    assert np.array_equal(grown, naive_local_search_mis(inst, report.bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mdkp_selections())
+def test_mdkp_local_search_equals_the_restart_oracle(case):
+    inst, bits = case
+    start = repair_mdkp(inst, bits).bits
+    assert np.array_equal(local_search(inst, start), naive_local_search_mdkp(inst, start))
 
 
 integer_coefficients = st.integers(-9, 9).filter(bool).map(float)

@@ -17,7 +17,6 @@ from shrinkcut import (
     build_mis_qubo,
     build_qap_qubo,
     coefficient_scale,
-    decision_indices,
     evaluate_qubo,
     model_from_json,
     model_to_json,
@@ -90,7 +89,6 @@ def test_mdkp_slack_variables_implement_an_equality_penalty(mdkp_tiny):
     assert kappa == 2
     assert model.n_vars == 3 + kappa
     assert model.semantics[3:] == (("slack", 0, 0), ("slack", 0, 1))
-    assert decision_indices(model) == [0, 1, 2]
     for x in every_bitstring(model.n_vars):
         items = np.array(x[:3], dtype=float)
         slack = x[3] * 1.0 + x[4] * 2.0

@@ -94,12 +94,13 @@ def test_lift_survives_an_absorbed_reference_node():
         )
 
 
-def test_lift_solution_reports_uncovered_nodes():
+@pytest.mark.parametrize("other_size", [3, 6])
+def test_lift_solution_rejects_a_graph_of_another_size(other_size):
     graph = random_graph(np.random.default_rng(9), 4)
     result = run_shrink(graph, ShrinkConfig(stop_mode="k", k=4))
-    bigger = random_graph(np.random.default_rng(10), 6)
-    with pytest.raises(ValueError, match="missing \\[4, 5\\]"):
-        lift_solution(result, (0, 0, 0), bigger)
+    other = random_graph(np.random.default_rng(10), other_size)
+    with pytest.raises(ValueError, match=f"covers 4 original nodes, the graph has {other_size}"):
+        lift_solution(result, (0, 0, 0), other)
 
 
 def test_exact_solution_of_the_reduced_knapsack_lifts_cleanly(mdkp_tiny):

@@ -9,7 +9,6 @@ from shrinkcut import (
     MaxCutGraph,
     MergeStep,
     ShrinkConfig,
-    SuperNode,
     WorkingGraph,
     local_correlation_update,
     merge_score,
@@ -45,6 +44,8 @@ def test_contract_folds_edges_onto_the_survivor():
     assert working.offset == 0.0
     assert working.nodes() == [1, 2, 3]
     assert working.weights.tolist() == [[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]]
+    assert working.members == [[1, 0], [2], [3]]
+    assert working.sign.tolist() == [1, 1, 1, 1]
 
 
 def test_contract_with_negative_sigma_adjusts_the_offset():
@@ -55,6 +56,20 @@ def test_contract_with_negative_sigma_adjusts_the_offset():
     assert working.offset == -7.0
     assert working.nodes() == [1, 2, 3]
     assert working.weights[0].tolist() == [0.0, -2.0, 3.0]
+    assert working.members == [[1, 0], [2], [3]]
+    assert working.sign.tolist() == [-1, 1, 1, 1]
+
+
+def test_contract_folds_members_and_signs_relative_to_the_survivor():
+    working = WorkingGraph.from_graph(demo_graph())
+    working.contract(1, 2, -1)
+    assert working.members == [[0], [2, 1], [3]]
+    assert working.sign.tolist() == [1, -1, 1, 1]
+    # 2 joins 0 flipped, so 1 (flipped against 2) ends up aligned with 0
+    working.contract(2, 0, -1)
+    assert working.members == [[0, 2, 1], [3]]
+    assert working.sign.tolist() == [1, 1, -1, 1]
+    assert working.label().tolist() == [0, 0, 0, 1]
 
 
 def test_contract_drops_edges_that_cancel_exactly():
@@ -86,8 +101,8 @@ def test_to_graph_compacts_surviving_ids_in_ascending_order():
 
 
 def test_effective_correlation_averages_sign_adjusted_members():
-    supernodes = {v: SuperNode(id=v) for v in range(4)}
-    E = _fold_correlations(demo_correlations(), supernodes, absorbed=0, survivor=1, sigma=-1)
+    members = [[v] for v in range(4)]
+    E = _fold_correlations(demo_correlations(), members, a=0, b=1, sigma=-1)
     # supernode 1 = {1: +1, 0: -1}; its pairs with 2 contribute X[1,2] and -X[0,2]: (0.5 - 0.3) / 2
     assert E.shape == (3, 3)
     assert E[0, 1] == pytest.approx(0.1)
@@ -102,14 +117,14 @@ def test_merge_score_discounts_penalty_linearly():
 
 
 def test_select_merge_picks_the_strongest_pair():
-    supernodes = {v: SuperNode(id=v) for v in range(4)}
+    supernodes = [[v] for v in range(4)]
     absorbed, survivor, sigma = select_merge(supernodes, demo_correlations(), lam=0.0)
     assert (absorbed, survivor) == (1, 0)  # reference node survives
     assert sigma == 1
 
 
 def test_select_merge_without_protection_absorbs_the_smaller_id():
-    supernodes = {v: SuperNode(id=v) for v in range(4)}
+    supernodes = [[v] for v in range(4)]
     absorbed, survivor, sigma = select_merge(
         supernodes, demo_correlations(), lam=0.0, protected=frozenset()
     )
@@ -118,23 +133,21 @@ def test_select_merge_without_protection_absorbs_the_smaller_id():
 
 def test_select_merge_sigma_follows_the_correlation_sign():
     X = np.array([[1.0, -0.9], [-0.9, 1.0]])
-    supernodes = {0: SuperNode(id=0), 1: SuperNode(id=1)}
-    absorbed, survivor, sigma = select_merge(supernodes, X, lam=0.0)
+    absorbed, survivor, sigma = select_merge([[0], [1]], X, lam=0.0)
     assert (absorbed, survivor, sigma) == (1, 0, -1)
 
 
 def test_select_merge_zero_correlation_defaults_to_positive_sigma():
     X = np.zeros((2, 2))
     np.fill_diagonal(X, 1.0)
-    supernodes = {0: SuperNode(id=0), 1: SuperNode(id=1)}
-    _, _, sigma = select_merge(supernodes, X, lam=0.0)
+    _, _, sigma = select_merge([[0], [1]], X, lam=0.0)
     assert sigma == 1
 
 
 def test_select_merge_breaks_ties_with_the_rng_deterministically():
     X = np.full((3, 3), 0.5)
     np.fill_diagonal(X, 1.0)
-    supernodes = {v: SuperNode(id=v) for v in range(3)}
+    supernodes = [[v] for v in range(3)]
     picks = {
         select_merge(supernodes, X, rng=np.random.default_rng(seed))[:2]
         for seed in range(20)
@@ -152,10 +165,10 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
     X[1, 2] = X[2, 1] = 0.9
     X[0, 1] = X[1, 0] = 0.8
 
-    def penalty(a: SuperNode, b: SuperNode) -> float:
-        return 1.0 if {a.id, b.id} == {1, 2} else 0.0
+    def penalty(a: list[int], b: list[int]) -> float:
+        return 1.0 if {a[0], b[0]} == {1, 2} else 0.0
 
-    supernodes = {v: SuperNode(id=v) for v in range(4)}
+    supernodes = [[v] for v in range(4)]
     unpenalized = select_merge(supernodes, X, lam=0.0, penalty=penalty)
     assert (unpenalized[0], unpenalized[1]) == (1, 2)
     penalized = select_merge(supernodes, X, lam=0.2, penalty=penalty)
@@ -164,39 +177,42 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
 
 def test_select_merge_needs_two_supernodes():
     with pytest.raises(ValueError, match="at least two"):
-        select_merge({0: SuperNode(id=0)}, np.eye(1))
+        select_merge([[0]], np.eye(1))
 
 
 def test_select_merge_needs_one_correlation_row_per_supernode():
-    supernodes = {0: SuperNode(id=0, members={0: 1, 3: -1}), 1: SuperNode(id=1), 2: SuperNode(id=2)}
+    supernodes = [[0, 3], [1], [2]]
     with pytest.raises(ValueError, match="one correlation row per supernode"):
         select_merge(supernodes, demo_correlations())  # 4 x 4: one row per original node
 
 
-def test_run_shrink_worked_example_first_merge():
+@pytest.fixture
+def demo_solve(monkeypatch):
+    """Every SDP solve of ``run_shrink`` yields ``demo_correlations()``."""
+    monkeypatch.setattr(
+        "shrinkcut.shrink.extract_correlations", lambda embedding: demo_correlations()
+    )
+
+
+def test_run_shrink_worked_example_first_merge(demo_solve):
     result = run_shrink(
-        demo_graph(),
-        ShrinkConfig(stop_mode="k", k=3, reference_protected=False),
-        initial_correlations=demo_correlations(),
+        demo_graph(), ShrinkConfig(stop_mode="k", k=3, reference_protected=False)
     )
     assert result.steps == (MergeStep(order=1, i=0, j=1, sigma=1),)
     assert result.node_order == (1, 2, 3)
     assert result.graph.edges == {(0, 1): 2.0, (0, 2): 3.0, (1, 2): 4.0}
     assert result.graph.offset == 0.0
-    assert result.supernodes[1].members == {1: 1, 0: 1}
+    assert result.label.tolist() == [0, 0, 1, 2]
+    assert result.sign.tolist() == [1, 1, 1, 1]
     assert result.stats.merges == 1
-    assert result.stats.sdp_seconds == 0.0  # seeded correlations, no solve needed
 
 
-def test_run_shrink_protects_the_reference_node_by_default():
-    result = run_shrink(
-        demo_graph(),
-        ShrinkConfig(stop_mode="k", k=3),
-        initial_correlations=demo_correlations(),
-    )
+def test_run_shrink_protects_the_reference_node_by_default(demo_solve):
+    result = run_shrink(demo_graph(), ShrinkConfig(stop_mode="k", k=3))
     assert result.steps == (MergeStep(order=1, i=1, j=0, sigma=1),)
-    assert 0 in result.supernodes
-    assert result.supernodes[0].members == {0: 1, 1: 1}
+    assert result.node_order == (0, 2, 3)
+    assert result.label.tolist() == [0, 0, 1, 2]
+    assert result.sign.tolist() == [1, 1, 1, 1]
 
 
 def test_run_shrink_spectral_stop_on_the_path_graph():
@@ -218,10 +234,9 @@ def test_run_shrink_reaches_an_explicit_target_size():
     assert result.graph.n_nodes == 4
     assert result.stats.merges == 6
     assert [s.order for s in result.steps] == [1, 2, 3, 4, 5, 6]
-    member_union = sorted(
-        node for sn in result.supernodes.values() for node in sn.members
-    )
-    assert member_union == list(range(10))
+    assert len(result.label) == len(result.sign) == 10
+    assert sorted(set(result.label.tolist())) == [0, 1, 2, 3]
+    assert result.sign[list(result.node_order)].tolist() == [1, 1, 1, 1]
 
 
 def test_run_shrink_is_deterministic_for_a_fixed_seed():
@@ -298,18 +313,6 @@ def test_local_correlation_update_zeroes_isolated_neighbors():
     assert E[0, 1] == 0.5  # supernode 2 was not affected
 
 
-def test_run_shrink_rejects_bad_initial_correlations():
-    with pytest.raises(ValueError, match="shape"):
-        run_shrink(
-            demo_graph(),
-            ShrinkConfig(stop_mode="k", k=2),
-            initial_correlations=np.eye(3),
-        )
-    bad = np.full((4, 4), np.nan)
-    with pytest.raises(ValueError, match="non-finite"):
-        run_shrink(demo_graph(), ShrinkConfig(stop_mode="k", k=2), initial_correlations=bad)
-
-
 def test_shrink_config_validation():
     with pytest.raises(ValueError, match="stop_mode"):
         ShrinkConfig(stop_mode="none")
@@ -349,11 +352,7 @@ def test_shrink_config_accepts_numpy_and_integer_numbers():
     assert (config.lam, config.delta, config.r) == (0, 0.5, 3)
 
 
-def test_supernode_and_merge_step_validation():
-    with pytest.raises(ValueError, match="must contain itself"):
-        SuperNode(id=3, members={2: 1})
-    with pytest.raises(ValueError, match="relative sign"):
-        SuperNode(id=3, members={3: 1, 2: 0})
+def test_merge_step_validation():
     with pytest.raises(ValueError, match="sigma"):
         MergeStep(order=1, i=0, j=1, sigma=2)
     with pytest.raises(ValueError, match="itself"):
