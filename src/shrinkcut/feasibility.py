@@ -3,12 +3,14 @@
 The shrink stage can discount merges that would entangle constraint
 structure: ``make_penalty`` builds a scoring function Pi(a, b) over pairs of
 supernode member lists from the problem instance and the node ->
-variable-tag mapping. It memoises one summary per supernode, keyed by
-(representative, member count), and scores a pair with O(1) arithmetic on
-the two summaries: vertex and neighbour bitmasks for MIS, facility-row and
-location-column bitmasks for QAP, and for MDKP the sum of the items'
-capacity shares mean_j(w_ji / C_j), so that Pi = s_a + s_b is the mean
-fractional capacity of the merged items up to rounding. The repair
+variable-tag mapping. It memoises one summary per supernode, keyed by its
+representative and stored with the member count it covers; when a
+supernode has grown, the summary is extended over the new members in
+member order. A pair is then O(1) arithmetic on the two summaries: vertex
+and neighbour bitmasks for MIS, facility-row and location-column bitmasks
+for QAP, and for MDKP the sum of the items' capacity shares
+mean_j(w_ji / C_j), so that Pi = s_a + s_b is the mean fractional capacity
+of the merged items up to rounding. The repair
 routines turn an arbitrary bitstring into a feasible solution with
 deterministic greedy rules.
 
@@ -115,10 +117,13 @@ def make_penalty(inst, node_tags: dict[int, tuple]):
     first (``WorkingGraph.members``). ``node_tags`` maps Max-Cut node ids to
     variable semantics tags; the reference node 0 has no entry and slack bits
     count for nothing. Each supernode gets a summary of its decision members,
-    memoised per (representative, member count), i.e. ``(members[0],
-    len(members))``: within one shrink member lists only ever grow, so a
-    representative and a count name one member set. Pi is then O(1)
-    arithmetic on the two summaries:
+    memoised under its representative ``members[0]`` together with the member
+    count it covers. Within one shrink a member list only ever grows at its
+    end (``WorkingGraph.contract`` appends), so when the count falls short
+    the summary is extended over ``members[count:]`` in member order: the
+    result is bit for bit the summary of the whole list, and a grown
+    supernode is never summarised again from scratch. A scorer therefore
+    serves one shrink. Pi is then O(1) arithmetic on the two summaries:
 
     - MIS: the summary is (vertex mask, neighbour mask), and Pi is 1.0 when
       a's neighbour mask meets b's vertex mask (a conflict edge runs between
@@ -129,8 +134,9 @@ def make_penalty(inst, node_tags: dict[int, tuple]):
     - MDKP: Pi is the mean fractional capacity the merged item set would
       consume, mean_j((u_a + u_b)_j / C_j) for the item loads u. That equals
       s_a + s_b, where item i's share is mean_j(w_ji / C_j) and a summary s
-      adds its items' shares to 0.0 in member order; the two forms agree in
-      exact arithmetic and can differ only in rounding.
+      adds its items' shares to 0.0 in member order (an extension continues
+      that sum); the two forms agree in exact arithmetic and can differ only
+      in rounding.
     """
     if isinstance(inst, MdkpInstance):
         shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
@@ -156,32 +162,28 @@ def make_penalty(inst, node_tags: dict[int, tuple]):
     else:
         raise TypeError(f"unsupported instance type {type(inst).__name__}")
     additive = isinstance(inst, MdkpInstance)
-    summaries: dict[tuple[int, int], float | tuple[int, int]] = {}
+    unseen = (0, 0.0 if additive else (0, 0))
+    memo: dict[int, tuple[int, float | tuple[int, int]]] = {}
 
     def summarise(members: list[int]) -> float | tuple[int, int]:
-        found = [parts[node] for node in members if node in parts]
-        if additive:
-            total = 0.0
-            for share in found:
-                total += share
-            return total
-        own = reach = 0
-        for bits, reached in found:
-            own |= bits
-            reach |= reached
-        return own, reach
+        count, total = memo.get(members[0], unseen)
+        for node in members[count:]:
+            if node in parts:
+                if additive:
+                    total += parts[node]
+                else:
+                    bits, reached = parts[node]
+                    total = (total[0] | bits, total[1] | reached)
+        memo[members[0]] = len(members), total
+        return total
 
     def penalty(a: list[int], b: list[int]) -> float:
-        key = (a[0], len(a))
-        try:
-            summary_a = summaries[key]
-        except KeyError:
-            summary_a = summaries[key] = summarise(a)
-        key = (b[0], len(b))
-        try:
-            summary_b = summaries[key]
-        except KeyError:
-            summary_b = summaries[key] = summarise(b)
+        count, summary_a = memo.get(a[0], unseen)
+        if count != len(a):
+            summary_a = summarise(a)
+        count, summary_b = memo.get(b[0], unseen)
+        if count != len(b):
+            summary_b = summarise(b)
         if additive:
             return summary_a + summary_b
         return 1.0 if summary_a[1] & summary_b[0] else 0.0

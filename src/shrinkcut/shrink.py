@@ -28,6 +28,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass
+from itertools import combinations, starmap
 from math import inf
 from typing import Callable
 
@@ -252,10 +253,9 @@ def select_merge(
     rows, cols = np.triu_indices(size, 1)
     corr = correlations[rows, cols]
     pi = 0.0
-    if penalty is not None:
-        firsts = [supernodes[r] for r in rows.tolist()]
-        seconds = [supernodes[c] for c in cols.tolist()]
-        pi = np.fromiter(map(penalty, firsts, seconds), float, count=len(firsts))
+    if penalty is not None:  # combinations yields the pairs in triu_indices order
+        pairs = combinations(supernodes, 2)
+        pi = np.fromiter(starmap(penalty, pairs), float, count=len(rows))
     score = merge_score(corr, pi, lam)
     ties = np.flatnonzero(score == score.max())
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]

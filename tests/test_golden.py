@@ -19,8 +19,12 @@ For 1tc.128, first write ``serialize_mis_edgelist(transposition_conflict_graph(7
 to a file and pass it as ``--instance`` with ``--k 65 --recalc fixed``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shrinkcut import serialize_mis_edgelist
@@ -28,6 +32,7 @@ from shrinkcut.cli import main
 from tests.conftest import transposition_conflict_graph
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+ROOT = GOLDEN_DIR.parent.parent
 INSTANCES = (
     "mdkp/example3x1",
     "mdkp/synth24x4",
@@ -91,3 +96,35 @@ def assert_shrink_matches_the_golden_files(tmp_path, stem, kind, instance, flags
     assert main(args + ["--seed", "1", "--steps-out", str(steps), "--out", str(graph)]) == 0
     assert steps.read_bytes() == (GOLDEN_DIR / steps.name).read_bytes()
     assert graph.read_bytes() == (GOLDEN_DIR / graph.name).read_bytes()
+
+
+def _openblas_on_an_avx2_cpu() -> bool:
+    """numpy runs on OpenBLAS, and the CPU can run its Haswell (AVX2) kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        return False
+    cpuinfo = Path("/proc/cpuinfo")
+    return "openblas" in blas.lower() and cpuinfo.exists() and "avx2" in cpuinfo.read_text().split()
+
+
+@pytest.mark.skipif(not _openblas_on_an_avx2_cpu(), reason="needs numpy on OpenBLAS and an AVX2 CPU")
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_golden_shrinks_match_under_other_openblas_cores(core):
+    """The five golden shrinks, rerun with OpenBLAS forced onto another kernel family.
+
+    Many merge candidates tie in exact arithmetic (1tc graphs are
+    vertex-transitive), so the last bit of a BLAS dot product can pick the
+    winner; CI runners differ from the machine that wrote the golden files.
+    ``OPENBLAS_CORETYPE`` acts only on the child process.
+    """
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "shrink_merge_log"],
+        cwd=ROOT,
+        env={**os.environ, "OPENBLAS_CORETYPE": core},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert "5 passed" in run.stdout

@@ -350,21 +350,43 @@ PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpIns
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()))
+@given(
+    st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()),
+    st.sets(st.integers(min_value=0, max_value=20)),
+)
 # vertex 0 joins supernode 2 after (2, 3) was scored: a stale memo still says 0.0
 @example(
     (
         MisInstance(n=3, edges=((0, 2),)),
         {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)},
         [(1, 2, 1)],
-    )
+    ),
+    set(),
 )
-def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
+# node 4 is scored alone, then absorbs [3] and [2, 1] unscored: its memo
+# entry must extend over a tail made of two absorbed lists
+@example(
+    (
+        MdkpInstance(
+            n=4,
+            m=2,
+            profits=np.ones(4),
+            weights=np.array([[5.9, 8.4, 7.3, 3.7], [4.5, 3.7, 1.1, 2.0]]),
+            capacities=np.array([6.4, 7.0]),
+        ),
+        {1: ("item", 0), 2: ("item", 1), 3: ("item", 2), 4: ("item", 3)},
+        [(3, 4, 1), (1, 2, -1), (2, 4, 1)],
+    ),
+    {0, 1},
+)
+def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case, unchecked):
     """MIS and QAP exactly; MDKP within rounding, and exactly as a freshly built scorer.
 
     The MDKP scorer adds per-item shares mean_j(w_ji / C_j) where the oracle
     adds item loads before dividing, so the two round differently even on
     integer weights; the fresh scorer checks the memo itself bit for bit.
+    No pair is scored after the merges numbered in ``unchecked`` (from 0),
+    so a memo entry may have to catch up over several absorbed lists at once.
     """
     inst, tags, merges = case
     oracle = PENALTY_ORACLES[type(inst)]
@@ -382,9 +404,10 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
                 assert got == want
 
     assert_every_pair_matches()
-    for absorbed, survivor, sigma in merges:
+    for step, (absorbed, survivor, sigma) in enumerate(merges):
         partition.contract(absorbed, survivor, sigma)
-        assert_every_pair_matches()
+        if step not in unchecked or step == len(merges) - 1:
+            assert_every_pair_matches()
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """End-to-end pipeline runs, metrics, local search, and the benchmark sweep."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     CSV_COLUMNS,
@@ -13,15 +16,25 @@ from shrinkcut import (
     PipelineError,
     QapInstance,
     Report,
+    build_model,
+    evaluate_qubo,
+    graph_to_qubo,
     is_feasible,
+    lift_solution,
     load_instance,
     local_search,
+    make_penalty,
     objective_value,
     optimality_gap,
+    qubo_to_maxcut,
+    report_to_json,
     rsq,
     run_bench,
     run_pipeline,
+    run_shrink,
 )
+from shrinkcut.pipeline import _shrink_config
+from tests.conftest import every_bitstring, random_mis
 
 PHASE_ZEROS = {
     "correlation": 0.0,
@@ -178,6 +191,80 @@ def test_run_pipeline_zero_timings_mode(mdkp_tiny):
     report = run_pipeline(config, inst=mdkp_tiny)
     assert report.phase_timings == PHASE_ZEROS
     assert report.total_time == 0.0
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small random instance of any kind and a random pipeline config for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mdkp", "mis", "qap"]))
+    if kind == "mis":
+        n = draw(st.integers(min_value=1, max_value=11))
+        inst = random_mis(rng, n, draw(st.floats(min_value=0.0, max_value=1.0)))
+    elif kind == "mdkp":
+        n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+        inst = MdkpInstance(
+            n=n,
+            m=m,
+            profits=rng.integers(1, 20, n).astype(float),
+            weights=rng.integers(0, 20, (m, n)).astype(float),
+            capacities=rng.integers(1, 40, m).astype(float),
+        )
+    else:
+        n = draw(st.integers(min_value=1, max_value=3))
+        inst = QapInstance(
+            n=n,
+            flow=rng.integers(0, 10, (n, n)).astype(float),
+            distance=rng.integers(0, 10, (n, n)).astype(float),
+        )
+    config = PipelineConfig(
+        kind=kind,
+        name="fuzz",
+        use_slack=kind == "mdkp" and draw(st.booleans()),
+        constraint_aware=draw(st.booleans()),
+        lam=draw(st.floats(min_value=0.0, max_value=3.0)),
+        recalc=draw(st.sampled_from(["fixed", "delta", "tau", "local"])),
+        r=draw(st.integers(min_value=1, max_value=5)),
+        delta=draw(st.floats(min_value=0.01, max_value=1.0)),
+        tau=draw(st.floats(min_value=0.0, max_value=1.0)),
+        seed=draw(st.integers(0, 2**16)),
+        timings="zero",
+    )
+    if draw(st.booleans()):
+        config = replace(config, stop_mode="k", k=draw(st.integers(1, 30)))
+    else:
+        config = replace(
+            config,
+            alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+            energy_order=draw(st.sampled_from(["ascending", "descending"])),
+        )
+    if build_model(inst, config).n_vars > 16 or draw(st.booleans()):
+        config = replace(config, backend="sa", sa_sweeps=draw(st.integers(1, 40)))
+    return inst, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_cases())
+def test_run_pipeline_is_deterministic_feasible_and_lifts_exactly(case):
+    """Any small run repeats byte for byte, ends feasible, and its shrink lifts losslessly."""
+    inst, config = case
+    first = run_pipeline(config, inst=inst)
+    assert report_to_json(run_pipeline(config, inst=inst)) == report_to_json(first)
+    assert first.feasible_after
+
+    model = build_model(inst, config)
+    graph = qubo_to_maxcut(model)
+    tags = dict(enumerate(model.semantics, 1))
+    penalty = make_penalty(inst, tags) if config.constraint_aware else None
+    result = run_shrink(graph, _shrink_config(config, config.seed), penalty=penalty)
+    if result.graph.n_nodes > 10:
+        return
+    reduced_model = graph_to_qubo(result.graph)
+    for x in every_bitstring(result.graph.n_nodes - 1):
+        lifted = lift_solution(result, x, graph)
+        energy = evaluate_qubo(reduced_model, x)
+        assert lifted.energy == pytest.approx(energy, rel=1e-12, abs=1e-9)
+        assert evaluate_qubo(model, lifted.bits) == pytest.approx(energy, rel=1e-12, abs=1e-9)
 
 
 def test_pipeline_config_validation():

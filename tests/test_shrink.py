@@ -1,5 +1,6 @@
 """Correlation-guided graph contraction: selection, bookkeeping, policies."""
 
+import itertools
 import re
 
 import numpy as np
@@ -173,6 +174,34 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
     assert (unpenalized[0], unpenalized[1]) == (1, 2)
     penalized = select_merge(supernodes, X, lam=0.2, penalty=penalty)
     assert (penalized[0], penalized[1]) == (1, 0)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["no-rng", "rng"])
+@pytest.mark.parametrize("size", range(2, 7))
+def test_select_merge_calls_the_penalty_once_per_pair_in_combinations_order(size, seeded):
+    """The benchmark counts one call per scored pair, and ties follow this order."""
+    supernodes = [[2 * t, 2 * t + 1] for t in range(size)]
+    X = np.full((size, size), 0.5)
+    weights = np.random.default_rng(size).permutation(size * size).tolist()
+    calls = []
+
+    def pi(a: list[int], b: list[int]) -> float:
+        return weights[a[0] // 2 * size + b[0] // 2] / len(weights)
+
+    def penalty(a: list[int], b: list[int]) -> float:
+        calls.append((a, b))
+        return pi(a, b)
+
+    rng = np.random.default_rng(0) if seeded else None
+    absorbed, survivor, _ = select_merge(
+        supernodes, X, lam=1.0, penalty=penalty, rng=rng, protected=frozenset()
+    )
+    pairs = list(itertools.combinations(supernodes, 2))
+    assert len(calls) == len(pairs)
+    assert all(a is x and b is y for (a, b), (x, y) in zip(calls, pairs))
+    # each pair's score carries its own penalty: the pick is the least penalised
+    best = min(pairs, key=lambda pair: pi(*pair))
+    assert (absorbed, survivor) == (best[0][0], best[1][0])
 
 
 def test_select_merge_needs_two_supernodes():
