@@ -202,8 +202,12 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> P
 
 def _load_solution(path: str) -> tuple[str, np.ndarray]:
     text = Path(path).read_text()
-    with json_document(text, f"{path}: solution JSON", ("instance", "bits")) as doc:
-        return doc["instance"], np.asarray(doc["bits"], dtype=int)
+    what = f"{path}: solution JSON"
+    with json_document(text, what, ("instance", "bits")) as doc:
+        bits = doc["bits"]
+        if not all(type(bit) is int and bit in (0, 1) for bit in bits):
+            raise ValueError(f"{what}: bits must be a list of 0/1 integers")
+        return doc["instance"], np.array(bits, dtype=int)
 
 
 # ---------------------------------------------------------------------------

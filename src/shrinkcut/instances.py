@@ -72,6 +72,8 @@ class MisInstance:
 
     def __post_init__(self) -> None:
         _check_optimum(self.known_optimum)
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
@@ -129,10 +131,16 @@ class _TokenStream:
         except ValueError as exc:
             raise ParseError(f"bad numeric token {tok!r} for {what} (token {self._pos - 1})") from exc
 
-    def next_int(self, what: str) -> int:
+    def next_floats(self, count: int, what: str) -> np.ndarray:
+        """The next ``count`` tokens; token k is named ``what k`` in errors."""
+        return np.array([self.next_float(f"{what} {k}") for k in range(count)], dtype=float)
+
+    def next_count(self, what: str) -> int:
         value = self.next_float(what)
-        if value != int(value):
-            raise ParseError(f"expected an integer for {what}, got {value} (token {self._pos - 1})")
+        if not value.is_integer() or value < 0:
+            raise ParseError(
+                f"expected a non-negative integer for {what}, got {value} (token {self._pos - 1})"
+            )
         return int(value)
 
     def expect_end(self) -> None:
@@ -146,15 +154,12 @@ def parse_mdkp(text: str) -> MdkpInstance:
     """Parse an MDKP stream: header ``n m opt`` (opt 0 = unknown), n profits,
     m rows of n weights, then m capacities."""
     stream = _TokenStream(text)
-    n = stream.next_int("item count n")
-    m = stream.next_int("constraint count m")
+    n = stream.next_count("item count n")
+    m = stream.next_count("constraint count m")
     opt = stream.next_float("header optimum")
-    profits = np.array([stream.next_float(f"profit {i}") for i in range(n)], dtype=float)
-    weights = np.array(
-        [[stream.next_float(f"weight ({j},{i})") for i in range(n)] for j in range(m)],
-        dtype=float,
-    ).reshape(m, n)
-    capacities = np.array([stream.next_float(f"capacity {j}") for j in range(m)], dtype=float)
+    profits = stream.next_floats(n, "profit")
+    weights = stream.next_floats(m * n, "weight entry").reshape(m, n)  # row-major
+    capacities = stream.next_floats(m, "capacity")
     stream.expect_end()
     return MdkpInstance(
         n=n,
@@ -219,13 +224,9 @@ def serialize_mis_edgelist(inst: MisInstance) -> str:
 def parse_qaplib(text: str) -> QapInstance:
     """Parse a QAP stream: n, then n^2 flow entries row-major, then n^2 distances."""
     stream = _TokenStream(text)
-    n = stream.next_int("size n")
-    flow = np.array(
-        [stream.next_float(f"flow entry {k}") for k in range(n * n)], dtype=float
-    ).reshape(n, n)
-    distance = np.array(
-        [stream.next_float(f"distance entry {k}") for k in range(n * n)], dtype=float
-    ).reshape(n, n)
+    n = stream.next_count("size n")
+    flow = stream.next_floats(n * n, "flow entry").reshape(n, n)
+    distance = stream.next_floats(n * n, "distance entry").reshape(n, n)
     stream.expect_end()
     return QapInstance(n=n, flow=flow, distance=distance)
 

@@ -134,7 +134,10 @@ def graph_from_json(text: str) -> MaxCutGraph:
     """Inverse of :func:`graph_to_json`; any ``var_map`` but the identity is rejected."""
     with json_document(text, "graph JSON", ("n_nodes", "edges", "offset", "var_map")) as doc:
         n_nodes = json_index(doc["n_nodes"], "n_nodes")
-        if doc["var_map"] != list(range(n_nodes - 1)):
+        var_map = doc["var_map"]
+        # lengths first: no id list (and no n x n array) is built for a var_map too short
+        identity = isinstance(var_map, list) and len(var_map) == max(n_nodes - 1, 0)
+        if not (identity and var_map == list(range(n_nodes - 1))):
             raise ValueError(
                 f"graph JSON: var_map must be [0, ..., {n_nodes - 2}] (node v+1 is variable v)"
             )

@@ -287,9 +287,12 @@ def model_from_json(text: str) -> QuboModel:
     keys = ("n_vars", "linear", "quadratic", "offset", "semantics")
     with json_document(text, "QUBO model JSON", keys) as doc:
         n_vars = json_index(doc["n_vars"], "n_vars")
+        lin = [float(v) for v in doc["linear"]]
+        if len(lin) != n_vars:  # checked before the n_vars x n_vars pair array is built
+            raise ValueError(f"QUBO model JSON: {len(lin)} linear terms for n_vars = {n_vars}")
         return QuboModel(
             pairs=pairs_from_json(doc["quadratic"], n_vars, "quadratic term"),
-            lin=[float(v) for v in doc["linear"]],
+            lin=lin,
             offset=float(doc["offset"]),
             semantics=tuple(tuple(tag) for tag in doc["semantics"]),
         )

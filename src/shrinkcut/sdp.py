@@ -11,16 +11,19 @@ ceil(sqrt(2n)) + 1 the low-rank formulation attains the SDP optimum.
 The Gram matrix X_ij = v_i . v_j is the correlation output consumed by the
 shrinking stage.
 
-The ascent stops on the relative gain in the objective, as the mixing method
-does (Wang, Chang & Kolter, arXiv:1706.00476): with f_0 the objective of the
+The ascent starts from seeded random unit vectors, or from a given
+embedding: the shrinking stage warm-starts every re-solve from the previous
+solve's vectors, folded over the merges since, as the mixing method does
+(Wang, Chang & Kolter, arXiv:1706.00476). It stops on the relative gain in
+the objective, as the mixing method also does: with f_0 the objective of the
 initial vectors and f_t its value after sweep t, it stops once
 f_t - f_{t-1} <= tol * |f_t|, or after ``max_sweeps`` sweeps. The default
 tol is 1e-10. The vectors can keep drifting along a flat face of the
 objective long after its value has settled, so a stop on their displacement
 may never fire. The objective is read once per sweep from the edge list, in
 O(m * rank): the per-edge dot products v_i . v_j in ascending (i, j) order,
-each summed by ``np.sum`` over the rank, weighted by w_ij (1 - v_i . v_j)
-and summed by ``np.sum``.
+each summed over the rank, weighted by w_ij (1 - v_i . v_j) and summed, both
+sums by numpy's pairwise ``sum``.
 
 A node update is one gather-and-multiply over the node's neighbour list (the
 nonzero entries of its row of ``graph.weights``), in ascending neighbour
@@ -51,10 +54,14 @@ class EmbeddingVectors:
     sweeps_used: int = 0
 
     def __post_init__(self) -> None:
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise ValueError(f"embedding rows must be unit vectors (worst deviation {worst:.2e})")
+        _require_unit_rows(self.vectors)
+
+
+def _require_unit_rows(vectors: np.ndarray) -> None:
+    deviation = np.abs(np.linalg.norm(vectors, axis=1) - 1.0)
+    if np.any(deviation > 1e-9):
+        worst = deviation.max()
+        raise ValueError(f"embedding rows must be unit vectors (worst deviation {worst:.2e})")
 
 
 def default_rank(n_nodes: int) -> int:
@@ -68,22 +75,33 @@ def solve_maxcut_sdp(
     tol: float = 1e-10,
     max_sweeps: int = 1000,
     seed: int = 0,
+    initial: np.ndarray | None = None,
 ) -> EmbeddingVectors:
     """Run the mixing coordinate ascent until a sweep raises the relaxed
     objective by at most ``tol`` times its new value, or for ``max_sweeps``
     sweeps.
 
-    Deterministic for fixed (graph, rank, tol, seed): initialization draws
-    seeded componentwise normals (normalized), updates visit nodes in
-    ascending order, and each node reads its neighbours in ascending order.
-    A node without edges, or whose gradient norm is below 1e-12, keeps its
-    vector. ``objective_history`` holds the objective after each sweep, so a
-    graph without edges stops after one sweep with history ``(0.0,)``.
+    Deterministic for fixed (graph, rank, tol, seed, initial): the ascent
+    starts from ``initial`` (one unit row per node; ``rank`` defaults to its
+    width, ``seed`` is not used, and the array is copied, never written) or
+    else from seeded componentwise normals (normalized); updates visit nodes
+    in ascending order, and each node reads its neighbours in ascending
+    order. A node without edges, or whose gradient norm is below 1e-12, keeps
+    its vector. ``objective_history`` holds the objective after each sweep,
+    so a graph without edges stops after one sweep with history ``(0.0,)``.
     ``rank`` and ``max_sweeps`` must be integers (not bools) and ``tol`` a
     finite number > 0.
     """
     n = graph.n_nodes
-    if rank is None:
+    if initial is not None:
+        initial = np.array(initial, dtype=float, order="C")
+        if initial.ndim != 2 or len(initial) != n:
+            raise ValueError(
+                f"initial embedding needs one row per node ({n}), got shape {initial.shape}"
+            )
+        if rank is None:
+            rank = initial.shape[1]
+    elif rank is None:
         rank = default_rank(n)
     require_integer("rank", rank)
     require_integer("max_sweeps", max_sweeps)
@@ -93,9 +111,17 @@ def solve_maxcut_sdp(
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((n, rank))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if initial is None:
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, rank))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    else:
+        if initial.shape[1] != rank:
+            raise ValueError(f"rank {rank} != the initial embedding's rank {initial.shape[1]}")
+        if not np.isfinite(initial).all():
+            raise ValueError("initial embedding must be finite")
+        _require_unit_rows(initial)
+        vectors = initial
 
     W = graph.weights
     # (row view, ascending neighbour indices, their weights) for every node
@@ -108,8 +134,8 @@ def solve_maxcut_sdp(
     edge_weights = W[heads, tails]
 
     def objective() -> float:
-        dots = np.sum(vectors[heads] * vectors[tails], axis=1)
-        return 0.5 * float(np.sum(edge_weights * (1.0 - dots)))
+        dots = (vectors.take(heads, axis=0) * vectors.take(tails, axis=0)).sum(axis=1)
+        return 0.5 * float((edge_weights * (1.0 - dots)).sum())
 
     history: list[float] = []
     previous = objective()

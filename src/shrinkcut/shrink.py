@@ -17,9 +17,13 @@ representative id, and all reduced by one contraction. Absorbing a into b with
 sign sigma sets W[b] += sigma * W[a], appends a's members to b's, multiplies
 their signs by sigma, and makes E[b] the size-weighted mean of the two
 sign-adjusted rows, so E[a, b] stays the mean sign-adjusted correlation over
-all member pairs of a and b; W, E and the member lists then drop a's row. A
-re-solve replaces E with the SDP correlations of the graph W (whose node order
-is those same ids).
+all member pairs of a and b; W, E and the member lists then drop a's row.
+Unless ``recalc`` is "local" (which never re-solves), the state also holds
+the last solve's S x rank embedding V, whose row b becomes the unit vector
+along |b| v_b + sigma |a| v_a (or stays v_b if that sum vanishes) before row
+a is dropped. A re-solve starts from V and replaces E with the SDP
+correlations of the graph W (whose node order is those same ids); only the
+first solve starts from seeded random vectors.
 """
 
 from __future__ import annotations
@@ -308,6 +312,29 @@ def _fold_correlations(
     return correlations[np.ix_(keep, keep)]
 
 
+def _fold_embedding(
+    vectors: np.ndarray,
+    members: list[list[int]],
+    a: int,
+    b: int,
+    sigma: int,
+) -> np.ndarray:
+    """The S x rank embedding after absorbing row ``a`` into row ``b`` with sign ``sigma``.
+
+    ``members`` (aligned with the rows) is read before the merge. Row b
+    becomes the unit vector along the size-weighted sum of both sign-adjusted
+    rows, or keeps its vector if that sum's norm is below 1e-12; row a is
+    dropped. ``vectors`` is not written.
+    """
+    n_a, n_b = len(members[a]), len(members[b])
+    row = n_b * vectors[b] + sigma * n_a * vectors[a]
+    norm = np.linalg.norm(row)
+    folded = np.delete(vectors, a, axis=0)
+    if norm >= 1e-12:
+        folded[b - (a < b)] = row / norm
+    return folded
+
+
 def run_shrink(
     graph: MaxCutGraph,
     config: ShrinkConfig | None = None,
@@ -362,10 +389,12 @@ def run_shrink(
 
     protected = frozenset({0}) if config.reference_protected else frozenset()
 
+    sdp_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])  # read by the cold first solve only
+    vectors = None  # the last solve's embedding, folded like E; never kept under "local"
+
     def solve_correlations() -> np.ndarray:
-        nonlocal sdp_seconds
+        nonlocal sdp_seconds, vectors
         reduced, _ = working.to_graph()  # node order: the ascending supernode ids
-        sdp_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])
         t0 = time.perf_counter()
         embedding = solve_maxcut_sdp(
             reduced,
@@ -373,9 +402,12 @@ def run_shrink(
             tol=config.sdp_tol,
             max_sweeps=config.sdp_max_sweeps,
             seed=sdp_seed,
+            initial=vectors,
         )
         gram = extract_correlations(embedding)
         sdp_seconds += time.perf_counter() - t0
+        if config.recalc != "local":
+            vectors = embedding.vectors
         return gram
 
     correlations = solve_correlations()
@@ -396,6 +428,8 @@ def run_shrink(
         rows = working.weights[[a, b]]
         affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
         correlations = _fold_correlations(correlations, working.members, a, b, sigma)
+        if vectors is not None:
+            vectors = _fold_embedding(vectors, working.members, a, b, sigma)
         working.contract(absorbed, survivor, sigma)
         steps.append(MergeStep(order=len(steps) + 1, i=absorbed, j=survivor, sigma=sigma))
         merges_since_solve += 1
@@ -438,5 +472,8 @@ def merge_steps_from_jsonl(text: str) -> tuple[MergeStep, ...]:
         if not line.strip():
             continue
         with json_document(line, f"line {lineno}", keys) as obj:
-            steps.append(MergeStep(*(int(obj[key]) for key in keys)))
+            values = [obj[key] for key in keys]
+            if not all(type(value) is int for value in values):  # not 1.5, 1e400 or true
+                raise TypeError(f"fields must be integers, got {values}")
+            steps.append(MergeStep(*values))
     return tuple(steps)

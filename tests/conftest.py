@@ -8,10 +8,12 @@ two different computational paths.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from shrinkcut import (
     MaxCutGraph,
@@ -23,9 +25,21 @@ from shrinkcut import (
     EmbeddingVectors,
     RepairReport,
     Solution,
+    build_mdkp_qubo,
+    build_mis_qubo,
+    build_qap_qubo,
     coefficient_scale,
     default_rank,
     evaluate_qubo,
+    graph_to_json,
+    model_to_json,
+    parse_mdkp,
+    parse_mis_edgelist,
+    parse_qaplib,
+    qubo_to_maxcut,
+    serialize_mdkp,
+    serialize_mis_edgelist,
+    serialize_qaplib,
     slack_bit_count,
 )
 
@@ -364,11 +378,13 @@ def naive_solve_maxcut_sdp(
     tol: float = 1e-10,
     max_sweeps: int = 1000,
     seed: int = 0,
+    initial: np.ndarray | None = None,
 ) -> EmbeddingVectors:
     """Mixing-method coordinate ascent with per-node bookkeeping.
 
-    The same initialization, ascending neighbour order, updates and stopping
-    rule as ``solve_maxcut_sdp``, written as the direct loop: each node takes
+    The same initialization (a copy of ``initial`` if given, whose width is
+    the rank, else seeded normals), ascending neighbour order, updates and
+    stopping rule as ``solve_maxcut_sdp``, written as the direct loop: each node takes
     ``np.linalg.norm`` of its gradient, and the objective is summed one edge
     at a time from ``graph.edges`` in ascending key order, before the first
     sweep and after every sweep. It stops once a sweep raises the objective
@@ -376,11 +392,15 @@ def naive_solve_maxcut_sdp(
     the same vectors, history and sweep count.
     """
     n = graph.n_nodes
-    if rank is None:
-        rank = default_rank(n)
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((n, rank))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if initial is not None:
+        vectors = np.array(initial, dtype=float)
+        rank = vectors.shape[1]
+    else:
+        if rank is None:
+            rank = default_rank(n)
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, rank))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[float]] = [[] for _ in range(n)]
@@ -653,3 +673,113 @@ def qap_pair() -> QapInstance:
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+# ---------------------------------------------------------------------------
+# malformed-input strategies
+# ---------------------------------------------------------------------------
+
+# one small valid instance per kind, with its parser and writer
+INSTANCE_TEXTS = {
+    "mdkp": "3 1 12\n5 7 4\n2 3 4\n5\n",
+    "mis": "3\n1 2\n1 3\n2 3\n",
+    "qap": "2\n0 5\n5 0\n0 2\n2 0\n",
+}
+PARSERS = {"mdkp": parse_mdkp, "mis": parse_mis_edgelist, "qap": parse_qaplib}
+WRITERS = {"mdkp": serialize_mdkp, "mis": serialize_mis_edgelist, "qap": serialize_qaplib}
+BUILDERS = {"mdkp": build_mdkp_qubo, "mis": build_mis_qubo, "qap": build_qap_qubo}
+
+# tokens that are negative, fractional, non-finite, overflowing, hexadecimal,
+# a comment mark or a word, beside a few plain counts
+ODD_TOKENS = (
+    "-1", "-0", "0", "1", "2", "7", "1.5", "2e0", "1e21", "1e400", "nan", "-inf", "0x10", "#", "abc"
+)
+
+# JSON values of every type, with integers past int64 and floats that json
+# writes as NaN and Infinity; weights stay small enough for the SDP not to overflow
+json_scalars = st.sampled_from(
+    [None, True, False, -1, 0, 1, 2, 3, 2**63, -(2**70), 0.5, -2.5, 1e19]
+    + [float("nan"), float("inf"), "", "0", "x"]
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "bits"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_instance_texts(draw) -> tuple[str, str]:
+    """(kind, text): a small valid instance after one to four token or line edits."""
+    kind = draw(st.sampled_from(sorted(INSTANCE_TEXTS)))
+    lines = [line.split() for line in INSTANCE_TEXTS[kind].splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines.append([])
+        # half the edits hit the header line, where the counts are
+        row = draw(st.just(0) | st.integers(0, len(lines) - 1))
+        line = lines[row]
+        edits = ["replace", "replace", "insert", "delete", "drop line", "repeat line", "join lines"]
+        edit = draw(st.sampled_from(edits))
+        if edit == "replace" and line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif edit == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(ODD_TOKENS)))
+        elif edit == "delete" and line:
+            del line[draw(st.integers(0, len(line) - 1))]
+        elif edit == "drop line":
+            del lines[row]
+        elif edit == "repeat line":
+            lines.insert(row, list(line))
+        elif edit == "join lines" and row:
+            lines[row - 1] += lines.pop(row)
+    end = draw(st.sampled_from(["", "\n"]))
+    return kind, "\n".join(" ".join(line) for line in lines) + end
+
+
+def valid_json_documents(kind: str) -> dict[str, dict]:
+    """The solution, QUBO model and Max-Cut graph documents of INSTANCE_TEXTS[kind]."""
+    model = BUILDERS[kind](PARSERS[kind](INSTANCE_TEXTS[kind]), 10.0)
+    return {
+        "solution": {"instance": kind, "bits": [0] * model.n_vars},
+        "model": json.loads(model_to_json(model)),
+        "graph": json.loads(graph_to_json(qubo_to_maxcut(model))),
+    }
+
+
+@st.composite
+def malformed_json_texts(draw, document: dict) -> str:
+    """``document`` after one to three edits: a field replaced or dropped, a list
+    entry replaced, dropped or added, or the whole document replaced; the text
+    is sometimes cut short."""
+    doc = json.loads(json.dumps(document))  # a deep copy
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, dict) or not doc or draw(st.integers(0, 9)) == 0:
+            doc = draw(json_values)
+            continue
+        key = draw(st.sampled_from(sorted(doc)))
+        field = doc[key]
+        edit = draw(st.sampled_from(["replace", "drop", "entry", "entry"]))
+        if edit == "replace":
+            doc[key] = draw(json_values)
+        elif edit == "drop":
+            del doc[key]
+        elif isinstance(field, list):
+            # the entry itself, or one position of an edge or quadratic-term row
+            target = field
+            rows = [entry for entry in field if isinstance(entry, list)]
+            if rows and draw(st.booleans()):
+                target = draw(st.sampled_from(rows))
+            spot = draw(st.integers(0, len(target)))
+            action = draw(st.sampled_from(["set", "drop", "add"]))
+            if action == "add" or spot == len(target):
+                target.insert(spot, draw(json_scalars))
+            elif action == "set":
+                target[spot] = draw(json_scalars)
+            else:
+                del target[spot]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text

@@ -1,8 +1,14 @@
 """Command-line interface, exercised in-process through main()."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     build_mdkp_qubo,
@@ -14,6 +20,13 @@ from shrinkcut import (
     qubo_to_maxcut,
 )
 from shrinkcut.cli import load_config_file, main
+from tests.conftest import (
+    INSTANCE_TEXTS,
+    PARSERS,
+    malformed_instance_texts,
+    malformed_json_texts,
+    valid_json_documents,
+)
 
 MDKP_TEXT = "3 1 12\n5 7 4\n2 3 4\n5\n"
 TRIANGLE_TEXT = "3\n1 2\n1 3\n2 3\n"
@@ -773,3 +786,111 @@ def test_pipeline_on_a_non_finite_optima_sidecar_value_exits_two(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value must be finite" in captured.err
+
+
+def run_main(args: list[str]) -> tuple[int, str]:
+    """``main``'s exit code and standard error; an exception it lets through propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str, accepted: bool) -> None:
+    assert code in ((0, 1, 2) if accepted else (2,))
+    if code == 2:  # one line naming the problem, no traceback
+        assert err.startswith("shrinkcut: ") and err.count("\n") == 1
+
+
+DOCUMENTS = {kind: valid_json_documents(kind) for kind in sorted(INSTANCE_TEXTS)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(malformed_instance_texts())
+def test_cli_exits_2_without_a_traceback_on_an_edited_instance(case):
+    kind, text = case
+    try:
+        PARSERS[kind](text)
+        accepted = True
+    except ValueError:
+        accepted = False
+    solution = DOCUMENTS[kind]["solution"]
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, bits = Path(tmp) / "instance.txt", Path(tmp) / "solution.json"
+        instance.write_text(text)
+        bits.write_text(json.dumps(solution))
+        args = ["verify", "--kind", kind, "--instance", str(instance), "--solution", str(bits)]
+        assert_clean_exit(*run_main(args), accepted)
+
+
+JSON_READERS = {"model": model_from_json, "graph": graph_from_json}
+JSON_WRITERS = {"model": model_to_json, "graph": graph_to_json}
+
+
+@pytest.mark.parametrize("document", ["solution", "model", "graph"])
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(DOCUMENTS)), data=st.data())
+def test_cli_exits_2_without_a_traceback_on_an_edited_json_document(document, kind, data):
+    text = data.draw(malformed_json_texts(DOCUMENTS[kind][document]))
+    accepted = True
+    if document in JSON_READERS:  # the API raises ValueError or returns what its writer reproduces
+        read, write = JSON_READERS[document], JSON_WRITERS[document]
+        try:
+            parsed = read(text)
+        except ValueError:
+            accepted = False
+        else:
+            assert write(read(write(parsed))) == write(parsed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, instance = Path(tmp) / "doc.json", Path(tmp) / "instance.txt"
+        path.write_text(text)
+        instance.write_text(INSTANCE_TEXTS[kind])
+        if document == "solution":
+            commands = [
+                [command, "--kind", kind, "--instance", str(instance), "--solution", str(path)]
+                for command in ("verify", "repair")
+            ]
+        elif document == "model":
+            commands = [["to-maxcut", "--model", str(path)]]
+        else:
+            commands = [["shrink", "--graph", str(path), "--k", "2"]]
+        for args in commands:
+            assert_clean_exit(*run_main(args), accepted)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    ["[1.5, 0, 0]", "[1e400, 0, 0]", f"[{10**23}, 0, 0]", "[true, 0, 0]", "[[1], 0, 0]", '"100"'],
+)
+def test_verify_rejects_solution_bits_that_are_not_0_1_integers(triangle_file, tmp_path, bits):
+    # 1.5 used to be truncated to 1 and checked as feasible; 1e400 and 10**23 crashed
+    solution = tmp_path / "solution.json"
+    solution.write_text(f'{{"instance": "triangle", "bits": {bits}}}')
+    code, err = run_main(
+        ["verify", "--kind", "mis", "--instance", str(triangle_file), "--solution", str(solution)]
+    )
+    assert code == 2
+    assert "bits must be a list of 0/1 integers" in err
+
+
+@pytest.mark.parametrize(
+    "args, doc, message",
+    [
+        (
+            ["shrink", "--k", "1", "--graph"],
+            {"n_nodes": 2**62, "edges": [], "offset": 0.0, "var_map": []},
+            "var_map must be",
+        ),
+        (
+            ["to-maxcut", "--model"],
+            {"n_vars": 2**62, "linear": [], "quadratic": [], "offset": 0.0, "semantics": []},
+            "0 linear terms for n_vars = 4611686018427387904",
+        ),
+    ],
+)
+def test_a_huge_node_or_variable_count_is_rejected_before_allocating(tmp_path, args, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_main(args + [str(path)])
+    assert code == 2
+    assert message in err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shrinkcut import (
     MdkpInstance,
@@ -16,6 +17,7 @@ from shrinkcut import (
     serialize_mis_edgelist,
     serialize_qaplib,
 )
+from tests.conftest import PARSERS, WRITERS, malformed_instance_texts
 
 
 def test_parse_mdkp_reads_header_profits_weights_then_capacities():
@@ -228,3 +230,37 @@ def test_bundled_qap_files_parse_and_match_sidecar(data_dir):
     assert np.array_equal(rand.distance, rand.distance.T)
     assert optima["pair2"] == 20.0
     assert optima["rand6"] == 424.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_instance_texts())
+def test_an_edited_instance_raises_a_value_error_or_parses_to_what_its_writer_reproduces(case):
+    kind, text = case
+    try:
+        inst = PARSERS[kind](text)
+    except ValueError:  # ParseError is one
+        return
+    written = WRITERS[kind](inst)
+    assert WRITERS[kind](PARSERS[kind](written)) == written
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_mdkp, "inf 1 0\n1\n1\n1\n", "non-negative integer for item count n, got inf"),
+        (parse_mdkp, "1 nan 0\n1\n1\n1\n", "non-negative integer for constraint count m, got nan"),
+        (parse_mdkp, "1 -1 0\n1\n", "non-negative integer for constraint count m, got -1.0"),
+        (parse_qaplib, "-2\n1 2 3 4\n1 2 3 4\n", "non-negative integer for size n, got -2.0"),
+        (parse_qaplib, "1.5\n1\n1\n", "non-negative integer for size n, got 1.5"),
+        # no item, a trillion constraint rows: fails at the first missing capacity
+        (parse_mdkp, "0 1000000000000 0\n", "end of input while reading capacity 0"),
+    ],
+)
+def test_a_count_that_is_not_a_non_negative_integer_is_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_a_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        parse_mis_edgelist("-1\n")

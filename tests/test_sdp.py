@@ -10,7 +10,12 @@ from shrinkcut import (
     sdp_objective,
     solve_maxcut_sdp,
 )
-from tests.conftest import brute_maxcut_value, maxcut_graph, random_graph
+from tests.conftest import (
+    brute_maxcut_value,
+    maxcut_graph,
+    naive_solve_maxcut_sdp,
+    random_graph,
+)
 
 
 def triangle_graph() -> MaxCutGraph:
@@ -161,3 +166,91 @@ def test_the_ascent_stops_at_the_first_sweep_that_adds_at_most_tol_times_the_obj
             stop = np.diff(history) <= tol * np.abs(history[1:])
             assert not stop[:-1].any()
             assert stop.size == 0 or stop[-1]
+
+
+def unit_rows(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
+    rows = rng.standard_normal((n, rank))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def test_a_warm_start_equals_the_per_node_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for trial in range(20):
+        n = int(rng.integers(1, 12))
+        graph = random_graph(rng, n, density=float(rng.uniform(0.2, 1.0)))
+        rank = int(rng.integers(2, 7))
+        # a partly converged embedding, and one that starts anywhere
+        partial = solve_maxcut_sdp(graph, rank=rank, max_sweeps=2, seed=trial).vectors
+        for initial in (partial, unit_rows(rng, n, rank)):
+            options = dict(tol=float(rng.choice([1e-12, 1e-6, 1e-3])), max_sweeps=40)
+            got = solve_maxcut_sdp(graph, initial=initial, **options)
+            want = naive_solve_maxcut_sdp(graph, initial=initial, **options)
+            assert got.rank == rank
+            assert np.array_equal(got.vectors, want.vectors)
+            assert got.objective_history == want.objective_history
+            assert got.sweeps_used == want.sweeps_used
+            # the seed is not read, and an explicit rank that agrees changes nothing
+            again = solve_maxcut_sdp(graph, rank=rank, seed=trial + 1, initial=initial, **options)
+            assert np.array_equal(again.vectors, got.vectors)
+
+
+def test_a_converged_embedding_passed_back_in_stops_within_two_sweeps():
+    rng = np.random.default_rng(61)
+    for trial in range(10):
+        graph = random_graph(rng, int(rng.integers(3, 13)))
+        converged = solve_maxcut_sdp(graph, seed=trial)
+        warm = solve_maxcut_sdp(graph, initial=converged.vectors)
+        assert warm.sweeps_used <= 2
+        # the starting objective is the converged solve's last entry; coordinate
+        # updates at a fixed point may move it by rounding only
+        start = converged.objective_history[-1]
+        assert min(warm.objective_history) >= start - 1e-12 * abs(start)
+
+
+def test_an_initial_embedding_on_a_graph_without_edges_is_returned_as_given():
+    initial = unit_rows(np.random.default_rng(5), 3, 4)
+    vecs = solve_maxcut_sdp(maxcut_graph(3, {}), initial=initial)
+    assert vecs.sweeps_used == 1
+    assert np.array_equal(vecs.vectors, initial)
+
+
+def test_the_callers_initial_embedding_is_never_written():
+    graph = random_graph(np.random.default_rng(6), 8)
+    initial = unit_rows(np.random.default_rng(7), 8, 5)
+    before = initial.copy()
+    vecs = solve_maxcut_sdp(graph, initial=initial)
+    assert np.array_equal(initial, before)
+    assert not np.shares_memory(vecs.vectors, initial)
+    assert not np.array_equal(vecs.vectors, initial)
+
+
+def _bad_initial(case: str):
+    good = unit_rows(np.random.default_rng(8), 3, 4)
+    if case == "extra row":
+        return good.tolist() + [[1.0, 0.0, 0.0, 0.0]], None
+    if case == "one dimension":
+        return good[0], None
+    if case == "non-unit row":
+        good[1] *= 1.0 + 1e-6
+    elif case == "nan":
+        good[2, 0] = np.nan
+    elif case == "infinite":
+        good[0, 3] = np.inf
+    return good, 5 if case == "rank disagrees" else None
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("extra row", r"one row per node \(3\), got shape \(4, 4\)"),
+        ("one dimension", r"one row per node \(3\), got shape \(4,\)"),
+        ("non-unit row", "rows must be unit vectors"),
+        ("nan", "must be finite"),
+        ("infinite", "must be finite"),
+        ("rank disagrees", r"rank 5 != the initial embedding's rank 4"),
+    ],
+)
+def test_a_bad_initial_embedding_is_rejected(case, message):
+    initial, rank = _bad_initial(case)
+    with pytest.raises(ValueError, match=message):
+        solve_maxcut_sdp(triangle_graph(), rank=rank, initial=initial)

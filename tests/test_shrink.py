@@ -17,8 +17,9 @@ from shrinkcut import (
     merge_steps_to_jsonl,
     run_shrink,
     select_merge,
+    solve_maxcut_sdp,
 )
-from shrinkcut.shrink import _fold_correlations
+from shrinkcut.shrink import _fold_correlations, _fold_embedding
 from tests.conftest import maxcut_graph, random_graph
 
 
@@ -110,6 +111,23 @@ def test_effective_correlation_averages_sign_adjusted_members():
     assert E[1, 0] == pytest.approx(0.1)
     assert E[0, 2] == E[2, 0] == pytest.approx(-0.3)  # (X[1,3] - X[0,3]) / 2
     assert E[1, 2] == E[2, 1] == 0.7  # pairs without the survivor are untouched
+
+
+def test_fold_embedding_normalises_the_size_weighted_signed_sum():
+    V = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    before = V.copy()
+    # row 2 ({2}) absorbs row 0 ({0, 3}) with sigma -1: along 1 * (0.6, 0.8) - 2 * (1, 0)
+    folded = _fold_embedding(V, [[0, 3], [1], [2]], a=0, b=2, sigma=-1)
+    assert np.array_equal(V, before)
+    assert folded.shape == (2, 2)
+    assert folded[0].tolist() == [0.0, 1.0]
+    assert folded[1] == pytest.approx(np.array([-1.4, 0.8]) / np.hypot(1.4, 0.8))
+
+
+def test_fold_embedding_keeps_the_survivor_when_the_sum_vanishes():
+    V = np.array([[0.6, 0.8], [0.6, 0.8]])
+    folded = _fold_embedding(V, [[0], [1]], a=0, b=1, sigma=-1)
+    assert folded.tolist() == [[0.6, 0.8]]
 
 
 def test_merge_score_discounts_penalty_linearly():
@@ -317,6 +335,70 @@ def test_local_recalc_solves_the_relaxation_only_once():
     assert result.graph.n_nodes == 3
 
 
+def record_sdp_solves(monkeypatch) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Patch ``run_shrink``'s solver to log (a copy of ``initial``, the solved vectors)."""
+    calls = []
+
+    def recording_solve(graph, **options):
+        initial = options["initial"]
+        embedding = solve_maxcut_sdp(graph, **options)
+        calls.append((None if initial is None else initial.copy(), embedding.vectors.copy()))
+        return embedding
+
+    monkeypatch.setattr("shrinkcut.shrink.solve_maxcut_sdp", recording_solve)
+    return calls
+
+
+def replay_embedding_fold(vectors, ids, sizes, steps):
+    """Fold ``vectors`` (rows: ``ids``, with member counts ``sizes``) over ``steps`` by hand."""
+    vectors, ids, sizes = vectors.copy(), list(ids), list(sizes)
+    for step in steps:
+        a, b = ids.index(step.i), ids.index(step.j)
+        v = sizes[b] * vectors[b] + step.sigma * sizes[a] * vectors[a]
+        if np.linalg.norm(v) >= 1e-12:
+            vectors[b] = v / np.linalg.norm(v)
+        sizes[b] += sizes[a]
+        vectors = np.delete(vectors, a, axis=0)
+        del ids[a], sizes[a]
+    return vectors, ids, sizes
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(recalc="fixed", r=2),
+        dict(recalc="fixed", r=1, sdp_rank=3),
+        dict(recalc="delta", delta=1e-9),
+        dict(recalc="tau", tau=1.0),
+    ],
+)
+def test_run_shrink_warm_starts_every_resolve_from_the_folded_embedding(monkeypatch, options):
+    calls = record_sdp_solves(monkeypatch)
+    graph = random_graph(np.random.default_rng(10), 11, density=0.7)
+    result = run_shrink(graph, ShrinkConfig(stop_mode="k", k=3, seed=7, **options))
+    assert len(calls) == result.stats.recalcs + 1 >= 3
+    assert calls[0][0] is None  # the first solve starts cold
+    rank = calls[0][1].shape[1]
+    vectors, ids, sizes = calls[0][1], list(range(11)), [1] * 11
+    done = 0
+    for initial, solved in calls[1:]:
+        merged = result.steps[done:done + len(ids) - len(initial)]  # since the previous solve
+        vectors, ids, sizes = replay_embedding_fold(vectors, ids, sizes, merged)
+        done += len(merged)
+        assert initial.shape == (len(ids), rank)
+        assert np.allclose(np.linalg.norm(initial, axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(initial, vectors)
+        vectors = solved
+
+
+def test_local_recalc_solves_once_and_keeps_no_embedding(monkeypatch):
+    calls = record_sdp_solves(monkeypatch)
+    graph = random_graph(np.random.default_rng(9), 10, density=0.8)
+    run_shrink(graph, ShrinkConfig(stop_mode="k", k=3, recalc="local", seed=6))
+    assert len(calls) == 1
+    assert calls[0][0] is None
+
+
 def test_local_correlation_update_rescales_only_the_affected_blocks():
     # supernode 1 holds nodes 1 and 0; only the supernode weights enter
     weights = np.array([[0.0, 3.0, -4.0], [3.0, 0.0, 0.0], [-4.0, 0.0, 0.0]])
@@ -408,3 +490,7 @@ def test_merge_steps_jsonl_reports_bad_lines():
         merge_steps_from_jsonl('{"order": 1, "i": 0, "j": 1, "sigma": 1}\n[1, 2]\n')
     with pytest.raises(ValueError, match="line 1: malformed field"):
         merge_steps_from_jsonl('{"order": 1, "i": 0, "j": 1, "sigma": null}\n')
+    # a fractional field used to be truncated, and an infinite one crashed
+    for field in ('"i": 0.5', '"i": 1e400', '"i": true'):
+        with pytest.raises(ValueError, match="line 1: malformed field: fields must be integers"):
+            merge_steps_from_jsonl(f'{{"order": 1, {field}, "j": 1, "sigma": 1}}\n')
