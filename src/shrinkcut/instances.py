@@ -132,7 +132,17 @@ class _TokenStream:
             raise ParseError(f"bad numeric token {tok!r} for {what} (token {self._pos - 1})") from exc
 
     def next_floats(self, count: int, what: str) -> np.ndarray:
-        """The next ``count`` tokens; token k is named ``what k`` in errors."""
+        """The next ``count`` tokens; token k is named ``what k`` in errors.
+
+        Fails before reading any if fewer than ``count`` tokens are left,
+        naming the first missing one and ``count``.
+        """
+        left = len(self._tokens) - self._pos
+        if count > left:
+            raise ParseError(
+                f"unexpected end of input while reading {what} {left} of {count}"
+                f" (token {len(self._tokens)})"
+            )
         return np.array([self.next_float(f"{what} {k}") for k in range(count)], dtype=float)
 
     def next_count(self, what: str) -> int:
@@ -158,8 +168,11 @@ def parse_mdkp(text: str) -> MdkpInstance:
     m = stream.next_count("constraint count m")
     opt = stream.next_float("header optimum")
     profits = stream.next_floats(n, "profit")
-    weights = stream.next_floats(m * n, "weight entry").reshape(m, n)  # row-major
+    weights = stream.next_floats(m * n, "weight entry")
+    # with no items, m rows hold no token: reading the m capacities first
+    # bounds m by the input before it becomes an array dimension
     capacities = stream.next_floats(m, "capacity")
+    weights = weights.reshape(m, n)  # row-major
     stream.expect_end()
     return MdkpInstance(
         n=n,
@@ -192,8 +205,8 @@ def parse_mis_edgelist(text: str) -> MisInstance:
     if not lines:
         raise ParseError("empty MIS instance")
     try:
-        n = int(lines[0].split()[0])
-    except ValueError as exc:
+        (n,) = map(int, lines[0].split())
+    except ValueError as exc:  # not exactly one token, or not an integer
         raise ParseError(f"bad vertex count line {lines[0]!r}") from exc
     edges: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[1:], start=2):

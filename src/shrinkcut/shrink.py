@@ -45,6 +45,8 @@ from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
 PenaltyFn = Callable[[list[int], list[int]], float]
 
+_TIE_WINDOW = 1e-12  # merge scores this close to the best tie with it
+
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -245,9 +247,11 @@ def select_merge(
     the S x S supernode correlation matrix in the same order; only its upper
     triangle is read. Returns (absorbed, survivor, sigma) as representative
     ids: the smaller id is absorbed into the larger, except that a protected
-    node (the reference) always survives. Score ties (exact float equality)
-    are broken uniformly at random with ``rng`` among the tied pairs in
-    ascending (a, b) order.
+    node (the reference) always survives. Every pair whose score lies within
+    1e-12 of the best ties with it, so that a last-bit difference in the
+    correlations (a BLAS kernel's summation order, say) cannot pick the
+    merge; ties are broken uniformly at random with ``rng`` among the tied
+    pairs in ascending (a, b) order.
     """
     size = len(supernodes)
     if size < 2:
@@ -261,7 +265,7 @@ def select_merge(
         pairs = combinations(supernodes, 2)
         pi = np.fromiter(starmap(penalty, pairs), float, count=len(rows))
     score = merge_score(corr, pi, lam)
-    ties = np.flatnonzero(score == score.max())
+    ties = np.flatnonzero(score >= score.max() - _TIE_WINDOW)
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
     a, b = supernodes[rows[pick]][0], supernodes[cols[pick]][0]
     sigma = -1 if corr[pick] < 0 else 1

@@ -41,7 +41,9 @@ from shrinkcut import (
     serialize_mis_edgelist,
     serialize_qaplib,
     slack_bit_count,
+    solve_maxcut_sdp,
 )
+from shrinkcut.sdp import class_sweep_order
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -379,17 +381,22 @@ def naive_solve_maxcut_sdp(
     max_sweeps: int = 1000,
     seed: int = 0,
     initial: np.ndarray | None = None,
+    order: list[int] | None = None,
 ) -> EmbeddingVectors:
     """Mixing-method coordinate ascent with per-node bookkeeping.
 
     The same initialization (a copy of ``initial`` if given, whose width is
     the rank, else seeded normals), ascending neighbour order, updates and
-    stopping rule as ``solve_maxcut_sdp``, written as the direct loop: each node takes
-    ``np.linalg.norm`` of its gradient, and the objective is summed one edge
-    at a time from ``graph.edges`` in ascending key order, before the first
-    sweep and after every sweep. It stops once a sweep raises the objective
-    by at most ``tol`` times its new value. ``solve_maxcut_sdp`` must return
-    the same vectors, history and sweep count.
+    stopping rule as ``solve_maxcut_sdp``, written as the direct loop: each
+    sweep visits the nodes one at a time in ``order`` (default ascending),
+    each node takes ``np.linalg.norm`` of its gradient, and the objective is
+    summed one edge at a time from ``graph.edges`` in ascending key order,
+    before the first sweep and after every sweep. It stops once a sweep
+    raises the objective by at most ``tol`` times its new value. On a graph
+    that ``solve_maxcut_sdp`` sweeps node by node, it must return the same
+    vectors, history and sweep count; on one it sweeps by colour classes,
+    the oracle visiting the nodes in class order must take the same number
+    of sweeps to vectors within rounding.
     """
     n = graph.n_nodes
     if initial is not None:
@@ -421,7 +428,7 @@ def naive_solve_maxcut_sdp(
     history: list[float] = []
     previous = objective()
     for _ in range(max_sweeps):
-        for i in range(n):
+        for i in range(n) if order is None else order:
             if nbr_idx[i].size == 0:
                 continue
             g = nbr_w[i] @ vectors[nbr_idx[i]]
@@ -437,6 +444,41 @@ def naive_solve_maxcut_sdp(
     return EmbeddingVectors(
         vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=len(history)
     )
+
+
+def assert_same_embedding(graph, **options):
+    """``solve_maxcut_sdp`` against the loop oracle visiting the nodes in the same order.
+
+    On the node loop the two agree bit for bit. A class sweep sums each
+    gradient in one matrix product instead of one product per node, so there
+    the two take the same sweeps to vectors within 1e-12 and objectives
+    within 1e-12 of the total absolute edge weight.
+    """
+    got = solve_maxcut_sdp(graph, **options)
+    classes = class_sweep_order(graph.weights)
+    if classes is None:
+        want = naive_solve_maxcut_sdp(graph, **options)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.objective_history == want.objective_history
+        assert got.sweeps_used == want.sweeps_used
+        return got
+    order = np.concatenate(classes).tolist()
+    want = naive_solve_maxcut_sdp(graph, order=order, **options)
+    weights = list(graph.edges.values())
+    first = got
+    if max(weights) < 0 and got.sweeps_used != want.sweeps_used:
+        # the optimum is 0, at aligned vectors, and near it the stop rule weighs
+        # gains of rounding size against tol times an objective of rounding
+        # size, so the two may stop a sweep or two apart: compare them over
+        # the sweeps both take
+        capped = {**options, "max_sweeps": min(got.sweeps_used, want.sweeps_used)}
+        got = solve_maxcut_sdp(graph, **capped)
+        want = naive_solve_maxcut_sdp(graph, order=order, **capped)
+    assert got.sweeps_used == want.sweeps_used
+    assert np.abs(got.vectors - want.vectors).max() <= 1e-12
+    gaps = np.subtract(got.objective_history, want.objective_history)
+    assert np.abs(gaps).max() <= 1e-12 * max(1.0, float(np.sum(np.abs(weights))))
+    return first
 
 
 class NaiveWorkingGraph:

@@ -759,6 +759,23 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "shrinkcut:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("mis", "3 99 x\n1 2\n", "bad vertex count line '3 99 x'"),
+        ("mdkp", "0 1000000000000000000000 0\n", "capacity 0 of 1000000000000000000000"),
+    ],
+)
+def test_a_malformed_instance_header_exits_two(tmp_path, capsys, kind, text, message):
+    path = tmp_path / "header.txt"
+    path.write_text(text)
+    assert main(["build-qubo", "--kind", kind, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_build_qubo_with_slack_on_an_infinite_capacity_exits_two(tmp_path, capsys):
     path = tmp_path / "inf.txt"
     path.write_text("2 1 0\n5 7\n2 3\ninf\n")

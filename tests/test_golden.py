@@ -109,14 +109,16 @@ def _openblas_on_an_avx2_cpu() -> bool:
 
 
 @pytest.mark.skipif(not _openblas_on_an_avx2_cpu(), reason="needs numpy on OpenBLAS and an AVX2 CPU")
-@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("core", ["Haswell", "Prescott", "Zen", "Sandybridge"])
 def test_golden_shrinks_match_under_other_openblas_cores(core):
     """The five golden shrinks, rerun with OpenBLAS forced onto another kernel family.
 
     Many merge candidates tie in exact arithmetic (1tc graphs are
-    vertex-transitive), so the last bit of a BLAS dot product can pick the
-    winner; CI runners differ from the machine that wrote the golden files.
-    ``OPENBLAS_CORETYPE`` acts only on the child process.
+    vertex-transitive), so the last bit of a BLAS product can move a score;
+    ``select_merge`` treats scores within 1e-12 of the best as ties, so that
+    such a bit cannot pick the winner. CI runners differ from the machine
+    that wrote the golden files. ``OPENBLAS_CORETYPE`` acts only on the child
+    process.
     """
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "shrink_merge_log"],

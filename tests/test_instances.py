@@ -133,6 +133,12 @@ def test_parse_mis_rejects_out_of_range_endpoint():
         parse_mis_edgelist("3\n1 4\n")
 
 
+@pytest.mark.parametrize("header", ["3 99 x", "3 4", "3 #"])
+def test_parse_mis_rejects_a_vertex_count_line_with_more_than_one_token(header):
+    with pytest.raises(ParseError, match=f"bad vertex count line '{header}'"):
+        parse_mis_edgelist(f"{header}\n1 2\n")
+
+
 def test_parse_mis_rejects_empty_input():
     with pytest.raises(ParseError, match="empty"):
         parse_mis_edgelist("# only a comment\n")
@@ -254,6 +260,12 @@ def test_an_edited_instance_raises_a_value_error_or_parses_to_what_its_writer_re
         (parse_qaplib, "1.5\n1\n1\n", "non-negative integer for size n, got 1.5"),
         # no item, a trillion constraint rows: fails at the first missing capacity
         (parse_mdkp, "0 1000000000000 0\n", "end of input while reading capacity 0"),
+        # more rows than an array dimension can hold: the count is checked first
+        (
+            parse_mdkp,
+            "0 1000000000000000000000 0\n",
+            r"reading capacity 0 of 1000000000000000000000 \(token 3\)",
+        ),
     ],
 )
 def test_a_count_that_is_not_a_non_negative_integer_is_a_parse_error(parse, text, message):

@@ -5,16 +5,23 @@ import pytest
 
 from shrinkcut import (
     MaxCutGraph,
+    PipelineConfig,
+    build_model,
     default_rank,
     extract_correlations,
+    qubo_to_maxcut,
     sdp_objective,
     solve_maxcut_sdp,
 )
+from shrinkcut.pipeline import load_instance
+from shrinkcut.sdp import class_sweep_order, colour_classes
 from tests.conftest import (
+    DATA_DIR,
+    assert_same_embedding,
     brute_maxcut_value,
     maxcut_graph,
-    naive_solve_maxcut_sdp,
     random_graph,
+    transposition_conflict_graph,
 )
 
 
@@ -173,25 +180,24 @@ def unit_rows(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def test_a_warm_start_equals_the_per_node_loop_oracle_bit_for_bit():
+def test_a_warm_start_equals_the_loop_oracle_in_its_visit_order():
     rng = np.random.default_rng(59)
+    paths = set()
     for trial in range(20):
         n = int(rng.integers(1, 12))
         graph = random_graph(rng, n, density=float(rng.uniform(0.2, 1.0)))
+        paths.add(class_sweep_order(graph.weights) is None)
         rank = int(rng.integers(2, 7))
         # a partly converged embedding, and one that starts anywhere
         partial = solve_maxcut_sdp(graph, rank=rank, max_sweeps=2, seed=trial).vectors
         for initial in (partial, unit_rows(rng, n, rank)):
             options = dict(tol=float(rng.choice([1e-12, 1e-6, 1e-3])), max_sweeps=40)
-            got = solve_maxcut_sdp(graph, initial=initial, **options)
-            want = naive_solve_maxcut_sdp(graph, initial=initial, **options)
+            got = assert_same_embedding(graph, initial=initial, **options)
             assert got.rank == rank
-            assert np.array_equal(got.vectors, want.vectors)
-            assert got.objective_history == want.objective_history
-            assert got.sweeps_used == want.sweeps_used
             # the seed is not read, and an explicit rank that agrees changes nothing
             again = solve_maxcut_sdp(graph, rank=rank, seed=trial + 1, initial=initial, **options)
             assert np.array_equal(again.vectors, got.vectors)
+    assert paths == {True, False}  # both the node loop and class sweeps ran
 
 
 def test_a_converged_embedding_passed_back_in_stops_within_two_sweeps():
@@ -254,3 +260,71 @@ def test_a_bad_initial_embedding_is_rejected(case, message):
     initial, rank = _bad_initial(case)
     with pytest.raises(ValueError, match=message):
         solve_maxcut_sdp(triangle_graph(), rank=rank, initial=initial)
+
+
+def test_colour_classes_are_independent_sets_coloured_greedily_in_ascending_order():
+    rng = np.random.default_rng(67)
+    picks = set()
+    for trial in range(60):
+        n = int(rng.integers(0, 16))
+        graph = random_graph(rng, n, density=float(rng.uniform(0.05, 1.0)))
+        W = graph.weights
+        classes = colour_classes(W)
+        colour = {int(v): k for k, members in enumerate(classes) for v in members}
+        # every node with an edge, and no other, in exactly one class
+        assert sorted(colour) == np.flatnonzero(W.any(axis=1)).tolist()
+        assert sum(len(members) for members in classes) == len(colour)
+        for k, members in enumerate(classes):
+            assert members.size and np.all(np.diff(members) > 0)
+            assert not W[np.ix_(members, members)].any()
+            # each node took the smallest colour its lower neighbours left free
+            for v in members.tolist():
+                lower = {colour[u] for u in np.flatnonzero(W[v]).tolist() if u < v}
+                assert set(range(k)) <= lower
+        active = len(colour)
+        picked = class_sweep_order(W)
+        picks.add(picked is None)
+        if classes and active >= 3 * len(classes):
+            assert picked is not None
+            assert [c.tolist() for c in picked] == [c.tolist() for c in classes]
+        else:
+            assert picked is None
+    assert picks == {True, False}
+
+
+def _bundled_graph(kind: str, name: str, **options) -> MaxCutGraph:
+    inst = load_instance(kind, DATA_DIR / kind / f"{name}.txt")
+    return qubo_to_maxcut(build_model(inst, PipelineConfig(kind=kind, **options)))
+
+
+def _tc_graph(bits: int) -> MaxCutGraph:
+    inst = transposition_conflict_graph(bits)
+    return qubo_to_maxcut(build_model(inst, PipelineConfig(kind="mis")))
+
+
+@pytest.mark.parametrize(
+    "build, nodes, colours, class_sweeps",
+    [
+        (lambda: _bundled_graph("mdkp", "synth24x4", use_slack=True), 61, 34, False),  # 1.79
+        (lambda: _bundled_graph("mdkp", "synth24x4"), 25, 25, False),
+        (lambda: _bundled_graph("mdkp", "example3x1"), 4, 4, False),
+        (lambda: _bundled_graph("qap", "rand6"), 37, 25, False),  # 1.48
+        (lambda: _bundled_graph("qap", "pair2"), 5, 5, False),
+        (lambda: _tc_graph(3), 9, 4, False),  # 1tc.8: 2.25
+        (lambda: _tc_graph(4), 17, 5, True),  # 1tc.16: 3.40
+        (lambda: _tc_graph(6), 65, 7, True),  # 1tc.64: 9.29
+        (lambda: _tc_graph(9), 513, 12, True),  # 1tc.512: 42.75
+    ],
+    ids=[
+        "synth24x4-slack", "synth24x4", "example3x1", "rand6", "pair2",
+        "1tc.8", "1tc.16", "1tc.64", "1tc.512",
+    ],
+)
+def test_the_density_rule_sweeps_by_classes_only_from_three_nodes_per_colour(
+    build, nodes, colours, class_sweeps
+):
+    W = build().weights
+    classes = colour_classes(W)
+    active = sum(len(members) for members in classes)
+    assert (len(W), active, len(classes)) == (nodes, nodes, colours)
+    assert (class_sweep_order(W) is not None) == class_sweeps

@@ -179,6 +179,35 @@ def test_select_merge_breaks_ties_with_the_rng_deterministically():
     assert a == b
 
 
+def test_select_merge_scores_one_ulp_apart_tie_and_the_rng_draws_in_pair_order():
+    # (0, 3) scores one ulp below (1, 2); both tie, listed in ascending (a, b) order
+    best = 1.0
+    X = np.full((4, 4), 0.5)
+    X[0, 3] = np.nextafter(best, 0.0)  # 0.99999999999999989, the 1tc.16 runner-up
+    X[1, 2] = best
+    supernodes = [[v] for v in range(4)]
+    tied = [(0, 3), (1, 2)]
+    picks = set()
+    for seed in range(20):
+        want = tied[int(np.random.default_rng(seed).integers(len(tied)))]
+        got = select_merge(supernodes, X, rng=np.random.default_rng(seed), protected=frozenset())
+        assert got[:2] == want
+        picks.add(got[:2])
+    assert picks == set(tied)
+    # without an rng the first tied pair in that order wins, though it scores lower
+    assert select_merge(supernodes, X, protected=frozenset())[:2] == (0, 3)
+
+
+def test_select_merge_a_score_gap_of_1e_9_is_not_a_tie():
+    X = np.full((4, 4), 0.5)
+    X[0, 3] = 0.9 - 1e-9
+    X[1, 2] = 0.9
+    supernodes = [[v] for v in range(4)]
+    for seed in range(20):
+        got = select_merge(supernodes, X, rng=np.random.default_rng(seed), protected=frozenset())
+        assert got[:2] == (1, 2)
+
+
 def test_select_merge_penalty_steers_away_from_constraint_mixing():
     X = np.eye(4)
     X[1, 2] = X[2, 1] = 0.9
