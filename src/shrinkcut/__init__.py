@@ -66,6 +66,7 @@ from .feasibility import (
     make_penalty,
     mdkp_violations,
     mis_violations,
+    penalty_summaries,
     qap_violations,
     repair,
     repair_mdkp,

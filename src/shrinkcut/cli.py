@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .feasibility import make_penalty, repair, violations
+from .feasibility import make_penalty, penalty_summaries, repair, violations
 from .instances import ParseError
 from .maxcut import graph_from_json, graph_to_json, qubo_to_maxcut
 from .pipeline import (
@@ -246,7 +246,7 @@ def _cmd_to_maxcut(args, parser) -> int:
 
 def _cmd_shrink(args, parser) -> int:
     file_cfg = _file_cfg(args)
-    penalty = None
+    penalty = summaries = None
     if args.graph:
         graph = graph_from_json(Path(args.graph).read_text())
     else:
@@ -255,14 +255,14 @@ def _cmd_shrink(args, parser) -> int:
         aware = _resolve(args, file_cfg, "constraint_aware", PipelineConfig.constraint_aware)
         if aware:
             node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
-            penalty = make_penalty(inst, node_tags)
+            penalty, summaries = make_penalty(inst), penalty_summaries(inst, node_tags)
 
     if args.k is not None and args.alpha is not None:
         parser.error("--k and --alpha are mutually exclusive")
     values = {f.name: _resolve(args, file_cfg, f.name, f.default) for f in fields(ShrinkConfig)}
     values["stop_mode"] = _stop_mode(args, file_cfg)
     config = ShrinkConfig(**values)
-    result = run_shrink(graph, config, penalty=penalty)
+    result = run_shrink(graph, config, penalty=penalty, summaries=summaries)
     if args.steps_out:
         Path(args.steps_out).write_text(merge_steps_to_jsonl(result.steps))
     _emit(graph_to_json(result.graph), args.out)

@@ -1,18 +1,17 @@
 """Constraint checking, merge penalties, and greedy solution repair.
 
 The shrink stage can discount merges that would entangle constraint
-structure: ``make_penalty`` builds a scoring function Pi(a, b) over pairs of
-supernode member lists from the problem instance and the node ->
-variable-tag mapping. It memoises one summary per supernode, keyed by its
-representative and stored with the member count it covers; when a
-supernode has grown, the summary is extended over the new members in
-member order. A pair is then O(1) arithmetic on the two summaries: vertex
-and neighbour bitmasks for MIS, facility-row and location-column bitmasks
-for QAP, and for MDKP the sum of the items' capacity shares
-mean_j(w_ji / C_j), so that Pi = s_a + s_b is the mean fractional capacity
-of the merged items up to rounding. The repair
-routines turn an arbitrary bitstring into a feasible solution with
-deterministic greedy rules.
+structure. ``penalty_summaries`` gives each Max-Cut node a summary of its
+constraint structure, from the problem instance and the node ->
+variable-tag mapping, and the rule that combines two summaries: vertex and
+neighbour bitmasks for MIS and facility-row and location-column bitmasks
+for QAP, combined by OR, and for MDKP the item's capacity share
+mean_j(w_ji / C_j), combined by +. The shrink stage folds each supernode's
+summary as it merges, and ``make_penalty`` gives the scoring function
+Pi(s_a, s_b) on two summaries: O(1) arithmetic, for MDKP the sum s_a + s_b,
+which is the mean fractional capacity of the merged items up to rounding.
+The repair routines turn an arbitrary bitstring into a feasible solution
+with deterministic greedy rules.
 
 scipy is loaded only by the QAP repair (``hungarian``), so other commands
 start without it.
@@ -20,11 +19,13 @@ start without it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .instances import MdkpInstance, MisInstance, QapInstance
+from .instances import MdkpInstance, MisInstance, QapInstance, _fmt
 
 _LEX_TOL = 1e-9
 
@@ -110,85 +111,64 @@ def is_feasible(inst, x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def make_penalty(inst, node_tags: dict[int, tuple]):
-    """Build the Pi(a, b) scorer the shrink stage calls once per supernode pair.
+def penalty_summaries(inst, node_tags: dict[int, tuple]) -> tuple[list, Callable]:
+    """Each Max-Cut node's merge-penalty summary by node id, and the rule that combines two.
 
-    ``a`` and ``b`` are member lists of Max-Cut node ids, representative
-    first (``WorkingGraph.members``). ``node_tags`` maps Max-Cut node ids to
-    variable semantics tags; the reference node 0 has no entry and slack bits
-    count for nothing. Each supernode gets a summary of its decision members,
-    memoised under its representative ``members[0]`` together with the member
-    count it covers. Within one shrink a member list only ever grows at its
-    end (``WorkingGraph.contract`` appends), so when the count falls short
-    the summary is extended over ``members[count:]`` in member order: the
-    result is bit for bit the summary of the whole list, and a grown
-    supernode is never summarised again from scratch. A scorer therefore
-    serves one shrink. Pi is then O(1) arithmetic on the two summaries:
-
-    - MIS: the summary is (vertex mask, neighbour mask), and Pi is 1.0 when
-      a's neighbour mask meets b's vertex mask (a conflict edge runs between
-      the two supernodes), else 0.0.
-    - QAP: the summary holds one bit per facility row and one per location
-      column of the assignment members, and Pi is 1.0 when the two
-      supernodes share a row or a column, else 0.0.
-    - MDKP: Pi is the mean fractional capacity the merged item set would
-      consume, mean_j((u_a + u_b)_j / C_j) for the item loads u. That equals
-      s_a + s_b, where item i's share is mean_j(w_ji / C_j) and a summary s
-      adds its items' shares to 0.0 in member order (an extension continues
-      that sum); the two forms agree in exact arithmetic and can differ only
-      in rounding.
+    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the list
+    is ``max(node_tags) + 1`` long, and the reference node 0 and slack bits
+    hold the rule's identity. A supernode's summary is its members'
+    summaries combined in member order (``WorkingGraph.contract`` folds
+    them). MIS holds (vertex mask, neighbour mask) and QAP one bit per
+    facility row and one per location column, as (mask, mask), both
+    combined by OR; MDKP holds item i's capacity share mean_j(w_ji / C_j),
+    combined by +.
     """
     if isinstance(inst, MdkpInstance):
         shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
         parts = {node: shares[tag[1]] for node, tag in node_tags.items() if tag[0] == "item"}
+        identity, combine = 0.0, operator.add
     elif isinstance(inst, MisInstance):
         neighbours = [0] * inst.n
         for u, v in inst.edges:
             neighbours[u] |= 1 << v
             neighbours[v] |= 1 << u
-        parts = {
-            node: (1 << tag[1], neighbours[tag[1]])
-            for node, tag in node_tags.items()
-            if tag[0] == "vertex"
-        }
+        vertices = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
+        parts = {node: (1 << u, neighbours[u]) for node, u in vertices.items()}
+        identity, combine = (0, 0), _or_masks
     elif isinstance(inst, QapInstance):
         # bit i is facility row i and bit n + j location column j; a cell
         # reaches exactly the bits it holds, so one AND finds a shared one
-        parts = {}
-        for node, tag in node_tags.items():
-            if tag[0] == "assign":
-                mask = 1 << tag[1] | 1 << (inst.n + tag[2])
-                parts[node] = (mask, mask)
+        cells = {node: tag[1:] for node, tag in node_tags.items() if tag[0] == "assign"}
+        parts = {node: (1 << i | 1 << (inst.n + j),) * 2 for node, (i, j) in cells.items()}
+        identity, combine = (0, 0), _or_masks
     else:
         raise TypeError(f"unsupported instance type {type(inst).__name__}")
-    additive = isinstance(inst, MdkpInstance)
-    unseen = (0, 0.0 if additive else (0, 0))
-    memo: dict[int, tuple[int, float | tuple[int, int]]] = {}
+    return [parts.get(node, identity) for node in range(max(node_tags, default=0) + 1)], combine
 
-    def summarise(members: list[int]) -> float | tuple[int, int]:
-        count, total = memo.get(members[0], unseen)
-        for node in members[count:]:
-            if node in parts:
-                if additive:
-                    total += parts[node]
-                else:
-                    bits, reached = parts[node]
-                    total = (total[0] | bits, total[1] | reached)
-        memo[members[0]] = len(members), total
-        return total
 
-    def penalty(a: list[int], b: list[int]) -> float:
-        count, summary_a = memo.get(a[0], unseen)
-        if count != len(a):
-            summary_a = summarise(a)
-        count, summary_b = memo.get(b[0], unseen)
-        if count != len(b):
-            summary_b = summarise(b)
-        if additive:
-            return summary_a + summary_b
-        return 1.0 if summary_a[1] & summary_b[0] else 0.0
+def make_penalty(inst) -> Callable[[object, object], float]:
+    """The Pi(s_a, s_b) scorer the shrink stage calls on every pair of supernode summaries.
 
-    return penalty
+    MIS: 1.0 when a's neighbour mask meets b's vertex mask (a conflict edge
+    runs between the two supernodes), else 0.0. QAP: 1.0 when the two share
+    a facility row or a location column, else 0.0. MDKP: s_a + s_b, the
+    mean fractional capacity mean_j((u_a + u_b)_j / C_j) of the merged item
+    loads u, up to rounding; this is ``operator.add`` itself, so no Python
+    frame runs per pair.
+    """
+    if isinstance(inst, MdkpInstance):
+        return operator.add
+    if isinstance(inst, (MisInstance, QapInstance)):
+        return _masks_meet
+    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+
+
+def _or_masks(s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+    return s[0] | t[0], s[1] | t[1]
+
+
+def _masks_meet(s_a: tuple[int, int], s_b: tuple[int, int]) -> float:
+    return 1.0 if s_a[1] & s_b[0] else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +293,3 @@ def repair(inst, x) -> RepairReport:
     if isinstance(inst, QapInstance):
         return repair_qap(inst, x)
     raise TypeError(f"unsupported instance type {type(inst).__name__}")
-
-
-def _fmt(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f == int(f) else str(f)

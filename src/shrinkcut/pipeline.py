@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .feasibility import is_feasible, make_penalty, repair
+from .feasibility import is_feasible, make_penalty, penalty_summaries, repair
 from .instances import (
     MdkpInstance,
     MisInstance,
@@ -343,10 +343,12 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
         stage = "maxcut"
         graph = qubo_to_maxcut(model)
         node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
-        penalty = make_penalty(inst, node_tags) if config.constraint_aware else None
+        penalty = summaries = None
+        if config.constraint_aware:
+            penalty, summaries = make_penalty(inst), penalty_summaries(inst, node_tags)
 
         stage = "shrink"
-        shrink_result = run_shrink(graph, _shrink_config(config, shrink_seed), penalty=penalty)
+        shrink_result = run_shrink(graph, _shrink_config(config, shrink_seed), penalty, summaries)
         timings["correlation"] = shrink_result.stats.sdp_seconds
         timings["shrinking"] = max(
             0.0, shrink_result.stats.shrink_seconds - shrink_result.stats.sdp_seconds

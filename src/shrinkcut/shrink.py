@@ -17,7 +17,9 @@ representative id, and all reduced by one contraction. Absorbing a into b with
 sign sigma sets W[b] += sigma * W[a], appends a's members to b's, multiplies
 their signs by sigma, and makes E[b] the size-weighted mean of the two
 sign-adjusted rows, so E[a, b] stays the mean sign-adjusted correlation over
-all member pairs of a and b; W, E and the member lists then drop a's row.
+all member pairs of a and b. Each supernode's penalty summary (if any) takes
+a's members one at a time in member order. W, E, the member lists and the
+summaries then drop a's row.
 Unless ``recalc`` is "local" (which never re-solves), the state also holds
 the last solve's S x rank embedding V, whose row b becomes the unit vector
 along |b| v_b + sigma |a| v_a (or stays v_b if that sum vanishes) before row
@@ -32,9 +34,10 @@ import json
 import numbers
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, starmap
 from math import inf
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -43,7 +46,8 @@ from .qubo import json_document, require_integer
 from .sdp import extract_correlations, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
-PenaltyFn = Callable[[list[int], list[int]], float]
+PenaltyFn = Callable[[Any, Any], float]  # Pi on two supernode summaries
+NodeSummaries = tuple[list, Callable[[Any, Any], Any]]  # summary by node id, combine rule
 
 _TIE_WINDOW = 1e-12  # merge scores this close to the best tie with it
 
@@ -150,19 +154,30 @@ class WorkingGraph:
     ``members[t]`` lists the original nodes that row t stands for, its
     representative ``ids[t]`` first, and ``sign[v]`` is original node v's
     spin relative to its representative. By default each id stands for
-    itself alone.
+    itself alone. Given ``summaries``, ``self.summaries[t]`` is row t's
+    penalty summary: its members' summaries combined in member order.
     """
 
-    def __init__(self, weights: np.ndarray, ids: np.ndarray | list[int], offset: float) -> None:
+    def __init__(
+        self,
+        weights: np.ndarray,
+        ids: np.ndarray | list[int],
+        offset: float,
+        summaries: NodeSummaries | None = None,
+    ) -> None:
         self.weights = weights
         self.ids = np.asarray(ids)
         self.offset = offset
         self.members = [[i] for i in self.ids.tolist()]
         self.sign = np.ones(int(self.ids.max(initial=-1)) + 1, dtype=int)
+        self.node_summaries = summaries
+        self.summaries = None if summaries is None else [summaries[0][i] for i in self.nodes()]
 
     @classmethod
-    def from_graph(cls, graph: MaxCutGraph) -> "WorkingGraph":
-        return cls(np.array(graph.weights), np.arange(graph.n_nodes), graph.offset)
+    def from_graph(
+        cls, graph: MaxCutGraph, summaries: NodeSummaries | None = None
+    ) -> "WorkingGraph":
+        return cls(np.array(graph.weights), np.arange(graph.n_nodes), graph.offset, summaries)
 
     @property
     def n_nodes(self) -> int:
@@ -187,10 +202,11 @@ class WorkingGraph:
 
         Row j becomes W[j] + sigma * W[i] (mirrored into column j, with no
         self-loop), and row and column i are dropped; an edge that cancels to
-        exactly 0 is gone. i's members follow j's, their signs times sigma.
-        The constant (1 - sigma)/2 * sum_k w(i,k) is subtracted from the
-        offset so original and reduced energies coincide. Returns that
-        constant.
+        exactly 0 is gone. i's members follow j's, their signs times sigma,
+        and j's summary takes their summaries one at a time (MDKP's sum of
+        i's summary would round differently). The constant (1 - sigma)/2 *
+        sum_k w(i,k) is subtracted from the offset so original and reduced
+        energies coincide. Returns that constant.
         """
         a, b = self.position(i), self.position(j)
         if i == j:
@@ -208,6 +224,11 @@ class WorkingGraph:
         absorbed = self.members.pop(a)
         self.sign[absorbed] *= sigma
         self.members[b - (a < b)] += absorbed
+        if self.summaries is not None:
+            node_summaries, combine = self.node_summaries
+            parts = [node_summaries[v] for v in absorbed]
+            self.summaries[b] = reduce(combine, parts, self.summaries[b])
+            del self.summaries[a]
         return constant
 
     def label(self) -> np.ndarray:
@@ -236,6 +257,7 @@ def select_merge(
     correlations: np.ndarray,
     lam: float = 1.5,
     penalty: PenaltyFn | None = None,
+    summaries: list | None = None,
     rng: np.random.Generator | None = None,
     protected: frozenset[int] = frozenset({0}),
 ) -> tuple[int, int, int]:
@@ -243,11 +265,12 @@ def select_merge(
 
     ``supernodes`` holds one member list per surviving supernode, its
     representative first, in ascending representative id (``WorkingGraph.
-    members``); ``penalty`` receives two of these lists. ``correlations`` is
-    the S x S supernode correlation matrix in the same order; only its upper
-    triangle is read. Returns (absorbed, survivor, sigma) as representative
-    ids: the smaller id is absorbed into the larger, except that a protected
-    node (the reference) always survives. Every pair whose score lies within
+    members``), ``summaries`` their penalty summaries, and ``penalty`` is
+    called once per pair, on two summaries. ``correlations`` is the S x S
+    supernode correlation matrix in the same order; only its upper triangle
+    is read. Returns (absorbed, survivor, sigma) as representative ids: the
+    smaller id is absorbed into the larger, except that a protected node
+    (the reference) always survives. Every pair whose score lies within
     1e-12 of the best ties with it, so that a last-bit difference in the
     correlations (a BLAS kernel's summation order, say) cannot pick the
     merge; ties are broken uniformly at random with ``rng`` among the tied
@@ -258,16 +281,21 @@ def select_merge(
         raise ValueError(f"need at least two supernodes to merge, got {size}")
     if correlations.shape != (size, size):
         raise ValueError(f"need one correlation row per supernode, got shape {correlations.shape}")
-    rows, cols = np.triu_indices(size, 1)
-    corr = correlations[rows, cols]
+    if penalty is not None and (summaries is None or len(summaries) != size):
+        raise ValueError("a penalty needs one summary per supernode")
+    corr = correlations[~np.tri(size, dtype=bool)]  # the pairs row < col, row-major
     pi = 0.0
-    if penalty is not None:  # combinations yields the pairs in triu_indices order
-        pairs = combinations(supernodes, 2)
-        pi = np.fromiter(starmap(penalty, pairs), float, count=len(rows))
+    if penalty is not None:  # combinations yields the pairs in the same order
+        pairs = combinations(summaries, 2)
+        pi = np.fromiter(starmap(penalty, pairs), float, count=len(corr))
     score = merge_score(corr, pi, lam)
     ties = np.flatnonzero(score >= score.max() - _TIE_WINDOW)
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
-    a, b = supernodes[rows[pick]][0], supernodes[cols[pick]][0]
+    row, col = 0, int(pick) + 1
+    while col >= size:  # row r holds the pairs (r, r + 1) .. (r, size - 1)
+        row += 1
+        col -= size - 1 - row
+    a, b = supernodes[row][0], supernodes[col][0]
     sigma = -1 if corr[pick] < 0 else 1
     return (b, a, sigma) if a in protected else (a, b, sigma)
 
@@ -297,11 +325,7 @@ def local_correlation_update(
 
 
 def _fold_correlations(
-    correlations: np.ndarray,
-    members: list[list[int]],
-    a: int,
-    b: int,
-    sigma: int,
+    correlations: np.ndarray, members: list[list[int]], a: int, b: int, sigma: int
 ) -> np.ndarray:
     """The S x S correlations after absorbing row ``a`` into row ``b`` with sign ``sigma``.
 
@@ -317,11 +341,7 @@ def _fold_correlations(
 
 
 def _fold_embedding(
-    vectors: np.ndarray,
-    members: list[list[int]],
-    a: int,
-    b: int,
-    sigma: int,
+    vectors: np.ndarray, members: list[list[int]], a: int, b: int, sigma: int
 ) -> np.ndarray:
     """The S x rank embedding after absorbing row ``a`` into row ``b`` with sign ``sigma``.
 
@@ -343,11 +363,12 @@ def run_shrink(
     graph: MaxCutGraph,
     config: ShrinkConfig | None = None,
     penalty: PenaltyFn | None = None,
+    summaries: NodeSummaries | None = None,
 ) -> ShrinkResult:
     """Shrink ``graph`` down to the target node count by repeated contraction.
 
-    ``penalty`` (if given) scores how badly two supernodes, given as member
-    lists, mix constraint structure.
+    ``penalty`` (if given) scores how badly two supernodes mix constraint
+    structure from their penalty summaries, folded from ``summaries``.
     """
     if config is None:
         config = ShrinkConfig()
@@ -365,7 +386,7 @@ def run_shrink(
         spectrum = symmetric_eigenvalues(laplacian(graph, config.weight_mode))
         target_k = select_target_size(spectrum, config.alpha, config.energy_order)
 
-    working = WorkingGraph.from_graph(graph)
+    working = WorkingGraph.from_graph(graph, summaries)
     sdp_seconds = 0.0
     recalcs = 0
     steps: list[MergeStep] = []
@@ -425,6 +446,7 @@ def run_shrink(
             correlations,
             lam=config.lam,
             penalty=penalty,
+            summaries=working.summaries,
             rng=tie_rng,
             protected=protected,
         )

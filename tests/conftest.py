@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,18 @@ def naive_effective_correlation(a: list[int], b: list[int], sign, correlations) 
     return float(np.mean(sa[:, None] * sb[None, :] * block))
 
 
+def summary_from_scratch(node_summaries, members: list[int]):
+    """A supernode's penalty summary rebuilt from its member list alone.
+
+    ``node_summaries`` is ``penalty_summaries``' (summary by node id, combine
+    rule); the members' summaries are combined in member order, the order
+    ``WorkingGraph.contract`` folds them in, so MDKP's float sums must agree
+    bit for bit.
+    """
+    parts, combine = node_summaries
+    return reduce(combine, [parts[v] for v in members])
+
+
 def _decision_tags(members: list[int], node_tags: dict[int, tuple]) -> list[tuple]:
     return [node_tags[v] for v in members if v in node_tags]
 
@@ -206,7 +219,8 @@ def naive_pi_mis(
     """1.0 when a conflict edge runs between the two supernodes, else 0.0.
 
     Builds both vertex sets and the instance's whole adjacency on every call;
-    the MIS scorer of ``make_penalty`` must give the same value for every pair.
+    the MIS scorer of ``make_penalty`` on the two folded summaries must give
+    the same value for every pair.
     """
     tags_a = _decision_tags(a, node_tags)
     tags_b = _decision_tags(b, node_tags)
@@ -228,7 +242,8 @@ def naive_pi_mdkp(
 
     Sums the item columns of both supernodes and divides by the capacities
     on every call; slack bits and the reference node are ignored. The MDKP
-    scorer of ``make_penalty`` must agree for every pair, up to rounding.
+    scorer of ``make_penalty`` on the two folded summaries must agree for
+    every pair, up to rounding.
     """
     items = [
         tag[1]
@@ -247,7 +262,8 @@ def naive_pi_qap(
     """1.0 when the supernodes share a facility or a location, else 0.0.
 
     Builds both row and column sets on every call; the QAP scorer of
-    ``make_penalty`` must give the same value for every pair.
+    ``make_penalty`` on the two folded summaries must give the same value for
+    every pair.
     """
     assigns_a = [tag for tag in _decision_tags(a, node_tags) if tag[0] == "assign"]
     assigns_b = [tag for tag in _decision_tags(b, node_tags) if tag[0] == "assign"]

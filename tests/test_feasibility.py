@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 
 from shrinkcut import (
+    MaxCutGraph,
     MdkpInstance,
     MisInstance,
     QapInstance,
+    WorkingGraph,
     hungarian,
     is_feasible,
     make_penalty,
     mdkp_violations,
     mis_violations,
+    penalty_summaries,
     qap_violations,
     repair,
     repair_mdkp,
@@ -27,6 +30,7 @@ from shrinkcut import (
     repair_qap,
     violations,
 )
+from tests.conftest import summary_from_scratch
 
 
 def test_mdkp_violations_name_the_overrun_rows(mdkp_tiny):
@@ -75,8 +79,16 @@ def mdkp_tags() -> dict[int, tuple]:
     return {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)}
 
 
+def supernode_penalty(inst, tags):
+    """Pi on two member lists: ``make_penalty``'s scorer on summaries built from scratch."""
+    pi, node_summaries = make_penalty(inst), penalty_summaries(inst, tags)
+    return lambda a, b: pi(
+        summary_from_scratch(node_summaries, a), summary_from_scratch(node_summaries, b)
+    )
+
+
 def test_mdkp_penalty_is_mean_fractional_capacity(mdkp_tiny):
-    penalty = make_penalty(mdkp_tiny, mdkp_tags())
+    penalty = supernode_penalty(mdkp_tiny, mdkp_tags())
     # items 0 and 1 together load 5 of 5
     assert penalty([1], [2]) == pytest.approx(1.0)
     # the reference supernode carries no items, so only item 1 counts
@@ -91,21 +103,22 @@ def test_mdkp_penalty_averages_over_capacity_rows():
         weights=np.array([[2.0, 3.0], [1.0, 1.0]]),
         capacities=np.array([5.0, 4.0]),
     )
-    penalty = make_penalty(inst, {1: ("item", 0), 2: ("item", 1)})
+    penalty = supernode_penalty(inst, {1: ("item", 0), 2: ("item", 1)})
     assert penalty([1], [2]) == pytest.approx((1.0 + 0.5) / 2)
 
 
 def test_mdkp_penalty_ignores_slack_members(mdkp_tiny):
     tags = dict(mdkp_tags())
     tags[4] = ("slack", 0, 0)
-    penalty = make_penalty(mdkp_tiny, tags)
+    penalty = supernode_penalty(mdkp_tiny, tags)
     assert penalty([2], [4]) == pytest.approx(0.6)
+    assert penalty([2, 4], [0]) == penalty([2], [0])
 
 
 def test_mis_penalty_fires_only_on_cross_edges():
     path = MisInstance(n=3, edges=((0, 1), (1, 2)))
     tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
-    penalty = make_penalty(path, tags)
+    penalty = supernode_penalty(path, tags)
     assert penalty([1], [2]) == 1.0
     assert penalty([1], [3]) == 0.0
 
@@ -113,7 +126,7 @@ def test_mis_penalty_fires_only_on_cross_edges():
 def test_mis_penalty_ignores_conflicts_inside_one_supernode():
     single_edge = MisInstance(n=3, edges=((0, 1),))
     tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
-    penalty = make_penalty(single_edge, tags)
+    penalty = supernode_penalty(single_edge, tags)
     merged = [1, 2]
     assert penalty(merged, [3]) == 0.0
 
@@ -125,7 +138,7 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
         3: ("assign", 1, 0),
         4: ("assign", 1, 1),
     }
-    penalty = make_penalty(qap_pair, tags)
+    penalty = supernode_penalty(qap_pair, tags)
     assert penalty([1], [2]) == 1.0  # same facility row
     assert penalty([1], [3]) == 1.0  # same location column
     assert penalty([1], [4]) == 0.0
@@ -169,24 +182,34 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
     ids=["mis", "qap", "mdkp"],
 )
 def test_penalty_summaries_refresh_when_members_grow(inst, tags, joiner, before, after):
-    """Pair (2, 3) is scored, then ``joiner`` joins supernode 2 and the score changes.
+    """Pair (2, 3) is scored, then ``joiner`` is contracted into supernode 2 and the score changes.
 
-    MIS and QAP scores are compared exactly; MDKP's item shares 3/5 + 4/5
-    round differently from the load 7/5.
+    The contraction folds the joiner's summary into supernode 2's. MIS and
+    QAP scores are compared exactly; MDKP's item shares 3/5 + 4/5 round
+    differently from the load 7/5.
     """
-    penalty = make_penalty(inst, tags)
-    a = [2]
-    b = [3]
+    penalty = make_penalty(inst)
+    working = WorkingGraph.from_graph(
+        MaxCutGraph(np.zeros((len(tags) + 1,) * 2), 0.0), penalty_summaries(inst, tags)
+    )
+
+    def pair() -> tuple:
+        return working.summaries[working.position(2)], working.summaries[working.position(3)]
+
+    a, b = pair()
     assert penalty(a, b) == before
     assert penalty(b, a) == before
-    a.append(joiner)
+    working.contract(joiner, 2, -1)
+    a, b = pair()
     assert penalty(a, b) == after
     assert penalty(b, a) == after
 
 
 def test_make_penalty_rejects_unknown_instances():
     with pytest.raises(TypeError, match="unsupported instance type"):
-        make_penalty(object(), {})
+        make_penalty(object())
+    with pytest.raises(TypeError, match="unsupported instance type"):
+        penalty_summaries(object(), {})
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ edges and weights after every contraction.
 and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
 by row, and the two must give the same energies in the same counter order
 (equal on integer data, within rounding on float data).
-The merge penalty memoises one summary per supernode: vertex and neighbour
-bitmasks for MIS, row and column bitmasks for QAP, a sum of item capacity
-shares for MDKP. Its oracles rebuild the vertex sets and adjacency, the row
-and column sets, or the item loads on every call, and must agree on every
-pair after every merge: exactly for MIS and QAP, within 1e-12 relative for
-MDKP, whose shares round differently from summed loads.
+The merge penalty scores two supernode summaries, which ``WorkingGraph.
+contract`` folds as it merges: vertex and neighbour bitmasks for MIS, row
+and column bitmasks for QAP, a sum of item capacity shares for MDKP. Its
+oracles rebuild the vertex sets and adjacency, the row and column sets, or
+the item loads on every call, and must agree on every pair after every
+merge: exactly for MIS and QAP, within 1e-12 relative for MDKP, whose shares
+round differently from summed loads. Every folded summary must equal the one
+rebuilt from its member list, bit for bit.
 MIS repair and MDKP and MIS local search take one pass; their oracles rescan
 from the start after every change, and the two must give the same bits and,
 for repair, the same round count.
@@ -54,6 +56,7 @@ from shrinkcut import (
     PipelineConfig,
     QapInstance,
     QuboModel,
+    ShrinkConfig,
     WorkingGraph,
     build_model,
     cut_value,
@@ -66,14 +69,17 @@ from shrinkcut import (
     local_correlation_update,
     local_search,
     make_penalty,
+    penalty_summaries,
     qubo_to_maxcut,
     repair_mdkp,
     repair_mis,
+    run_shrink,
     sdp_objective,
     solve_maxcut_sdp,
     solve_exact,
     solve_sa,
 )
+from shrinkcut import shrink as shrink_module
 from shrinkcut import solvers
 from shrinkcut.pipeline import load_instance, run_pipeline
 from shrinkcut.sdp import class_sweep_order
@@ -102,6 +108,7 @@ from tests.conftest import (
     naive_solve_sa,
     qubo_model,
     random_mis,
+    summary_from_scratch,
     tc64,
 )
 
@@ -356,21 +363,16 @@ PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpIns
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()),
-    st.sets(st.integers(min_value=0, max_value=20)),
-)
-# vertex 0 joins supernode 2 after (2, 3) was scored: a stale memo still says 0.0
+@given(st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()))
+# vertex 0 joins supernode 2: the fold must OR in its neighbours, so pair (2, 3) turns to 1.0
 @example(
     (
         MisInstance(n=3, edges=((0, 2),)),
         {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)},
         [(1, 2, 1)],
-    ),
-    set(),
+    )
 )
-# node 4 is scored alone, then absorbs [3] and [2, 1] unscored: its memo
-# entry must extend over a tail made of two absorbed lists
+# node 4 absorbs [3], then [2, 1]: the fold must add 2's and 1's shares one at a time
 @example(
     (
         MdkpInstance(
@@ -382,38 +384,75 @@ PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpIns
         ),
         {1: ("item", 0), 2: ("item", 1), 3: ("item", 2), 4: ("item", 3)},
         [(3, 4, 1), (1, 2, -1), (2, 4, 1)],
-    ),
-    {0, 1},
+    )
 )
-def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case, unchecked):
-    """MIS and QAP exactly; MDKP within rounding, and exactly as a freshly built scorer.
+def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
+    """MIS and QAP exactly; MDKP within rounding, and every summary exactly as rebuilt from scratch.
 
-    The MDKP scorer adds per-item shares mean_j(w_ji / C_j) where the oracle
-    adds item loads before dividing, so the two round differently even on
-    integer weights; the fresh scorer checks the memo itself bit for bit.
-    No pair is scored after the merges numbered in ``unchecked`` (from 0),
-    so a memo entry may have to catch up over several absorbed lists at once.
+    ``WorkingGraph.contract`` folds the summaries as it merges. The MDKP
+    scorer adds per-item shares mean_j(w_ji / C_j) where the oracle adds
+    item loads before dividing, so the two round differently even on
+    integer weights; a summary rebuilt from the member list in member order
+    checks the fold itself bit for bit.
     """
     inst, tags, merges = case
     oracle = PENALTY_ORACLES[type(inst)]
-    penalty = make_penalty(inst, tags)
-    partition = WorkingGraph.from_graph(maxcut_graph(len(tags) + 1, {}))
+    penalty = make_penalty(inst)
+    node_summaries = penalty_summaries(inst, tags)
+    partition = WorkingGraph.from_graph(maxcut_graph(len(tags) + 1, {}), node_summaries)
 
     def assert_every_pair_matches():
-        fresh = make_penalty(inst, tags)
-        for a, b in itertools.permutations(partition.members, 2):
-            got, want = penalty(a, b), oracle(a, b, inst, tags)
+        for members, summary in zip(partition.members, partition.summaries):
+            assert summary == summary_from_scratch(node_summaries, members)
+        rows = zip(partition.members, partition.summaries)
+        for (a, s_a), (b, s_b) in itertools.permutations(rows, 2):
+            got, want = penalty(s_a, s_b), oracle(a, b, inst, tags)
             if isinstance(inst, MdkpInstance):
                 assert abs(got - want) <= 1e-12 * want
-                assert got == fresh(a, b)
             else:
                 assert got == want
 
     assert_every_pair_matches()
-    for step, (absorbed, survivor, sigma) in enumerate(merges):
+    for absorbed, survivor, sigma in merges:
         partition.contract(absorbed, survivor, sigma)
-        if step not in unchecked or step == len(merges) - 1:
-            assert_every_pair_matches()
+        assert_every_pair_matches()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(mis_merge_cases(), qap_merge_cases(), mdkp_merge_cases()).map(lambda case: case[0]),
+    st.sampled_from(["fixed", "local"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_every_selection(
+    inst, recalc, seed, data
+):
+    """Folding the summaries merge by merge picks the same merges as rebuilding them each time.
+
+    The rebuilt run hands ``select_merge`` every supernode's summary as
+    combined afresh from its member list, in member order.
+    """
+    kind = {MisInstance: "mis", QapInstance: "qap", MdkpInstance: "mdkp"}[type(inst)]
+    model = build_model(inst, PipelineConfig(kind=kind))
+    graph = qubo_to_maxcut(model)
+    tags = dict(enumerate(model.semantics, 1))
+    node_summaries = penalty_summaries(inst, tags)
+    k = data.draw(st.integers(min_value=1, max_value=graph.n_nodes))
+    config = ShrinkConfig(stop_mode="k", k=k, recalc=recalc, r=2, seed=seed)
+    options = {"penalty": make_penalty(inst), "summaries": node_summaries}
+    folded = run_shrink(graph, config, **options)
+
+    select_merge = shrink_module.select_merge
+
+    def select_on_rebuilt_summaries(supernodes, correlations, summaries=None, **kwargs):
+        rebuilt = [summary_from_scratch(node_summaries, members) for members in supernodes]
+        return select_merge(supernodes, correlations, summaries=rebuilt, **kwargs)
+
+    with mock.patch.object(shrink_module, "select_merge", select_on_rebuilt_summaries):
+        rebuilt = run_shrink(graph, config, **options)
+    assert rebuilt.steps == folded.steps
+    assert len(folded.steps) == max(0, graph.n_nodes - k)
 
 
 @st.composite

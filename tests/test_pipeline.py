@@ -26,6 +26,7 @@ from shrinkcut import (
     make_penalty,
     objective_value,
     optimality_gap,
+    penalty_summaries,
     qubo_to_maxcut,
     report_to_json,
     rsq,
@@ -255,8 +256,12 @@ def test_run_pipeline_is_deterministic_feasible_and_lifts_exactly(case):
     model = build_model(inst, config)
     graph = qubo_to_maxcut(model)
     tags = dict(enumerate(model.semantics, 1))
-    penalty = make_penalty(inst, tags) if config.constraint_aware else None
-    result = run_shrink(graph, _shrink_config(config, config.seed), penalty=penalty)
+    penalty = summaries = None
+    if config.constraint_aware:
+        penalty, summaries = make_penalty(inst), penalty_summaries(inst, tags)
+    result = run_shrink(
+        graph, _shrink_config(config, config.seed), penalty=penalty, summaries=summaries
+    )
     if result.graph.n_nodes > 10:
         return
     reduced_model = graph_to_qubo(result.graph)

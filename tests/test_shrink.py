@@ -1,6 +1,7 @@
 """Correlation-guided graph contraction: selection, bookkeeping, policies."""
 
 import itertools
+import operator
 import re
 
 import numpy as np
@@ -8,13 +9,16 @@ import pytest
 
 from shrinkcut import (
     MaxCutGraph,
+    MdkpInstance,
     MergeStep,
     ShrinkConfig,
     WorkingGraph,
     local_correlation_update,
+    make_penalty,
     merge_score,
     merge_steps_from_jsonl,
     merge_steps_to_jsonl,
+    penalty_summaries,
     run_shrink,
     select_merge,
     solve_maxcut_sdp,
@@ -72,6 +76,41 @@ def test_contract_folds_members_and_signs_relative_to_the_survivor():
     assert working.members == [[0, 2, 1], [3]]
     assert working.sign.tolist() == [1, 1, -1, 1]
     assert working.label().tolist() == [0, 0, 0, 1]
+
+
+def test_shrink_folds_mdkp_shares_one_member_at_a_time(monkeypatch):
+    """The survivor adds the absorbed members' item shares one at a time.
+
+    Shares 0.1, 0.2 and 0.3 sit on nodes 1, 2 and 3. After 3 joins 2 and 2
+    joins 1, node 1's summary must be (0.1 + 0.2) + 0.3, not 0.1 + (0.2 +
+    0.3), which differs in the last bit.
+    """
+    inst = MdkpInstance(
+        n=3,
+        m=1,
+        profits=np.ones(3),
+        weights=np.array([[1.0, 2.0, 3.0]]),
+        capacities=np.array([10.0]),
+    )
+    tags = {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)}
+    member_order, pairwise = (0.1 + 0.2) + 0.3, 0.1 + (0.2 + 0.3)
+    assert member_order != pairwise
+    scripted = iter([(3, 2, 1), (2, 1, -1), (1, 0, 1)])
+    seen = []
+
+    def scripted_merge(supernodes, correlations, summaries=None, **options):
+        seen.append(list(summaries))
+        return next(scripted)
+
+    monkeypatch.setattr("shrinkcut.shrink.select_merge", scripted_merge)
+    graph = maxcut_graph(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+    run_shrink(
+        graph,
+        ShrinkConfig(stop_mode="k", k=1),
+        penalty=make_penalty(inst),
+        summaries=penalty_summaries(inst, tags),
+    )
+    assert seen == [[0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.5], [0.0, member_order]]
 
 
 def test_contract_drops_edges_that_cancel_exactly():
@@ -212,14 +251,15 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
     X = np.eye(4)
     X[1, 2] = X[2, 1] = 0.9
     X[0, 1] = X[1, 0] = 0.8
+    summaries = ["reference", "row 0", "row 0 too", "row 1"]
 
-    def penalty(a: list[int], b: list[int]) -> float:
-        return 1.0 if {a[0], b[0]} == {1, 2} else 0.0
+    def penalty(s_a: str, s_b: str) -> float:
+        return 1.0 if {s_a, s_b} == {"row 0", "row 0 too"} else 0.0
 
     supernodes = [[v] for v in range(4)]
-    unpenalized = select_merge(supernodes, X, lam=0.0, penalty=penalty)
+    unpenalized = select_merge(supernodes, X, lam=0.0, penalty=penalty, summaries=summaries)
     assert (unpenalized[0], unpenalized[1]) == (1, 2)
-    penalized = select_merge(supernodes, X, lam=0.2, penalty=penalty)
+    penalized = select_merge(supernodes, X, lam=0.2, penalty=penalty, summaries=summaries)
     assert (penalized[0], penalized[1]) == (1, 0)
 
 
@@ -228,27 +268,52 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
 def test_select_merge_calls_the_penalty_once_per_pair_in_combinations_order(size, seeded):
     """The benchmark counts one call per scored pair, and ties follow this order."""
     supernodes = [[2 * t, 2 * t + 1] for t in range(size)]
+    summaries = [("summary", t) for t in range(size)]
     X = np.full((size, size), 0.5)
     weights = np.random.default_rng(size).permutation(size * size).tolist()
     calls = []
 
-    def pi(a: list[int], b: list[int]) -> float:
-        return weights[a[0] // 2 * size + b[0] // 2] / len(weights)
+    def pi(s_a: tuple, s_b: tuple) -> float:
+        return weights[s_a[1] * size + s_b[1]] / len(weights)
 
-    def penalty(a: list[int], b: list[int]) -> float:
-        calls.append((a, b))
-        return pi(a, b)
+    def penalty(s_a: tuple, s_b: tuple) -> float:
+        calls.append((s_a, s_b))
+        return pi(s_a, s_b)
 
     rng = np.random.default_rng(0) if seeded else None
     absorbed, survivor, _ = select_merge(
-        supernodes, X, lam=1.0, penalty=penalty, rng=rng, protected=frozenset()
+        supernodes,
+        X,
+        lam=1.0,
+        penalty=penalty,
+        summaries=summaries,
+        rng=rng,
+        protected=frozenset(),
     )
-    pairs = list(itertools.combinations(supernodes, 2))
+    pairs = list(itertools.combinations(summaries, 2))
     assert len(calls) == len(pairs)
     assert all(a is x and b is y for (a, b), (x, y) in zip(calls, pairs))
     # each pair's score carries its own penalty: the pick is the least penalised
     best = min(pairs, key=lambda pair: pi(*pair))
-    assert (absorbed, survivor) == (best[0][0], best[1][0])
+    assert (absorbed, survivor) == (supernodes[best[0][1]][0], supernodes[best[1][1]][0])
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_select_merge_maps_every_upper_triangle_pair_back_to_its_supernodes(size):
+    supernodes = [[10 + 3 * t, 1] for t in range(size)]
+    for row, col in itertools.combinations(range(size), 2):
+        X = np.full((size, size), 0.25)
+        X[row, col] = X[col, row] = -0.75
+        X[col, row] = 0.9  # the lower triangle is never read
+        expected = (10 + 3 * row, 10 + 3 * col, -1)
+        assert select_merge(supernodes, X, protected=frozenset()) == expected
+
+
+def test_select_merge_needs_one_summary_per_supernode_with_a_penalty():
+    supernodes = [[0], [1], [2]]
+    for summaries in (None, [0.0, 0.1]):
+        with pytest.raises(ValueError, match="one summary per supernode"):
+            select_merge(supernodes, np.eye(3), penalty=operator.add, summaries=summaries)
 
 
 def test_select_merge_needs_two_supernodes():
