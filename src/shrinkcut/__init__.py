@@ -15,7 +15,6 @@ from .instances import (
     serialize_qaplib,
 )
 from .qubo import (
-    DEFAULT_MULTIPLIER,
     PenaltyPolicy,
     QuboModel,
     build_mdkp_qubo,
@@ -25,7 +24,6 @@ from .qubo import (
     evaluate_qubo,
     model_from_json,
     model_to_json,
-    recommend_penalty,
     slack_bit_count,
 )
 from .maxcut import (
@@ -62,17 +60,12 @@ from .shrink import (
 from .feasibility import (
     RepairReport,
     hungarian,
-    is_feasible,
-    make_penalty,
     mdkp_violations,
     mis_violations,
-    penalty_summaries,
     qap_violations,
-    repair,
     repair_mdkp,
     repair_mis,
     repair_qap,
-    violations,
 )
 from .solvers import Solution, solve_exact, solve_qubo, solve_sa, solve_vqe_sim
 from .reconstruct import LiftedSolution, decode_solution, lift_solution
@@ -85,14 +78,20 @@ from .pipeline import (
     PipelineError,
     Report,
     build_model,
+    is_feasible,
     load_instance,
     local_search,
+    make_penalty,
     objective_value,
     optimality_gap,
+    penalty_summaries,
+    recommend_penalty,
+    repair,
     report_to_json,
     rsq,
     run_bench,
     run_pipeline,
+    violations,
 )
 
 __version__ = "0.1.0"

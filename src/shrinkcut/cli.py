@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .feasibility import make_penalty, penalty_summaries, repair, violations
 from .instances import ParseError
 from .maxcut import graph_from_json, graph_to_json, qubo_to_maxcut
 from .pipeline import (
@@ -27,12 +26,14 @@ from .pipeline import (
     PipelineError,
     build_model,
     load_instance,
+    repair,
     report_to_json,
     run_bench,
     run_pipeline,
+    shrink_penalty,
+    violations,
 )
 from .qubo import json_document, model_from_json, model_to_json
-from .reconstruct import decode_solution
 from .shrink import ShrinkConfig, merge_steps_to_jsonl, run_shrink
 from .solvers import solve_qubo
 
@@ -254,8 +255,7 @@ def _cmd_shrink(args, parser) -> int:
         graph = qubo_to_maxcut(model)
         aware = _resolve(args, file_cfg, "constraint_aware", PipelineConfig.constraint_aware)
         if aware:
-            node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
-            penalty, summaries = make_penalty(inst), penalty_summaries(inst, node_tags)
+            penalty, summaries = shrink_penalty(inst, model)
 
     if args.k is not None and args.alpha is not None:
         parser.error("--k and --alpha are mutually exclusive")

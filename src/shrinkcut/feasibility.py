@@ -1,17 +1,14 @@
-"""Constraint checking, merge penalties, and greedy solution repair.
+"""Per-kind constraint checks, merge-penalty summaries and greedy repairs.
 
-The shrink stage can discount merges that would entangle constraint
-structure. ``penalty_summaries`` gives each Max-Cut node a summary of its
-constraint structure, from the problem instance and the node ->
-variable-tag mapping, and the rule that combines two summaries: vertex and
-neighbour bitmasks for MIS and facility-row and location-column bitmasks
-for QAP, combined by OR, and for MDKP the item's capacity share
-mean_j(w_ji / C_j), combined by +. The shrink stage folds each supernode's
-summary as it merges, and ``make_penalty`` gives the scoring function
-Pi(s_a, s_b) on two summaries: O(1) arithmetic, for MDKP the sum s_a + s_b,
-which is the mean fractional capacity of the merged items up to rounding.
-The repair routines turn an arbitrary bitstring into a feasible solution
-with deterministic greedy rules.
+``mdkp_violations``, ``mis_violations`` and ``qap_violations`` list the
+constraints a bitstring breaks, and ``repair_mdkp``, ``repair_mis`` and
+``repair_qap`` turn any bitstring into a feasible solution with
+deterministic greedy rules. ``mdkp_shares``, ``mis_masks`` and ``qap_masks``
+give Max-Cut nodes their merge-penalty summaries. MDKP's are summed and
+scored by + (the merged items' mean fractional capacity, up to rounding);
+MIS's and QAP's are OR-ed and scored by ``masks_meet``. Each kind's record
+in ``pipeline.PROBLEMS`` names these functions, and the dispatchers
+(``violations``, ``repair``, ``penalty_summaries`` ...) live there.
 
 scipy is loaded only by the QAP repair (``hungarian``), so other commands
 start without it.
@@ -19,9 +16,7 @@ start without it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,83 +86,41 @@ def qap_violations(inst: QapInstance, x) -> list[str]:
     return out
 
 
-def violations(inst, x) -> list[str]:
-    """Dispatch to the per-problem check; empty list means feasible."""
-    if isinstance(inst, MdkpInstance):
-        return mdkp_violations(inst, x)
-    if isinstance(inst, MisInstance):
-        return mis_violations(inst, x)
-    if isinstance(inst, QapInstance):
-        return qap_violations(inst, x)
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
-
-
-def is_feasible(inst, x) -> bool:
-    return not violations(inst, x)
-
-
 # ---------------------------------------------------------------------------
 # merge penalties
 # ---------------------------------------------------------------------------
 
 
-def penalty_summaries(inst, node_tags: dict[int, tuple]) -> tuple[list, Callable]:
-    """Each Max-Cut node's merge-penalty summary by node id, and the rule that combines two.
-
-    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the list
-    is ``max(node_tags) + 1`` long, and the reference node 0 and slack bits
-    hold the rule's identity. A supernode's summary is its members'
-    summaries combined in member order (``WorkingGraph.contract`` folds
-    them). MIS holds (vertex mask, neighbour mask) and QAP one bit per
-    facility row and one per location column, as (mask, mask), both
-    combined by OR; MDKP holds item i's capacity share mean_j(w_ji / C_j),
-    combined by +.
-    """
-    if isinstance(inst, MdkpInstance):
-        shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
-        parts = {node: shares[tag[1]] for node, tag in node_tags.items() if tag[0] == "item"}
-        identity, combine = 0.0, operator.add
-    elif isinstance(inst, MisInstance):
-        neighbours = [0] * inst.n
-        for u, v in inst.edges:
-            neighbours[u] |= 1 << v
-            neighbours[v] |= 1 << u
-        vertices = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
-        parts = {node: (1 << u, neighbours[u]) for node, u in vertices.items()}
-        identity, combine = (0, 0), _or_masks
-    elif isinstance(inst, QapInstance):
-        # bit i is facility row i and bit n + j location column j; a cell
-        # reaches exactly the bits it holds, so one AND finds a shared one
-        cells = {node: tag[1:] for node, tag in node_tags.items() if tag[0] == "assign"}
-        parts = {node: (1 << i | 1 << (inst.n + j),) * 2 for node, (i, j) in cells.items()}
-        identity, combine = (0, 0), _or_masks
-    else:
-        raise TypeError(f"unsupported instance type {type(inst).__name__}")
-    return [parts.get(node, identity) for node in range(max(node_tags, default=0) + 1)], combine
+def mdkp_shares(inst: MdkpInstance, node_tags: dict[int, tuple]) -> dict[int, float]:
+    """Item i's capacity share mean_j(w_ji / C_j), by the Max-Cut node tagged ("item", i)."""
+    shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
+    return {node: shares[tag[1]] for node, tag in node_tags.items() if tag[0] == "item"}
 
 
-def make_penalty(inst) -> Callable[[object, object], float]:
-    """The Pi(s_a, s_b) scorer the shrink stage calls on every pair of supernode summaries.
-
-    MIS: 1.0 when a's neighbour mask meets b's vertex mask (a conflict edge
-    runs between the two supernodes), else 0.0. QAP: 1.0 when the two share
-    a facility row or a location column, else 0.0. MDKP: s_a + s_b, the
-    mean fractional capacity mean_j((u_a + u_b)_j / C_j) of the merged item
-    loads u, up to rounding; this is ``operator.add`` itself, so no Python
-    frame runs per pair.
-    """
-    if isinstance(inst, MdkpInstance):
-        return operator.add
-    if isinstance(inst, (MisInstance, QapInstance)):
-        return _masks_meet
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+def mis_masks(inst: MisInstance, node_tags: dict[int, tuple]) -> dict[int, tuple[int, int]]:
+    """Vertex u's (vertex mask, neighbour mask), by the Max-Cut node tagged ("vertex", u)."""
+    neighbours = [0] * inst.n
+    for u, v in inst.edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    vertices = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
+    return {node: (1 << u, neighbours[u]) for node, u in vertices.items()}
 
 
-def _or_masks(s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+def qap_masks(inst: QapInstance, node_tags: dict[int, tuple]) -> dict[int, tuple[int, int]]:
+    """Cell (i, j)'s row-and-column mask, twice, by the Max-Cut node tagged ("assign", i, j)."""
+    # bit i is facility row i and bit n + j location column j; a cell
+    # reaches exactly the bits it holds, so one AND finds a shared one
+    cells = {node: tag[1:] for node, tag in node_tags.items() if tag[0] == "assign"}
+    return {node: (1 << i | 1 << (inst.n + j),) * 2 for node, (i, j) in cells.items()}
+
+
+def or_masks(s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
     return s[0] | t[0], s[1] | t[1]
 
 
-def _masks_meet(s_a: tuple[int, int], s_b: tuple[int, int]) -> float:
+def masks_meet(s_a: tuple[int, int], s_b: tuple[int, int]) -> float:
+    """1.0 when a's neighbour mask meets b's vertex mask (a conflict edge, a shared row or column)."""
     return 1.0 if s_a[1] & s_b[0] else 0.0
 
 
@@ -282,14 +235,3 @@ def repair_qap(inst: QapInstance, x) -> RepairReport:
         repaired[i, j] = 1
     iterations = int(sum(1 for i in range(inst.n) if not np.array_equal(bits[i], repaired[i])))
     return RepairReport(bits=repaired, iterations=iterations, feasible=True)
-
-
-def repair(inst, x) -> RepairReport:
-    """Dispatch to the per-problem repair routine."""
-    if isinstance(inst, MdkpInstance):
-        return repair_mdkp(inst, x)
-    if isinstance(inst, MisInstance):
-        return repair_mis(inst, x)
-    if isinstance(inst, QapInstance):
-        return repair_qap(inst, x)
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")

@@ -13,7 +13,7 @@ position of the offending token; nothing is silently repaired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -1,6 +1,8 @@
 """End-to-end orchestration: instance -> QUBO -> Max-Cut -> shrink -> solve
 -> lift -> verify/repair -> local search -> metrics.
 
+``PROBLEMS`` holds what differs between MDKP, MIS and QAP, one :class:`Problem`
+per instance type; each dispatcher (``violations``, ``build_model`` ...) looks it up once.
 ``run_pipeline`` executes one instance and returns a :class:`Report`;
 ``run_bench`` sweeps (instance, strategy) pairs into a CSV mirroring the
 usual benchmark table columns. All randomness flows from the single
@@ -13,13 +15,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .feasibility import is_feasible, make_penalty, penalty_summaries, repair
+from . import feasibility
 from .instances import (
     MdkpInstance,
     MisInstance,
@@ -30,19 +34,11 @@ from .instances import (
     parse_qaplib,
 )
 from .maxcut import graph_to_qubo, qubo_to_maxcut
-from .qubo import (
-    DEFAULT_MULTIPLIER,
-    PenaltyPolicy,
-    build_mdkp_qubo,
-    build_mis_qubo,
-    build_qap_qubo,
-    recommend_penalty,
-)
+from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo
 from .reconstruct import decode_solution, lift_solution
 from .shrink import ShrinkConfig, run_shrink
 from .solvers import solve_qubo
 
-KINDS = ("mdkp", "mis", "qap")
 STRATEGIES = ("2/3", "1/2", "adaptive")
 PHASES = ("correlation", "shrinking", "solving", "repair", "local_search")
 
@@ -180,43 +176,14 @@ def rsq(best: float, obtained: float) -> float:
     return obtained / best * 100.0
 
 
-def objective_value(inst, solution) -> float:
-    """Problem-level objective of a decoded solution (profit, set size, or cost)."""
-    if isinstance(inst, MdkpInstance):
-        bits = np.asarray(solution).reshape(inst.n)
-        return float(inst.profits @ bits)
-    if isinstance(inst, MisInstance):
-        return float(np.asarray(solution).sum())
-    if isinstance(inst, QapInstance):
-        X = np.asarray(solution, dtype=float).reshape(inst.n, inst.n)
-        return float(np.sum(inst.flow * (X @ inst.distance @ X.T)))
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# local search
+# problem kinds
 # ---------------------------------------------------------------------------
 
 
-def local_search(inst, solution) -> np.ndarray:
-    """Feasibility-preserving first-improvement hill climbing to a local optimum.
-
-    MDKP tries adding each excluded item, MIS each non-conflicting vertex,
-    QAP all pairwise location swaps; only strict improvements are accepted.
-    An addition only grows the loads or the selected neighbours, so an item
-    or vertex that does not fit never fits later, and MDKP and MIS take one
-    ascending pass. A swap can make an earlier pair improving again, so QAP
-    restarts after each. Raises on infeasible input.
-    """
-    if not is_feasible(inst, solution):
-        raise ValueError("local search requires a feasible starting solution")
-    if isinstance(inst, MdkpInstance):
-        return _local_search_mdkp(inst, solution)
-    if isinstance(inst, MisInstance):
-        return _local_search_mis(inst, solution)
-    if isinstance(inst, QapInstance):
-        return _local_search_qap(inst, solution)
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+def _qap_cost(inst: QapInstance, solution) -> float:
+    X = np.asarray(solution, dtype=float).reshape(inst.n, inst.n)
+    return float(np.sum(inst.flow * (X @ inst.distance @ X.T)))
 
 
 def _local_search_mdkp(inst: MdkpInstance, solution) -> np.ndarray:
@@ -242,14 +209,14 @@ def _local_search_mis(inst: MisInstance, solution) -> np.ndarray:
 
 def _local_search_qap(inst: QapInstance, solution) -> np.ndarray:
     X = np.asarray(solution).reshape(inst.n, inst.n).astype(int).copy()
-    cost = objective_value(inst, X)
+    cost = _qap_cost(inst, X)
     improved = True
     while improved:
         improved = False
         for a in range(inst.n - 1):
             for b in range(a + 1, inst.n):
                 X[[a, b]] = X[[b, a]]
-                trial = objective_value(inst, X)
+                trial = _qap_cost(inst, X)
                 if trial < cost - 1e-12:
                     cost = trial
                     improved = True
@@ -258,6 +225,148 @@ def _local_search_qap(inst: QapInstance, solution) -> np.ndarray:
             if improved:
                 break
     return X
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Everything that differs between problem kinds, for one kind."""
+
+    kind: str  # the name PipelineConfig.kind, load_instance and --kind use
+    parse: Callable  # instance file text -> instance
+    multiplier: float  # the default penalty multiplier
+    scale: Callable  # inst -> the scale P = multiplier * scale
+    build: Callable  # (inst, P, use_slack) -> penalized QuboModel
+    violations: Callable  # (inst, x) -> the violated constraints, human-readable
+    repair: Callable  # (inst, x) -> RepairReport with feasible bits
+    summaries: Callable  # (inst, node_tags) -> {tagged Max-Cut node: merge-penalty summary}
+    combine: Callable  # folds two summaries into the merged supernode's
+    identity: object  # the summary of untagged nodes (the reference, slack bits)
+    penalty: Callable  # Pi(s_a, s_b) on two supernode summaries
+    objective: Callable  # (inst, x) -> profit, set size or cost
+    local_search: Callable  # (inst, feasible x) -> a local optimum
+    sense: str  # a best-known value is reported as a "max" or "min" gap, or as "rsq"
+
+
+# The builders are called through this module's globals, so a wrapper
+# installed on ``pipeline.build_*_qubo`` (perfbench's tracer) sees every build.
+PROBLEMS = {
+    MdkpInstance: Problem(
+        kind="mdkp",
+        parse=parse_mdkp,
+        multiplier=10.0,
+        scale=lambda inst: (float(inst.profits.max()) if inst.n else 0.0) or 1.0,
+        build=lambda inst, P, use_slack: build_mdkp_qubo(inst, P, use_slack=use_slack),
+        violations=feasibility.mdkp_violations,
+        repair=feasibility.repair_mdkp,
+        summaries=feasibility.mdkp_shares,
+        combine=operator.add,
+        identity=0.0,
+        penalty=operator.add,  # s_a + s_b, so no Python frame runs per pair
+        objective=lambda inst, x: float(inst.profits @ np.asarray(x).reshape(inst.n)),
+        local_search=_local_search_mdkp,
+        sense="max",
+    ),
+    MisInstance: Problem(
+        kind="mis",
+        parse=parse_mis_edgelist,
+        multiplier=3.0,
+        scale=lambda inst: 1.0,
+        build=lambda inst, P, use_slack: build_mis_qubo(inst, P),
+        violations=feasibility.mis_violations,
+        repair=feasibility.repair_mis,
+        summaries=feasibility.mis_masks,
+        combine=feasibility.or_masks,
+        identity=(0, 0),
+        penalty=feasibility.masks_meet,
+        objective=lambda inst, x: float(np.asarray(x).sum()),
+        local_search=_local_search_mis,
+        sense="rsq",
+    ),
+    QapInstance: Problem(
+        kind="qap",
+        parse=parse_qaplib,
+        multiplier=10.0,
+        # max F * max D is the largest F_ik * D_jl, as the entries are nonnegative
+        scale=lambda inst: (float(inst.flow.max() * inst.distance.max()) if inst.n else 0.0) or 1.0,
+        build=lambda inst, P, use_slack: build_qap_qubo(inst, P),
+        violations=feasibility.qap_violations,
+        repair=feasibility.repair_qap,
+        summaries=feasibility.qap_masks,
+        combine=feasibility.or_masks,
+        identity=(0, 0),
+        penalty=feasibility.masks_meet,
+        objective=_qap_cost,
+        local_search=_local_search_qap,
+        sense="min",
+    ),
+}
+KINDS = tuple(problem.kind for problem in PROBLEMS.values())
+
+
+def problem_of(inst) -> Problem:
+    """The record of ``inst``'s kind, by its exact type; TypeError for any other."""
+    problem = PROBLEMS.get(type(inst))
+    if problem is None:
+        raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    return problem
+
+
+def violations(inst, x) -> list[str]:
+    """The constraints ``x`` violates, human-readable; an empty list means feasible."""
+    return problem_of(inst).violations(inst, x)
+
+
+def is_feasible(inst, x) -> bool:
+    return not violations(inst, x)
+
+
+def repair(inst, x) -> feasibility.RepairReport:
+    """The kind's deterministic greedy repair of ``x`` into a feasible solution."""
+    return problem_of(inst).repair(inst, x)
+
+
+def penalty_summaries(inst, node_tags: dict[int, tuple]) -> tuple[list, Callable]:
+    """Each Max-Cut node's merge-penalty summary by node id, and the rule that combines two.
+
+    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the list
+    is ``max(node_tags) + 1`` long, and the reference node 0 and slack bits
+    hold the rule's identity. ``WorkingGraph.contract`` folds a supernode's
+    summary from its members' in member order.
+    """
+    problem = problem_of(inst)
+    parts = problem.summaries(inst, node_tags)
+    size = max(node_tags, default=0) + 1
+    return [parts.get(node, problem.identity) for node in range(size)], problem.combine
+
+
+def make_penalty(inst) -> Callable[[object, object], float]:
+    """The Pi(s_a, s_b) scorer the shrink stage calls on every pair of supernode summaries."""
+    return problem_of(inst).penalty
+
+
+def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
+    """Penalty strength P for an instance: ``policy.multiplier`` times its kind's ``scale``."""
+    return policy.multiplier * problem_of(inst).scale(inst)
+
+
+def objective_value(inst, solution) -> float:
+    """Problem-level objective of a decoded solution (profit, set size, or cost)."""
+    return problem_of(inst).objective(inst, solution)
+
+
+def local_search(inst, solution) -> np.ndarray:
+    """Feasibility-preserving first-improvement hill climbing to a local optimum.
+
+    MDKP tries adding each excluded item, MIS each non-conflicting vertex,
+    QAP all pairwise location swaps; only strict improvements are accepted.
+    An addition only grows the loads or the selected neighbours, so an item
+    or vertex that does not fit never fits later, and MDKP and MIS take one
+    ascending pass. A swap can make an earlier pair improving again, so QAP
+    restarts after each. Raises on infeasible input.
+    """
+    if not is_feasible(inst, solution):
+        raise ValueError("local search requires a feasible starting solution")
+    return problem_of(inst).local_search(inst, solution)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +378,10 @@ def load_instance(kind: str, path: str | Path):
     """Parse an instance file, attaching a best-known value from an optima.txt sidecar."""
     path = Path(path)
     text = path.read_text()
-    if kind == "mdkp":
-        inst = parse_mdkp(text)
-    elif kind == "mis":
-        inst = parse_mis_edgelist(text)
-    elif kind == "qap":
-        inst = parse_qaplib(text)
-    else:
+    problem = next((p for p in PROBLEMS.values() if p.kind == kind), None)
+    if problem is None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    inst = problem.parse(text)
     sidecar = path.parent / "optima.txt"
     if inst.known_optimum is None and sidecar.exists():
         best = load_optima(sidecar).get(path.stem)
@@ -286,18 +391,21 @@ def load_instance(kind: str, path: str | Path):
 
 
 def build_model(inst, config: PipelineConfig):
-    """Instance -> penalized QUBO under the config's penalty policy."""
+    """Instance -> penalized QUBO under the config's penalty policy; ``config.kind`` must match."""
+    problem = problem_of(inst)
+    if config.kind != problem.kind:
+        raise ValueError(f"config kind {config.kind!r} does not match a {problem.kind!r} instance")
     multiplier = config.penalty_multiplier
     if multiplier is None:
-        multiplier = DEFAULT_MULTIPLIER[config.kind]
+        multiplier = problem.multiplier
     P = recommend_penalty(inst, PenaltyPolicy(multiplier=multiplier))
-    if isinstance(inst, MdkpInstance):
-        return build_mdkp_qubo(inst, P, use_slack=config.use_slack)
-    if isinstance(inst, MisInstance):
-        return build_mis_qubo(inst, P)
-    if isinstance(inst, QapInstance):
-        return build_qap_qubo(inst, P)
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+    return problem.build(inst, P, config.use_slack)
+
+
+def shrink_penalty(inst, model) -> tuple[Callable, list]:
+    """The merge-penalty scorer and per-node summaries for shrinking ``model``'s Max-Cut graph."""
+    node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
+    return make_penalty(inst), penalty_summaries(inst, node_tags)
 
 
 def _shrink_config(config: PipelineConfig, seed: int) -> ShrinkConfig:
@@ -342,10 +450,9 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
 
         stage = "maxcut"
         graph = qubo_to_maxcut(model)
-        node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
         penalty = summaries = None
         if config.constraint_aware:
-            penalty, summaries = make_penalty(inst), penalty_summaries(inst, node_tags)
+            penalty, summaries = shrink_penalty(inst, model)
 
         stage = "shrink"
         shrink_result = run_shrink(graph, _shrink_config(config, shrink_seed), penalty, summaries)
@@ -385,15 +492,13 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
 
         stage = "metrics"
         objective = objective_value(inst, final)
-        gap_pct = None
-        rsq_pct = None
+        gap_pct = rsq_pct = None
         if inst.known_optimum is not None:
-            if config.kind == "mdkp":
-                gap_pct = optimality_gap(inst.known_optimum, objective, sense="max")
-            elif config.kind == "qap":
-                gap_pct = optimality_gap(inst.known_optimum, objective, sense="min")
-            else:
+            sense = problem_of(inst).sense
+            if sense == "rsq":
                 rsq_pct = rsq(inst.known_optimum, objective)
+            else:
+                gap_pct = optimality_gap(inst.known_optimum, objective, sense=sense)
         if config.timings == "zero":
             timings = dict.fromkeys(PHASES, 0.0)
         report = Report(

@@ -8,7 +8,8 @@ over binary x. Builders write each problem's objective plus quadratic
 constraint penalties of strength P as a matrix expression, expanded with
 x^2 = x: MDKP -p.x + P * |Ax - C|^2 (A: the weights, then an optional slack
 block), MIS -sum(x) + P * sum_{(u,v) in E} x_u x_v, QAP x^T kron(F, D) x + P *
-the squared residuals of every row and column sum. Every variable carries a
+the squared residuals of every row and column sum. P is a multiplier times a
+per-kind scale, both in ``pipeline.PROBLEMS``. Every variable carries a
 semantics tag:
 
     ("item", i)       MDKP decision variable for item i
@@ -92,35 +93,6 @@ class PenaltyPolicy:
     def __post_init__(self) -> None:
         if self.multiplier <= 0:
             raise ValueError(f"penalty multiplier must be positive, got {self.multiplier}")
-
-
-#: Default penalty multipliers per problem kind (smallest of the recommended ranges).
-DEFAULT_MULTIPLIER = {"mdkp": 10.0, "mis": 3.0, "qap": 10.0}
-
-
-def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
-    """Penalty strength P for an instance under ``policy``.
-
-    MDKP: P = multiplier * max profit (multiplier alone if there are no items).
-    MIS:  P = multiplier.
-    QAP:  P = multiplier * max F * max D, which is max F_ik * D_jl over all
-          index combinations because the entries are nonnegative.
-    """
-    if isinstance(inst, MdkpInstance):
-        scale = float(np.max(inst.profits)) if inst.n > 0 else 1.0
-        if scale == 0.0:
-            scale = 1.0
-        return policy.multiplier * scale
-    if isinstance(inst, MisInstance):
-        return policy.multiplier
-    if isinstance(inst, QapInstance):
-        if inst.n == 0:
-            return policy.multiplier
-        scale = float(inst.flow.max() * inst.distance.max())
-        if scale == 0.0:
-            scale = 1.0
-        return policy.multiplier * scale
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
 
 
 def slack_bit_count(capacity: float) -> int:

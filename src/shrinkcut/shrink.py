@@ -472,7 +472,7 @@ def run_shrink(
             drift = abs(working.edge_count - edges_at_solve)
             due = drift != 0 if edges_at_solve == 0 else drift / edges_at_solve > config.delta
         else:  # tau
-            due = np.abs(correlations[np.triu_indices(len(correlations), 1)]).max() < config.tau
+            due = np.abs(correlations[~np.tri(len(correlations), dtype=bool)]).max() < config.tau
         if due:
             correlations = solve_correlations()
             recalcs += 1
