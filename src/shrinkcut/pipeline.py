@@ -34,7 +34,7 @@ from .instances import (
     parse_qaplib,
 )
 from .maxcut import graph_to_qubo, qubo_to_maxcut
-from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo
+from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo, require_seed
 from .reconstruct import decode_solution, lift_solution
 from .shrink import ShrinkConfig, run_shrink
 from .solvers import solve_qubo
@@ -111,6 +111,7 @@ class PipelineConfig:
             raise ValueError(f"backend must be exact/sa/vqe, got {self.backend!r}")
         if self.timings not in ("wall", "zero"):
             raise ValueError(f"timings must be 'wall' or 'zero', got {self.timings!r}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True)

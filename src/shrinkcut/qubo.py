@@ -236,6 +236,13 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """ValueError unless ``seed`` is an integer >= 0 (numpy's too), not a bool."""
+    require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def pairs_from_json(rows, n: int, what: str) -> np.ndarray:
     """n x n array holding w at [i, j] for each [i, j, w] of ``rows``, zero elsewhere.
 

@@ -42,7 +42,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .maxcut import MaxCutGraph
-from .qubo import json_document, require_integer
+from .qubo import json_document, require_integer, require_seed
 from .sdp import extract_correlations, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
@@ -117,6 +117,7 @@ class ShrinkConfig:
             raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,12 @@ ties toward the lowest counter.
 
 Annealing draws its uniforms and its slice of the cooling schedule in blocks
 of about ``DRAW_BLOCK`` values, so its memory does not grow with the sweep
-count. Once a sweep accepts no move, the state is frozen, and one vectorised
-look-ahead with ``np.exp`` finds the next sweep in which some move might be
-accepted; the sweeps before it are skipped. The per-variable loop with
-``math.exp`` still makes every decision, and the look-ahead's relative margin
-``LOOKAHEAD_MARGIN`` (1e-9) is far wider than the rounding gap between the two
-exponentials (about 2e-13 relative at most), so a skipped sweep is always one
-the loop would have rejected move by move and the answers are those of the
-sweep-by-sweep loop, bit for bit.
+count. From each draw u it computes an uphill limit T (1e-9 - ln u) and
+rejects a move whose cost exceeds it without calling ``math.exp``; a frozen
+state skips every sweep in which all its flip costs exceed their limits. The
+margin 1e-9 is far wider than the rounding on either side (about 1e-13), so
+``math.exp`` would reject each such move too, and the answers are those of
+the sweep-by-sweep loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,14 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer
+from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer, require_seed
 
 EXACT_MAX_VARS = 24
 VQE_MAX_VARS = 16
-# uniforms drawn per block by solve_sa, whatever the sweep count
-DRAW_BLOCK = 1 << 16
-# relative slack on np.exp in solve_sa's frozen-sweep look-ahead
-LOOKAHEAD_MARGIN = 1e-9
+# uniforms drawn per block by solve_sa, whatever the sweep count; the block's
+# uphill limits take as much again
+DRAW_BLOCK = 1 << 15
+# absolute slack on -ln u in solve_sa's uphill limits
+LIMIT_MARGIN = 1e-9
+# below this temperature T * LIMIT_MARGIN is subnormal; such rows get +inf limits
+LIMIT_MIN_TEMPERATURE = 1e-290
 
 
 @dataclass(frozen=True)
@@ -133,21 +134,29 @@ def _schedule(t_start: float, t_end: float, sweeps: int, first: int, stop: int) 
     return t_start * (t_end / t_start) ** (np.arange(first, stop) / (sweeps - 1))
 
 
-def _first_live_sweep(
-    deltas: np.ndarray, temperatures: np.ndarray, draws: np.ndarray
-) -> int | None:
-    """First row of ``draws`` in which some move of a frozen state might be accepted.
+def _uphill_limits(temperatures: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per draw, the largest flip cost the loop might accept: T (1e-9 - ln u).
 
-    ``deltas`` are the (all positive) flip costs of the frozen state, one
-    row of ``draws`` and one temperature per sweep. A move might be accepted
-    when ``u <= exp(-delta / T) * (1 + LOOKAHEAD_MARGIN)``; a row with no such
-    move is a sweep that rejects every move. None if no row qualifies.
+    One temperature per row of ``draws``. A draw u = 0, a row with
+    T < ``LIMIT_MIN_TEMPERATURE`` and a product that overflows give +inf,
+    which rejects nothing. Any cost above its limit is rejected by
+    ``u < math.exp(-delta / T)`` too (see ``solve_sa``).
     """
-    with np.errstate(over="ignore"):  # -delta / T may overflow to -inf, as in Python
-        bounds = -deltas / temperatures[:, None]
-    np.exp(bounds, out=bounds)  # in place: a window spans up to a whole draw block
-    bounds *= 1 + LOOKAHEAD_MARGIN
-    hits = np.flatnonzero((draws <= bounds).any(axis=1))
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; T near the float max
+        limits = np.log(draws)
+        np.subtract(LIMIT_MARGIN, limits, out=limits)  # in place: no third block-sized array
+        limits *= temperatures[:, None]
+    limits[temperatures < LIMIT_MIN_TEMPERATURE] = np.inf
+    return limits
+
+
+def _first_live_sweep(costs: np.ndarray, limits: np.ndarray) -> int | None:
+    """First row of ``limits`` in which some flip cost of a frozen state is within its limit.
+
+    A row with no such cost is a sweep that rejects every move without
+    calling ``math.exp``. None if no row qualifies.
+    """
+    hits = np.flatnonzero((costs <= limits).any(axis=1))
     return int(hits[0]) if hits.size else None
 
 
@@ -174,17 +183,31 @@ def solve_sa(
     The uniforms are drawn ``max(1, DRAW_BLOCK // n)`` sweeps at a time, one
     ``(rows, n)`` array per block, with the schedule's slice for the same
     sweeps: the same stream as one ``rng.random(n)`` per sweep, with memory
-    that does not grow with ``sweeps``. A sweep that accepts no move leaves
-    the state frozen; from then on one vectorised look-ahead over the next
-    L buffered sweeps (L doubling while nothing is found, reset to 1 by a
-    flip) jumps to the first sweep in which a move might be accepted. The
-    per-variable loop still makes every decision; the skipped sweeps are
-    ones it would have rejected move by move (see the margin note in the
-    loop), so the result equals the sweep-by-sweep loop bit for bit.
-    ``sweeps`` must be an integer (not a bool), at least 1. The parameters
-    are checked before anything else, also for a model without variables.
+    that does not grow with ``sweeps``. Each block also gets its uphill
+    limits T (1e-9 - ln u) from ``_uphill_limits``. A move whose cost
+    exceeds its limit is rejected before ``math.exp`` is called, and
+    ``math.exp`` would reject it too. The product with T rounds to nearest,
+    so delta > limit gives delta / T > s exactly, where s is the rounded
+    1e-9 - fl(ln u). ``np.log`` is within a few ulp of ln u, |ln u| <= 37 for
+    u >= 2^-53, and the loop's z = fl(delta / T) adds one more rounding, so
+    z > -ln u + 1e-9 - 1e-13, and ``math.exp(-z)``, within a few ulp of
+    exp(-z) < u exp(-0.9999e-9), is below u. The argument needs only the
+    accuracy of ``np.log``, not its bits, so it holds for every SIMD kernel
+    numpy dispatches. A limit is +inf, which leaves the decision to
+    ``math.exp``, for u = 0, for a product that overflows, and for
+    T < 1e-290, so that no limit rests on subnormal arithmetic.
+
+    A sweep that accepts no move leaves the state frozen; from then on one
+    compare of its flip costs with the limits of the next L buffered sweeps
+    (L doubling while nothing is found, reset to 1 by a flip) jumps to the
+    first sweep in which some cost is within its limit. The sweeps before it
+    would reject every move at the limit test, so the result equals the
+    sweep-by-sweep loop bit for bit. ``seed`` must be an integer >= 0 and
+    ``sweeps`` an integer >= 1 (neither a bool). The parameters are checked
+    before anything else, also for a model without variables.
     """
     n = model.n_vars
+    require_seed(seed)
     if sweeps is not None:
         require_integer("sweeps", sweeps)
         if sweeps < 1:
@@ -224,18 +247,12 @@ def solve_sa(
     for first in range(0, sweeps, rows):
         temperatures = _schedule(t_start, t_end, sweeps, first, min(first + rows, sweeps))
         draws = rng.random((len(temperatures), n))
+        limits = _uphill_limits(temperatures, draws)
         sweep = 0
         while sweep < len(temperatures):
             if frozen is not None:
-                # Skip sweeps that certainly reject every move. Both tests see
-                # the same double z = -delta / T; np.exp and math.exp are each
-                # within a few ulp of exp(z), and even a 1-ulp slip in z moves
-                # exp(z) by at most |z| 2^-52, about 2e-13 relative for
-                # z >= -745 (below, both underflow to 0). The 1e-9 margin is
-                # far wider. Draws are 0 or at least 2^-53, so subnormal exp
-                # values only matter for u = 0, which ``<=`` keeps live.
-                window = slice(sweep, sweep + ahead)
-                live = _first_live_sweep(frozen, temperatures[window], draws[window])
+                # skip the sweeps in which every flip cost is above its limit
+                live = _first_live_sweep(frozen, limits[sweep : sweep + ahead])
                 if live is None:
                     sweep += ahead
                     ahead *= 2
@@ -243,13 +260,16 @@ def solve_sa(
                 sweep += live
             temperature = float(temperatures[sweep])
             accept_draws = draws[sweep].tolist()
+            accept_limits = limits[sweep].tolist()
             flipped = False
             for i in range(n):
                 bit = x[i]
                 delta = lin[i] + fields[i]
                 if bit:
                     delta = -delta
-                if delta <= 0 or accept_draws[i] < math.exp(-delta / temperature):
+                if delta <= accept_limits[i] and (
+                    delta <= 0 or accept_draws[i] < math.exp(-delta / temperature)
+                ):
                     flipped = True
                     if bit:
                         x[i] = 0
@@ -317,12 +337,14 @@ def solve_vqe_sim(
     coordinate search over a fixed angle grid against the exact expected
     energy; the returned solution is the best of the ``shots``
     highest-probability basis states, and its energy is ``evaluate_qubo`` of
-    those bits. ``layers`` must be an integer (not a bool).
+    those bits. ``layers`` must be an integer and ``seed`` an integer >= 0
+    (neither a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
         raise ValueError(f"VQE simulation is capped at {VQE_MAX_VARS} variables, got {n}")
     require_integer("layers", layers)
+    require_seed(seed)
     if layers < 0 or restarts < 1 or passes < 1 or grid < 2 or shots < 1:
         raise ValueError("invalid VQE parameters")
     if n == 0:

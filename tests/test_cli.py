@@ -414,6 +414,37 @@ def test_a_fractional_sweep_count_in_the_config_file_exits_two(
     assert "sweeps must be an integer, got 2.5" in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "shrink", "pipeline"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("--seed -1", "seed must be >= 0, got -1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("seed = 1.5", "seed must be an integer, got 1.5"),
+        ("seed = true", "seed must be an integer, got True"),
+    ],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_exits_two(
+    command, setting, message, data_dir, tmp_path, capsys
+):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    if command == "solve":
+        model_path = tmp_path / "model.json"
+        main(["build-qubo", *instance, "--out", str(model_path)])
+        instance = ["--model", str(model_path), "--backend", "sa"]
+    if setting.startswith("--"):
+        extra = setting.split()
+    else:
+        config = tmp_path / "seed.cfg"
+        config.write_text(setting + "\n")
+        extra = ["--config", str(config)]
+    assert main([command, *instance, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # checked with the settings, not blamed on a pipeline stage
+    assert message in captured.err and "stage" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["shrink", "pipeline"])
 @pytest.mark.parametrize(
     "setting, message",

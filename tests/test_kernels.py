@@ -566,7 +566,7 @@ def _six_decade_model(rng, n):
 @pytest.mark.parametrize(
     "n, sweeps, t_start, t_end",
     [
-        (1, 140_000, None, None),  # three draw blocks of 65,536 sweeps
+        (1, 140_000, None, None),  # five draw blocks of 32,768 sweeps
         (3, 70_000, None, None),
         (10, 20_000, None, None),
         (10, 20_000, 1e-2, 1e-2),  # frozen across block boundaries
@@ -577,6 +577,26 @@ def test_solve_sa_equals_the_oracle_across_draw_blocks(n, sweeps, t_start, t_end
     assert n * sweeps > solvers.DRAW_BLOCK
     model = _six_decade_model(np.random.default_rng(n * sweeps), n)
     assert_same_annealing_result(model, seed=n, sweeps=sweeps, t_start=t_start, t_end=t_end)
+
+
+def _integer_model(rng, n):
+    pairs = np.triu(rng.integers(-9, 10, (n, n)).astype(float), 1)
+    lin = rng.integers(-9, 10, n).astype(float)
+    return QuboModel(pairs, lin, 0.0, tuple(("spin", i) for i in range(n)))
+
+
+# 1e-300 and 1e-320 (subnormal) sit below the limits' temperature floor, so
+# every uphill test reaches math.exp; 1e-289 is just above it; at 1e300 the
+# limits are huge and almost every move is accepted
+@pytest.mark.parametrize("temperature", [1e-320, 1e-300, 1e-289, 1e300])
+@pytest.mark.parametrize("build", [_integer_model, _six_decade_model])
+def test_solve_sa_equals_the_oracle_at_extreme_constant_temperatures(build, temperature):
+    model = build(np.random.default_rng(11), 12)
+    for seed in range(3):
+        with np.errstate(over="ignore"):  # the oracle's -delta / T is -inf at 1e-320
+            assert_same_annealing_result(
+                model, seed=seed, sweeps=150, t_start=temperature, t_end=temperature
+            )
 
 
 def test_solve_sa_equals_the_oracle_on_the_1tc64_mis_model():
@@ -593,34 +613,42 @@ def test_solve_sa_equals_the_oracle_on_the_1tc64_mis_model_at_the_default_sweeps
     assert_same_annealing_result(model, seed=seed)
 
 
-def exp_arguments(model, skip, **options):
-    """Every argument ``solve_sa`` passes to ``math.exp``, in call order.
+def _no_limits(temperatures, draws):
+    """+inf everywhere: no uphill test is decided before ``math.exp``."""
+    return np.full(draws.shape, np.inf)
 
-    With ``skip=False`` the look-ahead always reports the next sweep live, so
-    every sweep runs, as in the sweep-by-sweep loop.
+
+def exp_arguments(model, skip, **options):
+    """The result of ``solve_sa`` and every argument it passes to ``math.exp``, in call order.
+
+    With ``skip=False`` every uphill limit is +inf, so no sweep is skipped
+    and every uphill test reaches ``math.exp``, as in the sweep-by-sweep loop.
     """
     log = []
     logging_math = types.SimpleNamespace(exp=lambda z: log.append(z) or math.exp(z), inf=math.inf)
     with mock.patch.object(solvers, "math", logging_math):
         if skip:
-            solve_sa(model, **options)
+            solution = solve_sa(model, **options)
         else:
-            with mock.patch.object(solvers, "_first_live_sweep", lambda *arrays: 0):
-                solve_sa(model, **options)
-    return log
+            with mock.patch.object(solvers, "_uphill_limits", _no_limits):
+                solution = solve_sa(model, **options)
+    return solution, log
 
 
 def assert_skips_only_rejecting_sweeps(model, **options):
-    """The run with skips makes a subset of the full run's uphill tests, in order.
+    """The run with limits makes a subsequence of the full run's uphill tests, in order.
 
     Best-state results can agree even after two trajectories part; the exp
     arguments carry the state and the temperature of every uphill test, so a
-    skipped sweep that would have accepted a move shows up here.
+    skipped sweep or a limit test that rejected a move ``math.exp`` would
+    have accepted shows up here.
     """
-    full = exp_arguments(model, skip=False, **options)
-    kept = exp_arguments(model, skip=True, **options)
+    reference, full = exp_arguments(model, skip=False, **options)
+    solution, kept = exp_arguments(model, skip=True, **options)
     remaining = iter(full)
     assert all(any(z == w for w in remaining) for z in kept)
+    assert solution.bits.tolist() == reference.bits.tolist()
+    assert solution.energy == reference.energy
     return full, kept
 
 
@@ -642,29 +670,63 @@ def test_solve_sa_skips_only_rejecting_sweeps_on_the_1tc64_mis_model():
     model = graph_to_qubo(qubo_to_maxcut(build_model(tc64(), PipelineConfig(kind="mis"))))
     seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
     full, kept = assert_skips_only_rejecting_sweeps(model, seed=seed)
-    assert len(kept) < len(full) / 2  # the skip does engage
+    assert len(kept) < len(full) / 2  # the skip and the limits do engage
 
 
 def test_first_live_sweep_finds_every_draw_the_loop_would_accept():
     rng = np.random.default_rng(5)
     deltas = rng.uniform(1.0, 10.0, 8)
     temperatures = 10.0 ** rng.uniform(-1.0, 0.5, 40)
-    # the loop's own acceptance limits, from math.exp; each is below 0.4
-    limits = np.array([[math.exp(-d / t) for d in deltas] for t in temperatures])
-    beyond_margin = limits * (1 + 2 * solvers.LOOKAHEAD_MARGIN)
-    assert solvers._first_live_sweep(deltas, temperatures, beyond_margin) is None
+    # the loop's own acceptance bounds, from math.exp; each is below 0.4
+    bounds = np.array([[math.exp(-d / t) for d in deltas] for t in temperatures])
+    beyond_margin = bounds * (1 + 2 * solvers.LIMIT_MARGIN)
+
+    def first_live(draws):
+        return solvers._first_live_sweep(deltas, solvers._uphill_limits(temperatures, draws))
+
+    assert first_live(beyond_margin) is None
     for row, col in [(0, 0), (17, 3), (39, 7)]:
-        for draw in (np.nextafter(limits[row, col], 0.0), limits[row, col]):
+        for draw in (np.nextafter(bounds[row, col], 0.0), bounds[row, col]):
             draws = beyond_margin.copy()
             draws[row, col] = draw  # an accept, then a reject inside the margin
-            assert solvers._first_live_sweep(deltas, temperatures, draws) == row
+            assert first_live(draws) == row
             draws[-1, 0] = 0.0
-            assert solvers._first_live_sweep(deltas, temperatures, draws) == row
-    # exp(-1000) underflows to 0 in both; a draw of exactly 0 still counts as live
+            assert first_live(draws) == row
+
+
+def test_uphill_limits_are_infinite_for_a_zero_draw_a_tiny_temperature_or_an_overflow():
+    temperatures = np.array([1.0, 1e-290, np.nextafter(1e-290, 0.0), 1e-300, 1e-320, 1e308])
+    draws = np.array([[0.5, 0.0, 2.0**-53]] * len(temperatures))
+    limits = solvers._uphill_limits(temperatures, draws)
+    assert limits[:, 1].tolist() == [math.inf] * len(temperatures)  # u = 0
+    assert np.isinf(limits[2:5]).all()  # below the temperature floor
+    assert limits[-1, 2] == math.inf  # 1e308 * (1e-9 - ln 2^-53) overflows
+    assert np.isfinite(limits[:2, [0, 2]]).all() and np.isfinite(limits[-1, 0])
+    assert limits[1, 0] > 0
+    assert limits[0, 0] == pytest.approx(solvers.LIMIT_MARGIN + math.log(2.0), rel=1e-15)
+    # exp(-1000) underflows to 0 in the loop; a draw of exactly 0 still counts as live
     draws = np.full((3, 1), 0.5)
     draws[2, 0] = 0.0
-    assert solvers._first_live_sweep(np.array([1e3]), np.ones(3), draws) == 2
-    assert solvers._first_live_sweep(np.array([1e300]), np.full(3, 1e-300), draws) == 2
+    limits = solvers._uphill_limits(np.ones(3), draws)
+    assert solvers._first_live_sweep(np.array([1e3]), limits) == 2
+    # below the floor every row is live, and math.exp decides
+    tiny = np.full(3, 1e-300)
+    assert solvers._first_live_sweep(np.array([1e300]), solvers._uphill_limits(tiny, draws)) == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**53 - 1),
+    st.floats(min_value=1e-290, max_value=1e300),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-12)),
+)
+def test_a_cost_above_its_uphill_limit_is_one_math_exp_rejects(k, temperature, relative):
+    u = k * 2.0**-53  # the grid rng.random draws from
+    limit = float(solvers._uphill_limits(np.array([temperature]), np.array([[u]]))[0, 0])
+    if math.isinf(limit):
+        return
+    delta = math.nextafter(limit, math.inf) * (1 + relative)  # one ulp above, then a little more
+    assert not u < math.exp(-delta / temperature)
 
 
 @settings(max_examples=200, deadline=None)

@@ -279,6 +279,11 @@ def test_pipeline_config_validation():
         PipelineConfig(kind="mis", backend="qpu")
     with pytest.raises(ValueError, match="timings"):
         PipelineConfig(kind="mis", timings="cpu")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        PipelineConfig(kind="mis", seed=-1)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            PipelineConfig(kind="mis", seed=seed)
 
 
 def test_report_validation():

@@ -545,6 +545,9 @@ def test_shrink_config_validation():
         ({"r": 2.5}, "r must be an integer, got 2.5"),
         ({"r": True}, "r must be an integer, got True"),
         ({"r": 0}, "r must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
     ],
 )
 def test_shrink_config_rejects_a_penalty_weight_or_recalc_knob_out_of_range(setting, message):
@@ -553,8 +556,8 @@ def test_shrink_config_rejects_a_penalty_weight_or_recalc_knob_out_of_range(sett
 
 
 def test_shrink_config_accepts_numpy_and_integer_numbers():
-    config = ShrinkConfig(lam=0, delta=np.float64(0.5), r=np.int64(3))
-    assert (config.lam, config.delta, config.r) == (0, 0.5, 3)
+    config = ShrinkConfig(lam=0, delta=np.float64(0.5), r=np.int64(3), seed=np.uint32(7))
+    assert (config.lam, config.delta, config.r, config.seed) == (0, 0.5, 3, 7)
 
 
 def test_merge_step_validation():

@@ -127,6 +127,21 @@ def test_solve_sa_rejects_a_sweep_count_that_is_not_an_integer(sweeps):
     assert numpy_count.bits.tolist() == solve_sa(model, sweeps=3).bits.tolist()
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ],
+)
+def test_annealing_and_vqe_reject_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    for model in (random_qubo(np.random.default_rng(61), 4), qubo_model({}, ())):
+        for solve in (solve_sa, solve_vqe_sim):
+            with pytest.raises(ValueError, match=message):
+                solve(model, seed=seed)
+
+
 def test_solve_sa_checks_its_parameters_also_on_a_model_without_variables():
     empty = qubo_model({}, (), offset=2.5)
     with pytest.raises(ValueError, match="sweeps must be an integer, got 2.5"):
