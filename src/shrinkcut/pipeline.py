@@ -331,8 +331,8 @@ def penalty_summaries(inst, node_tags: dict[int, tuple]) -> tuple[list, Callable
 
     ``node_tags`` maps Max-Cut node ids to variable semantics tags; the list
     is ``max(node_tags) + 1`` long, and the reference node 0 and slack bits
-    hold the rule's identity. ``WorkingGraph.contract`` folds a supernode's
-    summary from its members' in member order.
+    hold the rule's identity. ``WorkingGraph.contract`` folds an absorbed
+    supernode's summary into the survivor's, survivor first.
     """
     problem = problem_of(inst)
     parts = problem.summaries(inst, node_tags)

@@ -11,21 +11,20 @@ Correlations go stale as the graph changes; ``recalc`` picks one of four
 refresh policies (fixed period, edge-count drift, correlation-strength
 threshold, or cheap local rescaling with no re-solves).
 
-The state is the edge weights W of the working graph, the correlations E and
-the signed partition, all aligned over the surviving supernodes in ascending
-representative id, and all reduced by one contraction. Absorbing a into b with
-sign sigma sets W[b] += sigma * W[a], appends a's members to b's, multiplies
-their signs by sigma, and makes E[b] the size-weighted mean of the two
-sign-adjusted rows, so E[a, b] stays the mean sign-adjusted correlation over
-all member pairs of a and b. Each supernode's penalty summary (if any) takes
-a's members one at a time in member order. W, E, the member lists and the
-summaries then drop a's row.
-Unless ``recalc`` is "local" (which never re-solves), the state also holds
-the last solve's S x rank embedding V, whose row b becomes the unit vector
-along |b| v_b + sigma |a| v_a (or stays v_b if that sum vanishes) before row
-a is dropped. A re-solve starts from V and replaces E with the SDP
-correlations of the graph W (whose node order is those same ids); only the
-first solve starts from seeded random vectors.
+The shrink state has one owner, ``WorkingGraph``: the edge weights W, the
+correlations E, the supernode sizes, the penalty summaries and (unless
+``recalc`` is "local", which never re-solves) the last solve's S x rank
+embedding V, all aligned over the surviving supernodes in ascending id, plus
+each original node's representative and relative sign. Absorbing a into b
+with sign sigma is one ``WorkingGraph.contract`` call: W[b] += sigma * W[a];
+E[b] becomes the size-weighted mean of the two sign-adjusted rows, so E[a, b]
+stays the mean sign-adjusted correlation over all node pairs of a and b; V[b]
+becomes the unit vector along |b| v_b + sigma |a| v_a (or stays v_b if that
+sum vanishes); b's summary combines with a's; a's nodes take b as their
+representative, their signs times sigma. Row a is then dropped everywhere. A
+re-solve starts from V and replaces E with the SDP correlations of the graph
+W (whose node order is those same ids); only the first solve starts from
+seeded random vectors.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import json
 import numbers
 import time
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, starmap
 from math import inf
 from typing import Any, Callable
@@ -148,15 +146,17 @@ class ShrinkResult:
 
 
 class WorkingGraph:
-    """Dense S x S edge weights over the surviving nodes, which keep their original ids.
+    """The shrink state: everything a contraction folds, aligned over the surviving supernodes.
 
-    ``ids`` lists the surviving node ids in ascending order; row and column t
-    of ``weights`` belong to node ``ids[t]``. The diagonal is always 0.
-    ``members[t]`` lists the original nodes that row t stands for, its
-    representative ``ids[t]`` first, and ``sign[v]`` is original node v's
-    spin relative to its representative. By default each id stands for
-    itself alone. Given ``summaries``, ``self.summaries[t]`` is row t's
-    penalty summary: its members' summaries combined in member order.
+    ``ids`` lists the surviving supernode ids (each its representative's
+    original id) in ascending order. Row and column t of ``weights`` (whose
+    diagonal is always 0) and of ``correlations``, row t of ``vectors``,
+    ``sizes[t]`` (its original node count) and ``summaries[t]`` (its penalty
+    summary) belong to supernode ``ids[t]``. ``correlations`` and ``vectors``
+    (an SDP embedding) stay None until the caller sets them; ``summaries``
+    stays None unless given as (summary by node id, combine rule). Over the
+    original nodes, ``rep[v]`` is the id of v's supernode and ``sign[v]`` is
+    v's spin relative to it. By default each id stands for itself alone.
     """
 
     def __init__(
@@ -169,10 +169,15 @@ class WorkingGraph:
         self.weights = weights
         self.ids = np.asarray(ids)
         self.offset = offset
-        self.members = [[i] for i in self.ids.tolist()]
-        self.sign = np.ones(int(self.ids.max(initial=-1)) + 1, dtype=int)
-        self.node_summaries = summaries
-        self.summaries = None if summaries is None else [summaries[0][i] for i in self.nodes()]
+        self.sizes = np.ones(len(self.ids), dtype=int)
+        self.rep = np.arange(int(self.ids.max(initial=-1)) + 1)
+        self.sign = np.ones(len(self.rep), dtype=int)
+        self.correlations: np.ndarray | None = None
+        self.vectors: np.ndarray | None = None
+        self.summaries = self.combine = None
+        if summaries is not None:
+            parts, self.combine = summaries
+            self.summaries = [parts[i] for i in self.nodes()]
 
     @classmethod
     def from_graph(
@@ -199,15 +204,18 @@ class WorkingGraph:
         return t
 
     def contract(self, i: int, j: int, sigma: int) -> float:
-        """Absorb node i into node j with spin(i) = sigma * spin(j).
+        """Absorb node i into node j with spin(i) = sigma * spin(j), folding all the state.
 
-        Row j becomes W[j] + sigma * W[i] (mirrored into column j, with no
-        self-loop), and row and column i are dropped; an edge that cancels to
-        exactly 0 is gone. i's members follow j's, their signs times sigma,
-        and j's summary takes their summaries one at a time (MDKP's sum of
-        i's summary would round differently). The constant (1 - sigma)/2 *
-        sum_k w(i,k) is subtracted from the offset so original and reduced
-        energies coincide. Returns that constant.
+        With a, b the rows of i and j and n_a, n_b their sizes: W[b] becomes
+        W[b] + sigma * W[a] (mirrored into column b, with no self-loop; an
+        edge that cancels to exactly 0 is gone); E[b] becomes
+        (n_b E[b] + sigma n_a E[a]) / (n_a + n_b), mirrored; V[b] becomes the
+        unit vector along n_b V[b] + sigma n_a V[a], or stays if that sum's
+        norm is below 1e-12; b's size grows by n_a and its summary is
+        combine(b's, a's). i's original nodes take j as their representative,
+        their signs times sigma. Row and column a are then dropped. The
+        constant (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset
+        so original and reduced energies coincide. Returns that constant.
         """
         a, b = self.position(i), self.position(j)
         if i == j:
@@ -222,22 +230,26 @@ class WorkingGraph:
         W[b] = W[:, b] = row
         keep = self.ids != i
         self.weights, self.ids = W[np.ix_(keep, keep)], self.ids[keep]
-        absorbed = self.members.pop(a)
-        self.sign[absorbed] *= sigma
-        self.members[b - (a < b)] += absorbed
+        n_a, n_b = self.sizes[a], self.sizes[b]
+        if self.correlations is not None:
+            E = self.correlations
+            E[b] = E[:, b] = (n_b * E[b] + sigma * n_a * E[a]) / (n_a + n_b)
+            self.correlations = E[np.ix_(keep, keep)]
+        if self.vectors is not None:
+            folded = n_b * self.vectors[b] + sigma * n_a * self.vectors[a]
+            norm = np.linalg.norm(folded)
+            self.vectors = self.vectors[keep]
+            if norm >= 1e-12:
+                self.vectors[b - (a < b)] = folded / norm
+        self.sizes[b] += n_a
+        self.sizes = self.sizes[keep]
         if self.summaries is not None:
-            node_summaries, combine = self.node_summaries
-            parts = [node_summaries[v] for v in absorbed]
-            self.summaries[b] = reduce(combine, parts, self.summaries[b])
+            self.summaries[b] = self.combine(self.summaries[b], self.summaries[a])
             del self.summaries[a]
+        moved = self.rep == i
+        self.sign[moved] *= sigma
+        self.rep[moved] = j
         return constant
-
-    def label(self) -> np.ndarray:
-        """The row of each original node, from the member lists."""
-        label = np.empty(len(self.sign), dtype=int)
-        for t, group in enumerate(self.members):
-            label[group] = t
-        return label
 
     def to_graph(self) -> tuple[MaxCutGraph, tuple[int, ...]]:
         """Compact to contiguous node ids 0..m-1 (surviving ids ascending).
@@ -254,7 +266,7 @@ def merge_score(correlation: float | np.ndarray, penalty: float | np.ndarray, la
 
 
 def select_merge(
-    supernodes: list[list[int]],
+    supernodes: np.ndarray | list[int],
     correlations: np.ndarray,
     lam: float = 1.5,
     penalty: PenaltyFn | None = None,
@@ -264,12 +276,11 @@ def select_merge(
 ) -> tuple[int, int, int]:
     """Pick the best-scoring supernode pair to contract next.
 
-    ``supernodes`` holds one member list per surviving supernode, its
-    representative first, in ascending representative id (``WorkingGraph.
-    members``), ``summaries`` their penalty summaries, and ``penalty`` is
-    called once per pair, on two summaries. ``correlations`` is the S x S
-    supernode correlation matrix in the same order; only its upper triangle
-    is read. Returns (absorbed, survivor, sigma) as representative ids: the
+    ``supernodes`` lists the surviving supernode ids in ascending order
+    (``WorkingGraph.ids``), ``summaries`` their penalty summaries, and
+    ``penalty`` is called once per pair, on two summaries. ``correlations``
+    is the S x S supernode correlation matrix in the same order; only its
+    upper triangle is read. Returns (absorbed, survivor, sigma) as ids: the
     smaller id is absorbed into the larger, except that a protected node
     (the reference) always survives. Every pair whose score lies within
     1e-12 of the best ties with it, so that a last-bit difference in the
@@ -296,24 +307,18 @@ def select_merge(
     while col >= size:  # row r holds the pairs (r, r + 1) .. (r, size - 1)
         row += 1
         col -= size - 1 - row
-    a, b = supernodes[row][0], supernodes[col][0]
+    a, b = int(supernodes[row]), int(supernodes[col])
     sigma = -1 if corr[pick] < 0 else 1
     return (b, a, sigma) if a in protected else (a, b, sigma)
 
 
-def local_correlation_update(
-    correlations: np.ndarray,
-    working: WorkingGraph,
-    survivor: int,
-    affected: set[int],
-) -> None:
-    """Rescale correlations around a fresh merge without re-solving the SDP.
+def local_correlation_update(working: WorkingGraph, survivor: int, affected: set[int]) -> None:
+    """Rescale ``working.correlations`` around a fresh merge without re-solving the SDP.
 
-    ``correlations`` is aligned with ``working.ids``. For each affected
-    neighbor supernode k, the entries E[survivor, k] and E[k, survivor]
-    become w(survivor, k) / sqrt(d_survivor * d_k) with absolute weighted
-    degrees after the merge (0 when a degree vanishes). Entries not touching
-    the survivor are left exactly as they were.
+    For each affected neighbor supernode k, the entries E[survivor, k] and
+    E[k, survivor] become w(survivor, k) / sqrt(d_survivor * d_k) with
+    absolute weighted degrees after the merge (0 when a degree vanishes).
+    Entries not touching the survivor are left exactly as they were.
     """
     s = working.position(survivor)
     ks = np.searchsorted(working.ids, sorted(set(affected) - {survivor}))
@@ -322,42 +327,7 @@ def local_correlation_update(
     nonzero = (degrees[s] > 0.0) & (degrees[ks] > 0.0)
     values = np.zeros(len(ks))
     np.divide(working.weights[s, ks], scale, out=values, where=nonzero)
-    correlations[s, ks] = correlations[ks, s] = values
-
-
-def _fold_correlations(
-    correlations: np.ndarray, members: list[list[int]], a: int, b: int, sigma: int
-) -> np.ndarray:
-    """The S x S correlations after absorbing row ``a`` into row ``b`` with sign ``sigma``.
-
-    ``members`` (aligned with the rows) is read before the merge. Row and
-    column b become the size-weighted mean of both sign-adjusted rows; row
-    and column a are dropped. The diagonal is never read.
-    """
-    n_a, n_b = len(members[a]), len(members[b])
-    row = (n_b * correlations[b] + sigma * n_a * correlations[a]) / (n_a + n_b)
-    correlations[b] = correlations[:, b] = row
-    keep = np.arange(len(members)) != a
-    return correlations[np.ix_(keep, keep)]
-
-
-def _fold_embedding(
-    vectors: np.ndarray, members: list[list[int]], a: int, b: int, sigma: int
-) -> np.ndarray:
-    """The S x rank embedding after absorbing row ``a`` into row ``b`` with sign ``sigma``.
-
-    ``members`` (aligned with the rows) is read before the merge. Row b
-    becomes the unit vector along the size-weighted sum of both sign-adjusted
-    rows, or keeps its vector if that sum's norm is below 1e-12; row a is
-    dropped. ``vectors`` is not written.
-    """
-    n_a, n_b = len(members[a]), len(members[b])
-    row = n_b * vectors[b] + sigma * n_a * vectors[a]
-    norm = np.linalg.norm(row)
-    folded = np.delete(vectors, a, axis=0)
-    if norm >= 1e-12:
-        folded[b - (a < b)] = row / norm
-    return folded
+    working.correlations[s, ks] = working.correlations[ks, s] = values
 
 
 def run_shrink(
@@ -404,7 +374,7 @@ def run_shrink(
             graph=reduced,
             node_order=node_order,
             steps=tuple(steps),
-            label=working.label(),
+            label=np.searchsorted(working.ids, working.rep),
             sign=working.sign,
             target_k=target_k,
             stats=stats,
@@ -416,10 +386,9 @@ def run_shrink(
     protected = frozenset({0}) if config.reference_protected else frozenset()
 
     sdp_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])  # read by the cold first solve only
-    vectors = None  # the last solve's embedding, folded like E; never kept under "local"
 
-    def solve_correlations() -> np.ndarray:
-        nonlocal sdp_seconds, vectors
+    def solve_correlations() -> None:
+        nonlocal sdp_seconds
         reduced, _ = working.to_graph()  # node order: the ascending supernode ids
         t0 = time.perf_counter()
         embedding = solve_maxcut_sdp(
@@ -428,35 +397,31 @@ def run_shrink(
             tol=config.sdp_tol,
             max_sweeps=config.sdp_max_sweeps,
             seed=sdp_seed,
-            initial=vectors,
+            initial=working.vectors,
         )
-        gram = extract_correlations(embedding)
+        working.correlations = extract_correlations(embedding)
         sdp_seconds += time.perf_counter() - t0
-        if config.recalc != "local":
-            vectors = embedding.vectors
-        return gram
+        if config.recalc != "local":  # "local" never re-solves, so keeps no embedding
+            working.vectors = embedding.vectors
 
-    correlations = solve_correlations()
+    solve_correlations()
 
     merges_since_solve = 0
     edges_at_solve = working.edge_count
 
     while working.n_nodes > target_k:
         absorbed, survivor, sigma = select_merge(
-            working.members,
-            correlations,
+            working.ids,
+            working.correlations,
             lam=config.lam,
             penalty=penalty,
             summaries=working.summaries,
             rng=tie_rng,
             protected=protected,
         )
-        a, b = working.position(absorbed), working.position(survivor)
-        rows = working.weights[[a, b]]
-        affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
-        correlations = _fold_correlations(correlations, working.members, a, b, sigma)
-        if vectors is not None:
-            vectors = _fold_embedding(vectors, working.members, a, b, sigma)
+        if config.recalc == "local":  # the neighbours of either row, read before the merge
+            rows = working.weights[[working.position(absorbed), working.position(survivor)]]
+            affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
         working.contract(absorbed, survivor, sigma)
         steps.append(MergeStep(order=len(steps) + 1, i=absorbed, j=survivor, sigma=sigma))
         merges_since_solve += 1
@@ -465,7 +430,7 @@ def run_shrink(
             break
 
         if config.recalc == "local":
-            local_correlation_update(correlations, working, survivor, affected)
+            local_correlation_update(working, survivor, affected)
             continue
         if config.recalc == "fixed":
             due = merges_since_solve >= config.r
@@ -473,9 +438,10 @@ def run_shrink(
             drift = abs(working.edge_count - edges_at_solve)
             due = drift != 0 if edges_at_solve == 0 else drift / edges_at_solve > config.delta
         else:  # tau
-            due = np.abs(correlations[~np.tri(len(correlations), dtype=bool)]).max() < config.tau
+            upper = working.correlations[~np.tri(working.n_nodes, dtype=bool)]
+            due = np.abs(upper).max() < config.tau
         if due:
-            correlations = solve_correlations()
+            solve_correlations()
             recalcs += 1
             merges_since_solve = 0
             edges_at_solve = working.edge_count

@@ -404,7 +404,8 @@ def solve_vqe_sim(
 
 
 def solve_qubo(model: QuboModel, backend: str = "exact", seed: int = 0, **options) -> Solution:
-    """Dispatch to a backend by name ("exact", "sa", or "vqe")."""
+    """Dispatch to a backend by name ("exact", "sa", or "vqe"); every backend's seed is checked."""
+    require_seed(seed)
     if backend == "exact":
         return solve_exact(model, **options)
     if backend == "sa":

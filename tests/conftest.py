@@ -201,12 +201,33 @@ def summary_from_scratch(node_summaries, members: list[int]):
     """A supernode's penalty summary rebuilt from its member list alone.
 
     ``node_summaries`` is ``penalty_summaries``' (summary by node id, combine
-    rule); the members' summaries are combined in member order, the order
-    ``WorkingGraph.contract`` folds them in, so MDKP's float sums must agree
-    bit for bit.
+    rule); the members' summaries are combined in list order. MIS and QAP
+    masks OR together, so any order gives the same bits; MDKP's float sums
+    round differently from ``WorkingGraph.contract``'s pairwise fold, which
+    ``replay_summaries`` reproduces bit for bit.
     """
     parts, combine = node_summaries
     return reduce(combine, [parts[v] for v in members])
+
+
+def replay_summaries(node_summaries, ids, merges) -> dict:
+    """Each supernode's penalty summary, replayed from a merge log: {supernode id: summary}.
+
+    Starts with one summary per id in ``ids`` and, for each ``(absorbed,
+    survivor, ...)`` in order, combines the survivor's summary with the
+    absorbed one's, survivor first: the pairwise rule that
+    ``WorkingGraph.contract`` folds by, so the two must agree bit for bit.
+    """
+    parts, combine = node_summaries
+    summary = {v: parts[v] for v in ids}
+    for absorbed, survivor, *_ in merges:
+        summary[survivor] = combine(summary[survivor], summary.pop(absorbed))
+    return summary
+
+
+def supernode_members(working) -> list[list[int]]:
+    """Each surviving supernode's original nodes, ascending, taken from ``working.rep``."""
+    return [np.flatnonzero(working.rep == i).tolist() for i in working.nodes()]
 
 
 def _decision_tags(members: list[int], node_tags: dict[int, tuple]) -> list[tuple]:

@@ -102,16 +102,21 @@ def test_criterion_2_random_contractions_lift_losslessly_at_every_size(capsys):
                     working.contract(i, j, sigma)
                     steps.append(MergeStep(order=len(steps) + 1, i=i, j=j, sigma=sigma))
                     reference_absorbed = reference_absorbed or i == 0
-                    # representatives lead their members with sign +1; members partition the nodes
-                    assert [group[0] for group in working.members] == working.nodes()
-                    assert all(working.sign[group[0]] == 1 for group in working.members)
-                    assert sorted(v for group in working.members for v in group) == list(range(n))
+                    # each live id represents itself with sign +1, every node sits in a
+                    # live supernode, and the sizes count those nodes
+                    ids = working.ids
+                    assert len(working.rep) == len(working.sign) == n
+                    assert np.array_equal(working.rep[ids], ids)
+                    assert np.all(working.sign[ids] == 1)
+                    assert np.all(np.isin(working.rep, ids))
+                    label = np.searchsorted(ids, working.rep)
+                    assert np.array_equal(working.sizes, np.bincount(label, minlength=len(ids)))
                 reduced, node_order = working.to_graph()
                 result = ShrinkResult(
                     graph=reduced,
                     node_order=node_order,
                     steps=tuple(steps),
-                    label=working.label(),
+                    label=np.searchsorted(working.ids, working.rep),
                     sign=working.sign,
                     target_k=k,
                     stats=ShrinkStats(

@@ -445,6 +445,17 @@ def test_a_seed_that_is_not_a_non_negative_integer_exits_two(
     assert message in captured.err and "stage" not in captured.err
 
 
+def test_solve_on_the_exact_backend_with_a_negative_seed_exits_two(data_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main(["build-qubo", *instance, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--model", str(model_path), "--backend", "exact", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+
+
 @pytest.mark.parametrize("command", ["shrink", "pipeline"])
 @pytest.mark.parametrize(
     "setting, message",

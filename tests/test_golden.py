@@ -5,8 +5,8 @@ acceptance criterion 9 (two reruns of the same code) this catches any change
 in the pipeline's outputs: target sizes, merges, solver trajectories, repair
 and local search. The merge logs pin every contraction (order, pair and sign)
 and the reduced graph of one ``shrink`` run per recalculation policy, plus
-one MIS run on 1tc.128 (generated by ``scripts/generate_instances.py``, not
-bundled), where the merge penalty dominates the shrink time.
+MIS runs on 1tc.128 and 1tc.256 (generated by ``scripts/generate_instances.py``,
+not bundled), where the merge penalty dominates the shrink time.
 Regenerate a file only for a deliberate output change:
 
     PYTHONPATH=src python -m shrinkcut.cli bench --instances <the six below> \\
@@ -16,7 +16,8 @@ Regenerate a file only for a deliberate output change:
         --out tests/data/<stem>.graph.json
 
 For 1tc.128, first write ``serialize_mis_edgelist(transposition_conflict_graph(7))``
-to a file and pass it as ``--instance`` with ``--k 65 --recalc fixed``.
+to a file and pass it as ``--instance`` with ``--k 65 --recalc fixed``; for
+1tc.256, ``transposition_conflict_graph(8)`` with ``--k 129 --recalc fixed``.
 """
 
 import os
@@ -90,6 +91,13 @@ def test_shrink_merge_log_on_1tc128_matches_the_golden_file(tmp_path):
     assert_shrink_matches_the_golden_files(tmp_path, stem, "mis", instance, flags)
 
 
+def test_shrink_merge_log_on_1tc256_matches_the_golden_file(tmp_path):
+    instance = tmp_path / "1tc.256.txt"
+    instance.write_text(serialize_mis_edgelist(transposition_conflict_graph(8)))
+    stem, flags = "shrink_mis_1tc256_fixed", ["--k", "129", "--recalc", "fixed"]
+    assert_shrink_matches_the_golden_files(tmp_path, stem, "mis", instance, flags)
+
+
 def assert_shrink_matches_the_golden_files(tmp_path, stem, kind, instance, flags):
     steps, graph = tmp_path / f"{stem}.steps.jsonl", tmp_path / f"{stem}.graph.json"
     args = ["shrink", "--kind", kind, "--instance", str(instance), *flags]
@@ -111,7 +119,7 @@ def _openblas_on_an_avx2_cpu() -> bool:
 @pytest.mark.skipif(not _openblas_on_an_avx2_cpu(), reason="needs numpy on OpenBLAS and an AVX2 CPU")
 @pytest.mark.parametrize("core", ["Haswell", "Prescott", "Zen", "Sandybridge"])
 def test_golden_shrinks_match_under_other_openblas_cores(core):
-    """The five golden shrinks, rerun with OpenBLAS forced onto another kernel family.
+    """The six golden shrinks, rerun with OpenBLAS forced onto another kernel family.
 
     Many merge candidates tie in exact arithmetic (1tc graphs are
     vertex-transitive), so the last bit of a BLAS product can move a score;
@@ -129,4 +137,4 @@ def test_golden_shrinks_match_under_other_openblas_cores(core):
         timeout=300,
     )
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-    assert "5 passed" in run.stdout
+    assert "6 passed" in run.stdout

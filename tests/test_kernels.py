@@ -83,7 +83,6 @@ from shrinkcut import shrink as shrink_module
 from shrinkcut import solvers
 from shrinkcut.pipeline import load_instance, run_pipeline
 from shrinkcut.sdp import class_sweep_order
-from shrinkcut.shrink import _fold_correlations
 from shrinkcut.solvers import _energy_chunks
 from tests.conftest import (
     DATA_DIR,
@@ -108,7 +107,9 @@ from tests.conftest import (
     naive_solve_sa,
     qubo_model,
     random_mis,
+    replay_summaries,
     summary_from_scratch,
+    supernode_members,
     tc64,
 )
 
@@ -270,24 +271,24 @@ def _block_write(X, members_s, members_k, sign, value) -> None:
 @given(st.integers(min_value=2, max_value=9), st.data())
 def test_folded_correlations_track_the_member_pair_oracle(n, data):
     X = data.draw(symmetric_matrices(n))
-    E = X.copy()  # every node starts as its own supernode
     partition = WorkingGraph.from_graph(maxcut_graph(n, {}))
+    partition.correlations = X.copy()  # every node starts as its own supernode
     while partition.n_nodes > 1:
         absorbed, survivor = data.draw(st.permutations(partition.nodes()))[:2]
         sigma = data.draw(st.sampled_from([-1, 1]))
-        a, b = partition.position(absorbed), partition.position(survivor)
-        E = _fold_correlations(E, partition.members, a, b, sigma)
         partition.contract(absorbed, survivor, sigma)
-        ids = partition.nodes()
-        members = dict(zip(ids, partition.members))
+        ids, E = partition.nodes(), partition.correlations
+        groups = supernode_members(partition)  # from the representatives alone
+        members = dict(zip(ids, groups))
         if len(ids) > 1 and data.draw(st.booleans()):
             # a local update on a random graph over the surviving supernodes
             weights = np.zeros((len(ids), len(ids)))
             for r, c in itertools.combinations(range(len(ids)), 2):
                 weights[r, c] = weights[c, r] = data.draw(st.sampled_from([0.0, -2.0, 0.5, 3.0]))
             working = WorkingGraph(weights, ids=ids, offset=0.0)
+            working.correlations = E  # the update writes into the partition's correlations
             affected = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
-            local_correlation_update(E, working, survivor, affected)
+            local_correlation_update(working, survivor, affected)
             degree = np.abs(weights).sum(axis=1)
             s = ids.index(survivor)
             for k in affected - {survivor}:
@@ -296,8 +297,9 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
                 value = 0.0 if d == 0.0 else weights[s, t] / np.sqrt(d)
                 _block_write(X, members[survivor], members[k], partition.sign, value)
         assert E.shape == (len(ids), len(ids))
-        for r, group_r in enumerate(partition.members):
-            for c, group_c in enumerate(partition.members):
+        assert partition.sizes.tolist() == [len(group) for group in groups]
+        for r, group_r in enumerate(groups):
+            for c, group_c in enumerate(groups):
                 if r != c:
                     expected = naive_effective_correlation(group_r, group_c, partition.sign, X)
                     assert abs(E[r, c] - expected) <= 1e-12
@@ -372,7 +374,7 @@ PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpIns
         [(1, 2, 1)],
     )
 )
-# node 4 absorbs [3], then [2, 1]: the fold must add 2's and 1's shares one at a time
+# node 4 absorbs [3], then [2, 1]: the fold must add supernode 2's summed share in one step
 @example(
     (
         MdkpInstance(
@@ -387,24 +389,35 @@ PENALTY_ORACLES = {MisInstance: naive_pi_mis, QapInstance: naive_pi_qap, MdkpIns
     )
 )
 def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
-    """MIS and QAP exactly; MDKP within rounding, and every summary exactly as rebuilt from scratch.
+    """MIS and QAP exactly; MDKP within rounding. Every summary is checked against two oracles.
 
-    ``WorkingGraph.contract`` folds the summaries as it merges. The MDKP
-    scorer adds per-item shares mean_j(w_ji / C_j) where the oracle adds
-    item loads before dividing, so the two round differently even on
-    integer weights; a summary rebuilt from the member list in member order
-    checks the fold itself bit for bit.
+    ``WorkingGraph.contract`` folds the summaries as it merges. Replaying the
+    merge log with the pairwise rule must give every summary bit for bit.
+    Rebuilt from scratch over the supernode's original nodes, MIS and QAP
+    masks must match exactly and MDKP's share sum within 1e-12 relative,
+    since it adds the shares in another order. The MDKP scorer adds
+    per-item shares mean_j(w_ji / C_j) where the oracle adds item loads
+    before dividing, so the two round differently even on integer weights.
     """
     inst, tags, merges = case
     oracle = PENALTY_ORACLES[type(inst)]
     penalty = make_penalty(inst)
     node_summaries = penalty_summaries(inst, tags)
     partition = WorkingGraph.from_graph(maxcut_graph(len(tags) + 1, {}), node_summaries)
+    done = []
 
     def assert_every_pair_matches():
-        for members, summary in zip(partition.members, partition.summaries):
-            assert summary == summary_from_scratch(node_summaries, members)
-        rows = zip(partition.members, partition.summaries)
+        replayed = replay_summaries(node_summaries, range(len(tags) + 1), done)
+        assert list(replayed) == sorted(replayed) == partition.nodes()
+        groups = supernode_members(partition)
+        for members, summary, expected in zip(groups, partition.summaries, replayed.values()):
+            assert type(summary) is type(expected) and summary == expected
+            rebuilt = summary_from_scratch(node_summaries, members)
+            if isinstance(inst, MdkpInstance):
+                assert abs(summary - rebuilt) <= 1e-12 * abs(rebuilt)
+            else:
+                assert summary == rebuilt
+        rows = zip(groups, partition.summaries)
         for (a, s_a), (b, s_b) in itertools.permutations(rows, 2):
             got, want = penalty(s_a, s_b), oracle(a, b, inst, tags)
             if isinstance(inst, MdkpInstance):
@@ -413,8 +426,9 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
                 assert got == want
 
     assert_every_pair_matches()
-    for absorbed, survivor, sigma in merges:
-        partition.contract(absorbed, survivor, sigma)
+    for merge in merges:
+        partition.contract(*merge)
+        done.append(merge)
         assert_every_pair_matches()
 
 
@@ -431,7 +445,8 @@ def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_ever
     """Folding the summaries merge by merge picks the same merges as rebuilding them each time.
 
     The rebuilt run hands ``select_merge`` every supernode's summary as
-    combined afresh from its member list, in member order.
+    replayed afresh from the merge log so far, and checks that it equals the
+    folded one bit for bit.
     """
     kind = {MisInstance: "mis", QapInstance: "qap", MdkpInstance: "mdkp"}[type(inst)]
     model = build_model(inst, PipelineConfig(kind=kind))
@@ -445,9 +460,15 @@ def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_ever
 
     select_merge = shrink_module.select_merge
 
+    merged = []
+
     def select_on_rebuilt_summaries(supernodes, correlations, summaries=None, **kwargs):
-        rebuilt = [summary_from_scratch(node_summaries, members) for members in supernodes]
-        return select_merge(supernodes, correlations, summaries=rebuilt, **kwargs)
+        replayed = replay_summaries(node_summaries, range(graph.n_nodes), merged)
+        assert list(replayed) == supernodes.tolist()
+        rebuilt = list(replayed.values())
+        assert [type(s) for s in rebuilt] == [type(s) for s in summaries] and rebuilt == summaries
+        merged.append(select_merge(supernodes, correlations, summaries=rebuilt, **kwargs))
+        return merged[-1]
 
     with mock.patch.object(shrink_module, "select_merge", select_on_rebuilt_summaries):
         rebuilt = run_shrink(graph, config, **options)

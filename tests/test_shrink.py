@@ -23,7 +23,6 @@ from shrinkcut import (
     select_merge,
     solve_maxcut_sdp,
 )
-from shrinkcut.shrink import _fold_correlations, _fold_embedding
 from tests.conftest import maxcut_graph, random_graph
 
 
@@ -50,7 +49,8 @@ def test_contract_folds_edges_onto_the_survivor():
     assert working.offset == 0.0
     assert working.nodes() == [1, 2, 3]
     assert working.weights.tolist() == [[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]]
-    assert working.members == [[1, 0], [2], [3]]
+    assert working.rep.tolist() == [1, 1, 2, 3]
+    assert working.sizes.tolist() == [2, 1, 1]
     assert working.sign.tolist() == [1, 1, 1, 1]
 
 
@@ -62,28 +62,31 @@ def test_contract_with_negative_sigma_adjusts_the_offset():
     assert working.offset == -7.0
     assert working.nodes() == [1, 2, 3]
     assert working.weights[0].tolist() == [0.0, -2.0, 3.0]
-    assert working.members == [[1, 0], [2], [3]]
+    assert working.rep.tolist() == [1, 1, 2, 3]
+    assert working.sizes.tolist() == [2, 1, 1]
     assert working.sign.tolist() == [-1, 1, 1, 1]
 
 
-def test_contract_folds_members_and_signs_relative_to_the_survivor():
+def test_contract_folds_representatives_and_signs_relative_to_the_survivor():
     working = WorkingGraph.from_graph(demo_graph())
     working.contract(1, 2, -1)
-    assert working.members == [[0], [2, 1], [3]]
+    assert working.rep.tolist() == [0, 2, 2, 3]
+    assert working.sizes.tolist() == [1, 2, 1]
     assert working.sign.tolist() == [1, -1, 1, 1]
     # 2 joins 0 flipped, so 1 (flipped against 2) ends up aligned with 0
     working.contract(2, 0, -1)
-    assert working.members == [[0, 2, 1], [3]]
+    assert working.rep.tolist() == [0, 0, 0, 3]
+    assert working.sizes.tolist() == [3, 1]
     assert working.sign.tolist() == [1, 1, -1, 1]
-    assert working.label().tolist() == [0, 0, 0, 1]
+    assert np.searchsorted(working.ids, working.rep).tolist() == [0, 0, 0, 1]
 
 
-def test_shrink_folds_mdkp_shares_one_member_at_a_time(monkeypatch):
-    """The survivor adds the absorbed members' item shares one at a time.
+def test_shrink_folds_mdkp_shares_one_supernode_at_a_time(monkeypatch):
+    """The survivor adds the absorbed supernode's item share, already summed, in one step.
 
     Shares 0.1, 0.2 and 0.3 sit on nodes 1, 2 and 3. After 3 joins 2 and 2
-    joins 1, node 1's summary must be (0.1 + 0.2) + 0.3, not 0.1 + (0.2 +
-    0.3), which differs in the last bit.
+    joins 1, node 1's summary must be 0.1 + (0.2 + 0.3), not (0.1 + 0.2) +
+    0.3, which differs in the last bit.
     """
     inst = MdkpInstance(
         n=3,
@@ -110,7 +113,7 @@ def test_shrink_folds_mdkp_shares_one_member_at_a_time(monkeypatch):
         penalty=make_penalty(inst),
         summaries=penalty_summaries(inst, tags),
     )
-    assert seen == [[0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.5], [0.0, member_order]]
+    assert seen == [[0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.5], [0.0, pairwise]]
 
 
 def test_contract_drops_edges_that_cancel_exactly():
@@ -141,9 +144,11 @@ def test_to_graph_compacts_surviving_ids_in_ascending_order():
     assert reduced.edges == {(0, 2): -5.0, (0, 1): 2.0, (1, 2): 4.0}
 
 
-def test_effective_correlation_averages_sign_adjusted_members():
-    members = [[v] for v in range(4)]
-    E = _fold_correlations(demo_correlations(), members, a=0, b=1, sigma=-1)
+def test_contract_averages_sign_adjusted_correlations():
+    working = WorkingGraph.from_graph(demo_graph())
+    working.correlations = demo_correlations()
+    working.contract(0, 1, -1)
+    E = working.correlations
     # supernode 1 = {1: +1, 0: -1}; its pairs with 2 contribute X[1,2] and -X[0,2]: (0.5 - 0.3) / 2
     assert E.shape == (3, 3)
     assert E[0, 1] == pytest.approx(0.1)
@@ -152,21 +157,26 @@ def test_effective_correlation_averages_sign_adjusted_members():
     assert E[1, 2] == E[2, 1] == 0.7  # pairs without the survivor are untouched
 
 
-def test_fold_embedding_normalises_the_size_weighted_signed_sum():
+def test_contract_normalises_the_size_weighted_signed_embedding_sum():
+    working = WorkingGraph.from_graph(demo_graph())
+    working.contract(3, 0, 1)  # supernode 0 now holds nodes 0 and 3
     V = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     before = V.copy()
+    working.vectors = V
     # row 2 ({2}) absorbs row 0 ({0, 3}) with sigma -1: along 1 * (0.6, 0.8) - 2 * (1, 0)
-    folded = _fold_embedding(V, [[0, 3], [1], [2]], a=0, b=2, sigma=-1)
+    working.contract(0, 2, -1)
+    folded = working.vectors
     assert np.array_equal(V, before)
     assert folded.shape == (2, 2)
     assert folded[0].tolist() == [0.0, 1.0]
     assert folded[1] == pytest.approx(np.array([-1.4, 0.8]) / np.hypot(1.4, 0.8))
 
 
-def test_fold_embedding_keeps_the_survivor_when_the_sum_vanishes():
-    V = np.array([[0.6, 0.8], [0.6, 0.8]])
-    folded = _fold_embedding(V, [[0], [1]], a=0, b=1, sigma=-1)
-    assert folded.tolist() == [[0.6, 0.8]]
+def test_contract_keeps_the_survivor_vector_when_the_embedding_sum_vanishes():
+    working = WorkingGraph.from_graph(maxcut_graph(2, {(0, 1): 1.0}))
+    working.vectors = np.array([[0.6, 0.8], [0.6, 0.8]])
+    working.contract(0, 1, -1)
+    assert working.vectors.tolist() == [[0.6, 0.8]]
 
 
 def test_merge_score_discounts_penalty_linearly():
@@ -175,14 +185,14 @@ def test_merge_score_discounts_penalty_linearly():
 
 
 def test_select_merge_picks_the_strongest_pair():
-    supernodes = [[v] for v in range(4)]
+    supernodes = list(range(4))
     absorbed, survivor, sigma = select_merge(supernodes, demo_correlations(), lam=0.0)
     assert (absorbed, survivor) == (1, 0)  # reference node survives
     assert sigma == 1
 
 
 def test_select_merge_without_protection_absorbs_the_smaller_id():
-    supernodes = [[v] for v in range(4)]
+    supernodes = list(range(4))
     absorbed, survivor, sigma = select_merge(
         supernodes, demo_correlations(), lam=0.0, protected=frozenset()
     )
@@ -191,21 +201,21 @@ def test_select_merge_without_protection_absorbs_the_smaller_id():
 
 def test_select_merge_sigma_follows_the_correlation_sign():
     X = np.array([[1.0, -0.9], [-0.9, 1.0]])
-    absorbed, survivor, sigma = select_merge([[0], [1]], X, lam=0.0)
+    absorbed, survivor, sigma = select_merge([0, 1], X, lam=0.0)
     assert (absorbed, survivor, sigma) == (1, 0, -1)
 
 
 def test_select_merge_zero_correlation_defaults_to_positive_sigma():
     X = np.zeros((2, 2))
     np.fill_diagonal(X, 1.0)
-    _, _, sigma = select_merge([[0], [1]], X, lam=0.0)
+    _, _, sigma = select_merge([0, 1], X, lam=0.0)
     assert sigma == 1
 
 
 def test_select_merge_breaks_ties_with_the_rng_deterministically():
     X = np.full((3, 3), 0.5)
     np.fill_diagonal(X, 1.0)
-    supernodes = [[v] for v in range(3)]
+    supernodes = list(range(3))
     picks = {
         select_merge(supernodes, X, rng=np.random.default_rng(seed))[:2]
         for seed in range(20)
@@ -224,7 +234,7 @@ def test_select_merge_scores_one_ulp_apart_tie_and_the_rng_draws_in_pair_order()
     X = np.full((4, 4), 0.5)
     X[0, 3] = np.nextafter(best, 0.0)  # 0.99999999999999989, the 1tc.16 runner-up
     X[1, 2] = best
-    supernodes = [[v] for v in range(4)]
+    supernodes = list(range(4))
     tied = [(0, 3), (1, 2)]
     picks = set()
     for seed in range(20):
@@ -241,7 +251,7 @@ def test_select_merge_a_score_gap_of_1e_9_is_not_a_tie():
     X = np.full((4, 4), 0.5)
     X[0, 3] = 0.9 - 1e-9
     X[1, 2] = 0.9
-    supernodes = [[v] for v in range(4)]
+    supernodes = list(range(4))
     for seed in range(20):
         got = select_merge(supernodes, X, rng=np.random.default_rng(seed), protected=frozenset())
         assert got[:2] == (1, 2)
@@ -256,7 +266,7 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
     def penalty(s_a: str, s_b: str) -> float:
         return 1.0 if {s_a, s_b} == {"row 0", "row 0 too"} else 0.0
 
-    supernodes = [[v] for v in range(4)]
+    supernodes = list(range(4))
     unpenalized = select_merge(supernodes, X, lam=0.0, penalty=penalty, summaries=summaries)
     assert (unpenalized[0], unpenalized[1]) == (1, 2)
     penalized = select_merge(supernodes, X, lam=0.2, penalty=penalty, summaries=summaries)
@@ -267,7 +277,7 @@ def test_select_merge_penalty_steers_away_from_constraint_mixing():
 @pytest.mark.parametrize("size", range(2, 7))
 def test_select_merge_calls_the_penalty_once_per_pair_in_combinations_order(size, seeded):
     """The benchmark counts one call per scored pair, and ties follow this order."""
-    supernodes = [[2 * t, 2 * t + 1] for t in range(size)]
+    supernodes = [2 * t for t in range(size)]
     summaries = [("summary", t) for t in range(size)]
     X = np.full((size, size), 0.5)
     weights = np.random.default_rng(size).permutation(size * size).tolist()
@@ -295,22 +305,24 @@ def test_select_merge_calls_the_penalty_once_per_pair_in_combinations_order(size
     assert all(a is x and b is y for (a, b), (x, y) in zip(calls, pairs))
     # each pair's score carries its own penalty: the pick is the least penalised
     best = min(pairs, key=lambda pair: pi(*pair))
-    assert (absorbed, survivor) == (supernodes[best[0][1]][0], supernodes[best[1][1]][0])
+    assert (absorbed, survivor) == (supernodes[best[0][1]], supernodes[best[1][1]])
 
 
 @pytest.mark.parametrize("size", range(2, 9))
 def test_select_merge_maps_every_upper_triangle_pair_back_to_its_supernodes(size):
-    supernodes = [[10 + 3 * t, 1] for t in range(size)]
+    supernodes = np.array([10 + 3 * t for t in range(size)])
     for row, col in itertools.combinations(range(size), 2):
         X = np.full((size, size), 0.25)
         X[row, col] = X[col, row] = -0.75
         X[col, row] = 0.9  # the lower triangle is never read
         expected = (10 + 3 * row, 10 + 3 * col, -1)
-        assert select_merge(supernodes, X, protected=frozenset()) == expected
+        got = select_merge(supernodes, X, protected=frozenset())
+        assert got == expected
+        assert all(type(value) is int for value in got)  # plain ints from a numpy id array
 
 
 def test_select_merge_needs_one_summary_per_supernode_with_a_penalty():
-    supernodes = [[0], [1], [2]]
+    supernodes = [0, 1, 2]
     for summaries in (None, [0.0, 0.1]):
         with pytest.raises(ValueError, match="one summary per supernode"):
             select_merge(supernodes, np.eye(3), penalty=operator.add, summaries=summaries)
@@ -318,11 +330,11 @@ def test_select_merge_needs_one_summary_per_supernode_with_a_penalty():
 
 def test_select_merge_needs_two_supernodes():
     with pytest.raises(ValueError, match="at least two"):
-        select_merge([[0]], np.eye(1))
+        select_merge([0], np.eye(1))
 
 
 def test_select_merge_needs_one_correlation_row_per_supernode():
-    supernodes = [[0, 3], [1], [2]]
+    supernodes = [0, 1, 2]
     with pytest.raises(ValueError, match="one correlation row per supernode"):
         select_merge(supernodes, demo_correlations())  # 4 x 4: one row per original node
 
@@ -499,7 +511,8 @@ def test_local_correlation_update_rescales_only_the_affected_blocks():
     working = WorkingGraph(weights, ids=[1, 2, 3], offset=0.0)
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
-    local_correlation_update(E, working, survivor=1, affected={2, 3})
+    working.correlations = E
+    local_correlation_update(working, survivor=1, affected={2, 3})
     assert E[0, 1] == pytest.approx(3.0 / np.sqrt(7.0 * 3.0))
     assert E[0, 2] == pytest.approx(-4.0 / np.sqrt(7.0 * 4.0))
     assert np.array_equal(E, E.T)
@@ -513,7 +526,8 @@ def test_local_correlation_update_zeroes_isolated_neighbors():
     working = WorkingGraph(weights, ids=[1, 2, 3], offset=0.0)
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
-    local_correlation_update(E, working, survivor=1, affected={3})
+    working.correlations = E
+    local_correlation_update(working, survivor=1, affected={3})
     assert E[0, 2] == E[2, 0] == 0.0
     assert E[0, 1] == 0.5  # supernode 2 was not affected
 

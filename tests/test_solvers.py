@@ -1,6 +1,7 @@
 """Solving backends: exact enumeration, simulated annealing, toy VQE."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -137,7 +138,8 @@ def test_solve_sa_rejects_a_sweep_count_that_is_not_an_integer(sweeps):
 )
 def test_annealing_and_vqe_reject_a_seed_that_is_not_a_non_negative_integer(seed, message):
     for model in (random_qubo(np.random.default_rng(61), 4), qubo_model({}, ())):
-        for solve in (solve_sa, solve_vqe_sim):
+        # the exact backend never reads the seed, but solve_qubo checks it there too
+        for solve in (solve_sa, solve_vqe_sim, partial(solve_qubo, backend="exact")):
             with pytest.raises(ValueError, match=message):
                 solve(model, seed=seed)
 
