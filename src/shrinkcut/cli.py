@@ -3,8 +3,15 @@
 Subcommands mirror the pipeline stages: ``build-qubo``, ``to-maxcut``,
 ``shrink``, ``solve``, ``pipeline``, ``bench``, ``verify``, ``repair``.
 Every subcommand accepts ``--seed``, ``--out``, and ``--config`` (a
-``key = value`` file whose keys mirror PipelineConfig fields and act as
-defaults; explicit flags win).
+``key = value`` file whose keys are PipelineConfig fields). ``_settings``
+merges one dict keyed by those fields, once per run: PipelineConfig's
+defaults, then the file, then the flags given, the later source winning.
+Every key is honoured, ``out``, ``kind`` and ``instance`` too, and each flag
+stores under its field's name. The instance commands build
+``PipelineConfig(**settings)``, which checks every setting before any stage
+runs, also one the run never reads; ``shrink --graph`` builds its
+ShrinkConfig from the same dict. ``--k`` and ``--alpha`` are one mutually
+exclusive group.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +38,7 @@ from .pipeline import (
     run_bench,
     run_pipeline,
     shrink_penalty,
+    solver_options,
     violations,
 )
 from .qubo import json_document, model_from_json, model_to_json
@@ -56,8 +64,9 @@ def _add_penalty_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_shrink_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=None, help="explicit target node count")
-    parser.add_argument("--alpha", type=float, default=None, help="spectral energy fraction")
+    stop = parser.add_mutually_exclusive_group()
+    stop.add_argument("--k", type=int, default=None, help="explicit target node count")
+    stop.add_argument("--alpha", type=float, default=None, help="spectral energy fraction")
     parser.add_argument(
         "--energy-order",
         choices=("ascending", "descending"),
@@ -99,18 +108,40 @@ def _add_shrink_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("exact", "sa", "vqe"), default=None)
-    parser.add_argument("--sweeps", type=int, default=None, help="annealing sweeps")
-    parser.add_argument("--layers", type=int, default=None, help="variational circuit layers")
+    parser.add_argument(
+        "--sweeps", type=int, dest="sa_sweeps", metavar="SWEEPS", help="annealing sweeps"
+    )
+    parser.add_argument(
+        "--layers", type=int, dest="vqe_layers", metavar="LAYERS", help="variational circuit layers"
+    )
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the whole-run commands, ``pipeline`` and ``bench``."""
+    _add_penalty_flags(parser)
+    _add_shrink_flags(parser)
+    _add_backend_flags(parser)
+    parser.add_argument("--no-repair", action="store_false", default=None, dest="do_repair")
+    parser.add_argument(
+        "--no-local-search", action="store_false", default=None, dest="local_search"
+    )
+    parser.add_argument("--timings", choices=("wall", "zero"), default=None)
 
 
-def _coerce(raw: str):
+# every config key and flag dest is a PipelineConfig field; kind has no default
+_DEFAULTS = {f.name: None if f.default is MISSING else f.default for f in fields(PipelineConfig)}
+# fields annotated str (a path or a name among them) keep their text, so that
+# "instance = 2024" names the file 2024
+_TEXT = {f.name for f in fields(PipelineConfig) if f.type.startswith("str")}
+
+
+def _coerce(raw: str, text: bool):
     value = raw.strip()
     low = value.lower()
     if low in ("none", "null", ""):
         return None
+    if text:
+        return value
     if low in ("true", "yes", "on"):
         return True
     if low in ("false", "no", "off"):
@@ -137,30 +168,39 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        settings[key] = _coerce(raw)
+        settings[key] = _coerce(raw, key in _TEXT)
     return settings
 
 
-# config fields whose CLI flags have other names
-_FLAG_NAMES = {"sa_sweeps": "sweeps", "vqe_layers": "layers"}
-
-
-def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default):
-    """CLI flag if given, else config-file value, else the built-in default."""
-    value = getattr(args, _FLAG_NAMES.get(name, name), None)
-    if value is not None:
-        return value
-    if name in file_cfg and file_cfg[name] is not None:
-        return file_cfg[name]
-    return default
-
-
-def _file_cfg(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None):
-        return load_config_file(args.config)
-    return {}
+def _settings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Every PipelineConfig field's value: its default, overridden by the
+    ``--config`` file's, overridden by the flag's. A None value counts as
+    not given. A k from either source selects stop_mode "k"."""
+    file_cfg = load_config_file(args.config) if args.config else {}
+    settings = dict(_DEFAULTS)
+    if args.command == "bench":
+        why = "--instances and --strategies set each row's kind, instance and target size"
+        for key in ("kind", "instance", "k", "stop_mode"):
+            if getattr(args, key, None) is not None:
+                parser.error(f"--{key} is not a bench option: {why}")
+            if key in file_cfg:
+                parser.error(f"{key!r} is not a bench config key: {why}")
+        settings["timings"] = "zero"  # so that reruns give byte-identical CSVs
+    for source in (file_cfg, vars(args)):
+        settings.update((k, v) for k, v in source.items() if k in settings and v is not None)
+    if settings["k"] is not None:
+        file_mode = file_cfg.get("stop_mode")
+        if file_mode not in (None, "k"):
+            raise ValueError(f"k selects stop_mode 'k', but the config file sets {file_mode!r}")
+        if getattr(args, "k", None) is None and getattr(args, "alpha", None) is not None:
+            raise ValueError(
+                f"the config file's k = {settings['k']} selects stop_mode 'k', which never "
+                f"reads --alpha {args.alpha}; drop one of the two"
+            )
+        settings["stop_mode"] = "k"
+    return settings
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -170,35 +210,6 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
     else:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _stop_mode(args: argparse.Namespace, file_cfg: dict) -> str:
-    """A ``k`` from the flag or the config file selects stop_mode "k"."""
-    k = _resolve(args, file_cfg, "k", None)
-    if k is None:
-        return _resolve(args, file_cfg, "stop_mode", ShrinkConfig.stop_mode)
-    file_mode = file_cfg.get("stop_mode")
-    if file_mode not in (None, "k"):
-        raise ValueError(f"k selects stop_mode 'k', but the config file sets {file_mode!r}")
-    if getattr(args, "k", None) is None and getattr(args, "alpha", None) is not None:
-        raise ValueError(
-            f"the config file's k = {k} selects stop_mode 'k', which never reads "
-            f"--alpha {args.alpha}; drop one of the two"
-        )
-    return "k"
-
-
-def _pipeline_config(args: argparse.Namespace, file_cfg: dict, **overrides) -> PipelineConfig:
-    values = {}
-    for f in fields(PipelineConfig):
-        values[f.name] = _resolve(args, file_cfg, f.name, f.default)
-    if getattr(args, "no_repair", False):
-        values["do_repair"] = False
-    if getattr(args, "no_local_search", False):
-        values["local_search"] = False
-    values["stop_mode"] = _stop_mode(args, file_cfg)
-    values.update(overrides)
-    return PipelineConfig(**values)
 
 
 def _load_solution(path: str) -> tuple[str, np.ndarray]:
@@ -216,104 +227,76 @@ def _load_solution(path: str) -> tuple[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _require_instance(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if not args.kind or not args.instance:
+def _config(settings: dict, parser: argparse.ArgumentParser) -> PipelineConfig:
+    if not settings["kind"] or not settings["instance"]:
         parser.error("--kind and --instance are required")
-    return load_instance(args.kind, args.instance)
+    return PipelineConfig(**settings)
 
 
-def _build_model_from_args(args: argparse.Namespace, file_cfg: dict, parser):
-    inst = _require_instance(args, parser)
-    config = _pipeline_config(args, file_cfg, kind=args.kind, instance=args.instance)
-    return inst, build_model(inst, config)
+def _load(settings: dict, parser: argparse.ArgumentParser):
+    config = _config(settings, parser)
+    return load_instance(config.kind, config.instance), config
 
 
-def _cmd_build_qubo(args, parser) -> int:
-    file_cfg = _file_cfg(args)
-    _, model = _build_model_from_args(args, file_cfg, parser)
-    _emit(model_to_json(model), args.out)
+def _cmd_build_qubo(settings, args, parser) -> int:
+    inst, config = _load(settings, parser)
+    _emit(model_to_json(build_model(inst, config)), settings["out"])
     return 0
 
 
-def _cmd_to_maxcut(args, parser) -> int:
-    file_cfg = _file_cfg(args)
+def _cmd_to_maxcut(settings, args, parser) -> int:
     if args.model:
         model = model_from_json(Path(args.model).read_text())
     else:
-        _, model = _build_model_from_args(args, file_cfg, parser)
-    _emit(graph_to_json(qubo_to_maxcut(model)), args.out)
+        inst, config = _load(settings, parser)
+        model = build_model(inst, config)
+    _emit(graph_to_json(qubo_to_maxcut(model)), settings["out"])
     return 0
 
 
-def _cmd_shrink(args, parser) -> int:
-    file_cfg = _file_cfg(args)
+def _cmd_shrink(settings, args, parser) -> int:
+    config = ShrinkConfig(**{f.name: settings[f.name] for f in fields(ShrinkConfig)})
     penalty = summaries = None
     if args.graph:
         graph = graph_from_json(Path(args.graph).read_text())
     else:
-        inst, model = _build_model_from_args(args, file_cfg, parser)
+        inst, run = _load(settings, parser)
+        model = build_model(inst, run)
         graph = qubo_to_maxcut(model)
-        aware = _resolve(args, file_cfg, "constraint_aware", PipelineConfig.constraint_aware)
-        if aware:
+        if run.constraint_aware:
             penalty, summaries = shrink_penalty(inst, model)
-
-    if args.k is not None and args.alpha is not None:
-        parser.error("--k and --alpha are mutually exclusive")
-    values = {f.name: _resolve(args, file_cfg, f.name, f.default) for f in fields(ShrinkConfig)}
-    values["stop_mode"] = _stop_mode(args, file_cfg)
-    config = ShrinkConfig(**values)
     result = run_shrink(graph, config, penalty=penalty, summaries=summaries)
     if args.steps_out:
         Path(args.steps_out).write_text(merge_steps_to_jsonl(result.steps))
-    _emit(graph_to_json(result.graph), args.out)
+    _emit(graph_to_json(result.graph), settings["out"])
     return 0
 
 
-def _cmd_solve(args, parser) -> int:
-    file_cfg = _file_cfg(args)
+def _cmd_solve(settings, args, parser) -> int:
     model = model_from_json(Path(args.model).read_text())
-    backend = _resolve(args, file_cfg, "backend", PipelineConfig.backend)
-    options = {}
-    if backend == "sa":  # None leaves solve_sa's own default
-        sweeps = _resolve(args, file_cfg, "sa_sweeps", None)
-        options = {"sweeps": sweeps, "t_start": args.t_start, "t_end": args.t_end}
-    elif backend == "vqe":
-        options = {"layers": _resolve(args, file_cfg, "vqe_layers", PipelineConfig.vqe_layers)}
-    seed = _resolve(args, file_cfg, "seed", PipelineConfig.seed)
-    solution = solve_qubo(model, backend=backend, seed=seed, **options)
+    backend = settings["backend"]
+    options = solver_options(backend, settings["sa_sweeps"], settings["vqe_layers"])
+    if backend == "sa":
+        options.update(t_start=args.t_start, t_end=args.t_end)
+    solution = solve_qubo(model, backend=backend, seed=settings["seed"], **options)
     doc = {
         "instance": args.name,
         "bits": [int(b) for b in solution.bits],
         "energy": solution.energy,
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(json.dumps(doc, indent=2), settings["out"])
     return 0
 
 
-def _cmd_pipeline(args, parser) -> int:
-    file_cfg = _file_cfg(args)
-    if not args.kind or not args.instance:
-        parser.error("--kind and --instance are required")
-    if args.k is not None and args.alpha is not None:
-        parser.error("--k and --alpha are mutually exclusive")
-    config = _pipeline_config(
-        args, file_cfg, kind=args.kind, instance=args.instance, out=args.out
-    )
+def _cmd_pipeline(settings, args, parser) -> int:
+    config = _config(settings, parser)
     report = run_pipeline(config)
-    if args.out is None:
+    if config.out is None:
         _emit(report_to_json(report), None)
     return 0 if report.feasible_after else 1
 
 
-def _cmd_bench(args, parser) -> int:
-    if args.k is not None:
-        parser.error("--k is not a bench option: each strategy sets its own target size")
-    file_cfg = _file_cfg(args)
-    for key in ("k", "stop_mode"):
-        if key in file_cfg:
-            parser.error(
-                f"{key!r} is not a bench config key: each strategy sets its own target size"
-            )
+def _cmd_bench(settings, args, parser) -> int:
     instances = []
     for spec in args.instances:
         if ":" not in spec:
@@ -322,22 +305,18 @@ def _cmd_bench(args, parser) -> int:
         if kind not in KINDS:
             parser.error(f"unknown problem kind {kind!r} in {spec!r}")
         instances.append((kind, path))
-    base = _pipeline_config(args, file_cfg, kind=instances[0][0], instance=None, out=None)
-    # Each strategy sets only the stop; check the other shrink settings once, before any row.
-    shared = {f.name: getattr(base, f.name) for f in fields(ShrinkConfig)}
-    ShrinkConfig(**{**shared, "stop_mode": "spectral", "k": None})
-    timings = _resolve(args, file_cfg, "timings", None) or "zero"
+    base = PipelineConfig(**{**settings, "kind": instances[0][0], "out": None})
     csv_text, failures = run_bench(
-        base, instances, strategies=tuple(args.strategies), timings=timings
+        base, instances, strategies=tuple(args.strategies), timings=base.timings
     )
-    _emit(csv_text, args.out)
+    _emit(csv_text, settings["out"])
     for failure in failures:
         print(f"bench: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _cmd_verify(args, parser) -> int:
-    inst = _require_instance(args, parser)
+def _cmd_verify(settings, args, parser) -> int:
+    inst, _ = _load(settings, parser)
     _, bits = _load_solution(args.solution)
     problems = violations(inst, bits)
     if problems:
@@ -348,12 +327,12 @@ def _cmd_verify(args, parser) -> int:
     return 0
 
 
-def _cmd_repair(args, parser) -> int:
-    inst = _require_instance(args, parser)
+def _cmd_repair(settings, args, parser) -> int:
+    inst, _ = _load(settings, parser)
     name, bits = _load_solution(args.solution)
     report = repair(inst, bits)
     doc = {"instance": name, "bits": [int(b) for b in np.asarray(report.bits).reshape(-1)]}
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(json.dumps(doc, indent=2), settings["out"])
     return 0
 
 
@@ -399,20 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full instance -> report run")
     _add_common(p)
-    _add_penalty_flags(p)
-    _add_shrink_flags(p)
-    _add_backend_flags(p)
-    p.add_argument("--no-repair", action="store_true", dest="no_repair")
-    p.add_argument("--no-local-search", action="store_true", dest="no_local_search")
-    p.add_argument("--timings", choices=("wall", "zero"), default=None)
+    _add_run_flags(p)
     p.add_argument("--name", default=None, help="report label (default: file stem)")
     p.set_defaults(handler=_cmd_pipeline)
 
     p = sub.add_parser("bench", help="sweep instances x strategies into a CSV")
     _add_common(p)
-    _add_penalty_flags(p)
-    _add_shrink_flags(p)
-    _add_backend_flags(p)
+    _add_run_flags(p)
     p.add_argument(
         "--instances",
         nargs="+",
@@ -423,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategies", nargs="+", default=list(STRATEGIES), choices=list(STRATEGIES)
     )
-    p.add_argument("--no-repair", action="store_true", dest="no_repair")
-    p.add_argument("--no-local-search", action="store_true", dest="no_local_search")
-    p.add_argument("--timings", choices=("wall", "zero"), default=None)
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("verify", help="check a solution JSON against its instance")
@@ -447,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(_settings(args, parser), args, parser)
     except (ParseError, ValueError, OSError, PipelineError) as exc:
         print(f"shrinkcut: {exc}", file=sys.stderr)
         return 2

@@ -34,10 +34,10 @@ from .instances import (
     parse_qaplib,
 )
 from .maxcut import graph_to_qubo, qubo_to_maxcut
-from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo, require_seed
+from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo
 from .reconstruct import decode_solution, lift_solution
 from .shrink import ShrinkConfig, run_shrink
-from .solvers import solve_qubo
+from .solvers import require_layers, require_sweeps, solve_qubo
 
 STRATEGIES = ("2/3", "1/2", "adaptive")
 PHASES = ("correlation", "shrinking", "solving", "repair", "local_search")
@@ -105,13 +105,19 @@ class PipelineConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        """Check every setting, also those this run never reads, through the code that owns it."""
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.penalty_multiplier is not None:
+            PenaltyPolicy(multiplier=self.penalty_multiplier)
+        _shrink_config(self, self.seed)
         if self.backend not in ("exact", "sa", "vqe"):
             raise ValueError(f"backend must be exact/sa/vqe, got {self.backend!r}")
+        if self.sa_sweeps is not None:
+            require_sweeps(self.sa_sweeps)
+        require_layers(self.vqe_layers)
         if self.timings not in ("wall", "zero"):
             raise ValueError(f"timings must be 'wall' or 'zero', got {self.timings!r}")
-        require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -414,11 +420,12 @@ def _shrink_config(config: PipelineConfig, seed: int) -> ShrinkConfig:
     return ShrinkConfig(**shared, seed=seed)
 
 
-def _solver_options(config: PipelineConfig) -> dict:
-    if config.backend == "sa" and config.sa_sweeps is not None:
-        return {"sweeps": config.sa_sweeps}
-    if config.backend == "vqe":
-        return {"layers": config.vqe_layers}
+def solver_options(backend: str, sa_sweeps: int | None, vqe_layers: int) -> dict:
+    """``solve_qubo``'s options for ``backend``; no ``sa_sweeps`` keeps solve_sa's default."""
+    if backend == "sa" and sa_sweeps is not None:
+        return {"sweeps": sa_sweeps}
+    if backend == "vqe":
+        return {"layers": vqe_layers}
     return {}
 
 
@@ -466,9 +473,8 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
         stage = "solve"
         t0 = time.perf_counter()
         reduced_model = graph_to_qubo(shrink_result.graph)
-        reduced = solve_qubo(
-            reduced_model, backend=config.backend, seed=solver_seed, **_solver_options(config)
-        )
+        options = solver_options(config.backend, config.sa_sweeps, config.vqe_layers)
+        reduced = solve_qubo(reduced_model, backend=config.backend, seed=solver_seed, **options)
         lifted = lift_solution(shrink_result, reduced.bits, graph)
         decoded = decode_solution(model, lifted.bits)
         timings["solving"] = time.perf_counter() - t0

@@ -91,8 +91,9 @@ class PenaltyPolicy:
     multiplier: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.multiplier <= 0:
-            raise ValueError(f"penalty multiplier must be positive, got {self.multiplier}")
+        m = self.multiplier
+        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not 0 < m < math.inf:
+            raise ValueError(f"penalty multiplier must be a finite positive number, got {m!r}")
 
 
 def slack_bit_count(capacity: float) -> int:

@@ -116,6 +116,20 @@ def class_sweep_order(weights: np.ndarray) -> list[np.ndarray] | None:
     return colour_classes(weights, limit=active // 3) or None
 
 
+def require_sdp_limits(rank: int | None, tol: float, max_sweeps: int) -> None:
+    """ValueError unless ``rank`` is None or an integer >= 2, ``max_sweeps`` an
+    integer >= 1 (neither a bool) and ``tol`` a finite number > 0."""
+    if rank is not None:
+        require_integer("rank", rank)
+        if rank < 2:
+            raise ValueError(f"rank must be at least 2, got {rank}")
+    require_integer("max_sweeps", max_sweeps)
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def solve_maxcut_sdp(
     graph: MaxCutGraph,
     rank: int | None = None,
@@ -138,8 +152,8 @@ def solve_maxcut_sdp(
     gradient norm is below 1e-12, keeps its vector. ``objective_history``
     holds the objective after each sweep, so a graph without edges stops
     after one sweep with history ``(0.0,)``.
-    ``rank`` and ``max_sweeps`` must be integers (not bools) and ``tol`` a
-    finite number > 0.
+    ``require_sdp_limits`` checks ``rank`` (an integer >= 2), ``max_sweeps``
+    (an integer >= 1) and ``tol`` (a finite number > 0).
     """
     n = graph.n_nodes
     if initial is not None:
@@ -152,14 +166,7 @@ def solve_maxcut_sdp(
             rank = initial.shape[1]
     elif rank is None:
         rank = default_rank(n)
-    require_integer("rank", rank)
-    require_integer("max_sweeps", max_sweeps)
-    if rank < 2:
-        raise ValueError(f"rank must be at least 2, got {rank}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < inf:
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    require_sdp_limits(rank, tol, max_sweeps)
     if initial is None:
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((n, rank))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .maxcut import MaxCutGraph
 from .qubo import json_document, require_integer, require_seed
-from .sdp import extract_correlations, solve_maxcut_sdp
+from .sdp import extract_correlations, require_sdp_limits, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
 PenaltyFn = Callable[[Any, Any], float]  # Pi on two supernode summaries
@@ -116,6 +116,7 @@ class ShrinkConfig:
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
         require_seed(self.seed)
+        require_sdp_limits(self.sdp_rank, self.sdp_tol, self.sdp_max_sweeps)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,20 @@ def _first_live_sweep(costs: np.ndarray, limits: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def require_sweeps(sweeps) -> None:
+    """ValueError unless ``sweeps`` is an integer >= 1 (numpy's too), not a bool."""
+    require_integer("sweeps", sweeps)
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+
+
+def require_layers(layers) -> None:
+    """ValueError unless ``layers`` is an integer >= 0 (numpy's too), not a bool."""
+    require_integer("layers", layers)
+    if layers < 0:
+        raise ValueError(f"layers must be >= 0, got {layers}")
+
+
 def solve_sa(
     model: QuboModel,
     seed: int = 0,
@@ -209,9 +223,7 @@ def solve_sa(
     n = model.n_vars
     require_seed(seed)
     if sweeps is not None:
-        require_integer("sweeps", sweeps)
-        if sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        require_sweeps(sweeps)
     scale = coefficient_scale(model)
     if t_start is None:
         t_start = scale
@@ -337,15 +349,15 @@ def solve_vqe_sim(
     coordinate search over a fixed angle grid against the exact expected
     energy; the returned solution is the best of the ``shots``
     highest-probability basis states, and its energy is ``evaluate_qubo`` of
-    those bits. ``layers`` must be an integer and ``seed`` an integer >= 0
-    (neither a bool).
+    those bits. ``layers`` must be an integer >= 0 and ``seed`` an integer
+    >= 0 (neither a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
         raise ValueError(f"VQE simulation is capped at {VQE_MAX_VARS} variables, got {n}")
-    require_integer("layers", layers)
+    require_layers(layers)
     require_seed(seed)
-    if layers < 0 or restarts < 1 or passes < 1 or grid < 2 or shots < 1:
+    if restarts < 1 or passes < 1 or grid < 2 or shots < 1:
         raise ValueError("invalid VQE parameters")
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)

@@ -298,11 +298,12 @@ def test_a_k_from_the_config_file_with_an_alpha_flag_exits_two(
     assert "k = 5" in captured.err and "--alpha 0.5" in captured.err
 
 
-def test_shrink_rejects_both_k_and_alpha(triangle_file):
+@pytest.mark.parametrize("command", ["shrink", "pipeline"])
+def test_k_and_alpha_are_mutually_exclusive_flags(triangle_file, capsys, command):
     with pytest.raises(SystemExit) as excinfo:
         main(
             [
-                "shrink",
+                command,
                 "--kind",
                 "mis",
                 "--instance",
@@ -314,6 +315,7 @@ def test_shrink_rejects_both_k_and_alpha(triangle_file):
             ]
         )
     assert excinfo.value.code == 2
+    assert "argument --alpha: not allowed with argument --k" in capsys.readouterr().err
 
 
 def test_solve_exact_reports_the_known_optimum(mdkp_file, tmp_path):
@@ -632,13 +634,18 @@ def test_load_config_file_rejects_unknown_keys(tmp_path):
 
 def test_load_config_file_coercion(tmp_path):
     config = tmp_path / "ok.cfg"
-    config.write_text("use_slack = true\nk = 4\nalpha = 0.25\nname = demo\nsdp_rank = none\n")
+    config.write_text(
+        "use_slack = true\nk = 4\nalpha = 0.25\nname = demo\nsdp_rank = none\n"
+        "instance = 2024\nout = yes\n"
+    )
     assert load_config_file(config) == {
         "use_slack": True,
         "k": 4,
         "alpha": 0.25,
         "name": "demo",
         "sdp_rank": None,
+        "instance": "2024",  # a str field keeps its text: a file named 2024
+        "out": "yes",
     }
 
 
@@ -736,6 +743,82 @@ def test_bench_rejects_a_bad_shrink_setting_before_any_row(
     err = capsys.readouterr().err
     assert err.count(message) == 1
     assert "bench:" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "bench"])
+@pytest.mark.parametrize(
+    "flags, config_text, message",
+    [
+        ([], "sdp_tol = nan\n", "tol must be a finite number > 0, got nan"),
+        (["--sweeps", "0", "--backend", "exact"], "", "sweeps must be >= 1, got 0"),
+        (["--layers", "-1"], "", "layers must be >= 0, got -1"),
+        ([], "sa_sweeps = 2.5\n", "sweeps must be an integer, got 2.5"),
+        (["--penalty-multiplier", "nan"], "", "penalty multiplier must be a finite positive"),
+    ],
+    ids=["sdp-tol-on-a-run-that-keeps-every-node", "sweeps", "layers", "fractional-sweeps", "nan-P"],
+)
+def test_a_setting_the_run_never_reads_is_still_checked_before_any_stage(
+    command, flags, config_text, message, data_dir, tmp_path, capsys
+):
+    # 1tc.8 without --k keeps every node, so no SDP runs, and the exact backend
+    # reads neither sweeps nor layers
+    path = data_dir / "mis" / "1tc.8.txt"
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "out.txt"
+    where = ["--kind", "mis", "--instance", str(path)]
+    if command == "bench":
+        where = ["--instances", f"mis:{path}"]
+    assert main([command, *where, "--config", str(config), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "stage" not in captured.err and "bench:" not in captured.err
+    assert not out.exists()
+
+
+def test_shrink_checks_the_sdp_settings_of_a_graph_it_never_solves(tmp_path, triangle_file, capsys):
+    graph = tmp_path / "graph.json"
+    main(["to-maxcut", "--kind", "mis", "--instance", str(triangle_file), "--out", str(graph)])
+    config = tmp_path / "sdp.cfg"
+    config.write_text("sdp_tol = nan\n")
+    out = tmp_path / "reduced.json"
+    for k in ("4", "9"):  # the graph has 4 nodes, so nothing merges
+        args = ["shrink", "--graph", str(graph), "--k", k, "--config", str(config)]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "tol must be a finite number > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_the_config_file_sets_out_kind_and_instance_and_a_flag_still_wins(data_dir, tmp_path):
+    small, large = data_dir / "mis" / "1tc.8.txt", data_dir / "mis" / "1tc.16.txt"
+    from_file = tmp_path / "from-file.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"kind = mis\ninstance = {small}\nout = {from_file}\n")
+    assert main(["pipeline", "--config", str(config), "--timings", "zero"]) == 0
+    assert json.loads(from_file.read_text())["initial_size"] == 8
+    from_flags = tmp_path / "from-flags.json"
+    args = ["--instance", str(large), "--out", str(from_flags)]
+    assert main(["pipeline", "--config", str(config), "--timings", "zero", *args]) == 0
+    assert json.loads(from_flags.read_text())["initial_size"] == 16
+    from_file.unlink()
+    assert main(["build-qubo", "--config", str(config)]) == 0
+    assert model_from_json(from_file.read_text()).n_vars == 8
+    assert main(["build-qubo", "--config", str(config), *args]) == 0
+    assert model_from_json(from_flags.read_text()).n_vars == 16
+
+
+@pytest.mark.parametrize("flag", ["--kind", "--instance"])
+def test_bench_rejects_a_kind_or_instance_because_each_row_sets_its_own(
+    triangle_file, tmp_path, capsys, flag
+):
+    out = tmp_path / "bench.csv"
+    value = "mis" if flag == "--kind" else str(triangle_file)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--instances", f"mis:{triangle_file}", flag, value, "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert f"{flag} is not a bench option" in capsys.readouterr().err
     assert not out.exists()
 
 

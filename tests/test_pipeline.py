@@ -1,6 +1,7 @@
 """End-to-end pipeline runs, metrics, local search, and the benchmark sweep."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,26 @@ def test_pipeline_config_validation():
     for seed in (1.5, True):
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
             PipelineConfig(kind="mis", seed=seed)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"stop_mode": "k"}, "stop_mode 'k' needs a target size >= 1, got None"),
+        ({"sdp_tol": float("nan")}, "tol must be a finite number > 0, got nan"),
+        ({"sdp_rank": 1}, "rank must be at least 2, got 1"),
+        ({"sdp_max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
+        ({"sa_sweeps": 0}, "sweeps must be >= 1, got 0"),
+        ({"sa_sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
+        ({"vqe_layers": -1}, "layers must be >= 0, got -1"),
+        ({"vqe_layers": True}, "layers must be an integer, got True"),
+        ({"penalty_multiplier": float("inf")}, "penalty multiplier must be a finite positive"),
+    ],
+)
+def test_pipeline_config_checks_every_setting_at_construction(setting, message):
+    # the default run (spectral stop, exact backend) reads none of these
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(kind="mis", **setting)
 
 
 def test_report_validation():

@@ -1,5 +1,6 @@
 """Penalized QUBO builders, evaluation, and serialization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from shrinkcut import (
     recommend_penalty,
     slack_bit_count,
 )
-from shrinkcut.pipeline import load_instance
+from shrinkcut.pipeline import PipelineConfig, load_instance
 from tests.conftest import (
     DATA_DIR,
     brute_qubo_minimum,
@@ -176,6 +177,14 @@ def test_recommend_penalty_rejects_unknown_instance_type():
 def test_penalty_policy_rejects_nonpositive_multiplier():
     with pytest.raises(ValueError, match="positive"):
         PenaltyPolicy(multiplier=0.0)
+
+
+@pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf, True, "3"])
+def test_penalty_policy_rejects_a_multiplier_that_is_not_a_finite_positive_number(multiplier):
+    with pytest.raises(ValueError, match="penalty multiplier must be a finite positive number"):
+        PenaltyPolicy(multiplier=multiplier)
+    with pytest.raises(ValueError, match="penalty multiplier must be a finite positive number"):
+        PipelineConfig(kind="mis", penalty_multiplier=multiplier)
 
 
 def test_builders_reject_nonpositive_penalty(mdkp_tiny, mis_triangle, qap_pair):
