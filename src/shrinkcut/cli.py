@@ -9,9 +9,9 @@ defaults, then the file, then the flags given, the later source winning.
 Every key is honoured, ``out``, ``kind`` and ``instance`` too, and each flag
 stores under its field's name. The instance commands build
 ``PipelineConfig(**settings)``, which checks every setting before any stage
-runs, also one the run never reads; ``shrink --graph`` builds its
-ShrinkConfig from the same dict. ``--k`` and ``--alpha`` are one mutually
-exclusive group.
+runs, also one the run never reads; ``solve`` checks the same settings with
+``check_run_settings``, and ``shrink --graph`` builds its ShrinkConfig from
+the same dict with ``shrink_config``. ``--k`` and ``--alpha`` are one mutually exclusive group.
 """
 
 from __future__ import annotations
@@ -32,17 +32,19 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     build_model,
+    check_run_settings,
     load_instance,
     repair,
     report_to_json,
     run_bench,
     run_pipeline,
+    shrink_config,
     shrink_penalty,
     solver_options,
     violations,
 )
 from .qubo import json_document, model_from_json, model_to_json
-from .shrink import ShrinkConfig, merge_steps_to_jsonl, run_shrink
+from .shrink import merge_steps_to_jsonl, run_shrink
 from .solvers import solve_qubo
 
 
@@ -255,7 +257,7 @@ def _cmd_to_maxcut(settings, args, parser) -> int:
 
 
 def _cmd_shrink(settings, args, parser) -> int:
-    config = ShrinkConfig(**{f.name: settings[f.name] for f in fields(ShrinkConfig)})
+    config = shrink_config(settings, settings["seed"])
     penalty = summaries = None
     if args.graph:
         graph = graph_from_json(Path(args.graph).read_text())
@@ -273,6 +275,7 @@ def _cmd_shrink(settings, args, parser) -> int:
 
 
 def _cmd_solve(settings, args, parser) -> int:
+    check_run_settings(settings)  # every setting, as a pipeline run checks it
     model = model_from_json(Path(args.model).read_text())
     backend = settings["backend"]
     options = solver_options(backend, settings["sa_sweeps"], settings["vqe_layers"])

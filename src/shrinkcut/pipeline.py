@@ -17,9 +17,10 @@ import io
 import json
 import operator
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -108,16 +109,27 @@ class PipelineConfig:
         """Check every setting, also those this run never reads, through the code that owns it."""
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.penalty_multiplier is not None:
-            PenaltyPolicy(multiplier=self.penalty_multiplier)
-        _shrink_config(self, self.seed)
-        if self.backend not in ("exact", "sa", "vqe"):
-            raise ValueError(f"backend must be exact/sa/vqe, got {self.backend!r}")
-        if self.sa_sweeps is not None:
-            require_sweeps(self.sa_sweeps)
-        require_layers(self.vqe_layers)
-        if self.timings not in ("wall", "zero"):
-            raise ValueError(f"timings must be 'wall' or 'zero', got {self.timings!r}")
+        check_run_settings(vars(self))
+
+
+def check_run_settings(settings: Mapping[str, Any]) -> None:
+    """Check every setting that does not hang on the problem kind, through the code that owns it.
+
+    ``settings`` maps PipelineConfig's field names to values. The penalty
+    multiplier goes through PenaltyPolicy; the shrink knobs and the seed
+    through ShrinkConfig (whose seed check is ``require_seed``); the sweep
+    and layer counts through ``require_sweeps`` and ``require_layers``.
+    """
+    if settings["penalty_multiplier"] is not None:
+        PenaltyPolicy(multiplier=settings["penalty_multiplier"])
+    shrink_config(settings, settings["seed"])
+    if settings["backend"] not in ("exact", "sa", "vqe"):
+        raise ValueError(f"backend must be exact/sa/vqe, got {settings['backend']!r}")
+    if settings["sa_sweeps"] is not None:
+        require_sweeps(settings["sa_sweeps"])
+    require_layers(settings["vqe_layers"])
+    if settings["timings"] not in ("wall", "zero"):
+        raise ValueError(f"timings must be 'wall' or 'zero', got {settings['timings']!r}")
 
 
 @dataclass(frozen=True)
@@ -415,8 +427,9 @@ def shrink_penalty(inst, model) -> tuple[Callable, list]:
     return make_penalty(inst), penalty_summaries(inst, node_tags)
 
 
-def _shrink_config(config: PipelineConfig, seed: int) -> ShrinkConfig:
-    shared = {f.name: getattr(config, f.name) for f in fields(ShrinkConfig) if f.name != "seed"}
+def shrink_config(settings: Mapping[str, Any], seed: int) -> ShrinkConfig:
+    """The ShrinkConfig of ``settings`` (PipelineConfig's field names to values), seeded with ``seed``."""
+    shared = {f.name: settings[f.name] for f in fields(ShrinkConfig) if f.name != "seed"}
     return ShrinkConfig(**shared, seed=seed)
 
 
@@ -463,7 +476,7 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
             penalty, summaries = shrink_penalty(inst, model)
 
         stage = "shrink"
-        shrink_result = run_shrink(graph, _shrink_config(config, shrink_seed), penalty, summaries)
+        shrink_result = run_shrink(graph, shrink_config(vars(config), shrink_seed), penalty, summaries)
         timings["correlation"] = shrink_result.stats.sdp_seconds
         timings["shrinking"] = max(
             0.0, shrink_result.stats.shrink_seconds - shrink_result.stats.sdp_seconds

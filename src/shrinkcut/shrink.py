@@ -21,7 +21,11 @@ E[b] becomes the size-weighted mean of the two sign-adjusted rows, so E[a, b]
 stays the mean sign-adjusted correlation over all node pairs of a and b; V[b]
 becomes the unit vector along |b| v_b + sigma |a| v_a (or stays v_b if that
 sum vanishes); b's summary combines with a's; a's nodes take b as their
-representative, their signs times sigma. Row a is then dropped everywhere. A
+representative, their signs times sigma. Row a is then dropped everywhere:
+W and E are copied once, with ``take`` over every other row and then every
+other column, and V, the sizes and the ids with one ``take`` each. No other
+index is built per merge: both rows come from one ``searchsorted``, and
+the merge scores read E through a slice of one cached strict-upper mask. A
 re-solve starts from V and replaces E with the SDP correlations of the graph
 W (whose node order is those same ids); only the first solve starts from
 seeded random vectors.
@@ -48,6 +52,26 @@ PenaltyFn = Callable[[Any, Any], float]  # Pi on two supernode summaries
 NodeSummaries = tuple[list, Callable[[Any, Any], Any]]  # summary by node id, combine rule
 
 _TIE_WINDOW = 1e-12  # merge scores this close to the best tie with it
+
+_upper = np.zeros((0, 0), dtype=bool)  # ~np.tri of the largest size seen so far
+_upper.flags.writeable = False
+
+
+def _upper_mask(size: int) -> np.ndarray:
+    """The strict-upper-triangle mask of a size x size matrix, as a read-only view.
+
+    One mask is cached, that of the largest size seen (n^2 bytes); smaller
+    sizes slice its top-left corner, which is their own ``~np.tri``. The
+    slice is taken from the mask read or built here, so a caller in another
+    thread that swaps the cache meanwhile cannot shrink it.
+    """
+    global _upper
+    mask = _upper
+    if len(mask) < size:
+        mask = ~np.tri(size, dtype=bool)
+        mask.flags.writeable = False
+        _upper = mask
+    return mask[:size, :size]
 
 
 @dataclass(frozen=True)
@@ -199,10 +223,15 @@ class WorkingGraph:
 
     def position(self, i: int) -> int:
         """Row of node ``i`` in ``weights``."""
-        t = int(np.searchsorted(self.ids, i))
-        if t == len(self.ids) or self.ids[t] != i:
-            raise ValueError(f"node {i} not in graph")
-        return t
+        return self.rows(i)[0]
+
+    def rows(self, *nodes: int) -> list[int]:
+        """Rows of ``nodes`` in ``weights``, found with one ``searchsorted``."""
+        rows = self.ids.searchsorted(nodes).tolist()
+        for t, node in zip(rows, nodes):
+            if t == len(self.ids) or self.ids[t] != node:
+                raise ValueError(f"node {node} not in graph")
+        return rows
 
     def contract(self, i: int, j: int, sigma: int) -> float:
         """Absorb node i into node j with spin(i) = sigma * spin(j), folding all the state.
@@ -214,11 +243,14 @@ class WorkingGraph:
         unit vector along n_b V[b] + sigma n_a V[a], or stays if that sum's
         norm is below 1e-12; b's size grows by n_a and its summary is
         combine(b's, a's). i's original nodes take j as their representative,
-        their signs times sigma. Row and column a are then dropped. The
-        constant (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset
-        so original and reduced energies coincide. Returns that constant.
+        their signs times sigma. Row and column a are then dropped: a and b
+        come from one ``searchsorted`` over the ids, and W, E, V, the sizes
+        and the ids are compacted with ``take`` over one index of every row
+        but a (W and E along rows, then columns). The constant
+        (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset so
+        original and reduced energies coincide. Returns that constant.
         """
-        a, b = self.position(i), self.position(j)
+        a, b = self.rows(i, j)
         if i == j:
             raise ValueError(f"cannot contract node {i} into itself")
         if sigma not in (1, -1):
@@ -229,21 +261,22 @@ class WorkingGraph:
         row = W[b] + sigma * W[a]
         row[b] = 0.0
         W[b] = W[:, b] = row
-        keep = self.ids != i
-        self.weights, self.ids = W[np.ix_(keep, keep)], self.ids[keep]
+        keep = np.arange(len(self.ids) - 1)
+        keep[a:] += 1  # every row but a, in order
+        self.weights, self.ids = W.take(keep, 0).take(keep, 1), self.ids.take(keep)
         n_a, n_b = self.sizes[a], self.sizes[b]
         if self.correlations is not None:
             E = self.correlations
             E[b] = E[:, b] = (n_b * E[b] + sigma * n_a * E[a]) / (n_a + n_b)
-            self.correlations = E[np.ix_(keep, keep)]
+            self.correlations = E.take(keep, 0).take(keep, 1)
         if self.vectors is not None:
             folded = n_b * self.vectors[b] + sigma * n_a * self.vectors[a]
             norm = np.linalg.norm(folded)
-            self.vectors = self.vectors[keep]
+            self.vectors = self.vectors.take(keep, 0)
             if norm >= 1e-12:
                 self.vectors[b - (a < b)] = folded / norm
         self.sizes[b] += n_a
-        self.sizes = self.sizes[keep]
+        self.sizes = self.sizes.take(keep)
         if self.summaries is not None:
             self.summaries[b] = self.combine(self.summaries[b], self.summaries[a])
             del self.summaries[a]
@@ -288,6 +321,9 @@ def select_merge(
     correlations (a BLAS kernel's summation order, say) cannot pick the
     merge; ties are broken uniformly at random with ``rng`` among the tied
     pairs in ascending (a, b) order.
+
+    The pairs' correlations are read through a slice of one cached
+    read-only strict-upper mask.
     """
     size = len(supernodes)
     if size < 2:
@@ -296,7 +332,7 @@ def select_merge(
         raise ValueError(f"need one correlation row per supernode, got shape {correlations.shape}")
     if penalty is not None and (summaries is None or len(summaries) != size):
         raise ValueError("a penalty needs one summary per supernode")
-    corr = correlations[~np.tri(size, dtype=bool)]  # the pairs row < col, row-major
+    corr = correlations[_upper_mask(size)]  # the pairs row < col, row-major
     pi = 0.0
     if penalty is not None:  # combinations yields the pairs in the same order
         pairs = combinations(summaries, 2)
@@ -421,8 +457,9 @@ def run_shrink(
             protected=protected,
         )
         if config.recalc == "local":  # the neighbours of either row, read before the merge
-            rows = working.weights[[working.position(absorbed), working.position(survivor)]]
-            affected = set(working.ids[rows.any(axis=0)].tolist()) - {absorbed, survivor}
+            a, b = working.rows(absorbed, survivor)
+            W = working.weights
+            affected = set(working.ids[(W[a] != 0) | (W[b] != 0)].tolist()) - {absorbed, survivor}
         working.contract(absorbed, survivor, sigma)
         steps.append(MergeStep(order=len(steps) + 1, i=absorbed, j=survivor, sigma=sigma))
         merges_since_solve += 1
@@ -439,7 +476,7 @@ def run_shrink(
             drift = abs(working.edge_count - edges_at_solve)
             due = drift != 0 if edges_at_solve == 0 else drift / edges_at_solve > config.delta
         else:  # tau
-            upper = working.correlations[~np.tri(working.n_nodes, dtype=bool)]
+            upper = working.correlations[_upper_mask(working.n_nodes)]
             due = np.abs(upper).max() < config.tau
         if due:
             solve_correlations()

@@ -458,6 +458,33 @@ def test_solve_on_the_exact_backend_with_a_negative_seed_exits_two(data_dir, tmp
     assert "seed must be >= 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, config_text, message",
+    [
+        (["--backend", "exact", "--sweeps", "0", "--layers", "-5"], None, "sweeps must be >= 1, got 0"),
+        ([], "sdp_tol = nan\nalpha = 7\n", "alpha must lie in [0, 1], got 7"),
+    ],
+)
+def test_solve_checks_every_setting_as_a_pipeline_run_does(
+    flags, config_text, message, data_dir, tmp_path, capsys
+):
+    """Settings the chosen backend never reads exit 2 with the message a pipeline run gives."""
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    model_path = tmp_path / "model.json"
+    assert main(["build-qubo", *instance, "--out", str(model_path)]) == 0
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text)
+        flags = ["--config", str(config)]
+    capsys.readouterr()
+    assert main(["pipeline", *instance, *flags]) == 2
+    from_pipeline = capsys.readouterr()
+    assert main(["solve", "--model", str(model_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == from_pipeline.out == ""
+    assert captured.err == from_pipeline.err and message in captured.err
+
+
 @pytest.mark.parametrize("command", ["shrink", "pipeline"])
 @pytest.mark.parametrize(
     "setting, message",

@@ -35,7 +35,7 @@ from shrinkcut import (
     run_pipeline,
     run_shrink,
 )
-from shrinkcut.pipeline import _shrink_config
+from shrinkcut.pipeline import shrink_config
 from tests.conftest import every_bitstring, random_mis
 
 PHASE_ZEROS = {
@@ -261,7 +261,7 @@ def test_run_pipeline_is_deterministic_feasible_and_lifts_exactly(case):
     if config.constraint_aware:
         penalty, summaries = make_penalty(inst), penalty_summaries(inst, tags)
     result = run_shrink(
-        graph, _shrink_config(config, config.seed), penalty=penalty, summaries=summaries
+        graph, shrink_config(vars(config), config.seed), penalty=penalty, summaries=summaries
     )
     if result.graph.n_nodes > 10:
         return

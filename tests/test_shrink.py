@@ -11,19 +11,25 @@ from shrinkcut import (
     MaxCutGraph,
     MdkpInstance,
     MergeStep,
+    PipelineConfig,
     ShrinkConfig,
     WorkingGraph,
+    build_model,
+    load_instance,
     local_correlation_update,
     make_penalty,
     merge_score,
     merge_steps_from_jsonl,
     merge_steps_to_jsonl,
     penalty_summaries,
+    qubo_to_maxcut,
     run_shrink,
     select_merge,
     solve_maxcut_sdp,
 )
-from tests.conftest import maxcut_graph, random_graph
+from shrinkcut import shrink as shrink_module
+from shrinkcut.pipeline import shrink_penalty
+from tests.conftest import DATA_DIR, maxcut_graph, random_graph, tc64
 
 
 def demo_graph() -> MaxCutGraph:
@@ -255,6 +261,67 @@ def test_select_merge_a_score_gap_of_1e_9_is_not_a_tie():
     for seed in range(20):
         got = select_merge(supernodes, X, rng=np.random.default_rng(seed), protected=frozenset())
         assert got[:2] == (1, 2)
+
+
+@pytest.fixture
+def empty_mask_cache(monkeypatch):
+    """Empties the cached strict-upper mask (and again on each call); the test's end restores it."""
+
+    def empty():
+        mask = np.zeros((0, 0), dtype=bool)
+        mask.flags.writeable = False
+        monkeypatch.setattr(shrink_module, "_upper", mask)
+
+    empty()
+    return empty
+
+
+def test_the_cached_upper_mask_is_read_only_and_slices_to_each_size(empty_mask_cache):
+    for size in (5, 3, 9, 1, 9, 2):
+        mask = shrink_module._upper_mask(size)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, ~np.tri(size, dtype=bool))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, -1] = False
+    assert not shrink_module._upper.flags.writeable and len(shrink_module._upper) == 9
+
+
+def _tc_shrink(inst, k):
+    model = build_model(inst, PipelineConfig(kind="mis"))
+    penalty, summaries = shrink_penalty(inst, model)
+    config = ShrinkConfig(stop_mode="k", k=k, recalc="fixed", seed=1)
+    return run_shrink(qubo_to_maxcut(model), config, penalty, summaries).steps
+
+
+def test_select_merge_answers_the_same_whichever_size_grows_the_cached_mask(empty_mask_cache):
+    """A 1tc.64 and a 1tc.8 shrink log the same merges run alone or in either order."""
+    small, large = load_instance("mis", DATA_DIR / "mis" / "1tc.8.txt"), tc64()
+
+    def shrinks(*cases):
+        empty_mask_cache()
+        return [_tc_shrink(inst, k) for inst, k in cases]
+
+    alone = shrinks((small, 5)) + shrinks((large, 33))
+    assert len(alone[0]) == 4 and len(alone[1]) == 32
+    assert shrinks((small, 5), (large, 33)) == alone
+    assert shrinks((large, 33), (small, 5)) == alone[::-1]
+
+
+@pytest.mark.parametrize("recalc", ["fixed", "local"])
+def test_run_shrink_calls_the_penalty_once_per_pair_at_every_selection(recalc):
+    """The benchmark counts one penalty call per scored pair over a whole shrink."""
+    calls = []
+
+    def counting(s_a, s_b):
+        calls.append((s_a, s_b))
+        return 0.0
+
+    graph = random_graph(np.random.default_rng(4), 9)
+    config = ShrinkConfig(stop_mode="k", k=3, recalc=recalc, r=2)
+    run_shrink(graph, config, penalty=counting, summaries=(list(range(9)), operator.add))
+    assert len(calls) == sum(size * (size - 1) // 2 for size in range(4, 10))
+    # the first selection scores the nine original nodes' summaries in pair order
+    assert calls[:36] == list(itertools.combinations(range(9), 2))
 
 
 def test_select_merge_penalty_steers_away_from_constraint_mixing():
