@@ -15,7 +15,6 @@ from .instances import (
     serialize_qaplib,
 )
 from .qubo import (
-    PenaltyPolicy,
     QuboModel,
     build_mdkp_qubo,
     build_mis_qubo,

@@ -9,9 +9,11 @@ defaults, then the file, then the flags given, the later source winning.
 Every key is honoured, ``out``, ``kind`` and ``instance`` too, and each flag
 stores under its field's name. The instance commands build
 ``PipelineConfig(**settings)``, which checks every setting before any stage
-runs, also one the run never reads; ``solve`` checks the same settings with
-``check_run_settings``, and ``shrink --graph`` builds its ShrinkConfig from
-the same dict with ``shrink_config``. ``--k`` and ``--alpha`` are one mutually exclusive group.
+runs, also one the run never reads, each with the shared integer, number,
+choice or on/off check of ``qubo``; ``solve`` and ``shrink`` check the same
+settings with ``check_run_settings``, and ``shrink --graph`` builds its
+ShrinkConfig from the same dict with ``shrink_config``. ``--k`` and
+``--alpha`` are one mutually exclusive group.
 """
 
 from __future__ import annotations
@@ -257,6 +259,7 @@ def _cmd_to_maxcut(settings, args, parser) -> int:
 
 
 def _cmd_shrink(settings, args, parser) -> int:
+    check_run_settings(settings)  # every setting, also on a graph that needs no instance
     config = shrink_config(settings, settings["seed"])
     penalty = summaries = None
     if args.graph:

@@ -35,10 +35,11 @@ from .instances import (
     parse_qaplib,
 )
 from .maxcut import graph_to_qubo, qubo_to_maxcut
-from .qubo import PenaltyPolicy, build_mdkp_qubo, build_mis_qubo, build_qap_qubo
+from .qubo import build_mdkp_qubo, build_mis_qubo, build_qap_qubo
+from .qubo import require_choice, require_integer, require_number, require_switch
 from .reconstruct import decode_solution, lift_solution
 from .shrink import ShrinkConfig, run_shrink
-from .solvers import require_layers, require_sweeps, solve_qubo
+from .solvers import solve_qubo
 
 STRATEGIES = ("2/3", "1/2", "adaptive")
 PHASES = ("correlation", "shrinking", "solving", "repair", "local_search")
@@ -107,29 +108,30 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         """Check every setting, also those this run never reads, through the code that owns it."""
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        require_choice("kind", self.kind, KINDS)
         check_run_settings(vars(self))
 
 
 def check_run_settings(settings: Mapping[str, Any]) -> None:
-    """Check every setting that does not hang on the problem kind, through the code that owns it.
+    """Check every setting that does not hang on the problem kind.
 
-    ``settings`` maps PipelineConfig's field names to values. The penalty
-    multiplier goes through PenaltyPolicy; the shrink knobs and the seed
-    through ShrinkConfig (whose seed check is ``require_seed``); the sweep
-    and layer counts through ``require_sweeps`` and ``require_layers``.
+    ``settings`` maps PipelineConfig's field names to values. The shrink
+    knobs and the seed go through ShrinkConfig, the rest through the shared
+    checks of ``qubo``; ``instance``, ``name`` and ``out`` are None or text.
     """
+    for key in ("instance", "name", "out"):
+        if settings[key] is not None and not isinstance(settings[key], str):
+            raise ValueError(f"{key} must be a string, got {settings[key]!r}")
     if settings["penalty_multiplier"] is not None:
-        PenaltyPolicy(multiplier=settings["penalty_multiplier"])
+        require_number("penalty_multiplier", settings["penalty_multiplier"], 0, strict=True)
+    for key in ("use_slack", "constraint_aware", "do_repair", "local_search"):
+        require_switch(key, settings[key])
     shrink_config(settings, settings["seed"])
-    if settings["backend"] not in ("exact", "sa", "vqe"):
-        raise ValueError(f"backend must be exact/sa/vqe, got {settings['backend']!r}")
+    require_choice("backend", settings["backend"], ("exact", "sa", "vqe"))
     if settings["sa_sweeps"] is not None:
-        require_sweeps(settings["sa_sweeps"])
-    require_layers(settings["vqe_layers"])
-    if settings["timings"] not in ("wall", "zero"):
-        raise ValueError(f"timings must be 'wall' or 'zero', got {settings['timings']!r}")
+        require_integer("sa_sweeps", settings["sa_sweeps"], low=1)
+    require_integer("vqe_layers", settings["vqe_layers"], low=0)
+    require_choice("timings", settings["timings"], ("wall", "zero"))
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,12 @@ def optimality_gap(best: float, obtained: float, sense: str = "max") -> float:
     Maximization problems use (best - obtained)/best, minimization problems
     (obtained - best)/best.
     """
+    require_choice("sense", sense, ("max", "min"))
     if best == 0:
         raise ValueError("optimality gap is undefined for best = 0")
     if sense == "max":
         return (best - obtained) / best * 100.0
-    if sense == "min":
-        return (obtained - best) / best * 100.0
-    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    return (obtained - best) / best * 100.0
 
 
 def rsq(best: float, obtained: float) -> float:
@@ -363,9 +364,10 @@ def make_penalty(inst) -> Callable[[object, object], float]:
     return problem_of(inst).penalty
 
 
-def recommend_penalty(inst, policy: PenaltyPolicy) -> float:
-    """Penalty strength P for an instance: ``policy.multiplier`` times its kind's ``scale``."""
-    return policy.multiplier * problem_of(inst).scale(inst)
+def recommend_penalty(inst, multiplier: float) -> float:
+    """Penalty strength P: ``multiplier`` (a finite number > 0) times the kind's ``scale``."""
+    require_number("penalty_multiplier", multiplier, 0, strict=True)
+    return multiplier * problem_of(inst).scale(inst)
 
 
 def objective_value(inst, solution) -> float:
@@ -397,9 +399,8 @@ def load_instance(kind: str, path: str | Path):
     """Parse an instance file, attaching a best-known value from an optima.txt sidecar."""
     path = Path(path)
     text = path.read_text()
-    problem = next((p for p in PROBLEMS.values() if p.kind == kind), None)
-    if problem is None:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    require_choice("kind", kind, KINDS)
+    problem = next(p for p in PROBLEMS.values() if p.kind == kind)
     inst = problem.parse(text)
     sidecar = path.parent / "optima.txt"
     if inst.known_optimum is None and sidecar.exists():
@@ -410,14 +411,14 @@ def load_instance(kind: str, path: str | Path):
 
 
 def build_model(inst, config: PipelineConfig):
-    """Instance -> penalized QUBO under the config's penalty policy; ``config.kind`` must match."""
+    """Instance -> penalized QUBO under the config's penalty multiplier; ``config.kind`` must match."""
     problem = problem_of(inst)
     if config.kind != problem.kind:
         raise ValueError(f"config kind {config.kind!r} does not match a {problem.kind!r} instance")
     multiplier = config.penalty_multiplier
     if multiplier is None:
         multiplier = problem.multiplier
-    P = recommend_penalty(inst, PenaltyPolicy(multiplier=multiplier))
+    P = recommend_penalty(inst, multiplier)
     return problem.build(inst, P, config.use_slack)
 
 

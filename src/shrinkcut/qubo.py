@@ -84,18 +84,6 @@ def nonzero_terms(upper: np.ndarray) -> Mapping[tuple[int, int], float]:
     return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), upper[rows, cols].tolist())))
 
 
-@dataclass(frozen=True)
-class PenaltyPolicy:
-    """Penalty strength policy: P is lambda_pen times a problem-derived scale."""
-
-    multiplier: float = 10.0
-
-    def __post_init__(self) -> None:
-        m = self.multiplier
-        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not 0 < m < math.inf:
-            raise ValueError(f"penalty multiplier must be a finite positive number, got {m!r}")
-
-
 def slack_bit_count(capacity: float) -> int:
     """Number of slack bits for one capacity row: floor(log2(C + 1))."""
     return int(math.floor(math.log2(capacity + 1)))
@@ -231,17 +219,45 @@ def json_index(value, what: str) -> int:
     return value
 
 
-def require_integer(name: str, value) -> None:
-    """ValueError unless ``value`` is an integer (numpy's too), not a bool."""
+# The setting checks: every user-set value goes through one of these four, so a
+# value of the wrong type fails with a ValueError, as one out of range does.
+
+
+def require_integer(name: str, value, low: int | None = None) -> None:
+    """ValueError unless ``value`` is an integer (numpy's too, never a bool) >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def require_seed(seed) -> None:
-    """ValueError unless ``seed`` is an integer >= 0 (numpy's too), not a bool."""
-    require_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def require_number(
+    name: str, value, low: float, high: float = math.inf, strict: bool = False
+) -> None:
+    """ValueError unless ``value`` is a finite real number (never a bool) in [low, high].
+
+    ``strict`` excludes ``low`` itself; a finite ``high`` words the message
+    "must lie in [low, high]", an infinite one "must be a finite number >= low".
+    """
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if real and (low < value if strict else low <= value) and value <= high and value < math.inf:
+        return  # NaN fails each comparison; a huge int is compared, never converted
+    if high < math.inf:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    relation = ">" if strict else ">="
+    raise ValueError(f"{name} must be a finite number {relation} {low}, got {value!r}")
+
+
+def require_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """ValueError unless ``value`` is one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+
+
+def require_switch(name: str, value) -> None:
+    """ValueError unless ``value`` is a bool (numpy's too): an on/off setting."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def pairs_from_json(rows, n: int, what: str) -> np.ndarray:

@@ -40,14 +40,13 @@ graphs, and 1tc.8, take the node loop.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
-from math import ceil, inf, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
 from .maxcut import MaxCutGraph
-from .qubo import require_integer
+from .qubo import require_integer, require_number
 
 _GRADIENT_FLOOR = 1e-12
 
@@ -116,18 +115,17 @@ def class_sweep_order(weights: np.ndarray) -> list[np.ndarray] | None:
     return colour_classes(weights, limit=active // 3) or None
 
 
-def require_sdp_limits(rank: int | None, tol: float, max_sweeps: int) -> None:
+def require_sdp_limits(rank: int | None, tol: float, max_sweeps: int, prefix: str = "") -> None:
     """ValueError unless ``rank`` is None or an integer >= 2, ``max_sweeps`` an
-    integer >= 1 (neither a bool) and ``tol`` a finite number > 0."""
+    integer >= 1 (neither a bool) and ``tol`` a finite number > 0.
+
+    ``require_integer`` and ``require_number`` word the messages, naming each
+    setting with ``prefix`` in front ("sdp_" for the shrink settings).
+    """
     if rank is not None:
-        require_integer("rank", rank)
-        if rank < 2:
-            raise ValueError(f"rank must be at least 2, got {rank}")
-    require_integer("max_sweeps", max_sweeps)
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < inf:
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+        require_integer(prefix + "rank", rank, low=2)
+    require_integer(prefix + "max_sweeps", max_sweeps, low=1)
+    require_number(prefix + "tol", tol, 0, strict=True)
 
 
 def solve_maxcut_sdp(

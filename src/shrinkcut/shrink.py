@@ -34,17 +34,15 @@ seeded random vectors.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import dataclass
 from itertools import combinations, starmap
-from math import inf
 from typing import Any, Callable
 
 import numpy as np
 
 from .maxcut import MaxCutGraph
-from .qubo import json_document, require_integer, require_seed
+from .qubo import json_document, require_choice, require_integer, require_number, require_switch
 from .sdp import extract_correlations, require_sdp_limits, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
@@ -116,31 +114,22 @@ class ShrinkConfig:
     sdp_max_sweeps: int = 1000
 
     def __post_init__(self) -> None:
-        if self.stop_mode not in ("k", "spectral"):
-            raise ValueError(f"stop_mode must be 'k' or 'spectral', got {self.stop_mode!r}")
-        if self.stop_mode == "k":
-            if self.k is None or self.k < 1:
-                raise ValueError(f"stop_mode 'k' needs a target size >= 1, got {self.k}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.energy_order not in ("ascending", "descending"):
-            raise ValueError(f"energy_order must be 'ascending' or 'descending', got {self.energy_order!r}")
-        if self.weight_mode not in ("absolute", "raw"):
-            raise ValueError(f"weight_mode must be 'absolute' or 'raw', got {self.weight_mode!r}")
-        lam, delta = self.lam, self.delta
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < inf:
-            raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
-        if self.recalc not in ("fixed", "delta", "tau", "local"):
-            raise ValueError(f"recalc must be one of fixed/delta/tau/local, got {self.recalc!r}")
-        require_integer("r", self.r)
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < inf:
-            raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        require_seed(self.seed)
-        require_sdp_limits(self.sdp_rank, self.sdp_tol, self.sdp_max_sweeps)
+        require_choice("stop_mode", self.stop_mode, ("k", "spectral"))
+        if self.k is not None:
+            require_integer("k", self.k, low=1)
+        elif self.stop_mode == "k":
+            raise ValueError("stop_mode 'k' needs a target size >= 1, got None")
+        require_number("alpha", self.alpha, 0, 1)
+        require_choice("energy_order", self.energy_order, ("ascending", "descending"))
+        require_choice("weight_mode", self.weight_mode, ("absolute", "raw"))
+        require_number("lam", self.lam, 0)
+        require_choice("recalc", self.recalc, ("fixed", "delta", "tau", "local"))
+        require_integer("r", self.r, low=1)
+        require_number("delta", self.delta, 0, strict=True)
+        require_number("tau", self.tau, 0, 1)
+        require_integer("seed", self.seed, low=0)
+        require_switch("reference_protected", self.reference_protected)
+        require_sdp_limits(self.sdp_rank, self.sdp_tol, self.sdp_max_sweeps, prefix="sdp_")
 
 
 @dataclass(frozen=True)
@@ -246,7 +235,9 @@ class WorkingGraph:
         their signs times sigma. Row and column a are then dropped: a and b
         come from one ``searchsorted`` over the ids, and W, E, V, the sizes
         and the ids are compacted with ``take`` over one index of every row
-        but a (W and E along rows, then columns). The constant
+        but a (W and E along rows, then columns). The folded rows are
+        written into those compacted copies, so the arrays the state held
+        before (the caller's W, E and V) are never written. The constant
         (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset so
         original and reduced energies coincide. Returns that constant.
         """
@@ -260,21 +251,23 @@ class WorkingGraph:
         self.offset -= constant
         row = W[b] + sigma * W[a]
         row[b] = 0.0
-        W[b] = W[:, b] = row
         keep = np.arange(len(self.ids) - 1)
         keep[a:] += 1  # every row but a, in order
+        t = b - (a < b)  # b's row once a is dropped
         self.weights, self.ids = W.take(keep, 0).take(keep, 1), self.ids.take(keep)
+        self.weights[t] = self.weights[:, t] = row.take(keep)
         n_a, n_b = self.sizes[a], self.sizes[b]
         if self.correlations is not None:
             E = self.correlations
-            E[b] = E[:, b] = (n_b * E[b] + sigma * n_a * E[a]) / (n_a + n_b)
+            folded = (n_b * E[b] + sigma * n_a * E[a]) / (n_a + n_b)
             self.correlations = E.take(keep, 0).take(keep, 1)
+            self.correlations[t] = self.correlations[:, t] = folded.take(keep)
         if self.vectors is not None:
             folded = n_b * self.vectors[b] + sigma * n_a * self.vectors[a]
             norm = np.linalg.norm(folded)
             self.vectors = self.vectors.take(keep, 0)
             if norm >= 1e-12:
-                self.vectors[b - (a < b)] = folded / norm
+                self.vectors[t] = folded / norm
         self.sizes[b] += n_a
         self.sizes = self.sizes.take(keep)
         if self.summaries is not None:
@@ -349,16 +342,16 @@ def select_merge(
     return (b, a, sigma) if a in protected else (a, b, sigma)
 
 
-def local_correlation_update(working: WorkingGraph, survivor: int, affected: set[int]) -> None:
+def local_correlation_update(working: WorkingGraph, survivor_row: int, affected_rows) -> None:
     """Rescale ``working.correlations`` around a fresh merge without re-solving the SDP.
 
-    For each affected neighbor supernode k, the entries E[survivor, k] and
-    E[k, survivor] become w(survivor, k) / sqrt(d_survivor * d_k) with
-    absolute weighted degrees after the merge (0 when a degree vanishes).
-    Entries not touching the survivor are left exactly as they were.
+    ``survivor_row`` is the survivor's row s and ``affected_rows`` the rows
+    k of its affected neighbours (s not among them), both after the merge.
+    Each E[s, k] and E[k, s] becomes w(s, k) / sqrt(d_s * d_k) with absolute
+    weighted degrees (0 when a degree vanishes). Entries not touching s are
+    left exactly as they were.
     """
-    s = working.position(survivor)
-    ks = np.searchsorted(working.ids, sorted(set(affected) - {survivor}))
+    s, ks = survivor_row, affected_rows
     degrees = np.abs(working.weights).sum(axis=1)
     scale = np.sqrt(degrees[s] * degrees[ks])
     nonzero = (degrees[s] > 0.0) & (degrees[ks] > 0.0)
@@ -458,8 +451,11 @@ def run_shrink(
         )
         if config.recalc == "local":  # the neighbours of either row, read before the merge
             a, b = working.rows(absorbed, survivor)
-            W = working.weights
-            affected = set(working.ids[(W[a] != 0) | (W[b] != 0)].tolist()) - {absorbed, survivor}
+            touched = (working.weights[a] != 0) | (working.weights[b] != 0)
+            touched[[a, b]] = False
+            affected = np.flatnonzero(touched)
+            affected -= affected > a  # the rows once a is dropped
+            survivor_row = b - (a < b)
         working.contract(absorbed, survivor, sigma)
         steps.append(MergeStep(order=len(steps) + 1, i=absorbed, j=survivor, sigma=sigma))
         merges_since_solve += 1
@@ -468,7 +464,7 @@ def run_shrink(
             break
 
         if config.recalc == "local":
-            local_correlation_update(working, survivor, affected)
+            local_correlation_update(working, survivor_row, affected)
             continue
         if config.recalc == "fixed":
             due = merges_since_solve >= config.r

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer, require_seed
+from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer
 
 EXACT_MAX_VARS = 24
 VQE_MAX_VARS = 16
@@ -108,8 +108,7 @@ def solve_exact(model: QuboModel, chunk: int = 1 << 16) -> Solution:
         raise ValueError(
             f"exact enumeration is capped at {EXACT_MAX_VARS} variables, got {n}"
         )
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    require_integer("chunk", chunk, low=1)
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
     best_energy = np.inf
@@ -160,20 +159,6 @@ def _first_live_sweep(costs: np.ndarray, limits: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def require_sweeps(sweeps) -> None:
-    """ValueError unless ``sweeps`` is an integer >= 1 (numpy's too), not a bool."""
-    require_integer("sweeps", sweeps)
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-
-
-def require_layers(layers) -> None:
-    """ValueError unless ``layers`` is an integer >= 0 (numpy's too), not a bool."""
-    require_integer("layers", layers)
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
-
-
 def solve_sa(
     model: QuboModel,
     seed: int = 0,
@@ -221,9 +206,9 @@ def solve_sa(
     before anything else, also for a model without variables.
     """
     n = model.n_vars
-    require_seed(seed)
+    require_integer("seed", seed, low=0)
     if sweeps is not None:
-        require_sweeps(sweeps)
+        require_integer("sweeps", sweeps, low=1)
     scale = coefficient_scale(model)
     if t_start is None:
         t_start = scale
@@ -349,16 +334,18 @@ def solve_vqe_sim(
     coordinate search over a fixed angle grid against the exact expected
     energy; the returned solution is the best of the ``shots``
     highest-probability basis states, and its energy is ``evaluate_qubo`` of
-    those bits. ``layers`` must be an integer >= 0 and ``seed`` an integer
-    >= 0 (neither a bool).
+    those bits. ``layers`` and ``seed`` must be integers >= 0, ``restarts``,
+    ``passes`` and ``shots`` integers >= 1 and ``grid`` an integer >= 2 (none
+    a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
         raise ValueError(f"VQE simulation is capped at {VQE_MAX_VARS} variables, got {n}")
-    require_layers(layers)
-    require_seed(seed)
-    if restarts < 1 or passes < 1 or grid < 2 or shots < 1:
-        raise ValueError("invalid VQE parameters")
+    require_integer("layers", layers, low=0)
+    for name, value in (("restarts", restarts), ("passes", passes), ("shots", shots)):
+        require_integer(name, value, low=1)
+    require_integer("grid", grid, low=2)
+    require_integer("seed", seed, low=0)
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
 
@@ -417,7 +404,7 @@ def solve_vqe_sim(
 
 def solve_qubo(model: QuboModel, backend: str = "exact", seed: int = 0, **options) -> Solution:
     """Dispatch to a backend by name ("exact", "sa", or "vqe"); every backend's seed is checked."""
-    require_seed(seed)
+    require_integer("seed", seed, low=0)
     if backend == "exact":
         return solve_exact(model, **options)
     if backend == "sa":

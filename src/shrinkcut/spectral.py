@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxcut import MaxCutGraph
+from .qubo import require_choice, require_number
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class Spectrum:
 
 def laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> np.ndarray:
     """L = diag(A 1) - A where A uses |w| ("absolute", default) or w ("raw")."""
-    if weight_mode not in ("absolute", "raw"):
-        raise ValueError(f"weight_mode must be 'absolute' or 'raw', got {weight_mode!r}")
+    require_choice("weight_mode", weight_mode, ("absolute", "raw"))
     A = np.abs(graph.weights) if weight_mode == "absolute" else graph.weights
     return np.diag(A.sum(axis=1)) - A
 
@@ -68,10 +68,8 @@ def select_target_size(spectrum: Spectrum, alpha: float, order: str = "ascending
     graph is not missed by the last bit of a LAPACK eigenvalue, and alpha = 0
     gives k = 1 even when rounding puts the smallest eigenvalue just below 0.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
+    require_number("alpha", alpha, 0, 1)
+    require_choice("order", order, ("ascending", "descending"))
     n = spectrum.n
     if n == 0:
         raise ValueError("spectrum is empty")

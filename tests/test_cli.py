@@ -781,7 +781,7 @@ def test_bench_rejects_a_bad_shrink_setting_before_any_row(
         (["--sweeps", "0", "--backend", "exact"], "", "sweeps must be >= 1, got 0"),
         (["--layers", "-1"], "", "layers must be >= 0, got -1"),
         ([], "sa_sweeps = 2.5\n", "sweeps must be an integer, got 2.5"),
-        (["--penalty-multiplier", "nan"], "", "penalty multiplier must be a finite positive"),
+        (["--penalty-multiplier", "nan"], "", "penalty_multiplier must be a finite number > 0, got nan"),
     ],
     ids=["sdp-tol-on-a-run-that-keeps-every-node", "sweeps", "layers", "fractional-sweeps", "nan-P"],
 )
@@ -805,6 +805,22 @@ def test_a_setting_the_run_never_reads_is_still_checked_before_any_stage(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["alpha = abc", "tau = abc", "k = abc", "k = 2.5", "k = true", "constraint_aware = abc", "do_repair = 0"],
+)
+def test_a_config_value_of_the_wrong_type_exits_2_with_one_line_naming_it(line, data_dir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    path = data_dir / "mis" / "1tc.8.txt"
+    assert main(["pipeline", "--kind", "mis", "--instance", str(path), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = line.split(" = ")[0]
+    assert captured.err.startswith(f"shrinkcut: {key} must ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_shrink_checks_the_sdp_settings_of_a_graph_it_never_solves(tmp_path, triangle_file, capsys):
     graph = tmp_path / "graph.json"
     main(["to-maxcut", "--kind", "mis", "--instance", str(triangle_file), "--out", str(graph)])
@@ -815,6 +831,23 @@ def test_shrink_checks_the_sdp_settings_of_a_graph_it_never_solves(tmp_path, tri
         args = ["shrink", "--graph", str(graph), "--k", k, "--config", str(config)]
         assert main([*args, "--out", str(out)]) == 2
         assert "tol must be a finite number > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_shrink_checks_the_run_settings_of_a_graph_it_only_shrinks(tmp_path, triangle_file, capsys):
+    graph = tmp_path / "graph.json"
+    main(["to-maxcut", "--kind", "mis", "--instance", str(triangle_file), "--out", str(graph)])
+    config = tmp_path / "run.cfg"
+    out = tmp_path / "reduced.json"
+    for line, message in [
+        ("do_repair = 0", "do_repair must be true or false, got 0"),
+        ("backend = qpu", "backend must be one of 'exact', 'sa', 'vqe', got 'qpu'"),
+        ("penalty_multiplier = abc", "penalty_multiplier must be a finite number > 0, got 'abc'"),
+    ]:
+        config.write_text(line + "\n")
+        args = ["shrink", "--graph", str(graph), "--k", "2", "--config", str(config)]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"shrinkcut: {message}\n"
         assert not out.exists()
 
 

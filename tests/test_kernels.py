@@ -288,9 +288,9 @@ def test_folded_correlations_track_the_member_pair_oracle(n, data):
             working = WorkingGraph(weights, ids=ids, offset=0.0)
             working.correlations = E  # the update writes into the partition's correlations
             affected = set(data.draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
-            local_correlation_update(working, survivor, affected)
-            degree = np.abs(weights).sum(axis=1)
             s = ids.index(survivor)
+            local_correlation_update(working, s, [ids.index(k) for k in affected - {survivor}])
+            degree = np.abs(weights).sum(axis=1)
             for k in affected - {survivor}:
                 t = ids.index(k)
                 d = degree[s] * degree[t]

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -292,19 +292,57 @@ def test_pipeline_config_validation():
     [
         ({"stop_mode": "k"}, "stop_mode 'k' needs a target size >= 1, got None"),
         ({"sdp_tol": float("nan")}, "tol must be a finite number > 0, got nan"),
-        ({"sdp_rank": 1}, "rank must be at least 2, got 1"),
-        ({"sdp_max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
+        ({"sdp_rank": 1}, "sdp_rank must be >= 2, got 1"),
+        ({"sdp_max_sweeps": 0}, "sdp_max_sweeps must be >= 1, got 0"),
         ({"sa_sweeps": 0}, "sweeps must be >= 1, got 0"),
         ({"sa_sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
         ({"vqe_layers": -1}, "layers must be >= 0, got -1"),
         ({"vqe_layers": True}, "layers must be an integer, got True"),
-        ({"penalty_multiplier": float("inf")}, "penalty multiplier must be a finite positive"),
+        ({"penalty_multiplier": float("inf")}, "penalty_multiplier must be a finite number > 0, got inf"),
     ],
 )
 def test_pipeline_config_checks_every_setting_at_construction(setting, message):
     # the default run (spectral stop, exact backend) reads none of these
     with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig(kind="mis", **setting)
+
+
+# values of the wrong type, by the base type a field is annotated with; a
+# field that does not allow None gets None too
+WRONG_TYPE = {
+    "str": [5, b"mis", ["mis"]],
+    "int": ["abc", 2.5, True, np.float64(3.0)],
+    "float": ["abc", True, [0.5]],
+    "bool": ["abc", 1, 0, None],
+}
+# for each numeric field, values outside its range (non-finite ones too for floats)
+OUT_OF_RANGE = {
+    "penalty_multiplier": [0.0, -1.0, float("nan"), float("inf")],
+    "k": [0, -3],
+    "alpha": [-0.1, 1.5, float("nan")],
+    "lam": [-0.5, float("inf")],
+    "r": [0],
+    "delta": [0.0, float("nan")],
+    "tau": [-0.1, 1.01, float("nan")],
+    "sdp_rank": [1],
+    "sdp_tol": [0.0, -1e-10, float("inf")],
+    "sdp_max_sweeps": [0],
+    "sa_sweeps": [0],
+    "vqe_layers": [-1],
+    "seed": [-1],
+}
+
+
+@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda field: field.name)
+def test_every_pipeline_setting_rejects_a_wrong_type_and_a_value_out_of_range(field):
+    base, *rest = field.type.split(" | ")
+    wrong = WRONG_TYPE[base] + ([] if "None" in rest else [None])
+    numeric = base in ("int", "float")
+    assert numeric == (field.name in OUT_OF_RANGE)  # a new numeric field needs its range here
+    for value in wrong + OUT_OF_RANGE.get(field.name, []):
+        with pytest.raises(ValueError) as caught:
+            PipelineConfig(**{"kind": "mis", field.name: value})
+        assert str(caught.value).startswith(f"{field.name} must "), (value, str(caught.value))
 
 
 def test_report_validation():

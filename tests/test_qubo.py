@@ -1,6 +1,7 @@
 """Penalized QUBO builders, evaluation, and serialization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from shrinkcut import (
     MdkpInstance,
     MisInstance,
-    PenaltyPolicy,
     QapInstance,
     QuboModel,
     build_mdkp_qubo,
@@ -164,26 +164,27 @@ def test_qap_energy_matches_flow_distance_formula():
 
 
 def test_recommend_penalty_worked_values(mdkp_tiny, mis_triangle, qap_pair):
-    assert recommend_penalty(mdkp_tiny, PenaltyPolicy(multiplier=10.0)) == 70.0
-    assert recommend_penalty(mis_triangle, PenaltyPolicy(multiplier=3.0)) == 3.0
-    assert recommend_penalty(qap_pair, PenaltyPolicy(multiplier=10.0)) == 100.0
+    assert recommend_penalty(mdkp_tiny, 10.0) == 70.0
+    assert recommend_penalty(mis_triangle, 3.0) == 3.0
+    assert recommend_penalty(qap_pair, 10.0) == 100.0
 
 
 def test_recommend_penalty_rejects_unknown_instance_type():
     with pytest.raises(TypeError, match="unsupported instance type"):
-        recommend_penalty(object(), PenaltyPolicy())
+        recommend_penalty(object(), 10.0)
 
 
-def test_penalty_policy_rejects_nonpositive_multiplier():
-    with pytest.raises(ValueError, match="positive"):
-        PenaltyPolicy(multiplier=0.0)
+def test_penalty_policy_rejects_nonpositive_multiplier(mis_triangle):
+    with pytest.raises(ValueError, match=re.escape("penalty_multiplier must be a finite number > 0, got 0.0")):
+        recommend_penalty(mis_triangle, 0.0)
 
 
 @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf, True, "3"])
-def test_penalty_policy_rejects_a_multiplier_that_is_not_a_finite_positive_number(multiplier):
-    with pytest.raises(ValueError, match="penalty multiplier must be a finite positive number"):
-        PenaltyPolicy(multiplier=multiplier)
-    with pytest.raises(ValueError, match="penalty multiplier must be a finite positive number"):
+def test_penalty_policy_rejects_a_multiplier_that_is_not_a_finite_positive_number(multiplier, mis_triangle):
+    message = f"penalty_multiplier must be a finite number > 0, got {multiplier!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        recommend_penalty(mis_triangle, multiplier)
+    with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig(kind="mis", penalty_multiplier=multiplier)
 
 
@@ -303,7 +304,7 @@ def test_recommend_penalty_for_qap_equals_the_outer_product_form():
     for inst in instances:
         scale = float(np.max(np.abs(np.outer(inst.flow, inst.distance)))) if inst.n else 1.0
         expected = 2.5 * (scale or 1.0)
-        assert recommend_penalty(inst, PenaltyPolicy(multiplier=2.5)) == expected
+        assert recommend_penalty(inst, 2.5) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def test_builders_equal_the_term_loop_oracles_on_the_bundled_instances(multiplie
     assert len(files) == 6
     for path in files:
         inst = load_instance(path.parent.name, path)
-        P = recommend_penalty(inst, PenaltyPolicy(multiplier=multiplier))
+        P = recommend_penalty(inst, multiplier)
         if isinstance(inst, MdkpInstance):
             for use_slack in (False, True):
                 oracle = naive_build_mdkp_qubo(inst, P, use_slack)

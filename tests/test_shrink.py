@@ -178,6 +178,21 @@ def test_contract_normalises_the_size_weighted_signed_embedding_sum():
     assert folded[1] == pytest.approx(np.array([-1.4, 0.8]) / np.hypot(1.4, 0.8))
 
 
+def test_contract_never_writes_the_callers_weights_correlations_or_embedding():
+    W = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    E = np.array([[1.0, 0.2, -0.4], [0.2, 1.0, 0.6], [-0.4, 0.6, 1.0]])
+    V = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    before = W.copy(), E.copy(), V.copy()
+    working = WorkingGraph(W, [0, 1, 2], 0.0)
+    working.correlations, working.vectors = E, V
+    working.contract(1, 2, -1)
+    for given, copy in zip((W, E, V), before):
+        assert np.array_equal(given, copy)
+    # the fold itself lands in the compacted copies: row 1 is now {2, 1}
+    assert working.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert working.correlations[0, 1] == working.correlations[1, 0] == pytest.approx(-0.3)
+
+
 def test_contract_keeps_the_survivor_vector_when_the_embedding_sum_vanishes():
     working = WorkingGraph.from_graph(maxcut_graph(2, {(0, 1): 1.0}))
     working.vectors = np.array([[0.6, 0.8], [0.6, 0.8]])
@@ -579,7 +594,7 @@ def test_local_correlation_update_rescales_only_the_affected_blocks():
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
     working.correlations = E
-    local_correlation_update(working, survivor=1, affected={2, 3})
+    local_correlation_update(working, survivor_row=0, affected_rows=[1, 2])  # supernodes 2 and 3
     assert E[0, 1] == pytest.approx(3.0 / np.sqrt(7.0 * 3.0))
     assert E[0, 2] == pytest.approx(-4.0 / np.sqrt(7.0 * 4.0))
     assert np.array_equal(E, E.T)
@@ -594,7 +609,7 @@ def test_local_correlation_update_zeroes_isolated_neighbors():
     E = np.full((3, 3), 0.5)  # rows and columns: supernodes 1, 2, 3
     np.fill_diagonal(E, 1.0)
     working.correlations = E
-    local_correlation_update(working, survivor=1, affected={3})
+    local_correlation_update(working, survivor_row=0, affected_rows=[2])  # supernode 3
     assert E[0, 2] == E[2, 0] == 0.0
     assert E[0, 1] == 0.5  # supernode 2 was not affected
 

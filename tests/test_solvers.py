@@ -217,7 +217,7 @@ def test_solve_vqe_sim_enforces_cap_and_parameters():
     with pytest.raises(ValueError, match="capped at 16"):
         solve_vqe_sim(big)
     small = qubo_model({}, (0.0,))
-    with pytest.raises(ValueError, match="invalid VQE parameters"):
+    with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
         solve_vqe_sim(small, restarts=0)
 
 
