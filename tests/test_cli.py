@@ -851,6 +851,26 @@ def test_shrink_checks_the_run_settings_of_a_graph_it_only_shrinks(tmp_path, tri
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "shrink"])
+def test_a_config_kind_outside_the_kinds_exits_2_from_the_commands_that_take_no_kind(
+    command, data_dir, tmp_path, capsys
+):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    model, graph = tmp_path / "model.json", tmp_path / "graph.json"
+    assert main(["build-qubo", *instance, "--out", str(model)]) == 0
+    assert main(["to-maxcut", *instance, "--out", str(graph)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("kind = sat\n")
+    out = tmp_path / "result.json"
+    inputs = ["--model", str(model)] if command == "solve" else ["--graph", str(graph), "--k", "3"]
+    capsys.readouterr()
+    assert main([command, *inputs, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shrinkcut: kind must be one of 'mdkp', 'mis', 'qap', got 'sat'\n"
+    assert not out.exists()
+
+
 def test_the_config_file_sets_out_kind_and_instance_and_a_flag_still_wins(data_dir, tmp_path):
     small, large = data_dir / "mis" / "1tc.8.txt", data_dir / "mis" / "1tc.16.txt"
     from_file = tmp_path / "from-file.json"

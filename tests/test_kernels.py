@@ -22,9 +22,10 @@ edges in another order must give the same embedding bit for bit.
 dict-of-dicts graph one edge at a time, and the two must hold the same ids,
 edges and weights after every contraction.
 ``_energy_chunks`` splits the variables into a low and a high half
-and takes one matrix product per block; its oracle sums ``((B @ U) * B)`` row
-by row, and the two must give the same energies in the same counter order
-(equal on integer data, within rounding on float data).
+and takes one matrix product per block, with the offset and both
+half-energies in its factors; its oracle sums ``((B @ U) * B)`` row by row,
+and the two must give the same energies in the same counter order (equal on
+integer data, within rounding on float data).
 The merge penalty scores two supernode summaries, which ``WorkingGraph.
 contract`` folds as it merges: vertex and neighbour bitmasks for MIS, row
 and column bitmasks for QAP, a sum of item capacity shares for MDKP. Its
@@ -921,6 +922,23 @@ def test_solve_exact_equals_the_oracle_on_the_20_variable_mdkp_reduced_model(mon
     solution = original(model)
     assert int(solution.bits @ (1 << np.arange(20))) == int(np.argmin(want))
     assert solution.energy == evaluate_qubo(model, solution.bits)
+
+
+def test_solve_exact_equals_the_oracle_at_the_24_variable_cap_with_couplings_across_the_halves():
+    synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    model = build_model(synth, PipelineConfig(kind="mdkp"))  # no slack bits: 24 variables
+    assert model.n_vars == 24 and model.offset == 1_261_155_350.0
+    assert np.count_nonzero(model.pairs[:10, 10:]) > 0  # the low half L is 10 variables
+    best_energy, best_counter = np.inf, 0
+    blocks = zip(_energy_chunks(model, 1 << 16), naive_energy_chunks(model, 1 << 16), strict=True)
+    for (start, got), (want_start, want) in blocks:
+        assert start == want_start and np.array_equal(got, want)
+        idx = int(np.argmin(want))
+        if want[idx] < best_energy:
+            best_energy, best_counter = want[idx], start + idx
+    solution = solve_exact(model)
+    assert int(solution.bits @ (1 << np.arange(24))) == best_counter
+    assert solution.energy == evaluate_qubo(model, solution.bits) == best_energy
 
 
 def test_solve_exact_finds_the_closed_form_optimum_of_a_24_variable_separable_model():
