@@ -67,7 +67,7 @@ from .feasibility import (
     repair_qap,
 )
 from .solvers import Solution, solve_exact, solve_qubo, solve_sa, solve_vqe_sim
-from .reconstruct import LiftedSolution, decode_solution, lift_solution
+from .reconstruct import LiftedSolution, lift_solution
 from .pipeline import (
     CSV_COLUMNS,
     KINDS,
@@ -77,6 +77,7 @@ from .pipeline import (
     PipelineError,
     Report,
     build_model,
+    decode_solution,
     is_feasible,
     load_instance,
     local_search,

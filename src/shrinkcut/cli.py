@@ -162,8 +162,9 @@ def _coerce(raw: str, text: bool):
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a ``key = value`` defaults file; '#' starts a comment."""
+    """Parse a ``key = value`` defaults file; '#' starts a comment and a key may appear once."""
     settings: dict = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -174,6 +175,11 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(
+                f"{path}: config key {key!r} is set twice, on lines {lines[key]} and {lineno}"
+            )
+        lines[key] = lineno
         settings[key] = _coerce(raw, key in _TEXT)
     return settings
 

@@ -4,11 +4,14 @@
 constraints a bitstring breaks, and ``repair_mdkp``, ``repair_mis`` and
 ``repair_qap`` turn any bitstring into a feasible solution with
 deterministic greedy rules. ``mdkp_shares``, ``mis_masks`` and ``qap_masks``
-give Max-Cut nodes their merge-penalty summaries. MDKP's are summed and
-scored by + (the merged items' mean fractional capacity, up to rounding);
-MIS's and QAP's are OR-ed and scored by ``masks_meet``. Each kind's record
-in ``pipeline.PROBLEMS`` names these functions, and the dispatchers
-(``violations``, ``repair``, ``penalty_summaries`` ...) live there.
+give each decision variable its merge-penalty summary, from the instance
+alone and in the builder's variable order (items, vertices, cells i * n + j).
+MDKP's are summed and scored by + (the merged items' mean fractional
+capacity, up to rounding); MIS's and QAP's are OR-ed and scored by
+``masks_meet``. Each kind's record in ``pipeline.PROBLEMS`` names these
+functions and owns the variable layout, and the dispatchers (``violations``,
+``repair``, ``penalty_summaries`` ...) live there. No function here reads a
+QUBO model's semantics tags, which are written for JSON only.
 
 scipy is loaded only by the QAP repair (``hungarian``), so other commands
 start without it.
@@ -91,28 +94,26 @@ def qap_violations(inst: QapInstance, x) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def mdkp_shares(inst: MdkpInstance, node_tags: dict[int, tuple]) -> dict[int, float]:
-    """Item i's capacity share mean_j(w_ji / C_j), by the Max-Cut node tagged ("item", i)."""
-    shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
-    return {node: shares[tag[1]] for node, tag in node_tags.items() if tag[0] == "item"}
+def mdkp_shares(inst: MdkpInstance) -> list[float]:
+    """Each item i's capacity share mean_j(w_ji / C_j), in item order."""
+    return np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
 
 
-def mis_masks(inst: MisInstance, node_tags: dict[int, tuple]) -> dict[int, tuple[int, int]]:
-    """Vertex u's (vertex mask, neighbour mask), by the Max-Cut node tagged ("vertex", u)."""
+def mis_masks(inst: MisInstance) -> list[tuple[int, int]]:
+    """Each vertex u's (vertex mask, neighbour mask), in vertex order."""
     neighbours = [0] * inst.n
     for u, v in inst.edges:
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
-    vertices = {node: tag[1] for node, tag in node_tags.items() if tag[0] == "vertex"}
-    return {node: (1 << u, neighbours[u]) for node, u in vertices.items()}
+    return [(1 << u, mask) for u, mask in enumerate(neighbours)]
 
 
-def qap_masks(inst: QapInstance, node_tags: dict[int, tuple]) -> dict[int, tuple[int, int]]:
-    """Cell (i, j)'s row-and-column mask, twice, by the Max-Cut node tagged ("assign", i, j)."""
+def qap_masks(inst: QapInstance) -> list[tuple[int, int]]:
+    """Each cell (i, j)'s row-and-column mask, twice, in variable order i * n + j."""
     # bit i is facility row i and bit n + j location column j; a cell
     # reaches exactly the bits it holds, so one AND finds a shared one
-    cells = {node: tag[1:] for node, tag in node_tags.items() if tag[0] == "assign"}
-    return {node: (1 << i | 1 << (inst.n + j),) * 2 for node, (i, j) in cells.items()}
+    n = inst.n
+    return [(1 << i | 1 << (n + j),) * 2 for i in range(n) for j in range(n)]
 
 
 def or_masks(s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:

@@ -3,6 +3,8 @@
 
 ``PROBLEMS`` holds what differs between MDKP, MIS and QAP, one :class:`Problem`
 per instance type; each dispatcher (``violations``, ``build_model`` ...) looks it up once.
+The record owns the variable layout its builder writes: ``decode_solution``
+and ``penalty_summaries`` read variables by position, never by semantics tag.
 ``run_pipeline`` executes one instance and returns a :class:`Report`;
 ``run_bench`` sweeps (instance, strategy) pairs into a CSV mirroring the
 usual benchmark table columns. All randomness flows from the single
@@ -37,7 +39,7 @@ from .instances import (
 from .maxcut import graph_to_qubo, qubo_to_maxcut
 from .qubo import build_mdkp_qubo, build_mis_qubo, build_qap_qubo
 from .qubo import require_choice, require_integer, require_number, require_switch
-from .reconstruct import decode_solution, lift_solution
+from .reconstruct import lift_solution
 from .shrink import ShrinkConfig, run_shrink
 from .solvers import solve_qubo
 
@@ -262,9 +264,10 @@ class Problem:
     build: Callable  # (inst, P, use_slack) -> penalized QuboModel
     violations: Callable  # (inst, x) -> the violated constraints, human-readable
     repair: Callable  # (inst, x) -> RepairReport with feasible bits
-    summaries: Callable  # (inst, node_tags) -> {tagged Max-Cut node: merge-penalty summary}
+    decode: Callable  # (inst, the model's bits) -> the solution x the checks read
+    summaries: Callable  # inst -> each decision variable's merge-penalty summary, in order
     combine: Callable  # folds two summaries into the merged supernode's
-    identity: object  # the summary of untagged nodes (the reference, slack bits)
+    identity: object  # the summary of the reference node and of MDKP's slack bits
     penalty: Callable  # Pi(s_a, s_b) on two supernode summaries
     objective: Callable  # (inst, x) -> profit, set size or cost
     local_search: Callable  # (inst, feasible x) -> a local optimum
@@ -282,6 +285,7 @@ PROBLEMS = {
         build=lambda inst, P, use_slack: build_mdkp_qubo(inst, P, use_slack=use_slack),
         violations=feasibility.mdkp_violations,
         repair=feasibility.repair_mdkp,
+        decode=lambda inst, bits: bits[:inst.n],  # the items; the slack bits follow them
         summaries=feasibility.mdkp_shares,
         combine=operator.add,
         identity=0.0,
@@ -298,6 +302,7 @@ PROBLEMS = {
         build=lambda inst, P, use_slack: build_mis_qubo(inst, P),
         violations=feasibility.mis_violations,
         repair=feasibility.repair_mis,
+        decode=lambda inst, bits: bits,  # vertex v is variable v
         summaries=feasibility.mis_masks,
         combine=feasibility.or_masks,
         identity=(0, 0),
@@ -315,6 +320,7 @@ PROBLEMS = {
         build=lambda inst, P, use_slack: build_qap_qubo(inst, P),
         violations=feasibility.qap_violations,
         repair=feasibility.repair_qap,
+        decode=lambda inst, bits: bits.reshape(inst.n, inst.n),  # cell (i, j) is i * n + j
         summaries=feasibility.qap_masks,
         combine=feasibility.or_masks,
         identity=(0, 0),
@@ -349,18 +355,33 @@ def repair(inst, x) -> feasibility.RepairReport:
     return problem_of(inst).repair(inst, x)
 
 
-def penalty_summaries(inst, node_tags: dict[int, tuple]) -> tuple[list, Callable]:
+def decode_solution(inst, model, bits) -> np.ndarray:
+    """``model``'s bits read as a solution of ``inst``, by the kind's variable layout.
+
+    MDKP yields the item selection (slack bits dropped), MIS the vertex
+    selection, QAP the n x n assignment matrix. Bits of another length than
+    ``model.n_vars`` raise ValueError.
+    """
+    bits = np.array(bits, dtype=int)
+    if bits.shape != (model.n_vars,):
+        raise ValueError(f"bits have shape {bits.shape}, expected ({model.n_vars},)")
+    return problem_of(inst).decode(inst, bits)
+
+
+def penalty_summaries(inst, n_vars: int) -> tuple[list, Callable]:
     """Each Max-Cut node's merge-penalty summary by node id, and the rule that combines two.
 
-    ``node_tags`` maps Max-Cut node ids to variable semantics tags; the list
-    is ``max(node_tags) + 1`` long, and the reference node 0 and slack bits
-    hold the rule's identity. ``WorkingGraph.contract`` folds an absorbed
-    supernode's summary into the survivor's, survivor first.
+    Node v + 1 is variable v of an ``n_vars``-variable model of ``inst``, so
+    the list holds the rule's identity for the reference node 0, then each
+    decision variable's summary in variable order, then the identity for
+    the variables after them (MDKP's slack bits). ``WorkingGraph.contract``
+    folds an absorbed supernode's summary into the survivor's, survivor first.
     """
     problem = problem_of(inst)
-    parts = problem.summaries(inst, node_tags)
-    size = max(node_tags, default=0) + 1
-    return [parts.get(node, problem.identity) for node in range(size)], problem.combine
+    parts = problem.summaries(inst)
+    if n_vars < len(parts):
+        raise ValueError(f"{problem.kind} needs at least {len(parts)} variables, got {n_vars}")
+    return [problem.identity, *parts] + [problem.identity] * (n_vars - len(parts)), problem.combine
 
 
 def make_penalty(inst) -> Callable[[object, object], float]:
@@ -428,8 +449,7 @@ def build_model(inst, config: PipelineConfig):
 
 def shrink_penalty(inst, model) -> tuple[Callable, list]:
     """The merge-penalty scorer and per-node summaries for shrinking ``model``'s Max-Cut graph."""
-    node_tags = {var + 1: tag for var, tag in enumerate(model.semantics)}
-    return make_penalty(inst), penalty_summaries(inst, node_tags)
+    return make_penalty(inst), penalty_summaries(inst, model.n_vars)
 
 
 def shrink_config(settings: Mapping[str, Any], seed: int) -> ShrinkConfig:
@@ -494,7 +514,7 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
         options = solver_options(config.backend, config.sa_sweeps, config.vqe_layers)
         reduced = solve_qubo(reduced_model, backend=config.backend, seed=solver_seed, **options)
         lifted = lift_solution(shrink_result, reduced.bits, graph)
-        decoded = decode_solution(model, lifted.bits)
+        decoded = decode_solution(inst, model, lifted.bits)
         timings["solving"] = time.perf_counter() - t0
 
         stage = "verify"

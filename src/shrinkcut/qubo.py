@@ -10,13 +10,17 @@ x^2 = x: MDKP -p.x + P * |Ax - C|^2 (A: the weights, then an optional slack
 block), MIS -sum(x) + P * sum_{(u,v) in E} x_u x_v, QAP x^T kron(F, D) x + P *
 the squared residuals of every row and column sum. P is a multiplier times a
 per-kind scale, both in ``pipeline.PROBLEMS``. Every variable carries a
-semantics tag:
+semantics tag, written for the model JSON (``model_to_json``):
 
     ("item", i)       MDKP decision variable for item i
     ("slack", j, k)   MDKP slack bit k of constraint j (weight 2^k)
     ("vertex", v)     MIS decision variable for vertex v
     ("assign", i, j)  QAP flattened variable x_{ij} (facility i at location j)
     ("spin", node)    generic variable re-derived from a Max-Cut node
+
+No pipeline code reads the tags back: each kind's record in
+``pipeline.PROBLEMS`` decodes bits and builds merge-penalty summaries by the
+position its builder writes (MDKP's slack bits after the n items).
 
 A model stores its coefficients once, as read-only float arrays: ``pairs``
 (strictly upper triangular, +0.0 off the term set) and ``lin``. Energies,
@@ -102,14 +106,13 @@ def build_mdkp_qubo(inst: MdkpInstance, P: float, use_slack: bool = False) -> Qu
     """
     if P <= 0:
         raise ValueError(f"penalty P must be positive, got {P}")
+    counts = [slack_bit_count(C) for C in inst.capacities.tolist()] if use_slack else []
     semantics: list[VarTag] = [("item", i) for i in range(inst.n)]
-    if use_slack:
-        for j in range(inst.m):
-            semantics += [("slack", j, k) for k in range(slack_bit_count(inst.capacities[j]))]
+    semantics += [("slack", j, k) for j, count in enumerate(counts) for k in range(count)]
     A = np.zeros((inst.m, len(semantics)))
     A[:, :inst.n] = inst.weights
-    slack = np.array([tag[1:] for tag in semantics[inst.n:]], dtype=int).reshape(-1, 2)
-    A[slack[:, 0], np.arange(inst.n, len(semantics))] = 2.0 ** slack[:, 1]
+    powers = [2.0**k for count in counts for k in range(count)]
+    A[np.repeat(np.arange(len(counts)), counts), np.arange(inst.n, len(semantics))] = powers
     lin = np.zeros(len(semantics))
     lin[:inst.n] -= inst.profits  # 0.0 - p: a zero profit stays +0.0
     pairs = np.zeros((len(semantics), len(semantics)))

@@ -4,7 +4,9 @@ A shrink run returns its signed partition as two arrays over the original
 nodes: ``label[v]``, the reduced node that holds v, and ``sign[v]``, v's spin
 relative to it. Lifting is one gather, reduced spins[label] * sign. The
 lifted spin vector is then gauge-fixed to the reference node and read as the
-binary variables of the original QUBO (node v+1 is variable v).
+binary variables of the original QUBO (node v+1 is variable v). Reading those
+bits as an instance's solution is ``pipeline.decode_solution``'s job: each
+kind's record owns its variable layout, and nothing here reads semantics tags.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxcut import MaxCutGraph, binary_to_spins, cut_value, spins_to_binary
-from .qubo import QuboModel
 from .shrink import ShrinkResult
 
 
@@ -48,38 +49,3 @@ def lift_solution(
     bits = spins_to_binary(original_graph, spins)
     energy = original_graph.offset - cut_value(original_graph, spins)
     return LiftedSolution(bits=bits, spins=spins, energy=energy)
-
-
-def decode_solution(model: QuboModel, bits) -> np.ndarray:
-    """Interpret QUBO bits through the model's variable semantics.
-
-    MDKP models yield the item selection vector (slack bits dropped), MIS
-    models the vertex selection vector, QAP models the n x n assignment
-    matrix. Models with only generic "spin" tags are returned unchanged.
-    """
-    bits = np.asarray(bits, dtype=int)
-    if bits.shape != (model.n_vars,):
-        raise ValueError(f"bits have shape {bits.shape}, expected ({model.n_vars},)")
-    kinds = {tag[0] for tag in model.semantics}
-    if kinds <= {"item", "slack"}:
-        items = [(tag[1], i) for i, tag in enumerate(model.semantics) if tag[0] == "item"]
-        out = np.zeros(len(items), dtype=int)
-        for item, var in items:
-            out[item] = bits[var]
-        return out
-    if kinds == {"vertex"}:
-        out = np.zeros(model.n_vars, dtype=int)
-        for var, tag in enumerate(model.semantics):
-            out[tag[1]] = bits[var]
-        return out
-    if kinds == {"assign"}:
-        n = int(round(np.sqrt(model.n_vars)))
-        if n * n != model.n_vars:
-            raise ValueError(f"assignment model has non-square size {model.n_vars}")
-        out = np.zeros((n, n), dtype=int)
-        for var, tag in enumerate(model.semantics):
-            out[tag[1], tag[2]] = bits[var]
-        return out
-    if kinds == {"spin"}:
-        return bits.copy()
-    raise ValueError(f"cannot decode mixed/unknown semantics kinds {sorted(kinds)}")

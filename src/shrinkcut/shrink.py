@@ -92,9 +92,9 @@ class MergeStep:
 class ShrinkConfig:
     """Knobs for a shrink run.
 
-    stop_mode "k" stops at an explicit node count; "spectral" derives the
-    count from the cumulative Laplacian eigenvalue mass of the *initial*
-    graph (fraction ``alpha``, eigenvalues taken in ``energy_order``).
+    stop_mode "k" stops at the node count ``k``; "spectral", which takes no
+    ``k``, derives the count from the cumulative Laplacian eigenvalue mass of
+    the *initial* graph (fraction ``alpha``, eigenvalues in ``energy_order``).
     """
 
     stop_mode: str = "spectral"
@@ -117,6 +117,8 @@ class ShrinkConfig:
         require_choice("stop_mode", self.stop_mode, ("k", "spectral"))
         if self.k is not None:
             require_integer("k", self.k, low=1)
+            if self.stop_mode == "spectral":
+                raise ValueError(f"stop_mode 'spectral' never reads k = {self.k}; drop one")
         elif self.stop_mode == "k":
             raise ValueError("stop_mode 'k' needs a target size >= 1, got None")
         require_number("alpha", self.alpha, 0, 1)
@@ -209,10 +211,6 @@ class WorkingGraph:
 
     def nodes(self) -> list[int]:
         return self.ids.tolist()
-
-    def position(self, i: int) -> int:
-        """Row of node ``i`` in ``weights``."""
-        return self.rows(i)[0]
 
     def rows(self, *nodes: int) -> list[int]:
         """Rows of ``nodes`` in ``weights``, found with one ``searchsorted``."""

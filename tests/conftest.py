@@ -230,6 +230,62 @@ def supernode_members(working) -> list[list[int]]:
     return [np.flatnonzero(working.rep == i).tolist() for i in working.nodes()]
 
 
+def tag_decode_solution(model: QuboModel, bits) -> np.ndarray:
+    """QUBO bits read through the model's semantics tags alone.
+
+    The pipeline decodes by each kind's variable layout and never reads the
+    tags; this oracle maps ("item", i), ("vertex", v) and ("assign", i, j)
+    to their slots one tag at a time, so the two agree only where a
+    builder's tags and its record's layout do. Slack bits are dropped.
+    """
+    bits = np.asarray(bits, dtype=int)
+    if bits.shape != (model.n_vars,):
+        raise ValueError(f"bits have shape {bits.shape}, expected ({model.n_vars},)")
+    kinds = {tag[0] for tag in model.semantics}
+    if kinds <= {"item", "slack"}:
+        items = [(tag[1], i) for i, tag in enumerate(model.semantics) if tag[0] == "item"]
+        out = np.zeros(len(items), dtype=int)
+        for item, var in items:
+            out[item] = bits[var]
+        return out
+    if kinds == {"vertex"}:
+        out = np.zeros(model.n_vars, dtype=int)
+        for var, tag in enumerate(model.semantics):
+            out[tag[1]] = bits[var]
+        return out
+    assert kinds == {"assign"}, kinds
+    n = int(round(np.sqrt(model.n_vars)))
+    out = np.zeros((n, n), dtype=int)
+    for var, tag in enumerate(model.semantics):
+        out[tag[1], tag[2]] = bits[var]
+    return out
+
+
+def tag_penalty_summaries(inst, node_tags: dict[int, tuple]) -> list:
+    """Each Max-Cut node's merge-penalty summary by node id, read from semantics tags.
+
+    ``node_tags`` maps node ids to tags. ("item", i) takes item i's capacity
+    share mean_j(w_ji / C_j), ("vertex", u) u's (vertex mask, neighbour
+    mask) and ("assign", i, j) the cell's row-and-column mask twice; the
+    reference node 0 and slack bits hold 0.0 (MDKP) or (0, 0). The list is
+    ``max(node_tags) + 1`` long. ``penalty_summaries`` builds the same list
+    by position, from the kind's record.
+    """
+    identity: object = (0, 0)
+    if isinstance(inst, MdkpInstance):
+        shares = np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
+        read = {"item": lambda tag: shares[tag[1]]}
+        identity = 0.0
+    elif isinstance(inst, MisInstance):
+        adjacency = inst.adjacency()
+        read = {"vertex": lambda tag: (1 << tag[1], sum(1 << v for v in adjacency[tag[1]]))}
+    else:
+        read = {"assign": lambda tag: (1 << tag[1] | 1 << (inst.n + tag[2]),) * 2}
+    parts = {node: read[tag[0]](tag) for node, tag in node_tags.items() if tag[0] in read}
+    size = max(node_tags, default=0) + 1
+    return [parts.get(node, identity) for node in range(size)]
+
+
 def _decision_tags(members: list[int], node_tags: dict[int, tuple]) -> list[tuple]:
     return [node_tags[v] for v in members if v in node_tags]
 

@@ -659,6 +659,20 @@ def test_load_config_file_rejects_unknown_keys(tmp_path):
     assert main(["pipeline", "--kind", "mis", "--instance", "x", "--config", str(config)]) == 2
 
 
+def test_a_config_key_set_twice_exits_two_naming_the_key_and_both_lines(
+    data_dir, tmp_path, capsys
+):
+    config = tmp_path / "twice.cfg"
+    config.write_text("k = 3\n# a comment\nseed = 1\nk = 5\n")
+    with pytest.raises(ValueError, match="config key 'k' is set twice, on lines 1 and 4"):
+        load_config_file(config)
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main(["pipeline", *instance, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "'k' is set twice, on lines 1 and 4" in captured.err
+
+
 def test_load_config_file_coercion(tmp_path):
     config = tmp_path / "ok.cfg"
     config.write_text(

@@ -75,20 +75,19 @@ def test_bit_validation_rejects_bad_inputs(mis_triangle):
 # ---------------------------------------------------------------------------
 
 
-def mdkp_tags() -> dict[int, tuple]:
-    return {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)}
+def supernode_penalty(inst, n_vars: int):
+    """Pi on two member lists of Max-Cut nodes of an ``n_vars``-variable model of ``inst``.
 
-
-def supernode_penalty(inst, tags):
-    """Pi on two member lists: ``make_penalty``'s scorer on summaries built from scratch."""
-    pi, node_summaries = make_penalty(inst), penalty_summaries(inst, tags)
+    ``make_penalty``'s scorer on summaries built from scratch.
+    """
+    pi, node_summaries = make_penalty(inst), penalty_summaries(inst, n_vars)
     return lambda a, b: pi(
         summary_from_scratch(node_summaries, a), summary_from_scratch(node_summaries, b)
     )
 
 
 def test_mdkp_penalty_is_mean_fractional_capacity(mdkp_tiny):
-    penalty = supernode_penalty(mdkp_tiny, mdkp_tags())
+    penalty = supernode_penalty(mdkp_tiny, 3)
     # items 0 and 1 together load 5 of 5
     assert penalty([1], [2]) == pytest.approx(1.0)
     # the reference supernode carries no items, so only item 1 counts
@@ -103,55 +102,46 @@ def test_mdkp_penalty_averages_over_capacity_rows():
         weights=np.array([[2.0, 3.0], [1.0, 1.0]]),
         capacities=np.array([5.0, 4.0]),
     )
-    penalty = supernode_penalty(inst, {1: ("item", 0), 2: ("item", 1)})
+    penalty = supernode_penalty(inst, 2)
     assert penalty([1], [2]) == pytest.approx((1.0 + 0.5) / 2)
 
 
 def test_mdkp_penalty_ignores_slack_members(mdkp_tiny):
-    tags = dict(mdkp_tags())
-    tags[4] = ("slack", 0, 0)
-    penalty = supernode_penalty(mdkp_tiny, tags)
+    penalty = supernode_penalty(mdkp_tiny, 4)  # node 4 is the slack bit after the three items
     assert penalty([2], [4]) == pytest.approx(0.6)
     assert penalty([2, 4], [0]) == penalty([2], [0])
 
 
 def test_mis_penalty_fires_only_on_cross_edges():
     path = MisInstance(n=3, edges=((0, 1), (1, 2)))
-    tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
-    penalty = supernode_penalty(path, tags)
+    penalty = supernode_penalty(path, 3)
     assert penalty([1], [2]) == 1.0
     assert penalty([1], [3]) == 0.0
 
 
 def test_mis_penalty_ignores_conflicts_inside_one_supernode():
     single_edge = MisInstance(n=3, edges=((0, 1),))
-    tags = {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)}
-    penalty = supernode_penalty(single_edge, tags)
+    penalty = supernode_penalty(single_edge, 3)
     merged = [1, 2]
     assert penalty(merged, [3]) == 0.0
 
 
 def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
-    tags = {
-        1: ("assign", 0, 0),
-        2: ("assign", 0, 1),
-        3: ("assign", 1, 0),
-        4: ("assign", 1, 1),
-    }
-    penalty = supernode_penalty(qap_pair, tags)
+    # nodes 1..4 are the cells (0, 0), (0, 1), (1, 0) and (1, 1)
+    penalty = supernode_penalty(qap_pair, 4)
     assert penalty([1], [2]) == 1.0  # same facility row
     assert penalty([1], [3]) == 1.0  # same location column
     assert penalty([1], [4]) == 0.0
-    assert penalty([0], [4]) == 0.0  # reference has no tags
+    assert penalty([0], [4]) == 0.0  # the reference holds no cell
 
 
 @pytest.mark.parametrize(
-    "inst, tags, joiner, before, after",
+    "inst, n_vars, joiner, before, after",
     [
         # vertex 0 joins, creating a cross edge to vertex 2
         (
             MisInstance(n=3, edges=((0, 2),)),
-            {1: ("vertex", 0), 2: ("vertex", 1), 3: ("vertex", 2)},
+            3,
             1,
             0.0,
             1.0,
@@ -159,7 +149,7 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
         # cell (1, 1) joins, sharing facility row 1 with cell (1, 0)
         (
             QapInstance(n=2, flow=np.zeros((2, 2)), distance=np.zeros((2, 2))),
-            {1: ("assign", 0, 0), 2: ("assign", 0, 1), 3: ("assign", 1, 0), 4: ("assign", 1, 1)},
+            4,
             4,
             0.0,
             1.0,
@@ -173,7 +163,7 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
                 weights=np.array([[2.0, 3.0, 4.0]]),
                 capacities=np.array([5.0]),
             ),
-            {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)},
+            3,
             1,
             pytest.approx(7 / 5),
             pytest.approx(9 / 5),
@@ -181,7 +171,7 @@ def test_qap_penalty_detects_shared_facility_or_location(qap_pair):
     ],
     ids=["mis", "qap", "mdkp"],
 )
-def test_penalty_summaries_refresh_when_members_grow(inst, tags, joiner, before, after):
+def test_penalty_summaries_refresh_when_members_grow(inst, n_vars, joiner, before, after):
     """Pair (2, 3) is scored, then ``joiner`` is contracted into supernode 2 and the score changes.
 
     The contraction folds the joiner's summary into supernode 2's. MIS and
@@ -190,11 +180,11 @@ def test_penalty_summaries_refresh_when_members_grow(inst, tags, joiner, before,
     """
     penalty = make_penalty(inst)
     working = WorkingGraph.from_graph(
-        MaxCutGraph(np.zeros((len(tags) + 1,) * 2), 0.0), penalty_summaries(inst, tags)
+        MaxCutGraph(np.zeros((n_vars + 1,) * 2), 0.0), penalty_summaries(inst, n_vars)
     )
 
     def pair() -> tuple:
-        return working.summaries[working.position(2)], working.summaries[working.position(3)]
+        return working.summaries[working.rows(2)[0]], working.summaries[working.rows(3)[0]]
 
     a, b = pair()
     assert penalty(a, b) == before
@@ -209,7 +199,14 @@ def test_make_penalty_rejects_unknown_instances():
     with pytest.raises(TypeError, match="unsupported instance type"):
         make_penalty(object())
     with pytest.raises(TypeError, match="unsupported instance type"):
-        penalty_summaries(object(), {})
+        penalty_summaries(object(), 0)
+
+
+def test_penalty_summaries_pad_slack_bits_and_reject_too_few_variables(mdkp_tiny):
+    parts, _ = penalty_summaries(mdkp_tiny, 5)  # the reference, three items, two slack bits
+    assert parts[0] == parts[4] == parts[5] == 0.0 and len(parts) == 6
+    with pytest.raises(ValueError, match="mdkp needs at least 3 variables, got 2"):
+        penalty_summaries(mdkp_tiny, 2)
 
 
 # ---------------------------------------------------------------------------

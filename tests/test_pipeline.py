@@ -17,6 +17,7 @@ from shrinkcut import (
     PipelineError,
     QapInstance,
     Report,
+    ShrinkConfig,
     build_model,
     evaluate_qubo,
     graph_to_qubo,
@@ -256,10 +257,9 @@ def test_run_pipeline_is_deterministic_feasible_and_lifts_exactly(case):
 
     model = build_model(inst, config)
     graph = qubo_to_maxcut(model)
-    tags = dict(enumerate(model.semantics, 1))
     penalty = summaries = None
     if config.constraint_aware:
-        penalty, summaries = make_penalty(inst), penalty_summaries(inst, tags)
+        penalty, summaries = make_penalty(inst), penalty_summaries(inst, model.n_vars)
     result = run_shrink(
         graph, shrink_config(vars(config), config.seed), penalty=penalty, summaries=summaries
     )
@@ -305,6 +305,17 @@ def test_pipeline_config_checks_every_setting_at_construction(setting, message):
     # the default run (spectral stop, exact backend) reads none of these
     with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig(kind="mis", **setting)
+
+
+def test_a_k_under_the_spectral_rule_is_rejected_naming_both_settings():
+    """The spectral rule picks its own size, so a k beside it would be silently ignored."""
+    message = "stop_mode 'spectral' never reads k = 5; drop one"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShrinkConfig(k=5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(kind="mis", instance="data/mis/1tc.16.txt", k=5, backend="sa")
+    assert ShrinkConfig(stop_mode="k", k=5).k == 5
+    assert PipelineConfig(kind="mis", stop_mode="spectral", k=None).k is None
 
 
 # values of the wrong type, by the base type a field is annotated with; a

@@ -1,7 +1,8 @@
-"""The per-kind problem records: lookup by instance type, kind names, and the kind check."""
+"""The per-kind problem records: lookup by type, kind names, the kind check, the variable layout."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import shrinkcut.pipeline as pipeline
@@ -10,13 +11,15 @@ from shrinkcut import (
     PipelineConfig,
     PipelineError,
     build_model,
+    decode_solution,
     load_instance,
     local_search,
+    penalty_summaries,
     run_pipeline,
 )
 from shrinkcut.cli import main
 from shrinkcut.pipeline import PROBLEMS, problem_of
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, tag_decode_solution, tag_penalty_summaries
 
 
 def bundled(kind: str) -> list:
@@ -85,3 +88,28 @@ def test_records_reach_builders_and_scorers_through_the_pipeline_module(monkeypa
         "build_mis_qubo", "make_penalty",
         "build_qap_qubo", "make_penalty",
     ]
+
+
+@pytest.mark.parametrize("kind", ["mdkp", "mis", "qap"])
+def test_each_record_reads_the_variables_where_its_builders_tags_put_them(kind):
+    """Decoding and the penalty summaries by position equal the tag-reading oracles.
+
+    On every bundled instance (MDKP with slack off and on), for the summaries
+    by node and for the all-zero, all-one and 50 random bit vectors: a
+    builder that moved a variable without its record would fail here.
+    """
+    rng = np.random.default_rng(29)
+    for path in bundled(kind):
+        inst = load_instance(kind, path)
+        for use_slack in (False, True) if kind == "mdkp" else (False,):
+            model = build_model(inst, PipelineConfig(kind=kind, use_slack=use_slack))
+            n = model.n_vars
+            parts, _ = penalty_summaries(inst, n)
+            want = tag_penalty_summaries(inst, dict(enumerate(model.semantics, 1)))
+            assert [type(s) for s in parts] == [type(s) for s in want] and parts == want
+            assert pipeline.shrink_penalty(inst, model)[1][0] == want
+            samples = [np.zeros(n, dtype=int), np.ones(n, dtype=int), *rng.integers(0, 2, (50, n))]
+            for bits in samples:
+                assert np.array_equal(
+                    decode_solution(inst, model, bits), tag_decode_solution(model, bits)
+                )

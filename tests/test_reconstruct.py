@@ -1,4 +1,4 @@
-"""Lifting reduced solutions through the signed partition, decoding semantics."""
+"""Lifting reduced solutions through the signed partition, and decoding them by kind."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from shrinkcut import (
     ShrinkConfig,
     binary_to_spins,
     build_mdkp_qubo,
+    build_mis_qubo,
+    build_qap_qubo,
     decode_solution,
     evaluate_qubo,
     graph_to_qubo,
@@ -15,7 +17,7 @@ from shrinkcut import (
     run_shrink,
     solve_exact,
 )
-from tests.conftest import every_bitstring, naive_replay, qubo_model, random_graph, random_qubo
+from tests.conftest import every_bitstring, naive_replay, random_graph, random_qubo
 
 
 def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
@@ -116,31 +118,30 @@ def test_exact_solution_of_the_reduced_knapsack_lifts_cleanly(mdkp_tiny):
 
 def test_decode_solution_mdkp_drops_slack_bits(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0, use_slack=True)
-    decoded = decode_solution(model, (1, 0, 1, 1, 0))
+    decoded = decode_solution(mdkp_tiny, model, (1, 0, 1, 1, 0))
     assert decoded.tolist() == [1, 0, 1]
 
 
-def test_decode_solution_vertex_and_spin_kinds(mis_triangle):
-    from shrinkcut import build_mis_qubo
-
-    model = build_mis_qubo(mis_triangle, P=2.0)
-    assert decode_solution(model, (0, 1, 0)).tolist() == [0, 1, 0]
-    generic = qubo_model({}, (0.0, 0.0), semantics=(("spin", 1), ("spin", 2)))
-    assert decode_solution(generic, (1, 0)).tolist() == [1, 0]
+def test_decode_solution_reads_vertices(mis_triangle):
+    bits = np.array([0, 1, 0])
+    decoded = decode_solution(mis_triangle, build_mis_qubo(mis_triangle, P=2.0), bits)
+    assert decoded.tolist() == [0, 1, 0]
+    decoded[1] = 0  # a copy: the caller's bits stay as they were
+    assert bits.tolist() == [0, 1, 0]
 
 
 def test_decode_solution_reshapes_assignments(qap_pair):
-    from shrinkcut import build_qap_qubo
-
     model = build_qap_qubo(qap_pair, P=100.0)
-    decoded = decode_solution(model, (0, 1, 1, 0))
+    decoded = decode_solution(qap_pair, model, (0, 1, 1, 0))
     assert decoded.tolist() == [[0, 1], [1, 0]]
 
 
 def test_decode_solution_rejects_bad_inputs(mdkp_tiny):
-    model = build_mdkp_qubo(mdkp_tiny, P=70.0)
-    with pytest.raises(ValueError, match="shape"):
-        decode_solution(model, (1, 0))
-    mixed = qubo_model({}, (0.0, 0.0), semantics=(("item", 0), ("vertex", 0)))
-    with pytest.raises(ValueError, match="mixed/unknown semantics"):
-        decode_solution(mixed, (0, 0))
+    for use_slack, n_vars in ((False, 3), (True, 5)):
+        model = build_mdkp_qubo(mdkp_tiny, P=70.0, use_slack=use_slack)
+        for bits in ((1, 0), (1, 0, 1, 1), (1, 0, 1, 1, 0, 0)):
+            message = rf"shape \({len(bits)},\), expected \({n_vars},\)"
+            with pytest.raises(ValueError, match=message):
+                decode_solution(mdkp_tiny, model, bits)
+    with pytest.raises(TypeError, match="unsupported instance type"):
+        decode_solution(object(), model, np.zeros(5))

@@ -101,7 +101,6 @@ def test_shrink_folds_mdkp_shares_one_supernode_at_a_time(monkeypatch):
         weights=np.array([[1.0, 2.0, 3.0]]),
         capacities=np.array([10.0]),
     )
-    tags = {1: ("item", 0), 2: ("item", 1), 3: ("item", 2)}
     member_order, pairwise = (0.1 + 0.2) + 0.3, 0.1 + (0.2 + 0.3)
     assert member_order != pairwise
     scripted = iter([(3, 2, 1), (2, 1, -1), (1, 0, 1)])
@@ -117,7 +116,7 @@ def test_shrink_folds_mdkp_shares_one_supernode_at_a_time(monkeypatch):
         graph,
         ShrinkConfig(stop_mode="k", k=1),
         penalty=make_penalty(inst),
-        summaries=penalty_summaries(inst, tags),
+        summaries=penalty_summaries(inst, 3),
     )
     assert seen == [[0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.5], [0.0, pairwise]]
 
@@ -126,7 +125,7 @@ def test_contract_drops_edges_that_cancel_exactly():
     graph = maxcut_graph(4, {(1, 2): 7.0, (1, 3): 2.0, (2, 3): -2.0})
     working = WorkingGraph.from_graph(graph)
     working.contract(1, 2, 1)
-    assert working.weights[working.position(2), working.position(3)] == 0.0
+    assert working.weights[working.rows(2)[0], working.rows(3)[0]] == 0.0
     assert working.edge_count == 0
 
 
