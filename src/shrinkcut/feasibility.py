@@ -6,9 +6,10 @@ constraints a bitstring breaks, and ``repair_mdkp``, ``repair_mis`` and
 deterministic greedy rules. ``mdkp_shares``, ``mis_masks`` and ``qap_masks``
 give each decision variable its merge-penalty summary, from the instance
 alone and in the builder's variable order (items, vertices, cells i * n + j).
-MDKP's are summed and scored by + (the merged items' mean fractional
-capacity, up to rounding); MIS's and QAP's are OR-ed and scored by
-``masks_meet``. Each kind's record in ``pipeline.PROBLEMS`` names these
+MDKP's are one float64 vector, summed and scored by + (the merged items'
+mean fractional capacity, up to rounding), broadcast over all pairs at once;
+MIS's and QAP's are lists of Python bitmasks, OR-ed and scored pair by pair
+by ``masks_meet``. Each kind's record in ``pipeline.PROBLEMS`` names these
 functions and owns the variable layout, and the dispatchers (``violations``,
 ``repair``, ``penalty_summaries`` ...) live there. No function here reads a
 QUBO model's semantics tags, which are written for JSON only.
@@ -94,9 +95,9 @@ def qap_violations(inst: QapInstance, x) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def mdkp_shares(inst: MdkpInstance) -> list[float]:
-    """Each item i's capacity share mean_j(w_ji / C_j), in item order."""
-    return np.mean(inst.weights / inst.capacities[:, None], axis=0).tolist()
+def mdkp_shares(inst: MdkpInstance) -> np.ndarray:
+    """Each item i's capacity share mean_j(w_ji / C_j), in item order, as one float64 vector."""
+    return np.mean(inst.weights / inst.capacities[:, None], axis=0).astype(float, copy=False)
 
 
 def mis_masks(inst: MisInstance) -> list[tuple[int, int]]:

@@ -289,7 +289,7 @@ PROBLEMS = {
         summaries=feasibility.mdkp_shares,
         combine=operator.add,
         identity=0.0,
-        penalty=operator.add,  # s_a + s_b, so no Python frame runs per pair
+        penalty=operator.add,  # s_a + s_b, broadcast over the share vector once per selection
         objective=lambda inst, x: float(inst.profits @ np.asarray(x).reshape(inst.n)),
         local_search=_local_search_mdkp,
         sense="max",
@@ -368,24 +368,33 @@ def decode_solution(inst, model, bits) -> np.ndarray:
     return problem_of(inst).decode(inst, bits)
 
 
-def penalty_summaries(inst, n_vars: int) -> tuple[list, Callable]:
+def penalty_summaries(inst, n_vars: int) -> tuple[list | np.ndarray, Callable]:
     """Each Max-Cut node's merge-penalty summary by node id, and the rule that combines two.
 
     Node v + 1 is variable v of an ``n_vars``-variable model of ``inst``, so
-    the list holds the rule's identity for the reference node 0, then each
+    the summaries are the rule's identity for the reference node 0, then each
     decision variable's summary in variable order, then the identity for
-    the variables after them (MDKP's slack bits). ``WorkingGraph.contract``
-    folds an absorbed supernode's summary into the survivor's, survivor first.
+    the variables after them (MDKP's slack bits). A vector of summaries
+    (MDKP's shares) is padded as a vector, a list (MIS's and QAP's masks) as
+    a list. ``WorkingGraph.contract`` folds an absorbed supernode's summary
+    into the survivor's, survivor first.
     """
     problem = problem_of(inst)
     parts = problem.summaries(inst)
     if n_vars < len(parts):
         raise ValueError(f"{problem.kind} needs at least {len(parts)} variables, got {n_vars}")
-    return [problem.identity, *parts] + [problem.identity] * (n_vars - len(parts)), problem.combine
+    identity, pad = problem.identity, n_vars - len(parts)
+    if isinstance(parts, np.ndarray):
+        return np.pad(parts, (1, pad), constant_values=identity), problem.combine
+    return [identity, *parts] + [identity] * pad, problem.combine
 
 
 def make_penalty(inst) -> Callable[[object, object], float]:
-    """The Pi(s_a, s_b) scorer the shrink stage calls on every pair of supernode summaries."""
+    """The Pi(s_a, s_b) scorer the shrink stage calls on supernode summaries.
+
+    ``select_merge`` calls it once per pair on a list of summaries, and once
+    per selection, broadcast over every pair, on a vector.
+    """
     return problem_of(inst).penalty
 
 
@@ -447,7 +456,7 @@ def build_model(inst, config: PipelineConfig):
     return problem.build(inst, P, config.use_slack)
 
 
-def shrink_penalty(inst, model) -> tuple[Callable, list]:
+def shrink_penalty(inst, model) -> tuple[Callable, tuple[list | np.ndarray, Callable]]:
     """The merge-penalty scorer and per-node summaries for shrinking ``model``'s Max-Cut graph."""
     return make_penalty(inst), penalty_summaries(inst, model.n_vars)
 

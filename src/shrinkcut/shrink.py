@@ -23,12 +23,15 @@ becomes the unit vector along |b| v_b + sigma |a| v_a (or stays v_b if that
 sum vanishes); b's summary combines with a's; a's nodes take b as their
 representative, their signs times sigma. Row a is then dropped everywhere:
 W and E are copied once, with ``take`` over every other row and then every
-other column, and V, the sizes and the ids with one ``take`` each. No other
-index is built per merge: both rows come from one ``searchsorted``, and
-the merge scores read E through a slice of one cached strict-upper mask. A
-re-solve starts from V and replaces E with the SDP correlations of the graph
-W (whose node order is those same ids); only the first solve starts from
-seeded random vectors.
+other column, and V, the sizes, the ids and a vector of summaries with one
+``take`` each. No other index is built per merge: both rows come from one
+``searchsorted``, and the merge scores read E, and a vector's penalties,
+through a slice of one cached strict-upper mask. A vector of summaries
+(MDKP's capacity shares) is scored with one broadcast call of the penalty
+per selection; a list (MIS's and QAP's bitmasks, too wide for any numpy
+integer past 64 vertices) with one call per pair. A re-solve starts from V
+and replaces E with the SDP correlations of the graph W (whose node order
+is those same ids); only the first solve starts from seeded random vectors.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .qubo import json_document, require_choice, require_integer, require_number
 from .sdp import extract_correlations, require_sdp_limits, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
-PenaltyFn = Callable[[Any, Any], float]  # Pi on two supernode summaries
-NodeSummaries = tuple[list, Callable[[Any, Any], Any]]  # summary by node id, combine rule
+PenaltyFn = Callable[[Any, Any], Any]  # Pi on two summaries, or broadcast over a vector's
+NodeSummaries = tuple[list | np.ndarray, Callable[[Any, Any], Any]]  # summary by node id, combine
 
 _TIE_WINDOW = 1e-12  # merge scores this close to the best tie with it
 
@@ -170,7 +173,8 @@ class WorkingGraph:
     ``sizes[t]`` (its original node count) and ``summaries[t]`` (its penalty
     summary) belong to supernode ``ids[t]``. ``correlations`` and ``vectors``
     (an SDP embedding) stay None until the caller sets them; ``summaries``
-    stays None unless given as (summary by node id, combine rule). Over the
+    stays None unless given as (summary by node id, combine rule), and is a
+    vector when the summaries by node id are one, else a list. Over the
     original nodes, ``rep[v]`` is the id of v's supernode and ``sign[v]`` is
     v's spin relative to it. By default each id stands for itself alone.
     """
@@ -193,7 +197,10 @@ class WorkingGraph:
         self.summaries = self.combine = None
         if summaries is not None:
             parts, self.combine = summaries
-            self.summaries = [parts[i] for i in self.nodes()]
+            if isinstance(parts, np.ndarray):
+                self.summaries = parts.take(self.ids)
+            else:
+                self.summaries = [parts[i] for i in self.nodes()]
 
     @classmethod
     def from_graph(
@@ -233,9 +240,10 @@ class WorkingGraph:
         their signs times sigma. Row and column a are then dropped: a and b
         come from one ``searchsorted`` over the ids, and W, E, V, the sizes
         and the ids are compacted with ``take`` over one index of every row
-        but a (W and E along rows, then columns). The folded rows are
-        written into those compacted copies, so the arrays the state held
-        before (the caller's W, E and V) are never written. The constant
+        but a (W and E along rows, then columns), as is a vector of
+        summaries; a list drops a's entry. The folded rows are written into
+        those compacted copies, so the arrays the state held before (the
+        caller's W, E, V and summaries) are never written. The constant
         (1 - sigma)/2 * sum_k w(i,k) is subtracted from the offset so
         original and reduced energies coincide. Returns that constant.
         """
@@ -269,8 +277,13 @@ class WorkingGraph:
         self.sizes[b] += n_a
         self.sizes = self.sizes.take(keep)
         if self.summaries is not None:
-            self.summaries[b] = self.combine(self.summaries[b], self.summaries[a])
-            del self.summaries[a]
+            folded = self.combine(self.summaries[b], self.summaries[a])
+            if isinstance(self.summaries, np.ndarray):
+                self.summaries = self.summaries.take(keep)
+                self.summaries[t] = folded
+            else:
+                self.summaries[b] = folded
+                del self.summaries[a]
         moved = self.rep == i
         self.sign[moved] *= sigma
         self.rep[moved] = j
@@ -295,26 +308,29 @@ def select_merge(
     correlations: np.ndarray,
     lam: float = 1.5,
     penalty: PenaltyFn | None = None,
-    summaries: list | None = None,
+    summaries: list | np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     protected: frozenset[int] = frozenset({0}),
 ) -> tuple[int, int, int]:
     """Pick the best-scoring supernode pair to contract next.
 
     ``supernodes`` lists the surviving supernode ids in ascending order
-    (``WorkingGraph.ids``), ``summaries`` their penalty summaries, and
-    ``penalty`` is called once per pair, on two summaries. ``correlations``
+    (``WorkingGraph.ids``) and ``summaries`` their penalty summaries. On a
+    vector s, ``penalty`` is called once, as ``penalty(s[:, None], s)``,
+    and must broadcast to every pair's penalty (``operator.add`` does); on
+    a list it is called once per pair, on two summaries. ``correlations``
     is the S x S supernode correlation matrix in the same order; only its
-    upper triangle is read. Returns (absorbed, survivor, sigma) as ids: the
-    smaller id is absorbed into the larger, except that a protected node
-    (the reference) always survives. Every pair whose score lies within
-    1e-12 of the best ties with it, so that a last-bit difference in the
-    correlations (a BLAS kernel's summation order, say) cannot pick the
-    merge; ties are broken uniformly at random with ``rng`` among the tied
-    pairs in ascending (a, b) order.
+    upper triangle is read, as is the penalty matrix's. Returns (absorbed,
+    survivor, sigma) as ids: the smaller id is absorbed into the larger,
+    except that a protected node (the reference) always survives. Every
+    pair whose score lies within 1e-12 of the best ties with it, so that a
+    last-bit difference in the correlations (a BLAS kernel's summation
+    order, say) cannot pick the merge; ties are broken uniformly at random
+    with ``rng`` among the tied pairs in ascending (a, b) order.
 
-    The pairs' correlations are read through a slice of one cached
-    read-only strict-upper mask.
+    The pairs' correlations and a vector's penalties are read through a
+    slice of one cached read-only strict-upper mask, in the order in which
+    ``combinations`` yields the pairs of a list.
     """
     size = len(supernodes)
     if size < 2:
@@ -323,9 +339,12 @@ def select_merge(
         raise ValueError(f"need one correlation row per supernode, got shape {correlations.shape}")
     if penalty is not None and (summaries is None or len(summaries) != size):
         raise ValueError("a penalty needs one summary per supernode")
-    corr = correlations[_upper_mask(size)]  # the pairs row < col, row-major
+    upper = _upper_mask(size)
+    corr = correlations[upper]  # the pairs row < col, row-major
     pi = 0.0
-    if penalty is not None:  # combinations yields the pairs in the same order
+    if isinstance(summaries, np.ndarray) and penalty is not None:
+        pi = penalty(summaries[:, None], summaries)[upper]
+    elif penalty is not None:  # combinations yields the pairs in the same order
         pairs = combinations(summaries, 2)
         pi = np.fromiter(starmap(penalty, pairs), float, count=len(corr))
     score = merge_score(corr, pi, lam)

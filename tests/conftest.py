@@ -286,6 +286,21 @@ def tag_penalty_summaries(inst, node_tags: dict[int, tuple]) -> list:
     return [parts.get(node, identity) for node in range(size)]
 
 
+def assert_same_summaries(inst, got, want) -> None:
+    """``got`` holds ``want``'s penalty summaries bit for bit, in ``inst``'s kind's form.
+
+    MDKP's are one float64 vector of capacity shares, which the merge score
+    broadcasts over; MIS's and QAP's are a list of Python bitmask tuples,
+    scored pair by pair. ``want`` may be a list, a vector or any sequence.
+    """
+    if isinstance(inst, MdkpInstance):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert np.array_equal(got, want)
+    else:
+        assert type(got) is list and [type(s) for s in got] == [type(s) for s in want]
+        assert got == list(want)
+
+
 def _decision_tags(members: list[int], node_tags: dict[int, tuple]) -> list[tuple]:
     return [node_tags[v] for v in members if v in node_tags]
 

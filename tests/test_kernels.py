@@ -42,6 +42,7 @@ for repair, the same round count.
 import itertools
 import json
 import math
+import operator
 import types
 from unittest import mock
 
@@ -76,6 +77,7 @@ from shrinkcut import (
     repair_mis,
     run_shrink,
     sdp_objective,
+    select_merge,
     solve_maxcut_sdp,
     solve_exact,
     solve_sa,
@@ -89,6 +91,7 @@ from tests.conftest import (
     DATA_DIR,
     NaiveWorkingGraph,
     assert_same_embedding,
+    assert_same_summaries,
     maxcut_graph,
     naive_cut_value,
     naive_energy_chunks,
@@ -394,9 +397,10 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
     """MIS and QAP exactly; MDKP within rounding. Every summary is checked against two oracles.
 
     The per-node summaries, built by position, first equal the ones read
-    from the tags. ``WorkingGraph.contract`` folds the summaries as it
-    merges. Replaying the merge log with the pairwise rule must give every
-    summary bit for bit.
+    from the tags: a float64 vector for MDKP, a list of bitmask tuples for
+    MIS and QAP. ``WorkingGraph.contract`` folds the summaries as it
+    merges, keeping their form. Replaying the merge log with the pairwise
+    rule must give every summary bit for bit.
     Rebuilt from scratch over the supernode's original nodes, MIS and QAP
     masks must match exactly and MDKP's share sum within 1e-12 relative,
     since it adds the shares in another order. The MDKP scorer adds
@@ -407,16 +411,16 @@ def test_penalty_equals_the_oracle_on_every_pair_after_every_merge(case):
     oracle = PENALTY_ORACLES[type(inst)]
     penalty = make_penalty(inst)
     node_summaries = penalty_summaries(inst, len(tags))
-    assert node_summaries[0] == tag_penalty_summaries(inst, tags)
+    assert_same_summaries(inst, node_summaries[0], tag_penalty_summaries(inst, tags))
     partition = WorkingGraph.from_graph(maxcut_graph(len(tags) + 1, {}), node_summaries)
     done = []
 
     def assert_every_pair_matches():
         replayed = replay_summaries(node_summaries, range(len(tags) + 1), done)
         assert list(replayed) == sorted(replayed) == partition.nodes()
+        assert_same_summaries(inst, partition.summaries, list(replayed.values()))
         groups = supernode_members(partition)
-        for members, summary, expected in zip(groups, partition.summaries, replayed.values()):
-            assert type(summary) is type(expected) and summary == expected
+        for members, summary in zip(groups, partition.summaries):
             rebuilt = summary_from_scratch(node_summaries, members)
             if isinstance(inst, MdkpInstance):
                 assert abs(summary - rebuilt) <= 1e-12 * abs(rebuilt)
@@ -451,7 +455,9 @@ def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_ever
 
     The rebuilt run hands ``select_merge`` every supernode's summary as
     replayed afresh from the merge log so far, and checks that it equals the
-    folded one bit for bit.
+    folded one bit for bit. It hands them over as a list, which is scored
+    pair by pair, so for MDKP it checks the folded run's one broadcast per
+    selection against the per-pair scores, merge for merge.
     """
     kind = {MisInstance: "mis", QapInstance: "qap", MdkpInstance: "mdkp"}[type(inst)]
     model = build_model(inst, PipelineConfig(kind=kind))
@@ -470,7 +476,7 @@ def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_ever
         replayed = replay_summaries(node_summaries, range(graph.n_nodes), merged)
         assert list(replayed) == supernodes.tolist()
         rebuilt = list(replayed.values())
-        assert [type(s) for s in rebuilt] == [type(s) for s in summaries] and rebuilt == summaries
+        assert_same_summaries(inst, summaries, rebuilt)
         merged.append(select_merge(supernodes, correlations, summaries=rebuilt, **kwargs))
         return merged[-1]
 
@@ -478,6 +484,57 @@ def test_shrink_on_folded_summaries_logs_the_merges_of_summaries_rebuilt_at_ever
         rebuilt = run_shrink(graph, config, **options)
     assert rebuilt.steps == folded.steps
     assert len(folded.steps) == max(0, graph.n_nodes - k)
+
+
+@st.composite
+def share_selections(draw):
+    """Ascending supernode ids, correlations, float shares spanning six decades, lam and protection.
+
+    Half the cases draw the shares and correlations from a few values, so
+    that many pairs tie exactly and the tie window and rng decide.
+    """
+    size = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    supernodes = np.sort(rng.choice(10 * size, size, replace=False))
+    if draw(st.booleans()):
+        shares = rng.choice([0.0, 1e-6, 1e-3, 1.0], size)
+        correlations = rng.choice([-0.5, 0.25, 0.5], (size, size))
+    else:
+        shares = 10.0 ** rng.uniform(-6.0, 0.0, size)
+        correlations = rng.uniform(-1.0, 1.0, (size, size))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.5, 1e3]))
+    protected = draw(st.sampled_from([frozenset(), frozenset({int(supernodes[-1])})]))
+    return supernodes, correlations, shares, lam, protected
+
+
+@settings(max_examples=200, deadline=None)
+@given(share_selections(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+# every pair ties: the rng draw over all six pairs must land on the same one
+@example((np.arange(4), np.full((4, 4), 0.5), np.zeros(4), 1.5, frozenset({0})), 5)
+def test_select_merge_scores_a_share_vector_with_one_call_and_picks_as_the_list_does(case, seed):
+    """One broadcast call of the scorer gives every pair the penalty the per-pair calls give.
+
+    The same shares handed over as a list of Python floats are scored pair
+    by pair; both must pick the same merge and leave the rng in the same
+    state, so the tie sets and the draw over them agree too.
+    """
+    supernodes, correlations, shares, lam, protected = case
+    calls = []
+
+    def counting(s_a, s_b):
+        calls.append((s_a, s_b))
+        return s_a + s_b
+
+    def pick(summaries, penalty):
+        rng = None if seed is None else np.random.default_rng(seed)
+        merge = select_merge(
+            supernodes, correlations, lam, penalty, summaries, rng=rng, protected=protected
+        )
+        return merge, None if rng is None else rng.bit_generator.state
+
+    assert pick(shares, counting) == pick(shares.tolist(), operator.add)
+    assert len(calls) == 1
+    assert calls[0][0].shape == (len(shares), 1) and calls[0][1] is shares
 
 
 @st.composite

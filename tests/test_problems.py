@@ -19,7 +19,12 @@ from shrinkcut import (
 )
 from shrinkcut.cli import main
 from shrinkcut.pipeline import PROBLEMS, problem_of
-from tests.conftest import DATA_DIR, tag_decode_solution, tag_penalty_summaries
+from tests.conftest import (
+    DATA_DIR,
+    assert_same_summaries,
+    tag_decode_solution,
+    tag_penalty_summaries,
+)
 
 
 def bundled(kind: str) -> list:
@@ -106,8 +111,8 @@ def test_each_record_reads_the_variables_where_its_builders_tags_put_them(kind):
             n = model.n_vars
             parts, _ = penalty_summaries(inst, n)
             want = tag_penalty_summaries(inst, dict(enumerate(model.semantics, 1)))
-            assert [type(s) for s in parts] == [type(s) for s in want] and parts == want
-            assert pipeline.shrink_penalty(inst, model)[1][0] == want
+            assert_same_summaries(inst, parts, want)
+            assert_same_summaries(inst, pipeline.shrink_penalty(inst, model)[1][0], want)
             samples = [np.zeros(n, dtype=int), np.ones(n, dtype=int), *rng.integers(0, 2, (50, n))]
             for bits in samples:
                 assert np.array_equal(

@@ -338,6 +338,32 @@ def test_run_shrink_calls_the_penalty_once_per_pair_at_every_selection(recalc):
     assert calls[:36] == list(itertools.combinations(range(9), 2))
 
 
+@pytest.mark.parametrize("recalc", ["fixed", "delta", "tau", "local"])
+def test_run_shrink_scores_the_mdkp_share_vector_with_one_call_per_merge(recalc):
+    """synth24x4 with slack (61 nodes): the share vector merges as a list of the same shares.
+
+    The vector is scored with one broadcast call per selection, the list
+    with one call per pair; both must log the same merges and reduce to the
+    same graph.
+    """
+    inst = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    model = build_model(inst, PipelineConfig(kind="mdkp", use_slack=True))
+    graph = qubo_to_maxcut(model)
+    shares, combine = penalty_summaries(inst, model.n_vars)
+    calls = []
+
+    def counting(s_a, s_b):
+        calls.append((s_a, s_b))
+        return s_a + s_b
+
+    config = ShrinkConfig(stop_mode="k", k=21, recalc=recalc, seed=30)
+    broadcast = run_shrink(graph, config, counting, (shares, combine))
+    per_pair = run_shrink(graph, config, operator.add, (shares.tolist(), combine))
+    assert broadcast.steps == per_pair.steps
+    assert np.array_equal(broadcast.graph.weights, per_pair.graph.weights)
+    assert len(calls) == broadcast.stats.merges == len(broadcast.steps) == graph.n_nodes - 21
+
+
 def test_select_merge_penalty_steers_away_from_constraint_mixing():
     X = np.eye(4)
     X[1, 2] = X[2, 1] = 0.9
