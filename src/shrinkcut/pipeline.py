@@ -37,13 +37,15 @@ from .instances import (
     parse_qaplib,
 )
 from .maxcut import graph_to_qubo, qubo_to_maxcut
-from .qubo import build_mdkp_qubo, build_mis_qubo, build_qap_qubo
+from .qubo import build_mdkp_qubo, build_mis_qubo, build_qap_qubo, evaluate_qubo
 from .qubo import require_choice, require_integer, require_number, require_switch
 from .reconstruct import lift_solution
 from .shrink import ShrinkConfig, run_shrink
 from .solvers import solve_qubo
 
 STRATEGIES = ("2/3", "1/2", "adaptive")
+# a lifted solution's three energies may differ by this much of max(1, each |energy|)
+LIFT_RTOL = 1e-9
 PHASES = ("correlation", "shrinking", "solving", "repair", "local_search")
 
 CSV_COLUMNS = (
@@ -482,6 +484,12 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
     ``inst`` may be passed directly (already parsed); otherwise it is loaded
     from ``config.instance``. When ``config.out`` is set the report is also
     written there as JSON.
+
+    After lifting, the reduced solver's energy, the lifted energy (offset
+    minus cut on the original graph) and ``evaluate_qubo`` of the lifted
+    bits must agree within ``LIFT_RTOL`` of the largest of 1 and their
+    magnitudes. Shrinking and lifting are lossless, so a miss is a defect:
+    it raises ``PipelineError`` at stage "solve", naming all three.
     """
     partial: dict = {}
     stage = "load"
@@ -523,6 +531,14 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
         options = solver_options(config.backend, config.sa_sweeps, config.vqe_layers)
         reduced = solve_qubo(reduced_model, backend=config.backend, seed=solver_seed, **options)
         lifted = lift_solution(shrink_result, reduced.bits, graph)
+        energies = (reduced.energy, lifted.energy, evaluate_qubo(model, lifted.bits))
+        if max(energies) - min(energies) > LIFT_RTOL * max(1.0, *map(abs, energies)):
+            raise PipelineError(
+                stage,
+                "lifting changed the energy: reduced solve {!r}, lifted {!r}, "
+                "evaluate_qubo {!r}".format(*energies),
+                partial,
+            )
         decoded = decode_solution(inst, model, lifted.bits)
         timings["solving"] = time.perf_counter() - t0
 

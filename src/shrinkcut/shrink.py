@@ -253,7 +253,7 @@ class WorkingGraph:
         if sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {sigma}")
         W = self.weights
-        constant = (1.0 - sigma) / 2.0 * float(W[a].sum())
+        constant = (1.0 - sigma) / 2.0 * float(np.add.reduce(W[a]))
         self.offset -= constant
         row = W[b] + sigma * W[a]
         row[b] = 0.0
@@ -348,7 +348,7 @@ def select_merge(
         pairs = combinations(summaries, 2)
         pi = np.fromiter(starmap(penalty, pairs), float, count=len(corr))
     score = merge_score(corr, pi, lam)
-    ties = np.flatnonzero(score >= score.max() - _TIE_WINDOW)
+    ties = (score >= score.max() - _TIE_WINDOW).nonzero()[0]
     pick = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
     row, col = 0, int(pick) + 1
     while col >= size:  # row r holds the pairs (r, r + 1) .. (r, size - 1)
@@ -369,7 +369,7 @@ def local_correlation_update(working: WorkingGraph, survivor_row: int, affected_
     left exactly as they were.
     """
     s, ks = survivor_row, affected_rows
-    degrees = np.abs(working.weights).sum(axis=1)
+    degrees = np.add.reduce(np.abs(working.weights), axis=1)
     scale = np.sqrt(degrees[s] * degrees[ks])
     nonzero = (degrees[s] > 0.0) & (degrees[ks] > 0.0)
     values = np.zeros(len(ks))
@@ -468,9 +468,9 @@ def run_shrink(
         )
         if config.recalc == "local":  # the neighbours of either row, read before the merge
             a, b = working.rows(absorbed, survivor)
-            touched = (working.weights[a] != 0) | (working.weights[b] != 0)
-            touched[[a, b]] = False
-            affected = np.flatnonzero(touched)
+            touched = np.logical_or(working.weights[a], working.weights[b])
+            touched[a] = touched[b] = False
+            affected = touched.nonzero()[0]
             affected -= affected > a  # the rows once a is dropped
             survivor_row = b - (a < b)
         working.contract(absorbed, survivor, sigma)

@@ -10,9 +10,11 @@ of min(n // 2, 10) variables (the counter's low bits) and a high part H,
 and each block of high patterns is one matrix product against all 2^len(L)
 low patterns, flattened in counter order. The product's factors carry the
 offset and both half-energies as well as the couplings between the parts,
-so nothing passes over a block after it is written. A block holds
-max(chunk, 2^len(L)) energies at most (chunk defaults to 2^16, 512 KB of
-float64), and exact enumeration breaks ties toward the lowest counter.
+so nothing passes over a block after it is written. Every product is written
+into one buffer of max(chunk, 2^len(L)) energies at most (chunk defaults to
+2^16, 512 KB of float64), allocated once per pass, so a block is valid only
+until the next one is requested. Exact enumeration breaks ties toward the
+lowest counter.
 
 Annealing draws its uniforms and its slice of the cooling schedule in blocks
 of about ``DRAW_BLOCK`` values, so its memory does not grow with the sweep
@@ -83,13 +85,18 @@ def _energy_chunks(model: QuboModel, chunk: int = 1 << 16):
     partial sums stay below 2^53 every energy is exact, so it is the same
     double in any summation order; on float data it is within rounding.
 
-    The default chunk 2^16 keeps the two live blocks (this generator's and
-    its caller's) near the cache. Measured with one BLAS thread on a 2-core
-    VM, on synth24x4's QUBO without slack and its leading 20 variables:
-    2^17 made 20 variables about 1.3x slower and 2^18 about 2x, and 2^15
-    made 24 about 5% slower. At 24 variables L = 10 took 26 ms against
-    32 ms at n // 2 = 12, for about 1.5 MB more peak memory (the 2^14 rows
-    of ``left``); 9 and 11 were no faster.
+    Every product is written with ``out=`` into one buffer of
+    min(rows, 2^len(H)) x 2^len(L) floats, allocated before the first block,
+    and each yielded block is a flat view of it. So a block is valid only
+    until the next one is requested: a caller that keeps one must copy it.
+    A pass then maps its buffer's pages once, not once per block.
+
+    The default chunk 2^16 keeps that one buffer near the cache. Measured
+    with one BLAS thread on a 2-core VM, on synth24x4's QUBO without slack
+    and its leading 20 variables: 2^17 made 20 variables about 1.3x slower
+    and 2^18 about 2x, and 2^15 made 24 about 5% slower. At 24 variables
+    L = 10 took 26 ms against 32 ms at n // 2 = 12, for about 1.5 MB more
+    peak memory (the 2^14 rows of ``left``); 9 and 11 were no faster.
     """
     n = model.n_vars
     low = min(n // 2, 10)
@@ -101,18 +108,21 @@ def _energy_chunks(model: QuboModel, chunk: int = 1 << 16):
     left = np.column_stack([X_H @ upper[:low, low:].T, E_H, np.ones(len(X_H))])
     right = np.vstack([X_L.T, np.ones(len(X_L)), E_L])
     rows = max(1, chunk >> low)
+    block = np.empty((min(rows, len(X_H)), len(X_L)))
     for h in range(0, len(X_H), rows):
-        yield h << low, (left[h : h + rows] @ right).ravel()
+        part = left[h : h + rows]
+        yield h << low, np.matmul(part, right, out=block[: len(part)]).ravel()
 
 
 def solve_exact(model: QuboModel, chunk: int = 1 << 16) -> Solution:
     """Global minimum by full enumeration of all 2^n assignments.
 
     Energies come from ``_energy_chunks`` one block at a time, in counter
-    order; a block holds max(chunk, 2^min(n // 2, 10)) energies at most.
-    Ties go to the lowest counter (bit i of the counter is variable i). The
-    returned energy is ``evaluate_qubo`` of the chosen bits, so it does not
-    depend on the enumeration's arithmetic or on ``chunk``.
+    order, each read before the next overwrites it; the one buffer holds
+    max(chunk, 2^min(n // 2, 10)) energies at most. Ties go to the lowest
+    counter (bit i of the counter is variable i). The returned energy is
+    ``evaluate_qubo`` of the chosen bits, so it does not depend on the
+    enumeration's arithmetic or on ``chunk``.
     """
     n = model.n_vars
     if n > EXACT_MAX_VARS:
@@ -125,7 +135,7 @@ def solve_exact(model: QuboModel, chunk: int = 1 << 16) -> Solution:
     best_energy = np.inf
     best_counter = 0
     for start, energies in _energy_chunks(model, chunk):
-        idx = int(np.argmin(energies))
+        idx = int(energies.argmin())
         if energies[idx] < best_energy:
             best_energy = float(energies[idx])
             best_counter = start + idx
@@ -343,11 +353,12 @@ def solve_vqe_sim(
     The ansatz is an initial RY layer followed by ``layers`` blocks of a CZ
     ring plus another RY layer. Angles are tuned by seeded random-restart
     coordinate search over a fixed angle grid against the exact expected
-    energy; the returned solution is the best of the ``shots``
-    highest-probability basis states, and its energy is ``evaluate_qubo`` of
-    those bits. ``layers`` and ``seed`` must be integers >= 0, ``restarts``,
-    ``passes`` and ``shots`` integers >= 1 and ``grid`` an integer >= 2 (none
-    a bool).
+    energy, read from one 2^n array that each block of ``_energy_chunks``
+    is copied into before the next one overwrites it. The returned solution
+    is the best of the ``shots`` highest-probability basis states, and its
+    energy is ``evaluate_qubo`` of those bits. ``layers`` and ``seed`` must
+    be integers >= 0, ``restarts``, ``passes`` and ``shots`` integers >= 1
+    and ``grid`` an integer >= 2 (none a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
@@ -360,7 +371,9 @@ def solve_vqe_sim(
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
 
-    energies = np.concatenate([chunk for _, chunk in _energy_chunks(model)])
+    energies = np.empty(1 << n)
+    for start, block in _energy_chunks(model):
+        energies[start : start + block.size] = block
     cz_mask = _cz_ring_mask(n)
     n_angles = n * (layers + 1)
     grid_angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)

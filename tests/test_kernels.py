@@ -23,7 +23,8 @@ dict-of-dicts graph one edge at a time, and the two must hold the same ids,
 edges and weights after every contraction.
 ``_energy_chunks`` splits the variables into a low and a high half
 and takes one matrix product per block, with the offset and both
-half-energies in its factors; its oracle sums ``((B @ U) * B)`` row by row,
+half-energies in its factors, into one buffer that each block overwrites;
+its oracle sums ``((B @ U) * B)`` row by row,
 and the two must give the same energies in the same counter order (equal on
 integer data, within rounding on float data).
 The merge penalty scores two supernode summaries, which ``WorkingGraph.
@@ -43,6 +44,7 @@ import itertools
 import json
 import math
 import operator
+import tracemalloc
 import types
 from unittest import mock
 
@@ -920,13 +922,17 @@ def enumeration_cases(draw) -> tuple[QuboModel, int, bool]:
 
 
 def enumerate_energies(chunks) -> np.ndarray:
-    """Concatenate (first counter, energies) blocks, checking they follow on."""
+    """Concatenate (first counter, energies) blocks, checking they follow on.
+
+    ``_energy_chunks`` overwrites one buffer with each block, so each is
+    copied before the next is requested.
+    """
     blocks = []
     expected_start = 0
     for start, energies in chunks:
         assert start == expected_start
         expected_start += energies.size
-        blocks.append(energies)
+        blocks.append(energies.copy())
     return np.concatenate(blocks)
 
 
@@ -982,6 +988,35 @@ def test_solve_exact_equals_the_oracle_on_the_20_variable_mdkp_reduced_model(mon
     solution = original(model)
     assert int(solution.bits @ (1 << np.arange(20))) == int(np.argmin(want))
     assert solution.energy == evaluate_qubo(model, solution.bits)
+
+
+def test_solve_exact_holds_one_energy_block_on_the_20_variable_mdkp_reduced_model():
+    captured = []  # the reduced model of perfbench's mdkp-sdp op 0 under --seed 1
+    synth = load_instance("mdkp", DATA_DIR / "mdkp" / "synth24x4.txt")
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    config = PipelineConfig(
+        kind="mdkp", use_slack=True, stop_mode="k", k=21, recalc="local", backend="exact", seed=seed
+    )
+    original = solvers.solve_exact
+
+    def capture(model, **options):
+        captured.append(model)
+        return original(model, **options)
+
+    with mock.patch.object(solvers, "solve_exact", capture):
+        run_pipeline(config, inst=synth)
+    (model,) = captured
+    assert model.n_vars == 20
+    # 16 blocks of 2^16 energies (512 KiB each) and about 0.4 MB of factors:
+    # one reused buffer peaks near 0.9 MB, a new array per product, made
+    # while the previous block is still referenced, near 1.4 MB
+    tracemalloc.start()
+    try:
+        solve_exact(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (1 << 16)  # two blocks
 
 
 def test_solve_exact_equals_the_oracle_at_the_24_variable_cap_with_couplings_across_the_halves():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     CSV_COLUMNS,
+    MaxCutGraph,
     MdkpInstance,
     MisInstance,
     PipelineConfig,
@@ -36,6 +37,7 @@ from shrinkcut import (
     run_pipeline,
     run_shrink,
 )
+from shrinkcut import pipeline
 from shrinkcut.pipeline import shrink_config
 from tests.conftest import every_bitstring, random_mis
 
@@ -171,6 +173,35 @@ def test_run_pipeline_wraps_backend_capacity_errors():
     assert excinfo.value.stage == "solve"
     assert excinfo.value.partial["initial_size"] == 30
     assert excinfo.value.partial["final_size"] == 27
+
+
+def shift_offset(result):
+    graph = result.graph
+    return replace(result, graph=MaxCutGraph(graph.weights, graph.offset + 1.0))
+
+
+def flip_one_sign(result):
+    sign = result.sign.copy()
+    sign[1] = -sign[1]  # variable 0's spin relative to its supernode
+    return replace(result, sign=sign)
+
+
+@pytest.mark.parametrize("corrupt", [shift_offset, flip_one_sign])
+def test_run_pipeline_rejects_a_shrink_result_whose_lift_changes_the_energy(
+    data_dir, monkeypatch, corrupt
+):
+    def corrupted_shrink(*args, **kwargs):
+        return corrupt(run_shrink(*args, **kwargs))
+
+    monkeypatch.setattr(pipeline, "run_shrink", corrupted_shrink)
+    inst = load_instance("mis", data_dir / "mis" / "1tc.8.txt")
+    config = PipelineConfig(kind="mis", stop_mode="k", k=4, backend="exact", seed=1)
+    with pytest.raises(PipelineError, match="lifting changed the energy") as excinfo:
+        run_pipeline(config, inst=inst)
+    assert excinfo.value.stage == "solve"
+    named = re.search(r"reduced solve (\S+), lifted (\S+), evaluate_qubo (\S+)$", str(excinfo.value))
+    reduced, lifted, evaluated = map(float, named.groups())
+    assert reduced != lifted == evaluated  # the original graph and QUBO still agree
 
 
 def test_run_pipeline_final_solution_is_always_feasible():

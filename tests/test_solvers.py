@@ -1,7 +1,9 @@
 """Solving backends: exact enumeration, simulated annealing, toy VQE."""
 
+import json
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from shrinkcut import (
     Solution,
     build_mdkp_qubo,
     evaluate_qubo,
+    model_from_json,
     solve_exact,
     solve_qubo,
     solve_sa,
@@ -230,6 +233,29 @@ def test_solve_vqe_sim_rejects_a_layer_count_that_is_not_an_integer(layers):
         solve_vqe_sim(qubo_model({}, ()), layers=layers)
     numpy_count = solve_vqe_sim(model, layers=np.int64(1), seed=2)
     assert numpy_count.bits.tolist() == solve_vqe_sim(model, layers=1, seed=2).bits.tolist()
+
+
+VQE_GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "vqe_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", VQE_GOLDEN["cases"], ids=lambda c: f"{c['model']}-layers{c['layers']}-seed{c['seed']}"
+)
+def test_solve_vqe_sim_matches_the_vqe_golden_file(case):
+    """Bits and energy equal those an earlier revision wrote, exactly.
+
+    The models have integer coefficients: example3x1's QUBO without and with
+    slack bits (3 and 5 variables), 1tc.8's (8) and a seeded random one (10).
+    Every enumerated energy is then exact, so only the statevector arithmetic
+    could move a coordinate-search decision. Regenerate the file only for a
+    deliberate change of ``solve_vqe_sim``'s answers: rerun it with its
+    default options on each case's stored model, layers and seed, and write
+    back the bits and energy.
+    """
+    model = model_from_json(json.dumps(VQE_GOLDEN["models"][case["model"]]))
+    solution = solve_vqe_sim(model, layers=case["layers"], seed=case["seed"])
+    assert solution.bits.tolist() == case["bits"]
+    assert solution.energy == case["energy"]
 
 
 def test_solve_qubo_dispatches_by_backend_name(mdkp_tiny):
