@@ -10,10 +10,11 @@ Every key is honoured, ``out``, ``kind`` and ``instance`` too, and each flag
 stores under its field's name. The instance commands build
 ``PipelineConfig(**settings)``, which checks every setting before any stage
 runs, also one the run never reads, each with the shared integer, number,
-choice or on/off check of ``qubo``; ``solve`` and ``shrink`` check the same
-settings with ``check_run_settings``, and ``shrink --graph`` builds its
-ShrinkConfig from the same dict with ``shrink_config``. ``--k`` and
-``--alpha`` are one mutually exclusive group.
+choice or on/off check of ``qubo``; ``solve``, ``shrink`` and ``to-maxcut
+--model`` check the same settings with ``check_run_settings``, ``solve``
+checks its annealing temperatures on every backend, and ``shrink --graph``
+builds its ShrinkConfig from the same dict with ``shrink_config``. ``--k``
+and ``--alpha`` are one mutually exclusive group.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .pipeline import (
     solver_options,
     violations,
 )
-from .qubo import json_document, model_from_json, model_to_json
+from .qubo import json_document, model_from_json, model_to_json, require_number
 from .shrink import merge_steps_to_jsonl, run_shrink
 from .solvers import solve_qubo
 
@@ -256,6 +257,7 @@ def _cmd_build_qubo(settings, args, parser) -> int:
 
 def _cmd_to_maxcut(settings, args, parser) -> int:
     if args.model:
+        check_run_settings(settings)  # every setting, as a run from the instance checks it
         model = model_from_json(Path(args.model).read_text())
     else:
         inst, config = _load(settings, parser)
@@ -285,11 +287,17 @@ def _cmd_shrink(settings, args, parser) -> int:
 
 def _cmd_solve(settings, args, parser) -> int:
     check_run_settings(settings)  # every setting, as a pipeline run checks it
+    t_start, t_end = args.t_start, args.t_end  # only SA reads them; every backend checks them
+    for key, value in (("t_start", t_start), ("t_end", t_end)):
+        if value is not None:
+            require_number(key, value, 0, strict=True)
+    if None not in (t_start, t_end) and t_end > t_start:
+        raise ValueError(f"t_end must be <= t_start, got {t_end} and {t_start}")
     model = model_from_json(Path(args.model).read_text())
     backend = settings["backend"]
     options = solver_options(backend, settings["sa_sweeps"], settings["vqe_layers"])
     if backend == "sa":
-        options.update(t_start=args.t_start, t_end=args.t_end)
+        options.update(t_start=t_start, t_end=t_end)
     solution = solve_qubo(model, backend=backend, seed=settings["seed"], **options)
     doc = {
         "instance": args.name,

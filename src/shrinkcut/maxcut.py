@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qubo import QuboModel, VarTag, json_document, json_index, nonzero_terms, pairs_from_json
+from .qubo import QuboModel, json_document, json_index, nonzero_terms, pairs_from_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +76,14 @@ def qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
     return MaxCutGraph(weights, model.offset)
 
 
-def graph_to_qubo(graph: MaxCutGraph, semantics: tuple[VarTag, ...] | None = None) -> QuboModel:
+def graph_to_qubo(graph: MaxCutGraph) -> QuboModel:
     """Inverse reduction: rebuild the QUBO whose energies are offset - cut.
 
-    Nodes 1..n-1 become variables 0..n-2. ``semantics`` defaults to generic
-    ("spin", node) tags.
+    Nodes 1..n-1 become variables 0..n-2, tagged ("spin", node).
     """
     W = graph.weights
     lin = np.zeros(graph.n_nodes - 1) - W[1:].sum(axis=1)
-    if semantics is None:
-        semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
+    semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
     return QuboModel(2.0 * np.triu(W[1:, 1:], 1), lin, graph.offset, semantics)
 
 

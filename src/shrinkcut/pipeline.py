@@ -121,9 +121,9 @@ def check_run_settings(settings: Mapping[str, Any]) -> None:
 
     ``settings`` maps PipelineConfig's field names to values. The shrink
     knobs and the seed go through ShrinkConfig, the rest through the shared
-    checks of ``qubo``; ``kind`` is None (``solve`` and ``shrink --graph``
-    need none) or one of ``KINDS``, and ``instance``, ``name`` and ``out``
-    are None or text.
+    checks of ``qubo``; ``kind`` is None (``solve``, ``shrink --graph`` and
+    ``to-maxcut --model`` need none) or one of ``KINDS``, and ``instance``,
+    ``name`` and ``out`` are None or text.
     """
     if settings["kind"] is not None:
         require_choice("kind", settings["kind"], KINDS)

@@ -647,12 +647,11 @@ def naive_qubo_to_maxcut(model: QuboModel) -> MaxCutGraph:
     return maxcut_graph(model.n_vars + 1, edges, model.offset)
 
 
-def naive_graph_to_qubo(graph: MaxCutGraph, semantics=None) -> QuboModel:
+def naive_graph_to_qubo(graph: MaxCutGraph) -> QuboModel:
     """The inverse reduction one dict entry at a time (row sums from the array, as above)."""
     quad = {(i - 1, j - 1): 2.0 * w for (i, j), w in graph.edges.items() if i >= 1}
     lin = np.zeros(graph.n_nodes - 1) - graph.weights[1:].sum(axis=1)
-    if semantics is None:
-        semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
+    semantics = tuple(("spin", node) for node in range(1, graph.n_nodes))
     return qubo_model(quad, lin, graph.offset, semantics)
 
 

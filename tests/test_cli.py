@@ -21,6 +21,7 @@ from shrinkcut import (
 )
 from shrinkcut.cli import load_config_file, main
 from tests.conftest import (
+    DATA_DIR,
     INSTANCE_TEXTS,
     PARSERS,
     malformed_instance_texts,
@@ -80,13 +81,25 @@ def test_build_qubo_requires_kind_and_instance(mdkp_file):
     assert excinfo.value.code == 2
 
 
-def test_to_maxcut_from_a_model_file(mdkp_file, tmp_path, mdkp_tiny):
-    model_path = tmp_path / "model.json"
-    main(["build-qubo", "--kind", "mdkp", "--instance", str(mdkp_file), "--out", str(model_path)])
-    out = tmp_path / "graph.json"
-    code = main(["to-maxcut", "--model", str(model_path), "--out", str(out)])
-    assert code == 0
-    assert out.read_text() == graph_to_json(qubo_to_maxcut(build_mdkp_qubo(mdkp_tiny, P=70.0)))
+BUNDLED = sorted(f"{p.parent.name}/{p.name}" for p in DATA_DIR.glob("*/*.txt") if p.name != "optima.txt")
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [(None, [])] + [(name, []) for name in BUNDLED] + [("mdkp/synth24x4.txt", ["--use-slack"])],
+    ids=["worked-mdkp", *BUNDLED, "mdkp/synth24x4.txt-slack"],
+)
+def test_to_maxcut_from_a_model_file(name, flags, mdkp_file, data_dir, tmp_path, mdkp_tiny):
+    """The graph from a model file is, byte for byte, the graph from its instance."""
+    kind, path = ("mdkp", mdkp_file) if name is None else (name.split("/")[0], data_dir / name)
+    source = ["--kind", kind, "--instance", str(path), *flags]
+    model_path, out, direct = tmp_path / "model.json", tmp_path / "graph.json", tmp_path / "direct.json"
+    assert main(["build-qubo", *source, "--out", str(model_path)]) == 0
+    assert main(["to-maxcut", "--model", str(model_path), "--out", str(out)]) == 0
+    assert main(["to-maxcut", *source, "--out", str(direct)]) == 0
+    assert out.read_bytes() == direct.read_bytes()
+    if name is None:
+        assert out.read_text() == graph_to_json(qubo_to_maxcut(build_mdkp_qubo(mdkp_tiny, P=70.0)))
     assert graph_to_json(graph_from_json(out.read_text())) == out.read_text()
 
 
@@ -416,7 +429,7 @@ def test_a_fractional_sweep_count_in_the_config_file_exits_two(
     assert "sweeps must be an integer, got 2.5" in captured.err
 
 
-@pytest.mark.parametrize("command", ["solve", "shrink", "pipeline"])
+@pytest.mark.parametrize("command", ["solve", "to-maxcut", "shrink", "pipeline"])
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -430,10 +443,10 @@ def test_a_seed_that_is_not_a_non_negative_integer_exits_two(
     command, setting, message, data_dir, tmp_path, capsys
 ):
     instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
-    if command == "solve":
+    if command in ("solve", "to-maxcut"):
         model_path = tmp_path / "model.json"
         main(["build-qubo", *instance, "--out", str(model_path)])
-        instance = ["--model", str(model_path), "--backend", "sa"]
+        instance = ["--model", str(model_path)] + (["--backend", "sa"] if command == "solve" else [])
     if setting.startswith("--"):
         extra = setting.split()
     else:
@@ -456,6 +469,33 @@ def test_solve_on_the_exact_backend_with_a_negative_seed_exits_two(data_dir, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed must be >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["exact", "sa", "vqe"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-start", "nan", "--t-end", "-3"], "t_start must be a finite number > 0, got nan"),
+        (["--t-start", "inf"], "t_start must be a finite number > 0, got inf"),
+        (["--t-end", "-3"], "t_end must be a finite number > 0, got -3.0"),
+        (["--t-end", "0"], "t_end must be a finite number > 0, got 0.0"),
+        (["--t-start", "1", "--t-end", "2"], "t_end must be <= t_start, got 2.0 and 1.0"),
+    ],
+    ids=["nan-start-negative-end", "inf-start", "negative-end", "zero-end", "end-above-start"],
+)
+def test_solve_checks_the_annealing_temperatures_on_every_backend(
+    backend, flags, message, data_dir, tmp_path, capsys
+):
+    model_path = tmp_path / "model.json"
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    assert main(["build-qubo", *instance, "--out", str(model_path)]) == 0
+    out = tmp_path / "solution.json"
+    capsys.readouterr()
+    assert main(["solve", "--model", str(model_path), "--backend", backend, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shrinkcut: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -792,12 +832,20 @@ def test_bench_rejects_a_bad_shrink_setting_before_any_row(
     "flags, config_text, message",
     [
         ([], "sdp_tol = nan\n", "tol must be a finite number > 0, got nan"),
+        ([], "sdp_max_sweeps = yes\n", "max_sweeps must be an integer, got True"),
         (["--sweeps", "0", "--backend", "exact"], "", "sweeps must be >= 1, got 0"),
         (["--layers", "-1"], "", "layers must be >= 0, got -1"),
         ([], "sa_sweeps = 2.5\n", "sweeps must be an integer, got 2.5"),
         (["--penalty-multiplier", "nan"], "", "penalty_multiplier must be a finite number > 0, got nan"),
     ],
-    ids=["sdp-tol-on-a-run-that-keeps-every-node", "sweeps", "layers", "fractional-sweeps", "nan-P"],
+    ids=[
+        "sdp-tol-on-a-run-that-keeps-every-node",
+        "sdp-max-sweeps-on-a-run-that-keeps-every-node",
+        "sweeps",
+        "layers",
+        "fractional-sweeps",
+        "nan-P",
+    ],
 )
 def test_a_setting_the_run_never_reads_is_still_checked_before_any_stage(
     command, flags, config_text, message, data_dir, tmp_path, capsys
@@ -865,7 +913,7 @@ def test_shrink_checks_the_run_settings_of_a_graph_it_only_shrinks(tmp_path, tri
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "shrink"])
+@pytest.mark.parametrize("command", ["solve", "shrink", "to-maxcut"])
 def test_a_config_kind_outside_the_kinds_exits_2_from_the_commands_that_take_no_kind(
     command, data_dir, tmp_path, capsys
 ):
@@ -876,7 +924,7 @@ def test_a_config_kind_outside_the_kinds_exits_2_from_the_commands_that_take_no_
     config = tmp_path / "run.cfg"
     config.write_text("kind = sat\n")
     out = tmp_path / "result.json"
-    inputs = ["--model", str(model)] if command == "solve" else ["--graph", str(graph), "--k", "3"]
+    inputs = ["--graph", str(graph), "--k", "3"] if command == "shrink" else ["--model", str(model)]
     capsys.readouterr()
     assert main([command, *inputs, "--config", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -117,7 +117,7 @@ def _openblas_on_an_avx2_cpu() -> bool:
 
 
 @pytest.mark.skipif(not _openblas_on_an_avx2_cpu(), reason="needs numpy on OpenBLAS and an AVX2 CPU")
-@pytest.mark.parametrize("core", ["Haswell", "Prescott", "Zen", "Sandybridge"])
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Nehalem", "Katmai"])
 def test_golden_shrinks_match_under_other_openblas_cores(core):
     """The six golden shrinks, rerun with OpenBLAS forced onto another kernel family.
 
@@ -126,15 +126,19 @@ def test_golden_shrinks_match_under_other_openblas_cores(core):
     ``select_merge`` treats scores within 1e-12 of the best as ties, so that
     such a bit cannot pick the winner. CI runners differ from the machine
     that wrote the golden files. ``OPENBLAS_CORETYPE`` acts only on the child
-    process.
+    process. OpenBLAS maps some names onto another family (``Zen`` loads
+    Haswell, ``Prescott`` Katmai), so the child prints the family it loaded
+    (``OPENBLAS_VERBOSE=2``, uncaptured with ``-s``) and a name that loads
+    another one fails instead of repeating a run.
     """
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "shrink_merge_log"],
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", __file__, "-k", "shrink_merge_log"],
         cwd=ROOT,
-        env={**os.environ, "OPENBLAS_CORETYPE": core},
+        env={**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2"},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
     assert "6 passed" in run.stdout
+    assert f"Core: {core}\n" in run.stderr, run.stderr[-3000:]

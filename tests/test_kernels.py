@@ -1070,8 +1070,8 @@ def assert_same_reductions(model: QuboModel) -> None:
     want = naive_qubo_to_maxcut(model)
     assert graph.weights.tobytes() == want.weights.tobytes()
     assert graph.offset == want.offset
-    again = graph_to_qubo(graph, model.semantics)
-    oracle = naive_graph_to_qubo(graph, model.semantics)
+    again = graph_to_qubo(graph)
+    oracle = naive_graph_to_qubo(graph)
     assert again.pairs.tobytes() == oracle.pairs.tobytes()
     assert again.lin.tobytes() == oracle.lin.tobytes()
     assert (again.offset, again.semantics) == (oracle.offset, oracle.semantics)

@@ -65,7 +65,7 @@ def test_zero_weight_edges_are_dropped():
 def test_graph_to_qubo_inverts_the_reduction(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     graph = qubo_to_maxcut(model)
-    again = graph_to_qubo(graph, semantics=model.semantics)
+    again = graph_to_qubo(graph)
     assert again.quad == model.quad
     assert again.lin.tolist() == model.lin.tolist()
     assert again.offset == model.offset
