@@ -6,7 +6,7 @@ re-verified here by brute force before it is written:
 * data/mis/1tc.8.txt, 1tc.16.txt — conflict graphs over all b-bit strings
   (b = 3, 4): two strings conflict when their single-adjacent-transposition
   balls intersect. Independent sets are exactly the codes correcting one
-  adjacent transposition; optima (4 and 8) are confirmed by subset search.
+  adjacent transposition; optima (4 and 8) are confirmed by branch and bound.
 * data/mdkp/example3x1.txt — the tiny 3-item knapsack with optimum 12.
 * data/mdkp/synth24x4.txt — seeded 24-item, 4-constraint knapsack whose
   capacities all sit in [511, 1022] so each row needs exactly 9 slack bits
@@ -62,27 +62,44 @@ def transposition_conflict_graph(bits: int) -> MisInstance:
     return MisInstance(n=n, edges=tuple(edges))
 
 
-def brute_force_mis(inst: MisInstance) -> int:
-    """Largest independent set size by subset enumeration (n <= ~20)."""
+def mis_optimum(inst: MisInstance) -> int:
+    """Largest independent set size by branch and bound on Python-int vertex sets.
+
+    Each branch picks a remaining vertex of largest remaining degree and
+    either takes it, dropping its neighbours, or drops it alone. A greedy
+    clique cover of the remaining vertices bounds the branch: an independent
+    set holds at most one vertex of each clique.
+    """
     masks = [0] * inst.n
     for u, v in inst.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     best = 0
-    for subset in range(1 << inst.n):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        ok = True
-        probe = subset
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            if masks[v] & subset:
-                ok = False
-                break
-            probe &= probe - 1
-        if ok:
+
+    def cliques(rest: int) -> int:
+        count = 0
+        while rest:
+            candidates = rest
+            while candidates:  # grow a clique from the lowest candidate
+                v = (candidates & -candidates).bit_length() - 1
+                rest &= ~(1 << v)
+                candidates &= masks[v]
+            count += 1
+        return count
+
+    def search(rest: int, size: int) -> None:
+        nonlocal best
+        if size + cliques(rest) <= best:
+            return
+        if not rest:
             best = size
+            return
+        members = [v for v in range(inst.n) if rest >> v & 1]
+        v = max(members, key=lambda u: (masks[u] & rest).bit_count())
+        search(rest & ~masks[v] & ~(1 << v), size + 1)
+        search(rest & ~(1 << v), size)
+
+    search((1 << inst.n) - 1, 0)
     return best
 
 
@@ -118,9 +135,9 @@ def make_mis_files() -> None:
     optima = {}
     for bits, name, expected in ((3, "1tc.8", 4), (4, "1tc.16", 8)):
         inst = transposition_conflict_graph(bits)
-        found = brute_force_mis(inst)
+        found = mis_optimum(inst)
         if found != expected:
-            raise AssertionError(f"{name}: brute force found {found}, expected {expected}")
+            raise AssertionError(f"{name}: branch and bound found {found}, expected {expected}")
         (out_dir / f"{name}.txt").write_text(serialize_mis_edgelist(inst))
         optima[name] = found
         print(f"{name}: {inst.n} vertices, {len(inst.edges)} edges, optimum {found}")

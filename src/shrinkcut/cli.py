@@ -43,10 +43,9 @@ from .pipeline import (
     run_pipeline,
     shrink_config,
     shrink_penalty,
-    solver_options,
     violations,
 )
-from .qubo import json_document, model_from_json, model_to_json, require_number
+from .qubo import json_document, model_from_json, model_to_json
 from .shrink import merge_steps_to_jsonl, run_shrink
 from .solvers import solve_qubo
 
@@ -287,18 +286,11 @@ def _cmd_shrink(settings, args, parser) -> int:
 
 def _cmd_solve(settings, args, parser) -> int:
     check_run_settings(settings)  # every setting, as a pipeline run checks it
-    t_start, t_end = args.t_start, args.t_end  # only SA reads them; every backend checks them
-    for key, value in (("t_start", t_start), ("t_end", t_end)):
-        if value is not None:
-            require_number(key, value, 0, strict=True)
-    if None not in (t_start, t_end) and t_end > t_start:
-        raise ValueError(f"t_end must be <= t_start, got {t_end} and {t_start}")
     model = model_from_json(Path(args.model).read_text())
-    backend = settings["backend"]
-    options = solver_options(backend, settings["sa_sweeps"], settings["vqe_layers"])
-    if backend == "sa":
-        options.update(t_start=t_start, t_end=t_end)
-    solution = solve_qubo(model, backend=backend, seed=settings["seed"], **options)
+    solution = solve_qubo(
+        model, settings["backend"], seed=settings["seed"], sweeps=settings["sa_sweeps"],
+        layers=settings["vqe_layers"], t_start=args.t_start, t_end=args.t_end,
+    )
     doc = {
         "instance": args.name,
         "bits": [int(b) for b in solution.bits],

@@ -35,7 +35,6 @@ class RepairReport:
 
     bits: np.ndarray
     iterations: int
-    feasible: bool
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +96,8 @@ def qap_violations(inst: QapInstance, x) -> list[str]:
 
 def mdkp_shares(inst: MdkpInstance) -> np.ndarray:
     """Each item i's capacity share mean_j(w_ji / C_j), in item order, as one float64 vector."""
+    if inst.m == 0:  # without constraint rows an item uses no capacity
+        return np.zeros(inst.n)
     return np.mean(inst.weights / inst.capacities[:, None], axis=0).astype(float, copy=False)
 
 
@@ -142,10 +143,9 @@ def repair_mdkp(inst: MdkpInstance, x) -> RepairReport:
     iterations = 0
     while True:
         overshoot = inst.weights @ bits - inst.capacities
-        worst = int(np.argmax(overshoot))
-        if overshoot[worst] <= 0:
+        if overshoot.max(initial=0.0) <= 0:  # also with no rows at all
             break
-        row = inst.weights[worst]
+        row = inst.weights[int(np.argmax(overshoot))]
         best_item = -1
         best_ratio = np.inf
         for i in range(inst.n):
@@ -156,7 +156,7 @@ def repair_mdkp(inst: MdkpInstance, x) -> RepairReport:
                     best_item = i
         bits[best_item] = 0
         iterations += 1
-    return RepairReport(bits=bits, iterations=iterations, feasible=True)
+    return RepairReport(bits=bits, iterations=iterations)
 
 
 def repair_mis(inst: MisInstance, x) -> RepairReport:
@@ -174,7 +174,7 @@ def repair_mis(inst: MisInstance, x) -> RepairReport:
         if bits[u] == 1 and bits[v] == 1:
             bits[u if len(adjacency[u]) > len(adjacency[v]) else v] = 0
             iterations += 1
-    return RepairReport(bits=bits, iterations=iterations, feasible=True)
+    return RepairReport(bits=bits, iterations=iterations)
 
 
 def hungarian(cost: np.ndarray) -> tuple[int, ...]:
@@ -236,4 +236,4 @@ def repair_qap(inst: QapInstance, x) -> RepairReport:
     for i, j in enumerate(assignment):
         repaired[i, j] = 1
     iterations = int(sum(1 for i in range(inst.n) if not np.array_equal(bits[i], repaired[i])))
-    return RepairReport(bits=repaired, iterations=iterations, feasible=True)
+    return RepairReport(bits=repaired, iterations=iterations)

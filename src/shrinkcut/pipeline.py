@@ -469,15 +469,6 @@ def shrink_config(settings: Mapping[str, Any], seed: int) -> ShrinkConfig:
     return ShrinkConfig(**shared, seed=seed)
 
 
-def solver_options(backend: str, sa_sweeps: int | None, vqe_layers: int) -> dict:
-    """``solve_qubo``'s options for ``backend``; no ``sa_sweeps`` keeps solve_sa's default."""
-    if backend == "sa" and sa_sweeps is not None:
-        return {"sweeps": sa_sweeps}
-    if backend == "vqe":
-        return {"layers": vqe_layers}
-    return {}
-
-
 def run_pipeline(config: PipelineConfig, inst=None) -> Report:
     """Run the full pipeline on one instance and return its report.
 
@@ -528,8 +519,10 @@ def run_pipeline(config: PipelineConfig, inst=None) -> Report:
         stage = "solve"
         t0 = time.perf_counter()
         reduced_model = graph_to_qubo(shrink_result.graph)
-        options = solver_options(config.backend, config.sa_sweeps, config.vqe_layers)
-        reduced = solve_qubo(reduced_model, backend=config.backend, seed=solver_seed, **options)
+        reduced = solve_qubo(
+            reduced_model, config.backend, seed=solver_seed,
+            sweeps=config.sa_sweeps, layers=config.vqe_layers,
+        )
         lifted = lift_solution(shrink_result, reduced.bits, graph)
         energies = (reduced.energy, lifted.energy, evaluate_qubo(model, lifted.bits))
         if max(energies) - min(energies) > LIFT_RTOL * max(1.0, *map(abs, energies)):

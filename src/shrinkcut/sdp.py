@@ -56,12 +56,14 @@ class EmbeddingVectors:
     """Unit-vector embedding produced by the relaxation solver."""
 
     vectors: np.ndarray            # shape (n_nodes, rank), rows unit length
-    rank: int
-    objective_history: tuple[float, ...] = field(default_factory=tuple)
-    sweeps_used: int = 0
+    objective_history: tuple[float, ...] = field(default_factory=tuple)  # one value per sweep
 
     def __post_init__(self) -> None:
         _require_unit_rows(self.vectors)
+
+    @property
+    def sweeps_used(self) -> int:
+        return len(self.objective_history)
 
 
 def _require_unit_rows(vectors: np.ndarray) -> None:
@@ -236,12 +238,7 @@ def solve_maxcut_sdp(
         previous = current
     if classes is not None:
         vectors[order] = rows
-    return EmbeddingVectors(
-        vectors=vectors,
-        rank=rank,
-        objective_history=tuple(history),
-        sweeps_used=len(history),
-    )
+    return EmbeddingVectors(vectors=vectors, objective_history=tuple(history))
 
 
 def extract_correlations(vecs: EmbeddingVectors) -> np.ndarray:

@@ -33,10 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer
+from .qubo import QuboModel, coefficient_scale, evaluate_qubo, require_integer, require_number
 
 EXACT_MAX_VARS = 24
 VQE_MAX_VARS = 16
+# solve_vqe_sim's search: random restarts, coordinate passes per restart,
+# grid angles per coordinate, and the most probable basis states it reads out
+VQE_RESTARTS = 2
+VQE_PASSES = 3
+VQE_GRID = 12
+VQE_SHOTS = 8
 # uniforms drawn per block by solve_sa, whatever the sweep count; the block's
 # uphill limits take as much again
 DRAW_BLOCK = 1 << 15
@@ -339,15 +345,7 @@ def _cz_ring_mask(n: int) -> np.ndarray:
     return mask
 
 
-def solve_vqe_sim(
-    model: QuboModel,
-    layers: int = 1,
-    restarts: int = 2,
-    passes: int = 3,
-    grid: int = 12,
-    shots: int = 8,
-    seed: int = 0,
-) -> Solution:
+def solve_vqe_sim(model: QuboModel, layers: int = 1, seed: int = 0) -> Solution:
     """Tiny variational circuit simulation (capped at 16 variables).
 
     The ansatz is an initial RY layer followed by ``layers`` blocks of a CZ
@@ -355,18 +353,14 @@ def solve_vqe_sim(
     coordinate search over a fixed angle grid against the exact expected
     energy, read from one 2^n array that each block of ``_energy_chunks``
     is copied into before the next one overwrites it. The returned solution
-    is the best of the ``shots`` highest-probability basis states, and its
-    energy is ``evaluate_qubo`` of those bits. ``layers`` and ``seed`` must
-    be integers >= 0, ``restarts``, ``passes`` and ``shots`` integers >= 1
-    and ``grid`` an integer >= 2 (none a bool).
+    is the best of the ``VQE_SHOTS`` highest-probability basis states, and
+    its energy is ``evaluate_qubo`` of those bits. ``layers`` and ``seed``
+    must be integers >= 0 (neither a bool).
     """
     n = model.n_vars
     if n > VQE_MAX_VARS:
         raise ValueError(f"VQE simulation is capped at {VQE_MAX_VARS} variables, got {n}")
     require_integer("layers", layers, low=0)
-    for name, value in (("restarts", restarts), ("passes", passes), ("shots", shots)):
-        require_integer(name, value, low=1)
-    require_integer("grid", grid, low=2)
     require_integer("seed", seed, low=0)
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
@@ -376,7 +370,7 @@ def solve_vqe_sim(
         energies[start : start + block.size] = block
     cz_mask = _cz_ring_mask(n)
     n_angles = n * (layers + 1)
-    grid_angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    grid_angles = np.linspace(0.0, 2.0 * np.pi, VQE_GRID, endpoint=False)
 
     def statevector(angles: np.ndarray) -> np.ndarray:
         state = np.zeros(1 << n)
@@ -395,10 +389,10 @@ def solve_vqe_sim(
     rng = np.random.default_rng(seed)
     best_angles = None
     best_value = np.inf
-    for _ in range(restarts):
+    for _ in range(VQE_RESTARTS):
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n_angles)
         value = expected_energy(angles)
-        for _ in range(passes):
+        for _ in range(VQE_PASSES):
             improved = False
             for idx in range(n_angles):
                 saved = angles[idx]
@@ -418,7 +412,7 @@ def solve_vqe_sim(
 
     amp = statevector(best_angles)
     probs = amp * amp
-    top = np.argsort(-probs, kind="stable")[:shots]
+    top = np.argsort(-probs, kind="stable")[:VQE_SHOTS]
     top_sorted = np.sort(top)
     state_energies = energies[top_sorted]
     pick = int(top_sorted[int(np.argmin(state_energies))])
@@ -426,13 +420,28 @@ def solve_vqe_sim(
     return Solution(bits=bits, energy=evaluate_qubo(model, bits))
 
 
-def solve_qubo(model: QuboModel, backend: str = "exact", seed: int = 0, **options) -> Solution:
-    """Dispatch to a backend by name ("exact", "sa", or "vqe"); every backend's seed is checked."""
+def solve_qubo(
+    model: QuboModel, backend: str = "exact", seed: int = 0, sweeps: int | None = None,
+    layers: int = 1, t_start: float | None = None, t_end: float | None = None,
+) -> Solution:
+    """Solve with the backend named "exact", "sa" or "vqe", checking every setting on each.
+
+    Exact reads no setting, annealing ``seed``, ``sweeps``, ``t_start`` and
+    ``t_end`` (None keeps its defaults), and VQE ``layers`` and ``seed``.
+    """
     require_integer("seed", seed, low=0)
+    if sweeps is not None:
+        require_integer("sweeps", sweeps, low=1)
+    require_integer("layers", layers, low=0)
+    for key, value in (("t_start", t_start), ("t_end", t_end)):
+        if value is not None:
+            require_number(key, value, 0, strict=True)
+    if None not in (t_start, t_end) and t_end > t_start:
+        raise ValueError(f"t_end must be <= t_start, got {t_end} and {t_start}")
     if backend == "exact":
-        return solve_exact(model, **options)
+        return solve_exact(model)
     if backend == "sa":
-        return solve_sa(model, seed=seed, **options)
+        return solve_sa(model, seed=seed, sweeps=sweeps, t_start=t_start, t_end=t_end)
     if backend == "vqe":
-        return solve_vqe_sim(model, seed=seed, **options)
+        return solve_vqe_sim(model, layers=layers, seed=seed)
     raise ValueError(f"unknown backend {backend!r}; expected 'exact', 'sa', or 'vqe'")

@@ -49,13 +49,18 @@ from shrinkcut.sdp import class_sweep_order
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
-def transposition_conflict_graph(bits: int) -> MisInstance:
-    """1tc.<2**bits> from scripts/generate_instances.py (not bundled)."""
+def generator():
+    """scripts/generate_instances.py, loaded as a module."""
     path = DATA_DIR.parent / "scripts" / "generate_instances.py"
     spec = importlib.util.spec_from_file_location("generate_instances", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.transposition_conflict_graph(bits)
+    return module
+
+
+def transposition_conflict_graph(bits: int) -> MisInstance:
+    """1tc.<2**bits> from scripts/generate_instances.py (not bundled)."""
+    return generator().transposition_conflict_graph(bits)
 
 
 def tc64() -> MisInstance:
@@ -134,6 +139,16 @@ def naive_energy_chunks(model: QuboModel, chunk: int = 1 << 18):
         counters = np.arange(start, min(start + chunk, total), dtype=np.int64)
         B = ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
         yield start, ((B @ upper) * B).sum(axis=1) + B @ lin + model.offset
+
+
+def brute_independence_number(inst: MisInstance) -> int:
+    """Largest independent set size by enumerating every vertex subset."""
+    edges = [(1 << u) | (1 << v) for u, v in inst.edges]
+    return max(
+        subset.bit_count()
+        for subset in range(1 << inst.n)
+        if all(subset & edge != edge for edge in edges)
+    )
 
 
 def naive_cut_value(graph: MaxCutGraph, spins) -> float:
@@ -391,7 +406,7 @@ def naive_repair_mis(inst: MisInstance, x) -> RepairReport:
         drop = u if len(adjacency[u]) > len(adjacency[v]) else v
         bits[drop] = 0
         iterations += 1
-    return RepairReport(bits=bits, iterations=iterations, feasible=True)
+    return RepairReport(bits=bits, iterations=iterations)
 
 
 def naive_local_search_mdkp(inst: MdkpInstance, solution) -> np.ndarray:
@@ -549,9 +564,7 @@ def naive_solve_maxcut_sdp(
         if current - previous <= tol * abs(current):
             break
         previous = current
-    return EmbeddingVectors(
-        vectors=vectors, rank=rank, objective_history=tuple(history), sweeps_used=len(history)
-    )
+    return EmbeddingVectors(vectors=vectors, objective_history=tuple(history))
 
 
 def assert_same_embedding(graph, **options):

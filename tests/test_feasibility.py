@@ -22,6 +22,7 @@ from shrinkcut import (
     make_penalty,
     mdkp_violations,
     mis_violations,
+    parse_mdkp,
     penalty_summaries,
     qap_violations,
     repair,
@@ -30,6 +31,7 @@ from shrinkcut import (
     repair_qap,
     violations,
 )
+from shrinkcut.feasibility import mdkp_shares
 from tests.conftest import summary_from_scratch
 
 
@@ -104,6 +106,14 @@ def test_mdkp_penalty_averages_over_capacity_rows():
     )
     penalty = supernode_penalty(inst, 2)
     assert penalty([1], [2]) == pytest.approx((1.0 + 0.5) / 2)
+
+
+def test_an_mdkp_instance_without_constraint_rows_has_zero_shares_and_needs_no_repair():
+    inst = parse_mdkp("4 0 0\n3 1 4 1\n")
+    shares = mdkp_shares(inst)
+    assert shares.dtype == np.float64 and shares.tolist() == [0.0] * 4
+    report = repair_mdkp(inst, (1, 1, 1, 1))
+    assert report.bits.tolist() == [1, 1, 1, 1] and report.iterations == 0
 
 
 def test_mdkp_penalty_ignores_slack_members(mdkp_tiny):
@@ -218,7 +228,7 @@ def test_repair_mdkp_drops_the_worst_ratio_item(mdkp_tiny):
     report = repair_mdkp(mdkp_tiny, (1, 1, 1))
     assert report.bits.tolist() == [1, 1, 0]
     assert report.iterations == 1
-    assert report.feasible
+    assert is_feasible(mdkp_tiny, report.bits)
 
 
 def test_repair_mdkp_breaks_ratio_ties_toward_the_lowest_index():
@@ -275,9 +285,8 @@ def test_repair_qap_fills_empty_input_with_the_identity(qap_pair):
 
 
 def test_repair_dispatch(mdkp_tiny, mis_triangle, qap_pair):
-    assert repair(mdkp_tiny, (1, 1, 1)).feasible
-    assert repair(mis_triangle, (1, 1, 1)).feasible
-    assert repair(qap_pair, (1, 1, 1, 1)).feasible
+    for inst, bits in ((mdkp_tiny, (1, 1, 1)), (mis_triangle, (1, 1, 1)), (qap_pair, (1,) * 4)):
+        assert is_feasible(inst, repair(inst, bits).bits)
     with pytest.raises(TypeError, match="unsupported instance type"):
         repair(object(), (0,))
 

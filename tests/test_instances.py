@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     MdkpInstance,
@@ -17,7 +18,14 @@ from shrinkcut import (
     serialize_mis_edgelist,
     serialize_qaplib,
 )
-from tests.conftest import PARSERS, WRITERS, malformed_instance_texts
+from tests.conftest import (
+    PARSERS,
+    WRITERS,
+    brute_independence_number,
+    generator,
+    malformed_instance_texts,
+    random_mis,
+)
 
 
 def test_parse_mdkp_reads_header_profits_weights_then_capacities():
@@ -236,6 +244,18 @@ def test_bundled_qap_files_parse_and_match_sidecar(data_dir):
     assert np.array_equal(rand.distance, rand.distance.T)
     assert optima["pair2"] == 20.0
     assert optima["rand6"] == 424.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 16), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_mis_optimum_equals_subset_enumeration_on_random_graphs(n, density, seed):
+    inst = random_mis(np.random.default_rng(seed), n, density)
+    assert generator().mis_optimum(inst) == brute_independence_number(inst)
+
+
+def test_mis_optimum_proves_that_1tc64_has_independence_number_20():
+    module = generator()
+    assert module.mis_optimum(module.transposition_conflict_graph(6)) == 20
 
 
 @settings(max_examples=300, deadline=None)

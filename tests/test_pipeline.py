@@ -437,6 +437,20 @@ def test_run_bench_produces_one_row_per_pair(data_dir):
     assert all(r["Gap_pct"] != "" and r["RSQ_pct"] == "" for r in knap)
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_bench_shrinks_an_mdkp_instance_without_constraint_rows(tmp_path):
+    path = tmp_path / "m0.txt"
+    path.write_text("4 0 0\n3 1 4 1\n")  # every selection is feasible: optimum 9
+    csv_text, failures = run_bench(PipelineConfig(kind="mdkp"), [("mdkp", str(path))])
+    assert failures == []
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in csv_text.strip().split("\n")[1:]]
+    assert [(r["FinalSize"], r["FinalObjective"], r["Feasible"]) for r in rows] == [
+        ("2", "9", "True"),
+        ("2", "9", "True"),
+        ("4", "9", "True"),
+    ]
+
+
 def test_run_bench_is_deterministic(data_dir):
     base = PipelineConfig(kind="mis", backend="sa", sa_sweeps=200, seed=5)
     args = (base, [("mis", str(data_dir / "mis" / "1tc.8.txt"))])

@@ -1,6 +1,7 @@
 """Solving backends: exact enumeration, simulated annealing, toy VQE."""
 
 import json
+import re
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -17,6 +18,7 @@ from shrinkcut import (
     solve_qubo,
     solve_sa,
     solve_vqe_sim,
+    solvers,
 )
 from tests.conftest import brute_qubo_minimum, qubo_model, random_qubo
 
@@ -220,8 +222,8 @@ def test_solve_vqe_sim_enforces_cap_and_parameters():
     with pytest.raises(ValueError, match="capped at 16"):
         solve_vqe_sim(big)
     small = qubo_model({}, (0.0,))
-    with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
-        solve_vqe_sim(small, restarts=0)
+    with pytest.raises(ValueError, match="layers must be >= 0, got -1"):
+        solve_vqe_sim(small, layers=-1)
 
 
 @pytest.mark.parametrize("layers", [2.5, 1.0, True, "1"])
@@ -271,3 +273,38 @@ def test_solve_qubo_forwards_backend_options(mdkp_tiny):
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     solution = solve_qubo(model, backend="sa", seed=3, sweeps=50)
     assert evaluate_qubo(model, solution.bits) == pytest.approx(solution.energy)
+
+
+@pytest.mark.parametrize("backend", ["exact", "sa", "vqe"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (dict(sweeps=0), "sweeps must be >= 1, got 0"),
+        (dict(layers=-1), "layers must be >= 0, got -1"),
+        (dict(t_start=float("nan")), "t_start must be a finite number > 0, got nan"),
+        (dict(t_start=1.0, t_end=2.0), "t_end must be <= t_start, got 2.0 and 1.0"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ],
+    ids=["sweeps", "layers", "t_start", "t_end-above-t_start", "seed"],
+)
+def test_solve_qubo_checks_every_setting_on_every_backend(backend, setting, message, mdkp_tiny):
+    # the same message whether or not the backend reads the setting
+    model = build_mdkp_qubo(mdkp_tiny, P=70.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_qubo(model, backend=backend, **setting)
+
+
+def test_solve_qubo_hands_each_backend_only_the_settings_it_reads(monkeypatch, mdkp_tiny):
+    # looked up as module globals at each call, where perfbench's tracer wraps them
+    calls = []
+    for name in ("solve_exact", "solve_sa", "solve_vqe_sim"):
+        monkeypatch.setattr(solvers, name, lambda model, _name=name, **kw: calls.append((_name, kw)))
+    model = build_mdkp_qubo(mdkp_tiny, P=70.0)
+    settings = dict(seed=3, sweeps=40, layers=2, t_start=50.0, t_end=0.5)
+    for backend in ("exact", "sa", "vqe"):
+        solve_qubo(model, backend, **settings)
+    assert calls == [
+        ("solve_exact", {}),
+        ("solve_sa", dict(seed=3, sweeps=40, t_start=50.0, t_end=0.5)),
+        ("solve_vqe_sim", dict(layers=2, seed=3)),
+    ]
