@@ -78,22 +78,12 @@ def _add_shrink_flags(parser: argparse.ArgumentParser) -> None:
         dest="energy_order",
     )
     parser.add_argument(
-        "--weight-mode", choices=("absolute", "raw"), default=None, dest="weight_mode"
-    )
-    parser.add_argument(
         "--lambda", type=float, default=None, dest="lam", help="constraint-penalty weight"
     )
     parser.add_argument("--recalc", choices=("fixed", "delta", "tau", "local"), default=None)
     parser.add_argument("--r", type=int, default=None, help="merges between re-solves")
     parser.add_argument("--delta", type=float, default=None, help="edge-drift threshold")
     parser.add_argument("--tau", type=float, default=None, help="correlation-strength trigger")
-    parser.add_argument(
-        "--reference-protected",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="reference_protected",
-    )
-    parser.add_argument("--sdp-rank", type=int, default=None, dest="sdp_rank")
     parser.add_argument(
         "--sdp-tol",
         type=float,

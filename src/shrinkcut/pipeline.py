@@ -91,14 +91,11 @@ class PipelineConfig:
     k: int | None = ShrinkConfig.k
     alpha: float = ShrinkConfig.alpha
     energy_order: str = ShrinkConfig.energy_order
-    weight_mode: str = ShrinkConfig.weight_mode
     lam: float = ShrinkConfig.lam
     recalc: str = ShrinkConfig.recalc
     r: int = ShrinkConfig.r
     delta: float = ShrinkConfig.delta
     tau: float = ShrinkConfig.tau
-    reference_protected: bool = ShrinkConfig.reference_protected
-    sdp_rank: int | None = ShrinkConfig.sdp_rank
     sdp_tol: float = ShrinkConfig.sdp_tol
     sdp_max_sweeps: int = ShrinkConfig.sdp_max_sweeps
     backend: str = "exact"

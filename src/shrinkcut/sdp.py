@@ -117,15 +117,13 @@ def class_sweep_order(weights: np.ndarray) -> list[np.ndarray] | None:
     return colour_classes(weights, limit=active // 3) or None
 
 
-def require_sdp_limits(rank: int | None, tol: float, max_sweeps: int, prefix: str = "") -> None:
-    """ValueError unless ``rank`` is None or an integer >= 2, ``max_sweeps`` an
-    integer >= 1 (neither a bool) and ``tol`` a finite number > 0.
+def require_sdp_limits(tol: float, max_sweeps: int, prefix: str = "") -> None:
+    """ValueError unless ``max_sweeps`` is an integer >= 1 (not a bool) and
+    ``tol`` a finite number > 0.
 
     ``require_integer`` and ``require_number`` word the messages, naming each
     setting with ``prefix`` in front ("sdp_" for the shrink settings).
     """
-    if rank is not None:
-        require_integer(prefix + "rank", rank, low=2)
     require_integer(prefix + "max_sweeps", max_sweeps, low=1)
     require_number(prefix + "tol", tol, 0, strict=True)
 
@@ -152,8 +150,8 @@ def solve_maxcut_sdp(
     gradient norm is below 1e-12, keeps its vector. ``objective_history``
     holds the objective after each sweep, so a graph without edges stops
     after one sweep with history ``(0.0,)``.
-    ``require_sdp_limits`` checks ``rank`` (an integer >= 2), ``max_sweeps``
-    (an integer >= 1) and ``tol`` (a finite number > 0).
+    ``rank`` must be an integer >= 2, ``max_sweeps`` an integer >= 1 and
+    ``tol`` a finite number > 0.
     """
     n = graph.n_nodes
     if initial is not None:
@@ -166,7 +164,8 @@ def solve_maxcut_sdp(
             rank = initial.shape[1]
     elif rank is None:
         rank = default_rank(n)
-    require_sdp_limits(rank, tol, max_sweeps)
+    require_integer("rank", rank, low=2)
+    require_sdp_limits(tol, max_sweeps)
     if initial is None:
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((n, rank))

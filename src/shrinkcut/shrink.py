@@ -45,7 +45,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .maxcut import MaxCutGraph
-from .qubo import json_document, require_choice, require_integer, require_number, require_switch
+from .qubo import json_document, require_choice, require_integer, require_number
 from .sdp import extract_correlations, require_sdp_limits, solve_maxcut_sdp
 from .spectral import laplacian, select_target_size, symmetric_eigenvalues
 
@@ -104,15 +104,12 @@ class ShrinkConfig:
     k: int | None = None
     alpha: float = 0.9
     energy_order: str = "ascending"
-    weight_mode: str = "absolute"
     lam: float = 1.5
     recalc: str = "fixed"
     r: int = 10
     delta: float = 0.1
     tau: float = 0.5
     seed: int = 0
-    reference_protected: bool = True
-    sdp_rank: int | None = None
     sdp_tol: float = 1e-10
     sdp_max_sweeps: int = 1000
 
@@ -126,15 +123,13 @@ class ShrinkConfig:
             raise ValueError("stop_mode 'k' needs a target size >= 1, got None")
         require_number("alpha", self.alpha, 0, 1)
         require_choice("energy_order", self.energy_order, ("ascending", "descending"))
-        require_choice("weight_mode", self.weight_mode, ("absolute", "raw"))
         require_number("lam", self.lam, 0)
         require_choice("recalc", self.recalc, ("fixed", "delta", "tau", "local"))
         require_integer("r", self.r, low=1)
         require_number("delta", self.delta, 0, strict=True)
         require_number("tau", self.tau, 0, 1)
         require_integer("seed", self.seed, low=0)
-        require_switch("reference_protected", self.reference_protected)
-        require_sdp_limits(self.sdp_rank, self.sdp_tol, self.sdp_max_sweeps, prefix="sdp_")
+        require_sdp_limits(self.sdp_tol, self.sdp_max_sweeps, prefix="sdp_")
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,8 @@ class ShrinkResult:
     ``node_order[t]`` is the original node id behind reduced node t. The
     signed partition is two length-n arrays over the original nodes:
     ``label[v]`` is the reduced node that holds v, and ``sign[v]`` is v's
-    spin relative to it. ``steps`` is the merge log, in order.
+    spin relative to it. ``steps`` is the merge log, in order. The reference
+    is never absorbed: reduced node 0 holds original node 0, with sign +1.
     """
 
     graph: MaxCutGraph
@@ -401,7 +397,7 @@ def run_shrink(
     if config.stop_mode == "k":
         target_k = int(config.k)  # validated in ShrinkConfig
     else:
-        spectrum = symmetric_eigenvalues(laplacian(graph, config.weight_mode))
+        spectrum = symmetric_eigenvalues(laplacian(graph))
         target_k = select_target_size(spectrum, config.alpha, config.energy_order)
 
     working = WorkingGraph.from_graph(graph, summaries)
@@ -430,8 +426,6 @@ def run_shrink(
     if target_k >= n:
         return finish()
 
-    protected = frozenset({0}) if config.reference_protected else frozenset()
-
     sdp_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])  # read by the cold first solve only
 
     def solve_correlations() -> None:
@@ -440,7 +434,6 @@ def run_shrink(
         t0 = time.perf_counter()
         embedding = solve_maxcut_sdp(
             reduced,
-            rank=config.sdp_rank,
             tol=config.sdp_tol,
             max_sweeps=config.sdp_max_sweeps,
             seed=sdp_seed,
@@ -464,7 +457,6 @@ def run_shrink(
             penalty=penalty,
             summaries=working.summaries,
             rng=tie_rng,
-            protected=protected,
         )
         if config.recalc == "local":  # the neighbours of either row, read before the merge
             a, b = working.rows(absorbed, survivor)

@@ -186,6 +186,16 @@ def _first_live_sweep(costs: np.ndarray, limits: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _require_temperatures(t_start: float | None, t_end: float | None) -> None:
+    """ValueError unless each temperature given is a finite number > 0 (never a
+    bool) and, when both are given, ``t_end`` is no higher than ``t_start``."""
+    for key, value in (("t_start", t_start), ("t_end", t_end)):
+        if value is not None:
+            require_number(key, value, 0, strict=True)
+    if None not in (t_start, t_end) and t_end > t_start:
+        raise ValueError(f"t_end must be <= t_start, got {t_end} and {t_start}")
+
+
 def solve_sa(
     model: QuboModel,
     seed: int = 0,
@@ -228,21 +238,19 @@ def solve_sa(
     (L doubling while nothing is found, reset to 1 by a flip) jumps to the
     first sweep in which some cost is within its limit. The sweeps before it
     would reject every move at the limit test, so the result equals the
-    sweep-by-sweep loop bit for bit. ``seed`` must be an integer >= 0 and
-    ``sweeps`` an integer >= 1 (neither a bool). The parameters are checked
-    before anything else, also for a model without variables.
+    sweep-by-sweep loop bit for bit. ``seed`` must be an integer >= 0,
+    ``sweeps`` an integer >= 1 (neither a bool), and the temperatures, the
+    defaults among them, pass ``solve_qubo``'s check. The parameters are
+    checked before anything else, also for a model without variables.
     """
     n = model.n_vars
     require_integer("seed", seed, low=0)
     if sweeps is not None:
         require_integer("sweeps", sweeps, low=1)
     scale = coefficient_scale(model)
-    if t_start is None:
-        t_start = scale
-    if t_end is None:
-        t_end = 1e-3 * scale
-    if not (0 < t_end <= t_start < math.inf):
-        raise ValueError(f"need 0 < t_end <= t_start < inf, got {t_end} and {t_start}")
+    t_start = scale if t_start is None else t_start
+    t_end = 1e-3 * scale if t_end is None else t_end
+    _require_temperatures(t_start, t_end)
     if n == 0:
         return Solution(bits=np.zeros(0, dtype=int), energy=model.offset)
     if sweeps is None:
@@ -433,11 +441,7 @@ def solve_qubo(
     if sweeps is not None:
         require_integer("sweeps", sweeps, low=1)
     require_integer("layers", layers, low=0)
-    for key, value in (("t_start", t_start), ("t_end", t_end)):
-        if value is not None:
-            require_number(key, value, 0, strict=True)
-    if None not in (t_start, t_end) and t_end > t_start:
-        raise ValueError(f"t_end must be <= t_start, got {t_end} and {t_start}")
+    _require_temperatures(t_start, t_end)
     if backend == "exact":
         return solve_exact(model)
     if backend == "sa":

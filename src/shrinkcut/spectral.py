@@ -6,8 +6,8 @@ cumulative eigenvalue mass reaches a fraction alpha of the total:
     Energy_k = (lambda_1 + ... + lambda_k) / (lambda_1 + ... + lambda_n)
 
 with eigenvalues sorted ascending by default. Post-contraction edge weights
-can be negative, so the Laplacian uses absolute weights by default to stay
-positive semidefinite. Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).
+can be negative, so the Laplacian uses absolute weights to stay positive
+semidefinite. Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> np.ndarray:
-    """L = diag(A 1) - A where A uses |w| ("absolute", default) or w ("raw")."""
-    require_choice("weight_mode", weight_mode, ("absolute", "raw"))
-    A = np.abs(graph.weights) if weight_mode == "absolute" else graph.weights
+def laplacian(graph: MaxCutGraph) -> np.ndarray:
+    """L = diag(A 1) - A with A = |w|, positive semidefinite for any edge signs."""
+    A = np.abs(graph.weights)
     return np.diag(A.sum(axis=1)) - A
 
 

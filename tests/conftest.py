@@ -158,12 +158,12 @@ def naive_cut_value(graph: MaxCutGraph, spins) -> float:
     return total
 
 
-def naive_laplacian(graph: MaxCutGraph, weight_mode: str = "absolute") -> list[list[float]]:
-    """Textbook L = D - A, one edge at a time."""
+def naive_laplacian(graph: MaxCutGraph) -> list[list[float]]:
+    """Textbook L = D - A with A = |w|, one edge at a time."""
     n = graph.n_nodes
     L = [[0.0] * n for _ in range(n)]
     for (i, j), w in graph.edges.items():
-        value = abs(w) if weight_mode == "absolute" else w
+        value = abs(w)
         L[i][j] -= value
         L[j][i] -= value
         L[i][i] += value

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main()."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
+    PipelineConfig,
     build_mdkp_qubo,
     graph_from_json,
     graph_to_json,
@@ -19,7 +21,7 @@ from shrinkcut import (
     model_to_json,
     qubo_to_maxcut,
 )
-from shrinkcut.cli import load_config_file, main
+from shrinkcut.cli import build_parser, load_config_file, main
 from tests.conftest import (
     DATA_DIR,
     INSTANCE_TEXTS,
@@ -534,7 +536,6 @@ def test_solve_checks_every_setting_as_a_pipeline_run_does(
         ("sdp_tol = 0", "tol must be a finite number > 0, got 0"),
         ("sdp_max_sweeps = yes", "max_sweeps must be an integer, got True"),
         ("sdp_max_sweeps = 2.5", "max_sweeps must be an integer, got 2.5"),
-        ("sdp_rank = 3.0", "rank must be an integer, got 3.0"),
     ],
 )
 def test_an_invalid_sdp_setting_in_the_config_file_exits_two(
@@ -691,12 +692,43 @@ def test_pipeline_config_file_defaults_and_flag_overrides(mdkp_file, tmp_path):
     assert echoed["seed"] == 9
 
 
-def test_load_config_file_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize(
+    "line", ["coolness = 11", "weight_mode = raw", "reference_protected = false", "sdp_rank = 3"]
+)
+def test_load_config_file_rejects_unknown_keys(line, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("coolness = 11\n")
-    with pytest.raises(ValueError, match="unknown config key"):
+    config.write_text(line + "\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         load_config_file(config)
     assert main(["pipeline", "--kind", "mis", "--instance", "x", "--config", str(config)]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--weight-mode", "raw"],
+        ["--reference-protected"],
+        ["--no-reference-protected"],
+        ["--sdp-rank", "3"],
+    ],
+)
+def test_a_removed_shrink_flag_exits_two(flags, data_dir, capsys):
+    instance = ["--kind", "mis", "--instance", str(data_dir / "mis" / "1tc.8.txt")]
+    for command in ("shrink", "pipeline"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *instance, "--k", "5", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flags[0]}" in captured.err
+
+
+def test_every_pipeline_flag_stores_under_a_config_field_and_every_field_has_a_flag():
+    (subcommands,) = (a for a in build_parser()._actions if a.dest == "command")
+    dests = {action.dest for action in subcommands.choices["pipeline"]._actions}
+    # stop_mode has no flag: k or alpha selects it
+    assert dests - {"help", "config"} == {f.name for f in dataclasses.fields(PipelineConfig)} - {"stop_mode"}
 
 
 def test_a_config_key_set_twice_exits_two_naming_the_key_and_both_lines(
@@ -716,7 +748,7 @@ def test_a_config_key_set_twice_exits_two_naming_the_key_and_both_lines(
 def test_load_config_file_coercion(tmp_path):
     config = tmp_path / "ok.cfg"
     config.write_text(
-        "use_slack = true\nk = 4\nalpha = 0.25\nname = demo\nsdp_rank = none\n"
+        "use_slack = true\nk = 4\nalpha = 0.25\nname = demo\nsa_sweeps = none\n"
         "instance = 2024\nout = yes\n"
     )
     assert load_config_file(config) == {
@@ -724,7 +756,7 @@ def test_load_config_file_coercion(tmp_path):
         "k": 4,
         "alpha": 0.25,
         "name": "demo",
-        "sdp_rank": None,
+        "sa_sweeps": None,
         "instance": "2024",  # a str field keeps its text: a file named 2024
         "out": "yes",
     }

@@ -187,11 +187,11 @@ def test_cut_value_matches_the_loop_oracle(graph, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_graphs(), st.sampled_from(["absolute", "raw"]))
-def test_laplacian_matches_the_loop_oracle(graph, weight_mode):
-    expected = np.array(naive_laplacian(graph, weight_mode))
+@given(float_graphs())
+def test_laplacian_matches_the_loop_oracle(graph):
+    expected = np.array(naive_laplacian(graph))
     scale = _scale(list(graph.edges.values()))
-    assert np.allclose(laplacian(graph, weight_mode), expected, rtol=RTOL, atol=RTOL * scale)
+    assert np.allclose(laplacian(graph), expected, rtol=RTOL, atol=RTOL * scale)
 
 
 @settings(max_examples=60, deadline=None)

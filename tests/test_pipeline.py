@@ -323,7 +323,6 @@ def test_pipeline_config_validation():
     [
         ({"stop_mode": "k"}, "stop_mode 'k' needs a target size >= 1, got None"),
         ({"sdp_tol": float("nan")}, "tol must be a finite number > 0, got nan"),
-        ({"sdp_rank": 1}, "sdp_rank must be >= 2, got 1"),
         ({"sdp_max_sweeps": 0}, "sdp_max_sweeps must be >= 1, got 0"),
         ({"sa_sweeps": 0}, "sweeps must be >= 1, got 0"),
         ({"sa_sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
@@ -366,13 +365,16 @@ OUT_OF_RANGE = {
     "r": [0],
     "delta": [0.0, float("nan")],
     "tau": [-0.1, 1.01, float("nan")],
-    "sdp_rank": [1],
     "sdp_tol": [0.0, -1e-10, float("inf")],
     "sdp_max_sweeps": [0],
     "sa_sweeps": [0],
     "vqe_layers": [-1],
     "seed": [-1],
 }
+
+
+def test_out_of_range_names_only_pipeline_settings():
+    assert set(OUT_OF_RANGE) <= {field.name for field in fields(PipelineConfig)}
 
 
 @pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda field: field.name)

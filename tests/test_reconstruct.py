@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from shrinkcut import (
+    MergeStep,
     ShrinkConfig,
+    ShrinkResult,
+    ShrinkStats,
+    WorkingGraph,
     binary_to_spins,
     build_mdkp_qubo,
     build_mis_qubo,
@@ -20,6 +24,37 @@ from shrinkcut import (
 from tests.conftest import every_bitstring, naive_replay, random_graph, random_qubo
 
 
+def contracted(graph, merges) -> ShrinkResult:
+    """The ShrinkResult of contracting ``graph`` by explicit (i, j, sigma) merges.
+
+    Unlike ``run_shrink``, the merges may absorb the reference node 0, so
+    node 0 can end up in any reduced node, with either sign.
+    """
+    working = WorkingGraph.from_graph(graph)
+    for i, j, sigma in merges:
+        working.contract(i, j, sigma)
+    reduced, node_order = working.to_graph()
+    return ShrinkResult(
+        graph=reduced,
+        node_order=node_order,
+        steps=tuple(MergeStep(t, *merge) for t, merge in enumerate(merges, start=1)),
+        label=np.searchsorted(working.ids, working.rep),
+        sign=working.sign,
+        target_k=reduced.n_nodes,
+        stats=ShrinkStats(merges=len(merges), recalcs=0, sdp_seconds=0.0, shrink_seconds=0.0),
+    )
+
+
+def random_merges(rng, n, k) -> list[tuple[int, int, int]]:
+    """A uniformly random signed merge order from n nodes down to k, the reference included."""
+    ids, merges = list(range(n)), []
+    while len(ids) > k:
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        merges.append((ids[a], ids[b], 1 if rng.random() < 0.5 else -1))
+        del ids[a]
+    return merges
+
+
 def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
     """Lifting from the signed partition gives the spins of unwinding the merge log."""
     rng = np.random.default_rng(47)
@@ -27,13 +62,12 @@ def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
     for trial in range(40):
         n = int(rng.integers(3, 10))
         graph = random_graph(rng, n, density=0.8)
-        config = ShrinkConfig(
-            stop_mode="k",
-            k=int(rng.integers(1, n)),
-            seed=trial,
-            reference_protected=trial % 2 == 0,
-        )
-        result = run_shrink(graph, config)
+        k = int(rng.integers(1, n))
+        if trial % 2 == 0:
+            result = run_shrink(graph, ShrinkConfig(stop_mode="k", k=k, seed=trial))
+            assert result.label[0] == 0 and result.sign[0] == 1  # the reference survives
+        else:
+            result = contracted(graph, random_merges(rng, n, k))
         survivors_so_far = set()
         for step in result.steps:
             chained = chained or step.i in survivors_so_far
@@ -47,7 +81,7 @@ def test_lift_equals_the_gauge_fixed_replay_of_the_merge_log():
                 expected = -expected
             assert lift_solution(result, x, graph).spins.tolist() == expected.tolist()
     assert chained  # some node absorbed another before being absorbed itself
-    assert reference_absorbed  # some unprotected runs swallowed the reference node
+    assert reference_absorbed  # some explicit merge orders swallowed the reference node
 
 
 def test_lift_without_steps_passes_bits_through():
@@ -80,10 +114,11 @@ def test_lifted_energies_equal_reduced_energies_exhaustively():
 def test_lift_survives_an_absorbed_reference_node():
     rng = np.random.default_rng(33)
     graph = random_graph(rng, 7, density=0.9)
-    result = run_shrink(
-        graph, ShrinkConfig(stop_mode="k", k=2, seed=4, reference_protected=False)
-    )
-    assert any(step.i == 0 for step in result.steps)  # the reference was absorbed
+    # 0 joins 3, the reduced reference, with the opposite spin: every lift flips the gauge
+    merges = [(0, 3, -1), (2, 3, 1), (1, 5, -1), (4, 6, 1), (5, 6, -1)]
+    result = contracted(graph, merges)
+    assert result.node_order == (3, 6)
+    assert result.label[0] == 0 and result.sign[0] == -1
     original_model = graph_to_qubo(graph)
     reduced_model = graph_to_qubo(result.graph)
     for x in every_bitstring(result.graph.n_nodes - 1):

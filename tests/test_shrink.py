@@ -454,25 +454,16 @@ def demo_solve(monkeypatch):
     )
 
 
-def test_run_shrink_worked_example_first_merge(demo_solve):
-    result = run_shrink(
-        demo_graph(), ShrinkConfig(stop_mode="k", k=3, reference_protected=False)
-    )
-    assert result.steps == (MergeStep(order=1, i=0, j=1, sigma=1),)
-    assert result.node_order == (1, 2, 3)
+def test_run_shrink_protects_the_reference_node(demo_solve):
+    # the best pair is (0, 1); node 0 is the reference, so 1 is absorbed into it
+    result = run_shrink(demo_graph(), ShrinkConfig(stop_mode="k", k=3))
+    assert result.steps == (MergeStep(order=1, i=1, j=0, sigma=1),)
+    assert result.node_order == (0, 2, 3)
     assert result.graph.edges == {(0, 1): 2.0, (0, 2): 3.0, (1, 2): 4.0}
     assert result.graph.offset == 0.0
     assert result.label.tolist() == [0, 0, 1, 2]
     assert result.sign.tolist() == [1, 1, 1, 1]
     assert result.stats.merges == 1
-
-
-def test_run_shrink_protects_the_reference_node_by_default(demo_solve):
-    result = run_shrink(demo_graph(), ShrinkConfig(stop_mode="k", k=3))
-    assert result.steps == (MergeStep(order=1, i=1, j=0, sigma=1),)
-    assert result.node_order == (0, 2, 3)
-    assert result.label.tolist() == [0, 0, 1, 2]
-    assert result.sign.tolist() == [1, 1, 1, 1]
 
 
 def test_run_shrink_spectral_stop_on_the_path_graph():
@@ -580,7 +571,6 @@ def replay_embedding_fold(vectors, ids, sizes, steps):
     "options",
     [
         dict(recalc="fixed", r=2),
-        dict(recalc="fixed", r=1, sdp_rank=3),
         dict(recalc="delta", delta=1e-9),
         dict(recalc="tau", tau=1.0),
     ],

@@ -12,6 +12,7 @@ import pytest
 from shrinkcut import (
     Solution,
     build_mdkp_qubo,
+    coefficient_scale,
     evaluate_qubo,
     model_from_json,
     solve_exact,
@@ -116,9 +117,11 @@ def test_solve_sa_validates_schedule_parameters():
         solve_sa(model, t_start=1.0, t_end=2.0)
     with pytest.raises(ValueError, match="t_end"):
         solve_sa(model, t_end=0.0)
-    for t_start, t_end in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+    for t_start, t_end in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="t_start"):
             solve_sa(model, t_start=t_start, t_end=t_end)
+    with pytest.raises(ValueError, match="t_end"):
+        solve_sa(model, t_start=1.0, t_end=np.nan)
     # a single sweep is legal and still returns a coherent solution
     solution = solve_sa(model, sweeps=1, seed=1)
     assert evaluate_qubo(model, solution.bits) == pytest.approx(solution.energy)
@@ -155,9 +158,9 @@ def test_solve_sa_checks_its_parameters_also_on_a_model_without_variables():
         solve_sa(empty, sweeps=2.5, t_start=-1.0, t_end=5.0)
     with pytest.raises(ValueError, match="sweeps must be >= 1"):
         solve_sa(empty, sweeps=0)
-    with pytest.raises(ValueError, match="t_end <= t_start"):
+    with pytest.raises(ValueError, match="t_start must be a finite number > 0, got -1.0"):
         solve_sa(empty, t_start=-1.0)
-    with pytest.raises(ValueError, match="t_end <= t_start"):
+    with pytest.raises(ValueError, match="t_end must be <= t_start, got 2.0 and 1.0"):
         solve_sa(empty, t_start=1.0, t_end=2.0)
     solution = solve_sa(empty, seed=1)
     assert solution.bits.tolist() == [] and solution.energy == 2.5
@@ -292,6 +295,29 @@ def test_solve_qubo_checks_every_setting_on_every_backend(backend, setting, mess
     model = build_mdkp_qubo(mdkp_tiny, P=70.0)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve_qubo(model, backend=backend, **setting)
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_sa, partial(solve_qubo, backend="sa")], ids=["direct", "solve_qubo"]
+)
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (dict(t_start=True), "t_start must be a finite number > 0, got True"),
+        (dict(t_start=5.0, t_end=True), "t_end must be a finite number > 0, got True"),
+        (dict(t_end=0.0), "t_end must be a finite number > 0, got 0.0"),
+        (dict(t_start=float("inf")), "t_start must be a finite number > 0, got inf"),
+        (dict(t_start=1.0, t_end=2.0), "t_end must be <= t_start, got 2.0 and 1.0"),
+        # above the default t_start, the model's largest coefficient
+        (dict(t_end=5000.0), "t_end must be <= t_start, got 5000.0 and 1684.0"),
+    ],
+    ids=["bool-t_start", "bool-t_end", "zero-t_end", "inf-t_start", "order", "order-default"],
+)
+def test_solve_sa_checks_its_temperatures_as_solve_qubo_does(solve, setting, message, mdkp_tiny):
+    model = build_mdkp_qubo(mdkp_tiny, P=70.0)
+    assert coefficient_scale(model) == 1684.0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(model, **setting)
 
 
 def test_solve_qubo_hands_each_backend_only_the_settings_it_reads(monkeypatch, mdkp_tiny):

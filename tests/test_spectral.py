@@ -84,14 +84,10 @@ def test_jacobi_rejects_non_symmetric_input():
         symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-def test_absolute_weight_mode_keeps_the_laplacian_psd():
+def test_the_laplacian_of_a_negative_edge_is_psd():
     graph = maxcut_graph(2, {(0, 1): -2.0})
-    absolute = symmetric_eigenvalues(laplacian(graph, weight_mode="absolute"))
-    assert absolute.eigenvalues == pytest.approx([0.0, 4.0], abs=1e-9)
-    raw = symmetric_eigenvalues(laplacian(graph, weight_mode="raw"))
-    assert raw.eigenvalues == pytest.approx([-4.0, 0.0], abs=1e-9)
-    # the raw total is non-positive, so the rule declines to shrink at all
-    assert select_target_size(raw, alpha=0.5) == 2
+    spectrum = symmetric_eigenvalues(laplacian(graph))
+    assert spectrum.eigenvalues == pytest.approx([0.0, 4.0], abs=1e-9)
 
 
 def test_absolute_laplacians_of_random_graphs_are_psd():
