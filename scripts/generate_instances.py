@@ -1,17 +1,16 @@
 """Regenerate the bundled benchmark instances under data/.
 
 Every file is deterministic (fixed seeds) and every recorded optimum is
-re-verified here by brute force before it is written:
+proven here before it is written:
 
 * data/mis/1tc.8.txt, 1tc.16.txt — conflict graphs over all b-bit strings
   (b = 3, 4): two strings conflict when their single-adjacent-transposition
   balls intersect. Independent sets are exactly the codes correcting one
-  adjacent transposition; optima (4 and 8) are confirmed by branch and bound.
+  adjacent transposition; optima (4 and 8) are proven by HiGHS.
 * data/mdkp/example3x1.txt — the tiny 3-item knapsack with optimum 12.
 * data/mdkp/synth24x4.txt — seeded 24-item, 4-constraint knapsack whose
   capacities all sit in [511, 1022] so each row needs exactly 9 slack bits
-  (24 + 4*9 = 60 variables in the slack formulation); optimum found by
-  enumerating all 2^24 selections.
+  (24 + 4*9 = 60 variables in the slack formulation); optimum proven by HiGHS.
 * data/qap/pair2.txt, rand6.txt — a hand-checkable 2-facility instance and
   a seeded 6-facility instance, optima by permutation enumeration.
 """
@@ -62,71 +61,54 @@ def transposition_conflict_graph(bits: int) -> MisInstance:
     return MisInstance(n=n, edges=tuple(edges))
 
 
-def mis_optimum(inst: MisInstance) -> int:
-    """Largest independent set size by branch and bound on Python-int vertex sets.
+def binary_optimum(profits, rows, limits) -> int:
+    """Largest ``profits @ x`` over 0/1 vectors x with ``rows @ x <= limits``.
 
-    Each branch picks a remaining vertex of largest remaining degree and
-    either takes it, dropping its neighbours, or drops it alone. A greedy
-    clique cover of the remaining vertices bounds the branch: an independent
-    set holds at most one vertex of each clique.
+    One HiGHS branch and cut (``scipy.optimize.milp``) with no gap allowed.
+    The value is returned only when HiGHS reports a proven optimum, its
+    objective and its dual bound lie within 1e-6 of one integer, and the
+    rounded solution meets every row exactly and attains that integer;
+    anything else, such as a limit that ran out, raises RuntimeError.
+    scipy.optimize is imported here, not at module level, so that loading
+    this module for ``transposition_conflict_graph`` stays cheap.
     """
-    masks = [0] * inst.n
-    for u, v in inst.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    best = 0
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    def cliques(rest: int) -> int:
-        count = 0
-        while rest:
-            candidates = rest
-            while candidates:  # grow a clique from the lowest candidate
-                v = (candidates & -candidates).bit_length() - 1
-                rest &= ~(1 << v)
-                candidates &= masks[v]
-            count += 1
-        return count
-
-    def search(rest: int, size: int) -> None:
-        nonlocal best
-        if size + cliques(rest) <= best:
-            return
-        if not rest:
-            best = size
-            return
-        members = [v for v in range(inst.n) if rest >> v & 1]
-        v = max(members, key=lambda u: (masks[u] & rest).bit_count())
-        search(rest & ~masks[v] & ~(1 << v), size + 1)
-        search(rest & ~(1 << v), size)
-
-    search((1 << inst.n) - 1, 0)
-    return best
+    profits, rows, limits = (np.asarray(a, dtype=float) for a in (profits, rows, limits))
+    if profits.size == 0:  # HiGHS rejects an empty objective
+        return 0
+    res = milp(
+        -profits,
+        integrality=1,
+        bounds=Bounds(0, 1),
+        constraints=[LinearConstraint(rows, ub=limits)] if len(rows) else [],
+        options={"mip_rel_gap": 0},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS proved no optimum: {res.message}")
+    value = round(-res.fun)
+    if max(abs(-res.fun - value), abs(-res.mip_dual_bound - value)) > 1e-6:
+        raise RuntimeError(
+            f"objective {-res.fun} and bound {-res.mip_dual_bound} are not one integer"
+        )
+    x = np.round(res.x)
+    if np.any(rows @ x > limits) or profits @ x != value:
+        raise RuntimeError(f"the rounded solution does not attain {value} within the rows")
+    return value
 
 
-def brute_force_mdkp(inst: MdkpInstance, chunk: int = 1 << 18) -> float:
-    """Optimal profit by enumerating all item subsets in vectorized chunks."""
-    n = inst.n
-    best = 0.0
-    for start in range(0, 1 << n, chunk):
-        counters = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        B = ((counters[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        loads = B @ inst.weights.T
-        feasible = np.all(loads <= inst.capacities[None, :], axis=1)
-        if feasible.any():
-            best = max(best, float((B[feasible] @ inst.profits).max()))
-    return best
+def mis_optimum(inst: MisInstance) -> int:
+    """Independence number: at most one endpoint of each edge."""
+    edges = np.array(inst.edges, dtype=int).reshape(-1, 2)
+    return binary_optimum(np.ones(inst.n), np.eye(inst.n)[edges].sum(axis=1), np.ones(len(edges)))
 
 
 def brute_force_qap(inst: QapInstance) -> float:
-    best = np.inf
-    for perm in itertools.permutations(range(inst.n)):
-        cost = sum(
-            inst.flow[i, k] * inst.distance[perm[i], perm[k]]
-            for i in range(inst.n)
-            for k in range(inst.n)
-        )
-        best = min(best, float(cost))
-    return best
+    """Least cost over every facility permutation."""
+    return min(
+        float((inst.flow * inst.distance[np.ix_(perm, perm)]).sum())
+        for perm in itertools.permutations(range(inst.n))
+    )
 
 
 def make_mis_files() -> None:
@@ -137,7 +119,7 @@ def make_mis_files() -> None:
         inst = transposition_conflict_graph(bits)
         found = mis_optimum(inst)
         if found != expected:
-            raise AssertionError(f"{name}: branch and bound found {found}, expected {expected}")
+            raise AssertionError(f"{name}: HiGHS found {found}, expected {expected}")
         (out_dir / f"{name}.txt").write_text(serialize_mis_edgelist(inst))
         optima[name] = found
         print(f"{name}: {inst.n} vertices, {len(inst.edges)} edges, optimum {found}")
@@ -158,7 +140,7 @@ def make_mdkp_files() -> None:
         capacities=np.array([5.0]),
         known_optimum=12.0,
     )
-    assert brute_force_mdkp(tiny) == 12.0
+    assert binary_optimum(tiny.profits, tiny.weights, tiny.capacities) == 12
     (out_dir / "example3x1.txt").write_text(serialize_mdkp(tiny))
     print("example3x1: optimum 12 confirmed")
 
@@ -169,11 +151,10 @@ def make_mdkp_files() -> None:
     capacities = np.clip(np.round(0.4 * weights.sum(axis=1)), 511, 1022)
     for c in capacities:
         assert slack_bit_count(c) == 9, f"capacity {c} needs != 9 slack bits"
-    inst = MdkpInstance(n=n, m=m, profits=profits, weights=weights, capacities=capacities)
-    optimum = brute_force_mdkp(inst)
+    optimum = binary_optimum(profits, weights, capacities)
     inst = MdkpInstance(
         n=n, m=m, profits=profits, weights=weights, capacities=capacities,
-        known_optimum=optimum,
+        known_optimum=float(optimum),
     )
     (out_dir / "synth24x4.txt").write_text(serialize_mdkp(inst))
     print(f"synth24x4: capacities {capacities.astype(int).tolist()}, optimum {optimum:.0f}")

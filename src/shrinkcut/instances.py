@@ -255,8 +255,9 @@ def serialize_qaplib(inst: QapInstance) -> str:
 
 
 def load_optima(path: str | Path) -> dict[str, float]:
-    """Read a sidecar metadata file of ``name value`` lines (known optima)."""
+    """Read a sidecar file of ``name value`` lines (known optima); a name may appear once."""
     table: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -270,6 +271,11 @@ def load_optima(path: str | Path) -> dict[str, float]:
             raise ParseError(f"{path}:{lineno}: bad value in {raw!r}") from exc
         if not math.isfinite(value):
             raise ParseError(f"{path}:{lineno}: value must be finite, got {raw!r}")
+        if parts[0] in lines:
+            raise ParseError(
+                f"{path}: {parts[0]!r} is listed twice, on lines {lines[parts[0]]} and {lineno}"
+            )
+        lines[parts[0]] = lineno
         table[parts[0]] = value
     return table
 

@@ -151,6 +151,17 @@ def brute_independence_number(inst: MisInstance) -> int:
     )
 
 
+def brute_mdkp_optimum(profits, weights, capacities) -> float:
+    """Largest profit by enumerating every item subset that fits every capacity row."""
+    return max(
+        sum(p for p, take in zip(profits, x) if take)
+        for x in every_bitstring(len(profits))
+        if all(
+            sum(w for w, take in zip(row, x) if take) <= c for row, c in zip(weights, capacities)
+        )
+    )
+
+
 def naive_cut_value(graph: MaxCutGraph, spins) -> float:
     total = 0.0
     for (i, j), w in graph.edges.items():

@@ -344,13 +344,18 @@ def test_hungarian_rejects_non_square_input():
 # never see it missing.
 _LAZY_SCIPY_SCRIPT = textwrap.dedent(
     """
-    import json, sys
+    import importlib.util, json, sys
     import numpy as np
     import shrinkcut, shrinkcut.cli, shrinkcut.pipeline
     seen = {"import": "scipy.optimize" in sys.modules}
     from shrinkcut import PipelineConfig, load_instance, repair_qap, run_pipeline
     run_pipeline(PipelineConfig(kind="mis", instance=sys.argv[1], stop_mode="k", k=5))
     seen["mis_pipeline"] = "scipy.optimize" in sys.modules
+    spec = importlib.util.spec_from_file_location("generate_instances", sys.argv[3])
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.transposition_conflict_graph(6)
+    seen["generator"] = "scipy.optimize" in sys.modules
     report = repair_qap(load_instance("qap", sys.argv[2]), np.ones(36, dtype=int))
     seen["qap_repair"] = "scipy.optimize" in sys.modules
     seen["bits"] = np.asarray(report.bits).tolist()
@@ -367,7 +372,11 @@ def test_scipy_optimize_loads_only_when_a_qap_repair_needs_it():
     )
     done = subprocess.run(
         [sys.executable, "-c", _LAZY_SCIPY_SCRIPT]
-        + [str(root / "data" / "mis" / "1tc.8.txt"), str(root / "data" / "qap" / "rand6.txt")],
+        + [
+            str(root / "data" / "mis" / "1tc.8.txt"),
+            str(root / "data" / "qap" / "rand6.txt"),
+            str(root / "scripts" / "generate_instances.py"),
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -377,6 +386,7 @@ def test_scipy_optimize_loads_only_when_a_qap_repair_needs_it():
     seen = json.loads(done.stdout)
     assert seen["import"] is False
     assert seen["mis_pipeline"] is False
+    assert seen["generator"] is False
     assert seen["qap_repair"] is True
     bits = np.array(seen["bits"])
     assert bits.shape == (6, 6)

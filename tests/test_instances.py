@@ -1,8 +1,10 @@
 """Parsers, serializers, and the bundled benchmark files."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
@@ -22,6 +24,7 @@ from tests.conftest import (
     PARSERS,
     WRITERS,
     brute_independence_number,
+    brute_mdkp_optimum,
     generator,
     malformed_instance_texts,
     random_mis,
@@ -205,6 +208,13 @@ def test_load_optima_rejects_malformed_line(tmp_path):
         load_optima(path)
 
 
+def test_load_optima_rejects_a_name_listed_twice(tmp_path):
+    path = tmp_path / "optima.txt"
+    path.write_text("1tc.8 4\n# comment\n1tc.8 99\n")
+    with pytest.raises(ParseError, match="'1tc.8' is listed twice, on lines 1 and 3"):
+        load_optima(path)
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
 def test_load_optima_rejects_a_non_finite_value(tmp_path, value):
     path = tmp_path / "optima.txt"
@@ -256,6 +266,64 @@ def test_mis_optimum_equals_subset_enumeration_on_random_graphs(n, density, seed
 def test_mis_optimum_proves_that_1tc64_has_independence_number_20():
     module = generator()
     assert module.mis_optimum(module.transposition_conflict_graph(6)) == 20
+
+
+def test_mis_optimum_proves_that_1tc256_has_independence_number_63():
+    module = generator()
+    assert module.mis_optimum(module.transposition_conflict_graph(8)) == 63
+
+
+@st.composite
+def integer_knapsacks(draw):
+    """Integer profits, weights and capacities: n 0-10 items, m 0-3 rows."""
+    n = draw(st.integers(0, 10))
+    m = draw(st.integers(0, 3))
+    profits = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    weights = draw(
+        st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    capacities = draw(st.lists(st.integers(0, 60), min_size=m, max_size=m))
+    return profits, weights, capacities
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_knapsacks())
+@example(([0, 5, 3], [[0, 4, 4], [0, 1, 2]], [4, 2]))  # a zero profit and a zero-weight column
+@example(([7, 2], [], []))  # no rows: take everything
+@example(([], [[]], [3]))  # no items
+def test_binary_optimum_equals_subset_enumeration_on_integer_knapsacks(knapsack):
+    profits, weights, capacities = knapsack
+    rows = np.array(weights, dtype=float).reshape(len(capacities), len(profits))
+    found = generator().binary_optimum(profits, rows, capacities)
+    assert found == brute_mdkp_optimum(profits, weights, capacities)
+
+
+def _one_edge_result(**fields):
+    """A milp result for max x0 + x1 subject to x0 + x1 <= 1, proven at 1 unless overridden."""
+    proven = dict(status=0, message="", fun=-1.0, mip_dual_bound=-1.0, x=np.array([1.0, 0.0]))
+    return SimpleNamespace(**(proven | fields))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"status": 1, "message": "Time limit reached"}, "HiGHS proved no optimum: Time limit"),
+        ({"mip_dual_bound": -2.0}, "are not one integer"),
+        ({"fun": -1.5, "mip_dual_bound": -1.5}, "are not one integer"),
+        ({"x": np.array([1.0, 1.0])}, "does not attain 1"),
+        ({"fun": -2.0, "mip_dual_bound": -2.0}, "does not attain 2"),
+    ],
+    ids=["time-limit", "open-gap", "fractional", "row-violated", "value-not-attained"],
+)
+def test_binary_optimum_raises_unless_highs_proves_an_attained_integer_optimum(
+    monkeypatch, fields, message
+):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: _one_edge_result(**fields))
+    module = generator()
+    with pytest.raises(RuntimeError, match=message):
+        module.mis_optimum(MisInstance(n=2, edges=((0, 1),)))
 
 
 @settings(max_examples=300, deadline=None)
